@@ -28,7 +28,7 @@
 //   - classification signatures bit-identical across every arm and the
 //     adaptive pass (verdict order never changes verdicts).
 //   - planner/model counters visible in the DebugService stats JSON with
-//     per-shard model state actually observing.
+//     the service's shared model actually observing.
 //
 // Emits BENCH_adaptive.json.
 //
@@ -311,8 +311,8 @@ size_t RunWorkload(const Workload& w, bool smoke, TablePrinter* table,
   return violations;
 }
 
-/// Adaptive mode through the sharded service: planner/model counters must be
-/// visible in the stats JSON and the per-shard models must actually observe.
+/// Adaptive mode through the service: planner/model counters must be visible
+/// in the stats JSON and the shared model must actually observe.
 size_t RunServiceCheck(const Workload& w, std::ostringstream* json) {
   size_t violations = 0;
   auto gate = [&](bool ok, const std::string& what) {
@@ -323,7 +323,6 @@ size_t RunServiceCheck(const Workload& w, std::ostringstream* json) {
   };
   ServiceOptions options;
   options.num_workers = 2;
-  options.num_shards = 2;
   options.debugger.adaptive = true;
   options.debugger.adaptive_options = AdaptiveOptions::FromEnv();
   DebugService service(w.tier->db.get(), w.tier->lattice.get(),
@@ -333,11 +332,8 @@ size_t RunServiceCheck(const Workload& w, std::ostringstream* json) {
        "adaptive batch failed: " + batch.status.ToString());
   gate(batch.stats.planner_decisions > 0,
        "no planner decisions surfaced in service stats");
-  size_t shard_observations = 0;
-  for (const ShardStats& shard : batch.stats.shards) {
-    shard_observations += shard.pa_observations;
-  }
-  gate(shard_observations > 0, "per-shard p_a models never observed");
+  gate(service.shared_adaptive()->pa().observations() > 0,
+       "the shared p_a model never observed");
   const std::string stats_json = ServiceStatsToJson(batch.stats);
   gate(stats_json.find("\"planner_decisions\"") != std::string::npos,
        "service stats JSON does not expose planner_decisions");

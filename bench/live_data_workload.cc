@@ -290,7 +290,6 @@ struct WarmResult {
 size_t RunWarmGate(LiveEnv* env, WarmResult* out) {
   ServiceOptions options;
   options.num_workers = 2;
-  options.num_shards = 2;
   DebugService service(env->db.get(), env->lattice.get(), env->index.get(),
                        options);
   KWSDBG_CHECK(service.mutator() != nullptr);
@@ -366,7 +365,6 @@ size_t RunChaosGate(LiveEnv* env, bool smoke, ChaosResult* out) {
   const size_t mutation_rate = EnvSize("KWSDBG_MUTATION_RATE", 3);
   ServiceOptions options;
   options.num_workers = 2;
-  options.num_shards = 2;
   DebugService service(env->db.get(), env->lattice.get(), env->index.get(),
                        options);
   Rng rng(0xC4A05BADu);

@@ -1,6 +1,6 @@
-// Resilience gate for the DebugService: replays the concurrent-service
-// workload (DBLife + e-commerce, same sampling as
-// concurrent_service_workload) under a fixed fault schedule and checks that
+// Resilience gate for the DebugService: replays seeded DBLife + e-commerce
+// queries (sampled like the parity phase of service_scale_workload) under a
+// fixed fault schedule and checks that
 // every resilience layer does its job without ever changing a verdict:
 //
 //   baseline   — fault-free service run; the parity reference.

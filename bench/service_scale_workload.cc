@@ -1,18 +1,19 @@
-// Scale-out gate + open-loop load harness for the sharded DebugService.
+// Scale-out gate + open-loop load harness for the DebugService worker pool.
 // Three phases:
 //
-//   parity     — serial NonAnswerDebugger vs. a sharded, work-stealing
-//                service on DBLife and the e-commerce catalog under all
-//                five traversal strategies: classifications must be
-//                bit-identical (sharding changes where verdicts live,
-//                never what they say).
-//   scaling    — closed-loop shard sweep 1 -> N (workers == shards):
-//                steady-state (warm) batch throughput per shard count.
+//   parity     — serial NonAnswerDebugger vs. an N-worker service on DBLife
+//                and the e-commerce catalog under all five traversal
+//                strategies: classifications must be bit-identical (worker
+//                scheduling and shared-tier state change where verdicts are
+//                computed, never what they say).
+//   scaling    — closed-loop worker sweep 1 -> N on the one queue:
+//                steady-state (warm) batch throughput per worker count.
 //                Full release runs gate near-linear scaling whenever the
-//                host has the cores to express it (shards beyond the core
+//                host has the cores to express it (workers beyond the core
 //                count timeshare, they don't parallelize); every run gates
 //                QPS > 0 (the zero-wall-time regression made this vacuous
-//                before).
+//                before). The JSON records whether the scaling gate ran
+//                ("gated") or why not ("skipped: <reason>").
 //   open-loop  — constant-arrival-rate injection through Submit (arrivals
 //                do NOT wait for completions, unlike RunBatch's closed
 //                loop, so queueing collapse is observable): sweeps offered
@@ -21,11 +22,11 @@
 //                shed fraction, and the max sustainable QPS — the highest
 //                offered rate whose p99 meets the SLO with <= 1% shed.
 //
-// Emits BENCH_service_scale.json (per-shard-count scaling rows, per-rate
-// open-loop rows, max sustainable QPS, SLO).
+// Emits BENCH_service_scale.json (per-worker-count scaling rows, scaling
+// gate outcome, per-rate open-loop rows, max sustainable QPS, SLO).
 //
-//   ./service_scale_workload [--smoke] [--shards=N] [--workers=N]
-//                            [--queries=N] [--out=BENCH_service_scale.json]
+//   ./service_scale_workload [--smoke] [--workers=N] [--queries=N]
+//                            [--out=BENCH_service_scale.json]
 //
 // --queries is the total open-loop injection budget across the rate sweep
 // (default 1,000,000 full / 400 smoke). Environment knobs: KWSDBG_SEED /
@@ -71,11 +72,11 @@ constexpr TraversalKind kAllStrategies[] = {
     TraversalKind::kScoreBased};
 
 // ---------------------------------------------------------------------------
-// Phase 1: serial vs. sharded parity, all strategies.
+// Phase 1: serial vs. service parity, all strategies.
 
 size_t ParityCase(const char* name, const Database* db,
                   const Lattice* lattice, const InvertedIndex* index,
-                  const std::vector<std::string>& queries, size_t shards) {
+                  const std::vector<std::string>& queries, size_t workers) {
   size_t mismatches = 0;
   for (TraversalKind strategy : kAllStrategies) {
     DebuggerOptions debugger_options;
@@ -93,10 +94,7 @@ size_t ParityCase(const char* name, const Database* db,
     }
 
     ServiceOptions options;
-    options.num_workers = shards;
-    options.num_shards = shards;
-    options.work_stealing = true;
-    options.handoff_batch = 2;
+    options.num_workers = workers;
     options.debugger = debugger_options;
     DebugService service(db, lattice, index, options);
     BatchResult batch = service.RunBatch(queries);
@@ -112,52 +110,45 @@ size_t ParityCase(const char* name, const Database* db,
       }
       if (r.report.ClassificationSignature() != serial_sigs[i]) {
         ++case_mismatches;
-        std::printf("  [FAIL] %s/%s \"%s\": sharded classification differs\n",
+        std::printf("  [FAIL] %s/%s \"%s\": service classification differs\n",
                     name, std::string(TraversalKindName(strategy)).c_str(),
                     queries[i].c_str());
       }
     }
-    std::printf("  %s / %-4s: %zu queries, %zu shard(s), %zu steal(s), "
-                "%zu mismatch(es)\n",
+    std::printf("  %s / %-4s: %zu queries, %zu worker(s), %zu mismatch(es)\n",
                 name, std::string(TraversalKindName(strategy)).c_str(),
-                queries.size(), shards, batch.stats.steals, case_mismatches);
+                queries.size(), workers, case_mismatches);
     mismatches += case_mismatches;
   }
   return mismatches;
 }
 
 // ---------------------------------------------------------------------------
-// Phase 2: closed-loop shard scaling.
+// Phase 2: closed-loop worker scaling.
 
 struct ScalingRow {
-  size_t shards = 0;
+  size_t workers = 0;
   double qps = 0;
   double p50 = 0;
   double p99 = 0;
-  size_t steals = 0;
 };
 
 ScalingRow ScalingPoint(const Database* db, const Lattice* lattice,
                         const InvertedIndex* index,
                         const std::vector<std::string>& queries,
-                        size_t shards, size_t repeats) {
+                        size_t workers, size_t repeats) {
   ServiceOptions options;
-  options.num_workers = shards;
-  options.num_shards = shards;
-  options.work_stealing = true;
+  options.num_workers = workers;
   DebugService service(db, lattice, index, options);
-  // Warm-up pass, then measure steady state. Steady state is the honest
-  // scaling claim: a cold batch does MORE total work at higher shard
-  // counts (each shard builds its own flat-index arenas, and two distinct
-  // queries homed on different shards can no longer share sub-network
-  // verdicts), so cold throughput conflates partition-duplication cost
-  // with hot-path scaling. Warm batches isolate what sharding is for: the
-  // queue, handoff, and cache-partition path under concurrency.
+  // Warm-up pass, then measure steady state: a cold batch's cost is
+  // dominated by index builds and SQL that the shared tiers absorb once,
+  // so warm batches isolate the queue, handoff, and shared-cache path
+  // under concurrency.
   BatchResult warmup = service.RunBatch(queries);
   KWSDBG_CHECK(warmup.status.ok()) << warmup.status.ToString();
   Timer wall;
   ScalingRow row;
-  row.shards = shards;
+  row.workers = workers;
   for (size_t rep = 0; rep < repeats; ++rep) {
     BatchResult batch = service.RunBatch(queries);
     KWSDBG_CHECK(batch.status.ok()) << batch.status.ToString();
@@ -168,11 +159,26 @@ ScalingRow ScalingPoint(const Database* db, const Lattice* lattice,
     KWSDBG_CHECK(failed == 0) << failed << " queries failed during scaling";
     row.p50 = batch.stats.p50_millis;
     row.p99 = batch.stats.p99_millis;
-    row.steals += batch.stats.steals;
   }
   row.qps = static_cast<double>(queries.size() * repeats) /
             std::max(wall.ElapsedMillis(), 0.001) * 1000.0;
   return row;
+}
+
+/// Why the near-linear scaling gate cannot judge this run, or "" when it
+/// can: `parallelism` is the ratio of cores the sweep's last and first
+/// points can keep busy.
+std::string ScalingGateSkipReason(bool smoke, double parallelism,
+                                  size_t workers, size_t cores) {
+#ifndef NDEBUG
+  return "debug build (NDEBUG off)";
+#endif
+  if (smoke) return "smoke sizes";
+  if (parallelism < 2.0) {
+    return std::to_string(workers) + " worker(s) on " + std::to_string(cores) +
+           " core(s) cannot express 2x parallelism";
+  }
+  return "";
 }
 
 // ---------------------------------------------------------------------------
@@ -188,7 +194,6 @@ struct OpenLoopRow {
   double p99 = 0;
   double p999 = 0;
   double max = 0;
-  size_t steals = 0;
   bool meets_slo = false;
 };
 
@@ -247,7 +252,6 @@ OpenLoopRow OpenLoopPoint(DebugService* service,
   row.p99 = stats.p99_millis;
   row.p999 = stats.p999_millis;
   row.max = stats.max_millis;
-  row.steals = stats.steals;
   row.meets_slo = row.p99 <= slo_millis && row.shed_fraction <= 0.01;
   return row;
 }
@@ -255,21 +259,23 @@ OpenLoopRow OpenLoopPoint(DebugService* service,
 // ---------------------------------------------------------------------------
 
 void WriteJson(const std::string& path, const std::vector<ScalingRow>& scaling,
+               const std::string& scaling_gate,
                const std::vector<OpenLoopRow>& open_loop,
-               double max_sustainable_qps, double slo_millis, size_t shards,
+               double max_sustainable_qps, double slo_millis, size_t workers,
                uint64_t workload_seed) {
   std::ostringstream out;
-  out << "{\"bench\":\"service_scale\",\"shards\":" << shards
+  out << "{\"bench\":\"service_scale\",\"workers\":" << workers
       << ",\"workload_seed\":" << workload_seed
       << ",\"slo_millis\":" << slo_millis
       << ",\"max_sustainable_qps\":" << max_sustainable_qps
-      << ",\"shard_scaling\":[";
+      << ",\"scaling_gate\":\"" << scaling_gate << '"'
+      << ",\"worker_scaling\":[";
   for (size_t i = 0; i < scaling.size(); ++i) {
     const ScalingRow& r = scaling[i];
     if (i > 0) out << ',';
-    out << "{\"shards\":" << r.shards << ",\"qps\":" << r.qps
+    out << "{\"workers\":" << r.workers << ",\"qps\":" << r.qps
         << ",\"p50_millis\":" << r.p50 << ",\"p99_millis\":" << r.p99
-        << ",\"steals\":" << r.steals << '}';
+        << '}';
   }
   out << "],\"open_loop\":[";
   for (size_t i = 0; i < open_loop.size(); ++i) {
@@ -281,7 +287,6 @@ void WriteJson(const std::string& path, const std::vector<ScalingRow>& scaling,
         << ",\"shed_fraction\":" << r.shed_fraction
         << ",\"p50_millis\":" << r.p50 << ",\"p99_millis\":" << r.p99
         << ",\"p999_millis\":" << r.p999 << ",\"max_millis\":" << r.max
-        << ",\"steals\":" << r.steals
         << ",\"meets_slo\":" << (r.meets_slo ? "true" : "false") << '}';
   }
   out << "]}";
@@ -290,14 +295,14 @@ void WriteJson(const std::string& path, const std::vector<ScalingRow>& scaling,
   std::printf("\nwrote %s\n", path.c_str());
 }
 
-int Run(size_t shards, size_t open_loop_queries, bool smoke,
+int Run(size_t workers, size_t open_loop_queries, bool smoke,
         const std::string& out_path) {
   const uint64_t workload_seed = EnvWorkloadSeed();
   const double slo_millis = EnvSloMillis();
   std::printf("# workload seed: %llu, SLO p99 <= %.1f ms (KWSDBG_SLO_MS), "
-              "%zu shard(s)\n",
+              "%zu worker(s)\n",
               static_cast<unsigned long long>(workload_seed), slo_millis,
-              shards);
+              workers);
 
   size_t mismatches = 0;
 
@@ -311,11 +316,11 @@ int Run(size_t shards, size_t open_loop_queries, bool smoke,
   RandomQueryGenerator generator(&env.index(), gconfig);
 
   // --- Phase 1: parity. -----------------------------------------------
-  std::printf("\n== parity: serial vs. sharded, all strategies ==\n");
+  std::printf("\n== parity: serial vs. service, all strategies ==\n");
   {
-    const std::vector<std::string> queries = generator.Batch(smoke ? 4 : 16);
+    const std::vector<std::string> queries = generator.Batch(smoke ? 6 : 16);
     mismatches += ParityCase("DBLife", &env.db(), &env.lattice(level),
-                             &env.index(), queries, shards);
+                             &env.index(), queries, workers);
   }
   {
     EcommerceConfig config;
@@ -334,32 +339,31 @@ int Run(size_t shards, size_t open_loop_queries, bool smoke,
     egconfig.min_keywords = 1;
     egconfig.max_keywords = 2;
     RandomQueryGenerator egen(&index, egconfig);
-    std::vector<std::string> queries = egen.Batch(smoke ? 4 : 12);
+    std::vector<std::string> queries = egen.Batch(smoke ? 5 : 12);
     queries.push_back("saffron candle");  // always cover a dead-MTN frontier
     mismatches += ParityCase("e-commerce", dataset->db.get(), lattice->get(),
-                             &index, queries, shards);
+                             &index, queries, workers);
   }
   if (mismatches > 0) {
     std::printf("\nPARITY FAILED: %zu classification(s) differ under the "
-                "sharded service\n", mismatches);
+                "service\n", mismatches);
     return 1;
   }
-  std::printf("parity OK: sharded classifications bit-identical to serial\n");
+  std::printf("parity OK: service classifications bit-identical to serial\n");
 
-  // --- Phase 2: closed-loop shard scaling. ----------------------------
-  std::printf("\n== closed-loop shard scaling (workers == shards) ==\n");
+  // --- Phase 2: closed-loop worker scaling. ---------------------------
+  std::printf("\n== closed-loop worker scaling (one queue) ==\n");
   const std::vector<std::string> scaling_queries =
       generator.Batch(smoke ? 16 : 128);
   const size_t scaling_repeats = smoke ? 2 : 16;
   std::vector<ScalingRow> scaling;
-  TablePrinter scaling_table({"shards", "qps", "p50 ms", "p99 ms", "steals"});
-  for (size_t s = 1; s <= shards; s *= 2) {
+  TablePrinter scaling_table({"workers", "qps", "p50 ms", "p99 ms"});
+  for (size_t w = 1; w <= workers; w *= 2) {
     ScalingRow row = ScalingPoint(&env.db(), &env.lattice(level),
-                                  &env.index(), scaling_queries, s,
+                                  &env.index(), scaling_queries, w,
                                   scaling_repeats);
-    scaling_table.AddRow({std::to_string(row.shards), Fmt(row.qps, 1),
-                          Fmt(row.p50, 2), Fmt(row.p99, 2),
-                          std::to_string(row.steals)});
+    scaling_table.AddRow({std::to_string(row.workers), Fmt(row.qps, 1),
+                          Fmt(row.p50, 2), Fmt(row.p99, 2)});
     scaling.push_back(row);
   }
   scaling_table.Print();
@@ -368,48 +372,45 @@ int Run(size_t shards, size_t open_loop_queries, bool smoke,
     // to 0 and the stats reported a vacuous throughput, not that the
     // service ran infinitely slowly.
     KWSDBG_CHECK(row.qps > 0.0)
-        << "shard count " << row.shards << " reported non-positive QPS";
+        << "worker count " << row.workers << " reported non-positive QPS";
   }
-#ifdef NDEBUG
-  if (!smoke && scaling.size() >= 2) {
-    // Near-linear scale-out gate (full release runs only: debug builds and
-    // smoke sizes are dominated by fixed costs). Shards beyond the host's
-    // core count timeshare instead of parallelizing, so the gate demands
-    // speedup only up to the hardware: on a 1-core container the sweep
-    // still runs and gates QPS > 0, but near-linear is unprovable there.
-    // Generous constant to stay robust on loaded CI machines.
-    const ScalingRow& first = scaling.front();
-    const ScalingRow& last = scaling.back();
-    const size_t cores = std::max<size_t>(std::thread::hardware_concurrency(), 1);
-    const double parallelism =
-        static_cast<double>(std::min(last.shards, cores)) /
-        static_cast<double>(std::min(first.shards, cores));
-    const double speedup = last.qps / std::max(first.qps, 1e-9);
-    const double floor = std::max(1.2, 0.4 * parallelism);
-    if (parallelism >= 2.0) {
-      KWSDBG_CHECK(speedup >= floor)
-          << "scale-out collapsed: " << first.shards << " -> " << last.shards
-          << " shards sped up only " << speedup << "x (floor " << floor
-          << "x, " << cores << " cores)";
-      std::printf("scaling gate OK: %zu -> %zu shards = %.2fx (floor %.2fx)\n",
-                  first.shards, last.shards, speedup, floor);
-    } else {
-      std::printf("scaling gate skipped: host has %zu core(s), not enough to "
-                  "express %zu-shard parallelism (measured %.2fx)\n",
-                  cores, last.shards, speedup);
-    }
+  // Near-linear scale-out gate (full release runs only: debug builds and
+  // smoke sizes are dominated by fixed costs). Workers beyond the host's
+  // core count timeshare instead of parallelizing, so the gate demands
+  // speedup only up to the hardware: on a 1-core container the sweep still
+  // runs and gates QPS > 0, but near-linear is unprovable there. Generous
+  // constant to stay robust on loaded CI machines.
+  const ScalingRow& first = scaling.front();
+  const ScalingRow& last = scaling.back();
+  const size_t cores = std::max<size_t>(std::thread::hardware_concurrency(), 1);
+  const double parallelism =
+      static_cast<double>(std::min(last.workers, cores)) /
+      static_cast<double>(std::min(first.workers, cores));
+  const double speedup = last.qps / std::max(first.qps, 1e-9);
+  const double floor = std::max(1.2, 0.4 * parallelism);
+  const std::string skip_reason =
+      ScalingGateSkipReason(smoke, parallelism, workers, cores);
+  const std::string scaling_gate =
+      skip_reason.empty() ? "gated" : "skipped: " + skip_reason;
+  if (skip_reason.empty()) {
+    KWSDBG_CHECK(speedup >= floor)
+        << "scale-out collapsed: " << first.workers << " -> " << last.workers
+        << " workers sped up only " << speedup << "x (floor " << floor
+        << "x, " << cores << " cores)";
+    std::printf("scaling gate OK: %zu -> %zu workers = %.2fx (floor %.2fx)\n",
+                first.workers, last.workers, speedup, floor);
+  } else {
+    std::printf("scaling gate %s (measured %.2fx)\n", scaling_gate.c_str(),
+                speedup);
   }
-#endif
 
   // --- Phase 3: open-loop arrival-rate sweep. --------------------------
   std::printf("\n== open-loop sweep (%zu total arrivals, SLO p99 <= %.1f ms,"
               " shed <= 1%%) ==\n",
               open_loop_queries, slo_millis);
   ServiceOptions options;
-  options.num_workers = shards;
-  options.num_shards = shards;
-  options.work_stealing = true;
-  // Bounded queues so past-saturation rates shed instead of queueing
+  options.num_workers = workers;
+  // A bounded queue so past-saturation rates shed instead of queueing
   // without limit (an unbounded open loop never reaches steady state).
   options.max_queue_depth = 512;
   DebugService service(&env.db(), &env.lattice(level), &env.index(), options);
@@ -456,8 +457,8 @@ int Run(size_t shards, size_t open_loop_queries, bool smoke,
       << " qps (25% of calibrated capacity) missed p99 <= " << slo_millis
       << " ms or shed > 1%";
 
-  WriteJson(out_path, scaling, open_loop, max_sustainable_qps, slo_millis,
-            shards, workload_seed);
+  WriteJson(out_path, scaling, scaling_gate, open_loop, max_sustainable_qps,
+            slo_millis, workers, workload_seed);
   std::printf("\nSERVICE SCALE OK\n");
   return 0;
 }
@@ -467,17 +468,13 @@ int Run(size_t shards, size_t open_loop_queries, bool smoke,
 }  // namespace kwsdbg
 
 int main(int argc, char** argv) {
-  size_t shards = 4;
+  size_t workers = 4;
   size_t queries = 0;  // 0 = default per mode
   bool smoke = false;
   std::string out_path = "BENCH_service_scale.json";
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      shards = static_cast<size_t>(std::atoll(argv[i] + 9));
-    } else if (std::strncmp(argv[i], "--workers=", 10) == 0) {
-      // Workers track shards in this bench (one worker per shard); the flag
-      // is accepted as an alias so harness scripts can pass either.
-      shards = static_cast<size_t>(std::atoll(argv[i] + 10));
+    if (std::strncmp(argv[i], "--workers=", 10) == 0) {
+      workers = static_cast<size_t>(std::atoll(argv[i] + 10));
     } else if (std::strncmp(argv[i], "--queries=", 10) == 0) {
       queries = static_cast<size_t>(std::atoll(argv[i] + 10));
     } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
@@ -486,13 +483,13 @@ int main(int argc, char** argv) {
       smoke = true;
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--smoke] [--shards=N] [--workers=N] "
-                   "[--queries=N] [--out=PATH]\n",
+                   "usage: %s [--smoke] [--workers=N] [--queries=N] "
+                   "[--out=PATH]\n",
                    argv[0]);
       return 2;
     }
   }
-  if (shards == 0) shards = 1;
+  if (workers == 0) workers = 1;
   if (queries == 0) queries = smoke ? 400 : 1000000;
-  return kwsdbg::bench::Run(shards, queries, smoke, out_path);
+  return kwsdbg::bench::Run(workers, queries, smoke, out_path);
 }

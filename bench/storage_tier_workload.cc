@@ -211,11 +211,10 @@ size_t RunEnvPair(TierEnv resident, TierEnv spilled, TablePrinter* table,
 
   // …and in the service stats JSON. A spilled engine is a single-session
   // artifact (the pool and posting cache are not thread-safe), so the
-  // service runs one worker on one shard.
+  // service runs one worker.
   {
     ServiceOptions service_options;
     service_options.num_workers = 1;
-    service_options.num_shards = 1;
     DebugService service(spilled.db.get(), spilled.lattice.get(),
                          spilled.index.get(), service_options);
     BatchResult batch = service.RunBatch(

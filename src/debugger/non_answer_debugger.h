@@ -64,7 +64,7 @@ struct DebuggerOptions {
   bool adaptive = false;
   /// Shared adaptive tier (model + planner). When set, the debugger feeds
   /// and consults this state (thread-safe — the DebugService plugs every
-  /// worker of a shard into one, like the shared verdict cache) instead of
+  /// worker into one, like the shared verdict cache) instead of
   /// owning session state; `adaptive_options` is then ignored. Must outlive
   /// the debugger.
   AdaptiveState* shared_adaptive = nullptr;
@@ -94,29 +94,9 @@ class NonAnswerDebugger {
   /// benches and tests can inspect hit rates or Clear() between passes.
   VerdictCache* verdict_cache() { return verdict_cache_; }
 
-  /// Swaps the verdict tier consulted by subsequent Debug() calls. The
-  /// sharded DebugService points a stealing worker at the stolen query's
-  /// home-shard partition so verdicts stay resident where routing sends
-  /// them; verdicts are ground truth, so which tier answers them never
-  /// changes a classification. Pass nullptr to restore the owned session
-  /// cache (if any). Must not be called while Debug() is running.
-  void set_verdict_cache(VerdictCache* cache) {
-    verdict_cache_ = cache != nullptr ? cache : owned_verdict_cache_.get();
-  }
-
   /// The adaptive tier in effect — the shared state if one was configured,
   /// else the owned session state, or nullptr when adaptive mode is off.
   AdaptiveState* adaptive_state() { return adaptive_; }
-
-  /// Swaps the adaptive tier consulted by subsequent Debug() calls — the
-  /// stolen-query twin of set_verdict_cache: a stealing worker points at the
-  /// home shard's model so observations land where routing sends the query.
-  /// Pass nullptr to restore the owned state (if any). No-op when adaptive
-  /// mode is off; must not be called while Debug() is running.
-  void set_adaptive_state(AdaptiveState* state) {
-    if (!options_.adaptive) return;
-    adaptive_ = state != nullptr ? state : owned_adaptive_.get();
-  }
 
   /// Overrides the per-query deadline for subsequent Debug() calls (the
   /// DebugService sets this per request).

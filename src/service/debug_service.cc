@@ -7,9 +7,7 @@
 #include <thread>
 
 #include "common/hash.h"
-#include "common/lru_cache.h"
 #include "text/inverted_index.h"
-#include "text/tokenizer.h"
 
 namespace kwsdbg {
 
@@ -40,18 +38,6 @@ double Percentile(const std::vector<double>& sorted, double q) {
   return sorted[std::min(rank, sorted.size() - 1)];
 }
 
-LruCacheStats SumCacheStats(const std::vector<ShardStats>& shards) {
-  LruCacheStats total;
-  for (const ShardStats& s : shards) {
-    total.hits += s.cache.hits;
-    total.misses += s.cache.misses;
-    total.insertions += s.cache.insertions;
-    total.evictions += s.cache.evictions;
-    total.entries += s.cache.entries;
-  }
-  return total;
-}
-
 }  // namespace
 
 std::string ServiceStats::ToString() const {
@@ -76,18 +62,6 @@ std::string ServiceStats::ToString() const {
       << " p99=" << p99_millis << " p999=" << p999_millis
       << " max=" << max_millis << ", mean queue wait=" << mean_queue_millis
       << " ms\n";
-  if (num_shards > 1) {
-    out << "  shards: " << num_shards << ", " << steals << " steal(s)";
-    for (size_t s = 0; s < shards.size(); ++s) {
-      out << (s == 0 ? " [" : " | ") << "s" << s << ": ran "
-          << shards[s].executed << ", stole " << shards[s].steals
-          << ", depth<=" << shards[s].max_queue_depth << ", hits "
-          << shards[s].local_cache_hits << "+" << shards[s].remote_cache_hits
-          << "r";
-    }
-    if (!shards.empty()) out << "]";
-    out << "\n";
-  }
   out << "  sql: " << sql_queries << " queries, verdict cache "
       << cache_hits << " hit(s) / " << cache_misses << " miss(es)"
       << "; shared tier: " << shared_cache.entries << " entries, "
@@ -124,7 +98,6 @@ ServiceStats ComputeServiceStats(const std::vector<QueryResult>& results,
   double queue_sum = 0;
   for (const QueryResult& r : results) {
     stats.retries += r.retries;
-    if (r.stolen) ++stats.steals;
     if (r.shed) {
       // Shed queries never ran: their zero exec/queue times are admission
       // outcomes, not latencies. Folding them into the sample dragged
@@ -187,26 +160,15 @@ DebugService::DebugService(Database* db, const Lattice* lattice,
 DebugService::DebugService(const Database* db, const Lattice* lattice,
                            const InvertedIndex* index, ServiceOptions options,
                            Database* mutable_db, InvertedIndex* mutable_index)
-    : db_(db), lattice_(lattice), index_(index), options_(options) {
+    : db_(db),
+      lattice_(lattice),
+      index_(index),
+      options_(options),
+      cache_(std::max<size_t>(1, options_.shared_cache_capacity)) {
   if (options_.num_workers == 0) options_.num_workers = 1;
-  size_t num_shards = options_.num_shards == 0 ? options_.num_workers
-                                               : options_.num_shards;
-  num_shards = std::min(num_shards, options_.num_workers);
-  options_.num_shards = num_shards;
-  if (options_.handoff_batch == 0) options_.handoff_batch = 1;
-  // The total verdict budget splits across partitions so N shards cost the
-  // same memory as the old single tier.
-  const size_t per_shard_capacity = std::max<size_t>(
-      1, std::max<size_t>(1, options_.shared_cache_capacity) / num_shards);
-  shards_.reserve(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    shards_.push_back(std::make_unique<Shard>(per_shard_capacity));
-    if (options_.debugger.adaptive) {
-      // Adaptive mode: each shard shares one p_a model + planner across its
-      // workers, mirroring the verdict partition and flat-index tier.
-      shards_.back()->adaptive = std::make_unique<AdaptiveState>(
-          options_.debugger.adaptive_options);
-    }
+  if (options_.debugger.adaptive) {
+    adaptive_ =
+        std::make_unique<AdaptiveState>(options_.debugger.adaptive_options);
   }
   // The write path must exist before any worker thread starts: workers read
   // fences_ when building their evaluators.
@@ -214,10 +176,8 @@ DebugService::DebugService(const Database* db, const Lattice* lattice,
     fences_ = std::make_unique<RelationFences>(mutable_db->num_tables());
     mutator_ = std::make_unique<LiveMutator>(mutable_db, mutable_index,
                                              fences_.get());
-    for (const auto& shard : shards_) {
-      mutator_->RegisterVerdictCache(&shard->cache);
-      mutator_->RegisterFlatTier(&shard->flat_indexes);
-    }
+    mutator_->RegisterVerdictCache(&cache_);
+    mutator_->RegisterFlatTier(&flat_indexes_);
   }
   // Durability comes up after the mutation engine (replay goes through it)
   // and before any worker thread starts, so recovery never races a query.
@@ -232,7 +192,6 @@ DebugService::DebugService(const Database* db, const Lattice* lattice,
   }
   workers_.reserve(options_.num_workers);
   for (size_t i = 0; i < options_.num_workers; ++i) {
-    shards_[i % num_shards]->workers.fetch_add(1, std::memory_order_relaxed);
     workers_.emplace_back([this, i] { WorkerLoop(i); });
   }
 }
@@ -351,16 +310,14 @@ Status DebugService::Drain() {
         "Drain requires durability (ServiceOptions::durability.dir) on a "
         "mutable-constructed service");
   }
-  draining_.store(true, std::memory_order_release);
-  WaitIdle();
-  // A batch already in flight finishes normally (new ones are rejected once
-  // draining_ is set); poll rather than entangle Drain with the batch CV.
-  for (;;) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!batch_in_flight_) break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  {
+    // Every entry point checks draining_ and registers its work under mu_,
+    // so once the flag is set here no call can slip in unwaited for.
+    std::unique_lock<std::mutex> lock(mu_);
+    draining_ = true;
+    idle_cv_.wait(lock, [this] {
+      return queries_in_flight_ == 0 && writes_in_flight_ == 0;
+    });
   }
   KWSDBG_RETURN_NOT_OK(durability_status_);
   if (mutator_->wal_poisoned()) {
@@ -374,137 +331,27 @@ Status DebugService::Drain() {
 
 DebugService::~DebugService() {
   {
-    std::lock_guard<std::mutex> lock(idle_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
   }
-  idle_cv_.notify_all();
+  work_cv_.notify_all();
   for (std::thread& t : workers_) t.join();
 }
 
-size_t DebugService::HomeShard(const std::string& query, size_t num_shards) {
-  if (num_shards <= 1) return 0;
-  // Canonical keyword label: sorted unique tokens. Two queries with the
-  // same keyword multiset generate the same interpretations, hence the same
-  // (canonical label, binding signature) verdict keys — hashing the label
-  // co-locates them regardless of keyword order, case, or punctuation.
-  std::vector<std::string> tokens = TokenizeUnique(query);
-  std::sort(tokens.begin(), tokens.end());
-  uint64_t h = 0xCBF29CE484222325ull;  // FNV-1a over label bytes.
-  for (const std::string& token : tokens) {
-    for (const char c : token) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 0x100000001B3ull;
-    }
-    h ^= 0x1F;  // Unambiguous token separator.
-    h *= 0x100000001B3ull;
+bool DebugService::AdmitLocked(Task* task) {
+  if (options_.max_queue_depth > 0 &&
+      queue_.size() >= options_.max_queue_depth) {
+    return false;
   }
-  return ShardIndexForHash(h, num_shards);
-}
-
-bool DebugService::Enqueue(Task task) {
-  Shard& shard = *shards_[task.home_shard];
-  shard.routed.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (options_.max_queue_depth > 0 &&
-        shard.queue.size() >= options_.max_queue_depth) {
-      shard.shed.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    shard.queue.push_back(std::move(task));
-    shard.max_depth = std::max(shard.max_depth, shard.queue.size());
-    shard.queued.fetch_add(1, std::memory_order_release);
-  }
-  pending_.fetch_add(1, std::memory_order_release);
+  queue_.push_back(std::move(*task));
+  ++queries_in_flight_;
   return true;
 }
 
-size_t DebugService::EnqueueGroup(size_t shard_id, std::vector<Task>* tasks,
-                                  std::vector<Task>* rejected) {
-  Shard& shard = *shards_[shard_id];
-  shard.routed.fetch_add(tasks->size(), std::memory_order_relaxed);
-  size_t accepted = 0;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (Task& task : *tasks) {
-      if (options_.max_queue_depth > 0 &&
-          shard.queue.size() >= options_.max_queue_depth) {
-        shard.shed.fetch_add(1, std::memory_order_relaxed);
-        rejected->push_back(std::move(task));
-        continue;
-      }
-      shard.queue.push_back(std::move(task));
-      shard.max_depth = std::max(shard.max_depth, shard.queue.size());
-      ++accepted;
-    }
-    if (accepted > 0) {
-      shard.queued.fetch_add(accepted, std::memory_order_release);
-    }
-  }
-  tasks->clear();
-  if (accepted > 0) pending_.fetch_add(accepted, std::memory_order_release);
-  return accepted;
-}
-
-void DebugService::NotifyWorkers(size_t tasks) {
-  // Taking the idle mutex pairs the notify with the waiters' predicate
-  // check, so a worker that just found every queue empty cannot miss it.
-  std::lock_guard<std::mutex> lock(idle_mu_);
-  if (tasks == 1) {
-    idle_cv_.notify_one();
-  } else {
-    idle_cv_.notify_all();
-  }
-}
-
-void DebugService::PopBatch(size_t shard_id, std::vector<Task>* out) {
-  Shard& shard = *shards_[shard_id];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const size_t n = std::min(options_.handoff_batch, shard.queue.size());
-  for (size_t i = 0; i < n; ++i) {
-    out->push_back(std::move(shard.queue.front()));
-    shard.queue.pop_front();
-  }
-  if (n > 0) {
-    shard.queued.fetch_sub(n, std::memory_order_release);
-    pending_.fetch_sub(n, std::memory_order_release);
-  }
-}
-
-void DebugService::StealBatch(size_t thief, std::vector<Task>* out) {
-  // Lock-free victim selection over the queue-depth mirrors, then one lock
-  // on the deepest queue. Oldest-first, steal-half: the stolen tasks are
-  // the ones that have waited longest, and halving the backlog in one
-  // handoff drains skew faster than one-at-a-time stealing.
-  size_t victim = thief;
-  size_t victim_depth = 0;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (s == thief) continue;
-    const size_t depth = shards_[s]->queued.load(std::memory_order_acquire);
-    if (depth > victim_depth) {
-      victim_depth = depth;
-      victim = s;
-    }
-  }
-  if (victim == thief) return;
-  Shard& shard = *shards_[victim];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const size_t n = std::min(options_.handoff_batch,
-                            (shard.queue.size() + 1) / 2);
-  for (size_t i = 0; i < n; ++i) {
-    out->push_back(std::move(shard.queue.front()));
-    shard.queue.pop_front();
-  }
-  if (n > 0) {
-    shard.queued.fetch_sub(n, std::memory_order_release);
-    pending_.fetch_sub(n, std::memory_order_release);
-  }
-}
-
-bool DebugService::HasVisibleWork(size_t shard) const {
-  if (shards_[shard]->queued.load(std::memory_order_acquire) > 0) return true;
-  return options_.work_stealing && shards_.size() > 1 &&
-         pending_.load(std::memory_order_acquire) > 0;
+Status DebugService::ShedStatus() const {
+  return Status::ResourceExhausted(
+      "query shed by admission control (queue full at max_queue_depth " +
+      std::to_string(options_.max_queue_depth) + ")");
 }
 
 BatchResult DebugService::RunBatch(const std::vector<std::string>& queries) {
@@ -516,91 +363,56 @@ BatchResult DebugService::RunBatch(const std::vector<std::string>& queries,
   Timer wall;
   BatchResult batch;
   batch.results.resize(queries.size());
+  std::vector<Task> tasks(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    batch.results[i].keyword_query = queries[i];
+    QueryResult* slot = &batch.results[i];
+    slot->keyword_query = queries[i];
+    tasks[i].query = queries[i];
+    tasks[i].deadline_millis = deadline_millis;
+    tasks[i].done = [slot](QueryResult&& r) { *slot = std::move(r); };
   }
-  if (draining_.load(std::memory_order_acquire)) {
-    batch.status = Status::Unavailable(
-        "service is draining; no new batches admitted");
+  std::vector<size_t> shed;
+  {
+    // The whole batch is admitted under one lock, so admission decisions
+    // are atomic across it: at most max_queue_depth of it queues at once.
+    std::lock_guard<std::mutex> lock(mu_);
+    if (draining_) {
+      batch.status = Status::Unavailable(
+          "service is draining; no new batches admitted");
+    } else if (batch_in_flight_) {
+      // Concurrent-call guard: one batch at a time keeps each caller's
+      // aggregate (wall time, QPS) its own.
+      batch.status = Status::InvalidArgument(
+          "RunBatch called while another batch is in flight; DebugService "
+          "runs one batch at a time");
+    } else {
+      batch_in_flight_ = true;
+      for (size_t i = 0; i < tasks.size(); ++i) {
+        if (!AdmitLocked(&tasks[i])) shed.push_back(i);
+      }
+    }
+  }
+  if (!batch.status.ok()) {
     for (QueryResult& r : batch.results) r.status = batch.status;
     batch.stats.queries = queries.size();
     batch.stats.failed = queries.size();
     return batch;
   }
-  {
-    // Concurrent-call guard: a second RunBatch while one is in flight used
-    // to silently interleave two batches through the same completion
-    // counter. Reject it wholesale with a typed batch status instead.
-    std::lock_guard<std::mutex> lock(mu_);
-    if (batch_in_flight_) {
-      batch.status = Status::InvalidArgument(
-          "RunBatch called while another batch is in flight; DebugService "
-          "runs one batch at a time");
-      for (QueryResult& r : batch.results) r.status = batch.status;
-      batch.stats.queries = queries.size();
-      batch.stats.failed = queries.size();
-      return batch;
-    }
-    batch_in_flight_ = true;
-    completed_ = 0;
-  }
-  ResetShardCounters();
-  const size_t total = queries.size();
-  if (total > 0) {
-    // Route first, then hand each shard its whole group under one lock
-    // (batched handoff): with S shards a batch costs S lock acquisitions,
-    // not |batch|, and admission decisions for one shard are atomic across
-    // the batch.
-    std::vector<std::vector<Task>> groups(shards_.size());
-    for (size_t i = 0; i < total; ++i) {
-      QueryResult* slot = &batch.results[i];
-      Task task;
-      task.query = queries[i];
-      task.deadline_millis = deadline_millis;
-      task.home_shard = HomeShard(queries[i], shards_.size());
-      slot->shard = task.home_shard;
-      task.done = [this, slot, total](QueryResult&& r) {
-        *slot = std::move(r);
-        std::lock_guard<std::mutex> lock(mu_);
-        if (++completed_ == total) done_cv_.notify_all();
-      };
-      groups[task.home_shard].push_back(std::move(task));
-    }
-    size_t enqueued = 0;
-    std::vector<Task> rejected;
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      if (groups[s].empty()) continue;
-      enqueued += EnqueueGroup(s, &groups[s], &rejected);
-    }
-    if (enqueued > 0) NotifyWorkers(enqueued);
-    // Admission control: queries that did not fit under their home shard's
-    // max_queue_depth are shed with a retryable status rather than queued
-    // without bound. The caller can resubmit; nothing partial ever ran.
-    for (Task& task : rejected) {
-      QueryResult r;
-      r.keyword_query = std::move(task.query);
-      r.shard = task.home_shard;
-      r.shed = true;
-      r.status = Status::ResourceExhausted(
-          "query shed by admission control (shard " +
-          std::to_string(task.home_shard) +
-          " queue full at max_queue_depth " +
-          std::to_string(options_.max_queue_depth) + ")");
-      task.done(std::move(r));
-    }
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      done_cv_.wait(lock, [&] { return completed_ == total; });
-    }
+  work_cv_.notify_all();
+  // Admission control: queries that did not fit under max_queue_depth are
+  // shed with a retryable status rather than queued without bound. The
+  // caller can resubmit; nothing partial ever ran.
+  for (const size_t i : shed) {
+    batch.results[i].shed = true;
+    batch.results[i].status = ShedStatus();
   }
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::unique_lock<std::mutex> lock(mu_);
+    idle_cv_.wait(lock, [this] { return queries_in_flight_ == 0; });
     batch_in_flight_ = false;
   }
   batch.stats = ComputeServiceStats(batch.results, wall.ElapsedMillis());
-  batch.stats.num_shards = shards_.size();
-  batch.stats.shards = ShardSnapshot();
-  batch.stats.shared_cache = SumCacheStats(batch.stats.shards);
+  batch.stats.shared_cache = cache_.stats();
   if (mutator_ != nullptr) {
     // Lifetime write-path counters (like shared_cache): interleaved
     // ApplyMutation calls are not per-batch events, so deltas would lie.
@@ -630,110 +442,55 @@ Status DebugService::ApplyMutation(const Mutation& m) {
         "live writes require the mutable DebugService constructor; this "
         "service was built over a const database");
   }
-  if (draining_.load(std::memory_order_acquire)) {
-    return Status::Unavailable("service is draining; no new writes admitted");
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (draining_) {
+      return Status::Unavailable("service is draining; no new writes admitted");
+    }
+    // A recovery that failed kDataLoss leaves the in-memory state unknown;
+    // admitting writes on top would compound the divergence.
+    KWSDBG_RETURN_NOT_OK(durability_status_);
+    ++writes_in_flight_;
   }
-  // A recovery that failed kDataLoss leaves the in-memory state unknown;
-  // admitting writes on top would compound the divergence.
-  KWSDBG_RETURN_NOT_OK(durability_status_);
-  return mutator_->Apply(m);
+  const Status applied = mutator_->Apply(m);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (--writes_in_flight_ == 0) idle_cv_.notify_all();
+  }
+  return applied;
 }
 
 Status DebugService::Submit(std::string query, double deadline_millis,
                             std::function<void(QueryResult)> done) {
-  if (draining_.load(std::memory_order_acquire)) {
-    return Status::Unavailable(
-        "service is draining; no new submissions admitted");
-  }
   Task task;
-  task.deadline_millis = deadline_millis;
-  task.home_shard = HomeShard(query, shards_.size());
   task.query = std::move(query);
-  outstanding_submits_.fetch_add(1, std::memory_order_acq_rel);
-  task.done = [this, done = std::move(done)](QueryResult&& r) {
-    done(std::move(r));
-    if (outstanding_submits_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lock(mu_);
-      done_cv_.notify_all();
+  task.deadline_millis = deadline_millis;
+  task.done = std::move(done);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (draining_) {
+      return Status::Unavailable(
+          "service is draining; no new submissions admitted");
     }
-  };
-  const size_t home = task.home_shard;
-  if (!Enqueue(std::move(task))) {
-    outstanding_submits_.fetch_sub(1, std::memory_order_acq_rel);
-    return Status::ResourceExhausted(
-        "query shed by admission control (shard " + std::to_string(home) +
-        " queue full at max_queue_depth " +
-        std::to_string(options_.max_queue_depth) + ")");
+    if (!AdmitLocked(&task)) return ShedStatus();
   }
-  NotifyWorkers(1);
+  work_cv_.notify_one();
   return Status::OK();
 }
 
 void DebugService::WaitIdle() {
   std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [&] {
-    return outstanding_submits_.load(std::memory_order_acquire) == 0;
-  });
-}
-
-std::vector<ShardStats> DebugService::ShardSnapshot() const {
-  std::vector<ShardStats> out;
-  out.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    ShardStats s;
-    s.workers = shard->workers.load(std::memory_order_relaxed);
-    s.routed = shard->routed.load(std::memory_order_relaxed);
-    s.executed = shard->executed.load(std::memory_order_relaxed);
-    s.steals = shard->steals.load(std::memory_order_relaxed);
-    s.stolen_away = shard->stolen_away.load(std::memory_order_relaxed);
-    s.shed = shard->shed.load(std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lock(shard->mu);
-      s.max_queue_depth = shard->max_depth;
-    }
-    s.local_cache_hits = shard->local_cache_hits.load(std::memory_order_relaxed);
-    s.remote_cache_hits =
-        shard->remote_cache_hits.load(std::memory_order_relaxed);
-    s.cache = shard->cache.stats();
-    if (shard->adaptive != nullptr) {
-      s.pa_observations = shard->adaptive->pa().observations();
-    }
-    out.push_back(s);
-  }
-  return out;
-}
-
-void DebugService::ResetShardCounters() {
-  for (const auto& shard : shards_) {
-    shard->routed.store(0, std::memory_order_relaxed);
-    shard->executed.store(0, std::memory_order_relaxed);
-    shard->steals.store(0, std::memory_order_relaxed);
-    shard->stolen_away.store(0, std::memory_order_relaxed);
-    shard->shed.store(0, std::memory_order_relaxed);
-    shard->local_cache_hits.store(0, std::memory_order_relaxed);
-    shard->remote_cache_hits.store(0, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->max_depth = shard->queue.size();
-  }
-}
-
-void DebugService::ClearCaches() {
-  for (const auto& shard : shards_) {
-    shard->cache.Clear();
-    shard->flat_indexes.Clear();
-  }
+  idle_cv_.wait(lock, [this] { return queries_in_flight_ == 0; });
 }
 
 void DebugService::WorkerLoop(size_t worker_id) {
   // The debugger (and with it the SQL session + evaluator) is built on the
-  // worker thread and lives for the pool's lifetime, plugged into its home
-  // shard's verdict partition and flat-index tier.
-  const size_t my_shard = worker_id % shards_.size();
-  Shard& home = *shards_[my_shard];
+  // worker thread and lives for the pool's lifetime, plugged into the
+  // shared verdict, flat-index and adaptive tiers.
   DebuggerOptions debugger_options = options_.debugger;
-  debugger_options.shared_verdict_cache = &home.cache;
-  debugger_options.executor.shared_flat_indexes = &home.flat_indexes;
-  debugger_options.shared_adaptive = home.adaptive.get();  // Null = static.
+  debugger_options.shared_verdict_cache = &cache_;
+  debugger_options.executor.shared_flat_indexes = &flat_indexes_;
+  debugger_options.shared_adaptive = adaptive_.get();  // Null = static.
   debugger_options.eval.fences = fences_.get();  // Null = no write path.
   debugger_options.deadline_millis = 0;  // Armed per task below.
   NonAnswerDebugger debugger(db_, lattice_, index_, debugger_options);
@@ -741,48 +498,30 @@ void DebugService::WorkerLoop(size_t worker_id) {
   // exact same retry schedule (chaos tests depend on this).
   Rng backoff_rng(options_.retry_seed + worker_id * 0x9E3779B97F4A7C15ull);
 
-  std::vector<Task> run;
-  run.reserve(options_.handoff_batch);
+  bool finished_task = false;
   for (;;) {
-    run.clear();
-    PopBatch(my_shard, &run);
-    if (run.empty() && options_.work_stealing && shards_.size() > 1) {
-      StealBatch(my_shard, &run);
+    Task task;
+    {
+      // One lock acquisition both retires the previous task (after its
+      // callback returned) and picks up the next one.
+      std::unique_lock<std::mutex> lock(mu_);
+      if (finished_task && --queries_in_flight_ == 0) idle_cv_.notify_all();
+      work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+      if (queue_.empty()) return;  // stop_ with nothing left to run.
+      task = std::move(queue_.front());
+      queue_.pop_front();
     }
-    if (run.empty()) {
-      std::unique_lock<std::mutex> lock(idle_mu_);
-      if (stop_ && !HasVisibleWork(my_shard)) return;
-      idle_cv_.wait(lock, [&] { return stop_ || HasVisibleWork(my_shard); });
-      if (stop_ && !HasVisibleWork(my_shard)) return;
-      continue;
-    }
-    for (Task& task : run) {
-      ExecuteTask(&debugger, &backoff_rng, worker_id, my_shard,
-                  std::move(task));
-    }
+    ExecuteTask(&debugger, &backoff_rng, worker_id, std::move(task));
+    finished_task = true;
   }
 }
 
 void DebugService::ExecuteTask(NonAnswerDebugger* debugger, Rng* backoff_rng,
-                               size_t worker_id, size_t my_shard, Task task) {
-  Shard& home = *shards_[task.home_shard];
-  Shard& mine = *shards_[my_shard];
+                               size_t worker_id, Task task) {
   QueryResult result;
   result.keyword_query = task.query;
   result.queue_millis = task.enqueued.ElapsedMillis();
   result.worker = worker_id;
-  result.shard = task.home_shard;
-  result.stolen = task.home_shard != my_shard;
-  // A stolen query still reads/writes its home shard's verdict partition,
-  // so a sub-network's verdicts stay resident where routing sends the next
-  // query with the same keywords. Flat indexes stay thief-local: their
-  // contents are a pure function of the database, identical on every shard.
-  if (result.stolen) {
-    debugger->set_verdict_cache(&home.cache);
-    // Same residency argument for the adaptive tier: observations from a
-    // stolen query train the model the next home-routed query will read.
-    debugger->set_adaptive_state(home.adaptive.get());
-  }
   Timer exec;
   debugger->set_deadline_millis(task.deadline_millis);
   StatusOr<DebugReport> report_or = debugger->Debug(task.query);
@@ -813,26 +552,10 @@ void DebugService::ExecuteTask(NonAnswerDebugger* debugger, Rng* backoff_rng,
     report_or = debugger->Debug(task.query);
   }
   result.exec_millis = exec.ElapsedMillis();
-  if (result.stolen) {
-    debugger->set_verdict_cache(&mine.cache);
-    debugger->set_adaptive_state(mine.adaptive.get());
-  }
   if (report_or.ok()) {
     result.report = std::move(report_or).value();
   } else {
     result.status = report_or.status();
-  }
-  mine.executed.fetch_add(1, std::memory_order_relaxed);
-  if (result.stolen) {
-    mine.steals.fetch_add(1, std::memory_order_relaxed);
-    home.stolen_away.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (result.status.ok()) {
-    const size_t hits = result.report.AggregateTraversalStats().cache_hits;
-    if (hits > 0) {
-      (result.stolen ? home.remote_cache_hits : home.local_cache_hits)
-          .fetch_add(hits, std::memory_order_relaxed);
-    }
   }
   task.done(std::move(result));
 }

@@ -1,19 +1,15 @@
-// DebugService: a sharded worker pool serving keyword-query debugging
-// requests over one shared immutable Lattice + Database. The engine is
-// partitioned DRAMHiT-style: each shard owns a bounded task queue (batched
-// handoff in and out), a verdict-cache partition, and a flat-index tier
-// shared by the shard's workers — no shared lock sits on the hot path.
-// Queries route to shards by canonical-keyword-label hash, so every verdict
-// key a query can touch — (canonical label, binding signature, epoch) pairs
-// are a pure function of its keyword multiset — lives on the shard (core)
-// that computes it. Idle workers steal the oldest half of the deepest other
-// queue, so a skewed routing distribution cannot idle cores; stolen queries
-// still read/write their home shard's caches.
+// DebugService: a worker pool serving keyword-query debugging requests over
+// one shared immutable Lattice + Database. One bounded task queue under one
+// mutex feeds `num_workers` threads; each worker pops one task per lock
+// acquisition and runs it to completion. All workers share one verdict
+// cache, one flat-index tier and (in adaptive mode) one p_a model + planner,
+// so a verdict computed by any worker answers every later query.
 //
 // Two entry points: synchronous RunBatch (results in input order plus the
 // batch aggregate) and asynchronous Submit (open-loop load generation —
 // callers inject at their own arrival rate and collect completions from a
-// callback; see bench/service_scale_workload).
+// callback; see bench/service_scale_workload). Both admit through the same
+// queue and complete through the same in-flight count.
 //
 // Per-query deadlines degrade gracefully: a query that exhausts its budget
 // returns a partial report marked `truncated` containing only ground-truth
@@ -61,30 +57,15 @@ struct ServiceOptions {
   /// the inter-query parallelism. Intra-query parallelism is configured
   /// separately via `debugger.parallel` and multiplies with this.
   size_t num_workers = 4;
-  /// Engine shards. Workers are assigned round-robin (worker i serves shard
-  /// i % num_shards); each shard owns a task queue, a verdict-cache
-  /// partition, and a flat-index tier shared by its workers. 1 (default)
-  /// reproduces the pre-sharding single-queue, single-cache service; 0
-  /// means one shard per worker. Values above num_workers are clamped to
-  /// num_workers (a shard with no worker would drain only via stealing).
-  size_t num_shards = 1;
-  /// Cross-shard work stealing: a worker whose own queue is empty takes the
-  /// oldest half of the deepest other queue (capped at handoff_batch), so
-  /// skewed workloads cannot idle cores while one shard backs up.
-  bool work_stealing = true;
-  /// Batched handoff: the most tasks a worker drains from a queue (its own
-  /// or a steal victim's) per lock acquisition.
-  size_t handoff_batch = 8;
   /// Default per-query wall-clock budget in milliseconds (0 = unbounded);
   /// RunBatch overloads can override it per batch.
   double default_deadline_millis = 0;
-  /// Total verdict-cache entry budget, split evenly across shards.
+  /// Verdict-cache entry budget of the tier every worker shares.
   size_t shared_cache_capacity = VerdictCache::kDefaultCapacity;
-  /// Admission control: maximum queued (not yet picked up) tasks per shard;
-  /// queries routed to a full shard are shed at enqueue time with
+  /// Admission control: maximum queued (not yet picked up) tasks; queries
+  /// arriving at a full queue are shed at enqueue time with
   /// kResourceExhausted instead of growing the queue without limit.
-  /// 0 = unbounded (default). With one shard this bounds the whole queue,
-  /// matching the pre-sharding behavior.
+  /// 0 = unbounded (default).
   size_t max_queue_depth = 0;
   /// Retry budget for queries failing with a retryable status (IsRetryable:
   /// kUnavailable / kResourceExhausted — transient dependency outages, not
@@ -103,8 +84,9 @@ struct ServiceOptions {
   /// no write path to log.
   DurabilityOptions durability;
   /// Template for each worker's debugger. `shared_verdict_cache`,
-  /// `executor.shared_flat_indexes`, and `deadline_millis` are overwritten
-  /// by the service (wired to the worker's shard).
+  /// `executor.shared_flat_indexes`, `shared_adaptive`, and
+  /// `deadline_millis` are overwritten by the service (wired to its shared
+  /// tiers).
   DebuggerOptions debugger;
 };
 
@@ -118,29 +100,8 @@ struct QueryResult {
   double queue_millis = 0;   ///< Enqueue -> worker pickup.
   double exec_millis = 0;    ///< Worker pickup -> report ready.
   size_t worker = 0;         ///< Which worker served it.
-  size_t shard = 0;          ///< Home shard (canonical-label routing).
-  bool stolen = false;       ///< Served by another shard's worker.
   size_t retries = 0;        ///< Retry attempts consumed (0 = first try won).
   bool shed = false;         ///< Rejected by admission control (never ran).
-};
-
-/// Per-shard telemetry (ServiceStats::shards, service_json "shards").
-struct ShardStats {
-  size_t workers = 0;          ///< Workers homed on this shard.
-  size_t routed = 0;           ///< Queries whose label hash routed here.
-  size_t executed = 0;         ///< Queries run by this shard's workers.
-  size_t steals = 0;           ///< Queries this shard's workers stole.
-  size_t stolen_away = 0;      ///< Home queries run by another shard.
-  size_t shed = 0;             ///< Admission rejects at this shard's queue.
-  size_t max_queue_depth = 0;  ///< Enqueue-time high-water mark.
-  /// Verdict hits against this shard's cache partition, split by whether
-  /// the probing worker was home (local) or stealing (remote).
-  size_t local_cache_hits = 0;
-  size_t remote_cache_hits = 0;
-  VerdictCacheStats cache;     ///< This shard's verdict partition.
-  /// Lifetime p_a observations held by this shard's adaptive tier (zero
-  /// when the service runs without adaptive mode).
-  size_t pa_observations = 0;
 };
 
 /// Aggregated batch statistics (the service-level analogue of
@@ -152,7 +113,6 @@ struct ServiceStats {
   size_t retries = 0;        ///< Retry attempts across the batch.
   size_t shed = 0;           ///< Queries rejected by admission control
                              ///< (kResourceExhausted; included in failed).
-  size_t steals = 0;         ///< Queries served by a non-home shard.
   /// Degraded-mode executor fallbacks summed over the batch (nonzero only
   /// under fault injection; see common/fault_injector.h).
   size_t index_fallbacks = 0;
@@ -200,13 +160,9 @@ struct ServiceStats {
   size_t checkpoints = 0;        ///< Checkpoints written (Checkpoint/Drain).
   size_t wal_replayed = 0;       ///< Records replayed at construction.
   size_t recovery_torn_bytes = 0;  ///< Torn-tail bytes dropped at recovery.
-  /// Aggregate of every shard's verdict partition after the batch (hits /
-  /// misses count lookups from every worker since service construction).
+  /// The shared verdict tier after the batch (hits / misses count lookups
+  /// from every worker since service construction).
   VerdictCacheStats shared_cache;
-  size_t num_shards = 1;
-  /// Per-shard counters for this batch (reset at batch start); the cache
-  /// field inside is the partition's lifetime counters.
-  std::vector<ShardStats> shards;
 
   /// One-paragraph human-readable rendering for bench/CLI output.
   std::string ToString() const;
@@ -221,9 +177,8 @@ struct ServiceStats {
 ///   * queries_per_second divides by a nonzero-clamped wall time, so tiny
 ///     batches that complete inside the timer's resolution report a finite
 ///     QPS instead of a vacuous 0 that slips through >= gates.
-/// Shard-level fields (num_shards, shards, shared_cache) are filled by the
-/// service, not here. Also used by the open-loop harness for per-sweep
-/// windows.
+/// The shared_cache field is filled by the service, not here. Also used by
+/// the open-loop harness for per-sweep windows.
 ServiceStats ComputeServiceStats(const std::vector<QueryResult>& results,
                                  double wall_millis);
 
@@ -237,7 +192,7 @@ struct BatchResult {
   ServiceStats stats;
 };
 
-/// Sharded thread pool over one shared database/lattice pair. RunBatch is
+/// Thread pool over one shared database/lattice pair. RunBatch is
 /// synchronous; one batch runs at a time (a concurrent RunBatch call is
 /// rejected with a kInvalidArgument batch status). Submit is asynchronous
 /// and may be called from any thread; pair it with WaitIdle. The referenced
@@ -249,9 +204,9 @@ struct BatchResult {
 /// over mutable pointers, ApplyMutation() is the thread-safe write path —
 /// it fences in-flight queries per relation (storage/relation_fences.h), so
 /// a write to one table waits only for the queries that bind it, patches
-/// the text index and every shard's flat-index tier in place, and evicts
-/// only the verdicts whose relation set the write intersects. Quiescence is
-/// no longer required.
+/// the text index and the flat-index tier in place, and evicts only the
+/// verdicts whose relation set the write intersects. Quiescence is no
+/// longer required.
 class DebugService {
  public:
   DebugService(const Database* db, const Lattice* lattice,
@@ -268,8 +223,10 @@ class DebugService {
   DebugService(const DebugService&) = delete;
   DebugService& operator=(const DebugService&) = delete;
 
-  /// Runs every query to completion on the pool and returns results in
-  /// input order, using the configured default deadline.
+  /// Admits every query at once and returns results in input order, using
+  /// the configured default deadline. Queries that do not fit under
+  /// max_queue_depth are shed (QueryResult::shed). Returns once the queue is
+  /// idle, so it also waits for Submits accepted before it returns.
   BatchResult RunBatch(const std::vector<std::string>& queries);
 
   /// Same, with an explicit per-query deadline for this batch (0 = none).
@@ -277,55 +234,26 @@ class DebugService {
                        double deadline_millis);
 
   /// Asynchronous single-query submission for open-loop load generation:
-  /// routes to the home shard and returns immediately. On acceptance,
-  /// `done` is invoked exactly once, on the executing worker's thread, with
-  /// the completed result. When the home shard's queue is at
-  /// max_queue_depth the query is shed: kResourceExhausted is returned and
-  /// `done` is never called. Callers must WaitIdle() (or otherwise observe
-  /// every callback) before destroying the service.
+  /// queues the query and returns immediately. On acceptance, `done` is
+  /// invoked exactly once, on the executing worker's thread, with the
+  /// completed result. When the queue is at max_queue_depth the query is
+  /// shed: kResourceExhausted is returned and `done` is never called.
+  /// Callers must WaitIdle() (or otherwise observe every callback) before
+  /// destroying the service.
   Status Submit(std::string query, double deadline_millis,
                 std::function<void(QueryResult)> done);
 
-  /// Blocks until every accepted Submit has completed. (RunBatch callers
-  /// don't need this — RunBatch waits for its own batch.)
+  /// Blocks until every accepted query (Submit or RunBatch) has completed
+  /// and its callback has returned.
   void WaitIdle();
 
-  /// Home shard for `query` under `num_shards`: a hash of the canonical
-  /// keyword label (sorted, deduplicated tokens). Queries sharing a keyword
-  /// multiset share every (canonical label, binding signature) verdict key
-  /// they can generate, so label routing pins a sub-network's verdicts and
-  /// the shard's flat indexes to the core that computes them. Exposed for
-  /// tests and the load harness.
-  static size_t HomeShard(const std::string& query, size_t num_shards);
+  /// The verdict tier every worker consults (tests: inspect hit rates,
+  /// seed or Clear() it).
+  VerdictCache* shared_cache() { return &cache_; }
 
-  size_t num_shards() const { return shards_.size(); }
-
-  /// Shard `i`'s verdict partition (tests: inspect hit rates, Clear()).
-  VerdictCache* shard_cache(size_t shard) { return &shards_[shard]->cache; }
-
-  /// Back-compat accessor: shard 0's partition — with the default single
-  /// shard, the process-wide tier every worker consults.
-  VerdictCache* shared_cache() { return shard_cache(0); }
-
-  /// Shard `i`'s adaptive tier (p_a model + planner), or null when the
-  /// debugger template has `adaptive` off. Shared by the shard's workers
-  /// the same way they share the verdict partition and flat-index tier.
-  AdaptiveState* shard_adaptive(size_t shard) {
-    return shards_[shard]->adaptive.get();
-  }
-
-  /// Point-in-time per-shard counters accumulated since construction or
-  /// the last ResetShardCounters()/RunBatch (RunBatch resets on entry so
-  /// its aggregate reports per-batch deltas).
-  std::vector<ShardStats> ShardSnapshot() const;
-
-  /// Zeroes the per-shard routed/executed/steal/shed/depth counters
-  /// (verdict-partition cache counters are lifetime and unaffected).
-  void ResetShardCounters();
-
-  /// Drops every shard's verdict partition and flat-index tier (e.g. after
-  /// a database mutation epoch, to reclaim memory from dead-epoch entries).
-  void ClearCaches();
+  /// The p_a model + planner every worker shares, or null when the
+  /// debugger template has `adaptive` off.
+  AdaptiveState* shared_adaptive() { return adaptive_.get(); }
 
   /// Applies one live write (insert/delete/update) through the mutation
   /// engine: safe to call while queries are in flight — the write fences
@@ -351,8 +279,9 @@ class DebugService {
   Status Checkpoint();
 
   /// Graceful shutdown: stop admitting work (Submit/RunBatch/ApplyMutation
-  /// return kUnavailable), wait for in-flight queries to finish, fsync the
-  /// WAL, and checkpoint. After an OK Drain, recovery replays zero records.
+  /// return kUnavailable), wait for admitted queries and writes to finish,
+  /// fsync the WAL, and checkpoint. After an OK Drain, recovery replays zero
+  /// records.
   Status Drain();
 
   /// The mutation log, or null when durability is off (the crash harness
@@ -365,57 +294,19 @@ class DebugService {
   struct Task {
     std::string query;
     double deadline_millis = 0;
-    size_t home_shard = 0;
     Timer enqueued;  ///< Started at enqueue time.
     /// Completion sink: writes a batch slot or runs a Submit callback.
     std::function<void(QueryResult&&)> done;
   };
 
-  /// One engine partition: queue + verdict cache + flat-index tier. The
-  /// queue mutex is per-shard, so enqueue/dequeue on different shards never
-  /// contend; counters are relaxed atomics read by ShardSnapshot.
-  struct Shard {
-    explicit Shard(size_t cache_capacity) : cache(cache_capacity) {}
-    mutable std::mutex mu;
-    std::deque<Task> queue;       // guarded by mu
-    size_t max_depth = 0;         // guarded by mu
-    std::atomic<size_t> queued{0};  ///< queue.size() mirror for lock-free
-                                    ///< victim selection and idle checks.
-    VerdictCache cache;
-    SharedFlatRowIndexManager flat_indexes;
-    /// Shard-shared adaptive tier; null when adaptive mode is off.
-    std::unique_ptr<AdaptiveState> adaptive;
-    std::atomic<size_t> workers{0};
-    std::atomic<size_t> routed{0};
-    std::atomic<size_t> executed{0};
-    std::atomic<size_t> steals{0};
-    std::atomic<size_t> stolen_away{0};
-    std::atomic<size_t> shed{0};
-    std::atomic<size_t> local_cache_hits{0};
-    std::atomic<size_t> remote_cache_hits{0};
-  };
-
   void WorkerLoop(size_t worker_id);
   void ExecuteTask(NonAnswerDebugger* debugger, Rng* backoff_rng,
-                   size_t worker_id, size_t my_shard, Task task);
-  /// Pushes one task onto its home shard's queue; false = shed (queue at
-  /// max_queue_depth). Callers notify workers after a successful push.
-  bool Enqueue(Task task);
-  /// Batched handoff (enqueue side): pushes a whole routed group under one
-  /// shard-lock acquisition. Tasks that do not fit under max_queue_depth
-  /// move to `rejected` (admission order = batch order). Returns the number
-  /// accepted; callers notify workers afterwards.
-  size_t EnqueueGroup(size_t shard, std::vector<Task>* tasks,
-                      std::vector<Task>* rejected);
-  /// Drains up to handoff_batch tasks from the front of `shard`'s queue.
-  void PopBatch(size_t shard, std::vector<Task>* out);
-  /// Steals the oldest ceil(depth/2) tasks (capped at handoff_batch) from
-  /// the deepest non-`thief` queue. Oldest-first keeps stealing a tail-
-  /// latency rescue, not a LIFO cache optimization.
-  void StealBatch(size_t thief, std::vector<Task>* out);
-  /// True when `shard`'s worker can find work without sleeping.
-  bool HasVisibleWork(size_t shard) const;
-  void NotifyWorkers(size_t tasks);
+                   size_t worker_id, Task task);
+  /// Admission, shared by Submit and RunBatch (caller holds mu_): queues
+  /// `task` and counts it in flight, or returns false when the queue is at
+  /// max_queue_depth (the task is left untouched for the caller to shed).
+  bool AdmitLocked(Task* task);
+  Status ShedStatus() const;
 
   /// Shared constructor body; `mutable_db` non-null enables the write path.
   DebugService(const Database* db, const Lattice* lattice,
@@ -432,7 +323,10 @@ class DebugService {
   const Lattice* lattice_;
   const InvertedIndex* index_;
   ServiceOptions options_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  VerdictCache cache_;
+  SharedFlatRowIndexManager flat_indexes_;
+  /// Null when adaptive mode is off.
+  std::unique_ptr<AdaptiveState> adaptive_;
   /// Present iff constructed mutable: per-relation fences shared by every
   /// worker's evaluator and the mutation engine.
   std::unique_ptr<RelationFences> fences_;
@@ -445,23 +339,19 @@ class DebugService {
   std::unique_ptr<WalWriter> wal_;
   Status durability_status_ = Status::OK();
   std::mutex checkpoint_mu_;
-  std::atomic<bool> draining_{false};
   std::atomic<size_t> checkpoints_{0};
   size_t wal_replayed_ = 0;        ///< Set once during SetupDurability.
   size_t recovery_torn_bytes_ = 0;  ///< Set once during SetupDurability.
 
-  /// Total queued-but-not-picked-up tasks across shards (stealing workers
-  /// wait on this; per-shard `queued` serves the non-stealing predicate).
-  std::atomic<size_t> pending_{0};
-  std::mutex idle_mu_;                ///< Guards stop_; pairs with idle_cv_.
-  std::condition_variable idle_cv_;   ///< Wakes sleeping workers.
-  bool stop_ = false;                 // guarded by idle_mu_
-
-  std::mutex mu_;                     ///< Batch/Submit completion tracking.
-  std::condition_variable done_cv_;
-  size_t completed_ = 0;              // guarded by mu_
-  bool batch_in_flight_ = false;      // guarded by mu_
-  std::atomic<size_t> outstanding_submits_{0};
+  std::mutex mu_;  ///< Guards the queue and every counter/flag below.
+  std::condition_variable work_cv_;  ///< Wakes workers: task queued or stop_.
+  std::condition_variable idle_cv_;  ///< Wakes waiters when a count hits 0.
+  std::deque<Task> queue_;
+  size_t queries_in_flight_ = 0;  ///< Admitted, callback not yet returned.
+  size_t writes_in_flight_ = 0;   ///< ApplyMutation calls past admission.
+  bool draining_ = false;
+  bool batch_in_flight_ = false;
+  bool stop_ = false;
 
   std::vector<std::thread> workers_;
 };

@@ -8,10 +8,10 @@
 //   2. the shared InvertedIndex posting lists, selectivity profile, and
 //      table masks are patched (never rebuilt) — under the exclusive index
 //      gate, since a term's posting vector spans tables;
-//   3. every registered shard flat-index tier patches its cached arenas in
+//   3. every registered flat-index tier patches its cached arenas in
 //      place and restamps them to the table's new data epoch, so worker
 //      probes stay warm across the write;
-//   4. every registered verdict-cache partition evicts exactly the verdicts
+//   4. every registered verdict cache evicts exactly the verdicts
 //      whose relation mask includes the mutated table (partial
 //      invalidation — verdicts over disjoint relations survive);
 //   5. once tombstones pass `auto_compact_fraction`, the table is compacted

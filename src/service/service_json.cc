@@ -43,34 +43,11 @@ std::string ServiceStatsToJson(const ServiceStats& stats) {
       << ",\"planner_decisions\":" << stats.planner_decisions
       << ",\"planner_explored\":" << stats.planner_explored
       << ",\"pa_observations\":" << stats.pa_observations
-      << ",\"steals\":" << stats.steals
-      << ",\"num_shards\":" << stats.num_shards
       << ",\"shared_cache\":{\"entries\":" << stats.shared_cache.entries
       << ",\"hits\":" << stats.shared_cache.hits
       << ",\"misses\":" << stats.shared_cache.misses
       << ",\"insertions\":" << stats.shared_cache.insertions
-      << ",\"evictions\":" << stats.shared_cache.evictions << "}"
-      << ",\"shards\":[";
-  for (size_t s = 0; s < stats.shards.size(); ++s) {
-    const ShardStats& shard = stats.shards[s];
-    if (s > 0) out << ',';
-    out << "{\"workers\":" << shard.workers
-        << ",\"routed\":" << shard.routed
-        << ",\"executed\":" << shard.executed
-        << ",\"steals\":" << shard.steals
-        << ",\"stolen_away\":" << shard.stolen_away
-        << ",\"shed\":" << shard.shed
-        << ",\"max_queue_depth\":" << shard.max_queue_depth
-        << ",\"local_cache_hits\":" << shard.local_cache_hits
-        << ",\"remote_cache_hits\":" << shard.remote_cache_hits
-        << ",\"pa_observations\":" << shard.pa_observations
-        << ",\"cache\":{\"entries\":" << shard.cache.entries
-        << ",\"hits\":" << shard.cache.hits
-        << ",\"misses\":" << shard.cache.misses
-        << ",\"insertions\":" << shard.cache.insertions
-        << ",\"evictions\":" << shard.cache.evictions << "}}";
-  }
-  out << "]}";
+      << ",\"evictions\":" << stats.shared_cache.evictions << "}}";
   return out.str();
 }
 
@@ -92,8 +69,6 @@ std::string BatchResultToJson(const BatchResult& batch, bool include_reports) {
     out << ",\"truncated\":"
         << (r.status.ok() && r.report.truncated ? "true" : "false")
         << ",\"worker\":" << r.worker
-        << ",\"shard\":" << r.shard
-        << ",\"stolen\":" << (r.stolen ? "true" : "false")
         << ",\"retries\":" << r.retries
         << ",\"shed\":" << (r.shed ? "true" : "false")
         << ",\"queue_millis\":" << r.queue_millis

@@ -11,8 +11,7 @@
 namespace kwsdbg {
 
 /// Aggregate stats as a JSON object: throughput, latency percentiles
-/// (p50/p95/p99/p999), queue wait, cache hit tiers, and a `shards` array
-/// with per-shard routing/steal/cache counters.
+/// (p50/p95/p99/p999), queue wait, and cache hit tiers.
 std::string ServiceStatsToJson(const ServiceStats& stats);
 
 /// Whole batch as a JSON object: `stats` plus a `queries` array with one

@@ -199,8 +199,8 @@ const RowIndex& Executor::GetJoinIndex(const Table* table, size_t column) {
 const FlatRowIndex& Executor::GetFlatIndex(const Table* table,
                                            size_t column) {
   if (options_.shared_flat_indexes != nullptr) {
-    // Shard-shared tier: the build cost is charged to whichever session
-    // triggered the build; every other session on the shard probes for free.
+    // Service-shared tier: the build cost is charged to whichever session
+    // triggered the build; every other worker session probes for free.
     bool built = false;
     const FlatRowIndex& index = options_.shared_flat_indexes->GetOrBuild(
         table, column, cache_epoch_, &built);

@@ -75,9 +75,9 @@ struct ExecutorOptions {
   /// fully built match sets / indexes are ever cached). The token must
   /// outlive the executor.
   const CancellationToken* cancellation = nullptr;
-  /// Shard-shared flat-index tier (thread-safe, epoch-aware). When set,
+  /// Service-shared flat-index tier (thread-safe, epoch-aware). When set,
   /// flat-index probes go through it instead of the private per-session
-  /// manager, so the workers of one service shard share one set of arenas
+  /// manager, so the workers of a DebugService share one set of arenas
   /// instead of each building a copy. Must outlive the executor. This
   /// tier invalidates by epoch internally; the session's ClearCaches()
   /// deliberately leaves it alone (other sessions share it).

@@ -172,9 +172,9 @@ class FlatRowIndexManager {
   FlatIndexStats totals_;
 };
 
-/// Thread-safe, epoch-aware flat-index tier shared by the workers of one
-/// service shard (see service/debug_service.h): one shard = one manager, so
-/// arenas are partitioned per shard and no lock is global. Indexes are held
+/// Thread-safe, epoch-aware flat-index tier shared by the workers of a
+/// DebugService (see service/debug_service.h), so the pool builds each
+/// index once instead of once per worker session. Indexes are held
 /// behind stable pointers, so the returned reference outlives the lock; the
 /// mutex only serializes the map lookup and the (rare) build or patch.
 ///

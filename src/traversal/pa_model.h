@@ -7,8 +7,8 @@
 //
 // Counters are packed (alive << 32 | total) in one atomic per bucket, so the
 // observe/estimate hot path is a single relaxed fetch_add/load — cheap enough
-// to share one model across every worker of a DebugService shard, the same
-// way the shards share the flat-index tier. Live mutations bump data epochs;
+// to share one model across every worker of a DebugService, the same way
+// the workers share the flat-index tier. Live mutations bump data epochs;
 // SyncDataVersion folds them into a model version and halves all counts on a
 // change, so stale evidence decays instead of being trusted forever.
 #ifndef KWSDBG_TRAVERSAL_PA_MODEL_H_

@@ -136,7 +136,7 @@ class StrategyPlanner {
 };
 
 /// Bundled adaptive tier: one PaModel plus one StrategyPlanner, shared the
-/// way a DebugService shard shares its verdict cache and flat-index tier.
+/// way a DebugService's workers share its verdict cache and flat-index tier.
 struct AdaptiveOptions {
   PaModelOptions pa;
   StrategyPlannerOptions planner;

@@ -19,9 +19,13 @@ cd "$(dirname "$0")/.."
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
 
 # gtest case names (not binaries): ctest -R matches the discovered tests.
-# resilience_smoke is the fault-schedule replay gate (bench/resilience_workload)
-# and probe_engine_smoke the v2-vs-v3 probe-engine parity gate
-# (bench/probe_engine_workload); both only exist when benchmarks are built.
+# Every `|`-separated entry must match at least one test in the preset's
+# build, or the run fails (a renamed suite would otherwise silently drop
+# out of the wall). The *_smoke entries are bench gates, so the script
+# configures each preset with benchmarks on. resilience_smoke is the
+# fault-schedule replay gate (bench/resilience_workload) and
+# probe_engine_smoke the v2-vs-v3 probe-engine parity gate
+# (bench/probe_engine_workload).
 # FlatRowIndexTest covers the flat probe engine the batched join pipeline and
 # the differential fuzzer lean on. The storage-tier set (BufferPoolTest,
 # SpillTest, SpillEpochTest, PostingStoreTest, ExecutorSpillTest,
@@ -44,16 +48,33 @@ export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
 # gate in bench/adaptive_workload) runs here for tsan's sake: the p_a model
 # is a lock-free atomic-counter table shared across service workers, and its
 # decay path (SyncDataVersion) CAS-races against concurrent observers.
-CONCURRENCY_TESTS='DifferentialFuzzTest|SharedCacheEpochTest|DebugServiceTest|ShardedServiceTest|ShardedParityTest|WorkStealingTest|SubmitTest|HomeShardTest|ComputeServiceStatsTest|ServiceStatsIntegrationTest|ShardIndexForHashTest|ParallelAgreementTest|ParallelOracleTest|LruCacheTest|VerdictCacheTest|FailureInjectionTest|ChaosTest|ChaosFuzzTest|ChaosPropagationTest|FaultInjectorTest|FlatRowIndexTest|BufferPoolTest|PageCodecTest|DiskManagerTest|SpillTest|SpillEpochTest|PostingStoreTest|ExecutorSpillTest|MutationTest|IncrementalIndexTest|LiveMutationTest|WalTest|CheckpointTest|RelationFencesTest|DurableServiceTest|CrashRecoveryTest|resilience_smoke|probe_engine_smoke|service_scale_smoke|storage_tier_smoke|mutation_smoke|durability_smoke|PaModelTest|StrategyPlannerTest|AdaptiveColdStartTest|AdaptiveParityTest|AdaptiveDriftTest|adaptive_smoke'
+CONCURRENCY_TESTS='DifferentialFuzzTest|SharedCacheEpochTest|DebugServiceTest|ServiceParityTest|SubmitTest|ComputeServiceStatsTest|ServiceStatsIntegrationTest|ShardIndexForHashTest|ParallelAgreementTest|ParallelOracleTest|LruCacheTest|VerdictCacheTest|FailureInjectionTest|ChaosTest|ChaosFuzzTest|ChaosPropagationTest|FaultInjectorTest|FlatRowIndexTest|BufferPoolTest|PageCodecTest|DiskManagerTest|SpillTest|SpillEpochTest|PostingStoreTest|ExecutorSpillTest|MutationTest|IncrementalIndexTest|LiveMutationTest|WalTest|CheckpointTest|RelationFencesTest|DurableServiceTest|CrashRecoveryTest|resilience_smoke|probe_engine_smoke|service_scale_smoke|storage_tier_smoke|mutation_smoke|durability_smoke|PaModelTest|StrategyPlannerTest|AdaptiveColdStartTest|AdaptiveParityTest|AdaptiveDriftTest|adaptive_smoke'
 
 : "${KWSDBG_FUZZ_ITERS:=200}"
 export KWSDBG_FUZZ_ITERS
 
+# Fails when an entry of CONCURRENCY_TESTS matches no test in `preset`.
+check_entries() {
+  local preset="$1" entry count missing=0
+  local entries
+  IFS='|' read -ra entries <<< "$CONCURRENCY_TESTS"
+  for entry in "${entries[@]}"; do
+    count="$(ctest --preset "$preset" -N -R "$entry" |
+             sed -n 's/^Total Tests: //p')"
+    if [ "${count:-0}" -eq 0 ]; then
+      echo "CONCURRENCY_TESTS entry '$entry' matches no test in [$preset]" >&2
+      missing=1
+    fi
+  done
+  return "$missing"
+}
+
 run_preset() {
   local preset="$1"
   echo "=== [$preset] configure + build ==="
-  cmake --preset "$preset"
+  cmake --preset "$preset" -DKWSDBG_BUILD_BENCHMARKS=ON
   cmake --build --preset "$preset" -j "$(nproc)"
+  check_entries "$preset"
   echo "=== [$preset] ctest -R ($KWSDBG_FUZZ_ITERS fuzz iterations) ==="
   ctest --preset "$preset" -R "$CONCURRENCY_TESTS" --output-on-failure
 }

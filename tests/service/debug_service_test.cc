@@ -1,7 +1,9 @@
 // Core DebugService behavior: batch execution over the worker pool, the
-// process-wide verdict tier, deadline-truncated reports, and the JSON
-// export. Classification parity at scale is gated separately by
-// bench/concurrent_service_workload and the differential fuzzer.
+// process-wide verdict tier, serial-vs-service classification parity under
+// every traversal strategy, the asynchronous Submit/WaitIdle path the
+// open-loop load harness drives, admission control, deadline-truncated
+// reports, and the JSON export. Parity at scale is gated separately by
+// bench/service_scale_workload and the differential fuzzer.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,7 +11,11 @@
 #include <thread>
 #include <vector>
 
+#include "datasets/dblife.h"
+#include "datasets/ecommerce.h"
+#include "datasets/query_generator.h"
 #include "debugger/report_json.h"
+#include "lattice/lattice_generator.h"
 #include "service/debug_service.h"
 #include "service/service_json.h"
 #include "test_util.h"
@@ -274,6 +280,157 @@ TEST(DebugServiceTest, AdmissionControlShedsBeyondQueueDepth) {
   BatchResult all = service2.RunBatch(queries);
   EXPECT_EQ(all.stats.shed, 0u);
   EXPECT_EQ(all.stats.failed, 0u);
+}
+
+constexpr TraversalKind kAllStrategies[] = {
+    TraversalKind::kBottomUp, TraversalKind::kTopDown,
+    TraversalKind::kBottomUpWithReuse, TraversalKind::kTopDownWithReuse,
+    TraversalKind::kScoreBased};
+
+/// Serial reference signatures vs. a 4-worker service run, one strategy.
+void ExpectParity(const Database* db, const Lattice* lattice,
+                  const InvertedIndex* index,
+                  const std::vector<std::string>& queries,
+                  TraversalKind strategy) {
+  DebuggerOptions debugger_options;
+  debugger_options.strategy = strategy;
+
+  std::vector<std::string> serial_sigs;
+  {
+    NonAnswerDebugger serial(db, lattice, index, debugger_options);
+    for (const std::string& q : queries) {
+      auto report = serial.Debug(q);
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      serial_sigs.push_back(report->ClassificationSignature());
+    }
+  }
+
+  ServiceOptions options;
+  options.num_workers = 4;
+  options.debugger = debugger_options;
+  DebugService service(db, lattice, index, options);
+  // Two passes: cold tiers, then warm (verdicts answered from the shared
+  // tier) — both must match the serial classifications.
+  for (int pass = 0; pass < 2; ++pass) {
+    BatchResult batch = service.RunBatch(queries);
+    ASSERT_TRUE(batch.status.ok());
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const QueryResult& r = batch.results[i];
+      ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+      EXPECT_EQ(r.report.ClassificationSignature(), serial_sigs[i])
+          << TraversalKindName(strategy) << " pass " << pass << " query \""
+          << queries[i] << "\"";
+    }
+  }
+}
+
+TEST(ServiceParityTest, EcommerceAllStrategies) {
+  EcommerceConfig config;
+  config.num_items = 150;
+  auto dataset = GenerateEcommerce(config);
+  ASSERT_TRUE(dataset.ok());
+  InvertedIndex index = InvertedIndex::Build(*dataset->db);
+  LatticeConfig lconfig;
+  lconfig.max_joins = 2;
+  lconfig.num_keyword_copies = 2;
+  auto lattice = LatticeGenerator::Generate(dataset->schema, lconfig);
+  ASSERT_TRUE(lattice.ok());
+  QueryGeneratorConfig gconfig;
+  gconfig.min_keywords = 1;
+  gconfig.max_keywords = 2;
+  RandomQueryGenerator generator(&index, gconfig);
+  std::vector<std::string> queries = generator.Batch(6);
+  queries.push_back("saffron candle");  // always cover a dead-MTN frontier
+  for (TraversalKind strategy : kAllStrategies) {
+    ExpectParity(dataset->db.get(), lattice->get(), &index, queries,
+                 strategy);
+  }
+}
+
+TEST(ServiceParityTest, DblifeAllStrategies) {
+  auto dataset = GenerateDblife(DblifeConfig{}.Scaled(0.05));
+  ASSERT_TRUE(dataset.ok());
+  InvertedIndex index = InvertedIndex::Build(*dataset->db);
+  LatticeConfig lconfig;
+  lconfig.max_joins = 2;  // level-3 lattice
+  lconfig.num_keyword_copies = 2;
+  auto lattice = LatticeGenerator::Generate(dataset->schema, lconfig);
+  ASSERT_TRUE(lattice.ok());
+  QueryGeneratorConfig gconfig;
+  gconfig.min_keywords = 2;
+  gconfig.max_keywords = 3;
+  RandomQueryGenerator generator(&index, gconfig);
+  const std::vector<std::string> queries = generator.Batch(6);
+  for (TraversalKind strategy : kAllStrategies) {
+    ExpectParity(dataset->db.get(), lattice->get(), &index, queries,
+                 strategy);
+  }
+}
+
+TEST(SubmitTest, OpenLoopSubmissionsCompleteAndMatchBatch) {
+  testutil::ToyFixture fx;
+  ServiceOptions options;
+  options.num_workers = 3;
+  DebugService service(fx.db.get(), fx.lattice.get(), fx.index.get(),
+                       options);
+  const std::vector<std::string> queries = {
+      "saffron candle", "red candle", "vanilla oil", "scented candle",
+      "saffron candle", "red candle"};
+
+  // Reference signatures from the synchronous path.
+  BatchResult reference = service.RunBatch(queries);
+  ASSERT_TRUE(reference.status.ok());
+
+  std::atomic<size_t> completions{0};
+  std::vector<QueryResult> results(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const Status accepted = service.Submit(
+        queries[i], /*deadline_millis=*/0, [&results, &completions, i](QueryResult r) {
+          results[i] = std::move(r);
+          completions.fetch_add(1);
+        });
+    ASSERT_TRUE(accepted.ok()) << accepted.ToString();
+  }
+  service.WaitIdle();
+  ASSERT_EQ(completions.load(), queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_TRUE(results[i].status.ok()) << results[i].status.ToString();
+    EXPECT_EQ(results[i].report.ClassificationSignature(),
+              reference.results[i].report.ClassificationSignature())
+        << "Submit and RunBatch disagree on \"" << queries[i] << "\"";
+  }
+}
+
+TEST(SubmitTest, OverloadedShardShedsWithRetryableStatus) {
+  testutil::ToyFixture fx;
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.max_queue_depth = 1;
+  DebugService service(fx.db.get(), fx.lattice.get(), fx.index.get(),
+                       options);
+  std::atomic<size_t> completions{0};
+  size_t accepted = 0;
+  size_t shed = 0;
+  constexpr size_t kSubmits = 200;
+  for (size_t i = 0; i < kSubmits; ++i) {
+    const Status s = service.Submit(
+        "saffron candle", /*deadline_millis=*/0,
+        [&completions](QueryResult) { completions.fetch_add(1); });
+    if (s.ok()) {
+      ++accepted;
+    } else {
+      ++shed;
+      EXPECT_EQ(s.code(), StatusCode::kResourceExhausted);
+      EXPECT_TRUE(s.IsRetryable());
+      EXPECT_NE(s.message().find("admission control"), std::string::npos);
+    }
+  }
+  service.WaitIdle();
+  EXPECT_EQ(accepted + shed, kSubmits);
+  EXPECT_EQ(completions.load(), accepted)
+      << "done must run exactly once per accepted submit, never for shed";
+  EXPECT_GT(shed, 0u)
+      << "a depth-1 queue on one worker cannot absorb a 200-submit burst";
 }
 
 TEST(DebugServiceTest, JsonCarriesResilienceFields) {

@@ -347,12 +347,11 @@ TEST(DifferentialFuzzTest, ChaosMutationsNeverServeStaleVerdicts) {
     }
 
     // The service runs in adaptive mode with a forced-exploration planner:
-    // every write bumps a data epoch, so the per-shard models keep decaying
+    // every write bumps a data epoch, so the shared model keeps decaying
     // and re-learning mid-stream — the rebuilt-world oracle below catches
     // any verdict the model-fed traversal gets wrong under drift.
     ServiceOptions service_options;
     service_options.num_workers = 2;
-    service_options.num_shards = 2;
     service_options.debugger.adaptive = true;
     service_options.debugger.adaptive_options.planner.explore_eps = 1.0;
     service_options.debugger.adaptive_options.planner.seed = seed;

@@ -4,9 +4,11 @@
 // ServiceStats and JSON.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/fault_injector.h"
@@ -224,6 +226,52 @@ TEST(DurableServiceTest, DrainStopsAdmissionAndLeavesEmptyLog) {
   DebugService service(db.get(), fx.lattice.get(), index.get(),
                        DurableOptions(dir));
   ASSERT_TRUE(service.durability_status().ok());
+  BatchResult batch = service.RunBatch({"incense"});
+  ASSERT_TRUE(batch.status.ok());
+  EXPECT_EQ(batch.stats.wal_replayed, 0u);
+}
+
+TEST(DurableServiceTest, DrainWaitsForAWriteAdmittedBeforeIt) {
+  // A write admitted just before Drain() sets its flag must be waited for
+  // (or refused), never checkpointed around: the latency fault holds the
+  // write between admission and its relation fence while Drain runs.
+  const std::string dir = FreshDir("drain_race");
+  size_t tuples_before = 0;
+  Status write_status;
+  {
+    ToyFixture fx;
+    DebugService service(fx.db.get(), fx.lattice.get(), fx.index.get(),
+                         DurableOptions(dir));
+    ASSERT_TRUE(service.durability_status().ok());
+    tuples_before = fx.db->TotalTuples();
+    ScopedFaultInjection faults(
+        "storage.mutation.apply=ok,latency=200,times=1");
+    std::thread writer(
+        [&] { write_status = service.ApplyMutation(SampleStream()[0]); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    const Status drained = service.Drain();
+    writer.join();
+    ASSERT_TRUE(drained.ok()) << drained.ToString();
+  }
+
+  // An OK write is in the snapshot; a refused one is typed kUnavailable.
+  auto restored = Database::Recover(dir);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  std::unique_ptr<Database> db = std::move(*restored);
+  if (write_status.ok()) {
+    EXPECT_EQ(db->TotalTuples(), tuples_before + 1);
+  } else {
+    EXPECT_EQ(write_status.code(), StatusCode::kUnavailable)
+        << write_status.ToString();
+    EXPECT_EQ(db->TotalTuples(), tuples_before);
+  }
+  // After an OK Drain, recovery replays zero records.
+  auto index = std::make_unique<InvertedIndex>(InvertedIndex::Build(*db));
+  ToyFixture fx;
+  DebugService service(db.get(), fx.lattice.get(), index.get(),
+                       DurableOptions(dir));
+  ASSERT_TRUE(service.durability_status().ok())
+      << service.durability_status().ToString();
   BatchResult batch = service.RunBatch({"incense"});
   ASSERT_TRUE(batch.status.ok());
   EXPECT_EQ(batch.stats.wal_replayed, 0u);

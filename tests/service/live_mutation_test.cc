@@ -1,5 +1,5 @@
-// Service-level live writes: relation-scoped verdict eviction across shard
-// partitions, warm-cache survival of writes to disjoint relations, the
+// Service-level live writes: relation-scoped verdict eviction in the shared
+// verdict tier, warm-cache survival of writes to disjoint relations, the
 // const-service write rejection, write counters through stats/JSON, and a
 // write-while-querying interleaving (the TSAN target — everything here uses
 // a resident catalog; the buffer pool is single-session by design).
@@ -63,24 +63,21 @@ TEST(LiveMutationTest, WriteEvictsOnlyBoundRelationsAcrossShards) {
   ToyFixture fx;
   ServiceOptions options;
   options.num_workers = 2;
-  options.num_shards = 2;
   DebugService service(fx.db.get(), fx.lattice.get(), fx.index.get(),
                        options);
   ASSERT_NE(service.mutator(), nullptr);
 
-  // Seed every shard partition with three verdicts: one binding Color, one
+  // Seed the shared tier with three verdicts: one binding Color, one
   // binding only Attribute, one with an unknown (0) relation mask.
   const uint64_t color_bit =
       RelationFences::BitFor(fx.db->FindTable("Color")->catalog_index());
   const uint64_t attr_bit =
       RelationFences::BitFor(fx.db->FindTable("Attribute")->catalog_index());
   const uint64_t epoch = fx.db->epoch();
-  for (size_t s = 0; s < service.num_shards(); ++s) {
-    VerdictCache* cache = service.shard_cache(s);
-    cache->Insert("n_color", "sig", epoch, /*relset=*/7, true, color_bit);
-    cache->Insert("n_attr", "sig", epoch, /*relset=*/7, true, attr_bit);
-    cache->Insert("n_unknown", "sig", epoch, /*relset=*/7, true, 0);
-  }
+  VerdictCache* cache = service.shared_cache();
+  cache->Insert("n_color", "sig", epoch, /*relset=*/7, true, color_bit);
+  cache->Insert("n_attr", "sig", epoch, /*relset=*/7, true, attr_bit);
+  cache->Insert("n_unknown", "sig", epoch, /*relset=*/7, true, 0);
 
   // A write to Color (existing vocabulary, so the dictionary is stable).
   ASSERT_TRUE(service
@@ -89,19 +86,12 @@ TEST(LiveMutationTest, WriteEvictsOnlyBoundRelationsAcrossShards) {
                                 Value("crimson")}))
                   .ok());
 
-  for (size_t s = 0; s < service.num_shards(); ++s) {
-    VerdictCache* cache = service.shard_cache(s);
-    // Color-bound and unknown-mask verdicts die on every shard...
-    EXPECT_FALSE(cache->Lookup("n_color", "sig", epoch, 7).has_value())
-        << "shard " << s;
-    EXPECT_FALSE(cache->Lookup("n_unknown", "sig", epoch, 7).has_value())
-        << "shard " << s;
-    // ...while the Attribute-only verdict survives untouched.
-    EXPECT_TRUE(cache->Lookup("n_attr", "sig", epoch, 7).has_value())
-        << "shard " << s;
-  }
-  EXPECT_EQ(service.mutator()->stats().partial_evictions.load(),
-            2u * service.num_shards());
+  // Color-bound and unknown-mask verdicts die...
+  EXPECT_FALSE(cache->Lookup("n_color", "sig", epoch, 7).has_value());
+  EXPECT_FALSE(cache->Lookup("n_unknown", "sig", epoch, 7).has_value());
+  // ...while the Attribute-only verdict survives untouched.
+  EXPECT_TRUE(cache->Lookup("n_attr", "sig", epoch, 7).has_value());
+  EXPECT_EQ(service.mutator()->stats().partial_evictions.load(), 2u);
 }
 
 TEST(LiveMutationTest, WarmCacheSurvivesWriteToDisjointRelation) {
@@ -109,7 +99,6 @@ TEST(LiveMutationTest, WarmCacheSurvivesWriteToDisjointRelation) {
   const std::vector<std::string> queries = ToyQueries();
   ServiceOptions options;
   options.num_workers = 2;
-  options.num_shards = 2;
   DebugService service(fx.db.get(), fx.lattice.get(), fx.index.get(),
                        options);
 
@@ -120,7 +109,7 @@ TEST(LiveMutationTest, WarmCacheSurvivesWriteToDisjointRelation) {
   EXPECT_GT(warm.stats.cache_hits, 0u);
 
   // One write to Attribute. Verdicts over networks that do not bind
-  // Attribute must keep answering from the shard partitions.
+  // Attribute must keep answering from the shared tier.
   ASSERT_TRUE(service
                   .ApplyMutation(Mutation::Update(
                       "Attribute", 2, 2, Value(std::string("striped"))))
@@ -151,9 +140,9 @@ TEST(LiveMutationTest, WarmCacheSurvivesWriteToDisjointRelation) {
 }
 
 TEST(LiveMutationTest, WriteToOneTableKeepsOtherTablesVerdictsAcrossShards) {
-  // End-to-end version of the partial-invalidation contract: warm both
-  // shards, write to ProductType, and require surviving hits on the rerun
-  // of queries that never bind it — visible in the per-shard counters.
+  // End-to-end version of the partial-invalidation contract: warm the
+  // shared tier, write to ProductType, and require surviving hits on the
+  // rerun of queries that never bind it.
   // The queries must span tables (Color + Attribute) so the traversal
   // evaluates join networks: single-relation nodes answer from the
   // level-1 index shortcut and never touch the verdict tier at all.
@@ -162,19 +151,14 @@ TEST(LiveMutationTest, WriteToOneTableKeepsOtherTablesVerdictsAcrossShards) {
                                             "saffron vanilla"};
   ServiceOptions options;
   options.num_workers = 2;
-  options.num_shards = 2;
   DebugService service(fx.db.get(), fx.lattice.get(), fx.index.get(),
                        options);
 
   (void)service.RunBatch(queries);
   BatchResult warm = service.RunBatch(queries);
   ASSERT_TRUE(warm.status.ok());
-  size_t warm_shard_hits = 0;
-  for (const ShardStats& shard : warm.stats.shards) {
-    warm_shard_hits += shard.local_cache_hits + shard.remote_cache_hits;
-  }
-  ASSERT_GT(warm_shard_hits, 0u)
-      << "warm rerun must answer join-network verdicts from the partitions";
+  ASSERT_GT(warm.stats.cache_hits, 0u)
+      << "warm rerun must answer join-network verdicts from the shared tier";
 
   ASSERT_TRUE(service
                   .ApplyMutation(Mutation::Insert(
@@ -183,11 +167,7 @@ TEST(LiveMutationTest, WriteToOneTableKeepsOtherTablesVerdictsAcrossShards) {
 
   BatchResult after = service.RunBatch(queries);
   ASSERT_TRUE(after.status.ok());
-  size_t shard_hits = 0;
-  for (const ShardStats& shard : after.stats.shards) {
-    shard_hits += shard.local_cache_hits + shard.remote_cache_hits;
-  }
-  EXPECT_GT(shard_hits, 0u)
+  EXPECT_GT(after.stats.cache_hits, 0u)
       << "verdicts binding only Color/Attribute/Item networks free of "
          "ProductType must survive a ProductType write";
 }
@@ -201,7 +181,6 @@ TEST(LiveMutationTest, ConcurrentWritesWhileQuerying) {
   const std::vector<std::string> queries = ToyQueries();
   ServiceOptions options;
   options.num_workers = 3;
-  options.num_shards = 3;
   DebugService service(fx.db.get(), fx.lattice.get(), fx.index.get(),
                        options);
 
