@@ -2,10 +2,9 @@
 // parameter p_a. The paper fixes p_a = 0.5 and reports that it "works
 // surprisingly well"; this sweep quantifies how much the choice matters.
 //
-// Columns: fixed p_a in {0.1..0.9}, the legacy sampling estimator (which
-// spends its own SQL probes, reported separately), and the online-learned
-// PaModel (traversal/pa_model.h) warmed on one observation pass over the
-// same workload — the adaptive tier's replacement for sampling.
+// Columns: fixed p_a in {0.1..0.9} and the online-learned PaModel
+// (traversal/pa_model.h) warmed on one observation pass over the same
+// workload.
 //
 //   ./ablation_pa_sensitivity [--out=BENCH_pa_sensitivity.json]
 #include <cstdio>
@@ -71,12 +70,10 @@ int Run(const std::string& out_path) {
 
   std::vector<std::string> headers = {"query"};
   for (double pa : pas) headers.push_back("pa=" + Fmt(pa));
-  headers.push_back("sampled");
-  headers.push_back("+probes");
   headers.push_back("model");
   TablePrinter table(headers);
   std::ostringstream rows_json;
-  std::vector<size_t> totals(std::size(pas) + 3, 0);
+  std::vector<size_t> totals(std::size(pas) + 1, 0);
   bool first_row = true;
   for (const WorkloadQuery& q : PaperWorkload()) {
     std::vector<std::string> row = {q.id};
@@ -92,18 +89,6 @@ int Run(const std::string& out_path) {
       totals[i] += run.sql_queries;
       rows_json << ",\"pa_" << Fmt(pas[i]) << "\":" << run.sql_queries;
     }
-    // The paper's future-work variant: sample-estimate p_a per run. Its
-    // probe SQL lands in sql_queries too; pa_sample_sql breaks it out.
-    SbhOptions est;
-    est.estimate_pa = true;
-    auto sbh = MakeScoreBased(est);
-    StrategyRun run = RunStrategyOnQuery(env, level, q.text, sbh.get());
-    row.push_back(std::to_string(run.sql_queries));
-    row.push_back(std::to_string(run.pa_sample_sql));
-    totals[std::size(pas)] += run.sql_queries;
-    totals[std::size(pas) + 1] += run.pa_sample_sql;
-    rows_json << ",\"sampled\":" << run.sql_queries
-              << ",\"sample_probes\":" << run.pa_sample_sql;
     // The observation-fed model: no per-run probes at all.
     SbhOptions adaptive;
     adaptive.pa_model = &model;
@@ -111,7 +96,7 @@ int Run(const std::string& out_path) {
     StrategyRun model_run =
         RunWithModel(env, level, q.text, sbh_model.get(), &model);
     row.push_back(std::to_string(model_run.sql_queries));
-    totals[std::size(pas) + 2] += model_run.sql_queries;
+    totals[std::size(pas)] += model_run.sql_queries;
     rows_json << ",\"model\":" << model_run.sql_queries << '}';
     table.AddRow(std::move(row));
   }
@@ -120,9 +105,8 @@ int Run(const std::string& out_path) {
   for (size_t i = 0; i < std::size(pas); ++i) {
     std::printf(" pa=%.1f:%zu", pas[i], totals[i]);
   }
-  std::printf(" sampled:%zu (probes %zu) model:%zu (one-time warm %zu)",
-              totals[std::size(pas)], totals[std::size(pas) + 1],
-              totals[std::size(pas) + 2], warm_sql);
+  std::printf(" model:%zu (one-time warm %zu)", totals[std::size(pas)],
+              warm_sql);
   std::printf(
       "\nexpected shape (paper Sec. 2.5.3): p_a affects performance, not "
       "correctness; 0.5 is competitive, and the learned model matches or "
@@ -135,9 +119,7 @@ int Run(const std::string& out_path) {
     if (i > 0) json << ',';
     json << "\"pa_" << Fmt(pas[i]) << "\":" << totals[i];
   }
-  json << ",\"sampled\":" << totals[std::size(pas)]
-       << ",\"sample_probes\":" << totals[std::size(pas) + 1]
-       << ",\"model\":" << totals[std::size(pas) + 2]
+  json << ",\"model\":" << totals[std::size(pas)]
        << ",\"model_warm_sql\":" << warm_sql
        << "},\"pa_observations\":" << model.observations() << '}';
   std::ofstream f(out_path);

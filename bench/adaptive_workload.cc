@@ -24,7 +24,8 @@
 //     deterministic costs the baselines just measured).
 //   - adaptive traversal wall-clock <= every static arm's, with a 10% jitter
 //     allowance (full mode + NDEBUG only; smoke timings are sub-millisecond
-//     and all noise).
+//     and all noise). The JSON records "wallclock_gate": "gated" or
+//     "skipped: <reason>".
 //   - classification signatures bit-identical across every arm and the
 //     adaptive pass (verdict order never changes verdicts).
 //   - planner/model counters visible in the DebugService stats JSON with
@@ -221,7 +222,16 @@ struct BenchRow {
   }
 };
 
-size_t RunWorkload(const Workload& w, bool smoke, TablePrinter* table,
+/// Why this run cannot judge the wall-clock gate; empty when it can.
+std::string WallclockGateSkipReason(bool smoke) {
+#ifndef NDEBUG
+  return "debug build (NDEBUG off)";
+#endif
+  if (smoke) return "smoke sizes";
+  return "";
+}
+
+size_t RunWorkload(const Workload& w, bool gate_wallclock, TablePrinter* table,
                    std::vector<BenchRow>* rows, std::ostringstream* json) {
   size_t violations = 0;
   auto gate = [&](bool ok, const std::string& what) {
@@ -253,8 +263,7 @@ size_t RunWorkload(const Workload& w, bool smoke, TablePrinter* table,
          "adaptive ran more SQL than " + std::string(PlannerArmName(arm)) +
              " (" + std::to_string(adaptive.sql) + " vs " +
              std::to_string(m.sql) + ")");
-#ifdef NDEBUG
-    if (!smoke) {
+    if (gate_wallclock) {
       // 10% relative + 1ms absolute allowance: sub-millisecond workloads
       // (small envs) are pure timer jitter and must not flip the gate.
       gate(adaptive.traversal_millis <= m.traversal_millis * 1.10 + 1.0,
@@ -263,7 +272,6 @@ size_t RunWorkload(const Workload& w, bool smoke, TablePrinter* table,
                Fmt(adaptive.traversal_millis) + "ms vs " +
                Fmt(m.traversal_millis) + "ms)");
     }
-#endif
     table->AddRow({w.name, std::string(PlannerArmName(arm)),
                    std::to_string(m.sql), Fmt(m.traversal_millis),
                    Fmt(m.wall_millis), match ? "yes" : "NO", "-"});
@@ -403,6 +411,11 @@ int Run(bool smoke, const std::string& out_path) {
       static_cast<unsigned long long>(adaptive_options.planner.seed),
       adaptive_options.planner.explore_eps);
 
+  const std::string skip_reason = WallclockGateSkipReason(smoke);
+  const std::string wallclock_gate =
+      skip_reason.empty() ? "gated" : "skipped: " + skip_reason;
+  std::printf("wall-clock gate: %s\n", wallclock_gate.c_str());
+
   const TierEnv dblife = BuildDblifeEnv(smoke);
   const TierEnv ecommerce = BuildEcommerceEnv(smoke);
 
@@ -426,7 +439,8 @@ int Run(bool smoke, const std::string& out_path) {
   for (const Workload* w : {&table2, &random, &shop}) {
     if (!first) workload_jsons << ',';
     first = false;
-    violations += RunWorkload(*w, smoke, &table, &rows, &workload_jsons);
+    violations += RunWorkload(*w, skip_reason.empty(), &table, &rows,
+                              &workload_jsons);
   }
   table.Print();
 
@@ -439,6 +453,7 @@ int Run(bool smoke, const std::string& out_path) {
          << (smoke ? "true" : "false")
          << ",\"planner_seed\":" << adaptive_options.planner.seed
          << ",\"explore_eps\":" << adaptive_options.planner.explore_eps
+         << ",\"wallclock_gate\":\"" << wallclock_gate << '"'
          << ",\"runs\":[";
     for (size_t i = 0; i < rows.size(); ++i) {
       if (i > 0) json << ',';

@@ -3,11 +3,8 @@
 // (cross-interpretation sharing already kicks in); pass 2 answers entirely
 // from cached verdicts. The headline number is the SQL reduction factor
 // between passes — the dashboard-refresh scenario where users re-run the
-// same keyword queries against an unchanged database. Run with
-// KWSDBG_THREADS > 1 to also exercise the batched parallel frontier.
+// same keyword queries against an unchanged database.
 #include <cstdio>
-#include <algorithm>
-#include <cstdlib>
 
 #include "bench_util.h"
 #include "common/logging.h"
@@ -22,8 +19,6 @@ struct PassTotals {
   size_t sql = 0;
   size_t hits = 0;
   size_t misses = 0;
-  size_t parallel_rounds = 0;
-  size_t max_batch = 0;
   double millis = 0;
 };
 
@@ -37,8 +32,6 @@ PassTotals RunPass(NonAnswerDebugger* debugger) {
     totals.sql += stats.sql_queries;
     totals.hits += stats.cache_hits;
     totals.misses += stats.cache_misses;
-    totals.parallel_rounds += stats.parallel_rounds;
-    totals.max_batch = std::max(totals.max_batch, stats.max_batch);
   }
   totals.millis = timer.ElapsedMillis();
   return totals;
@@ -47,20 +40,11 @@ PassTotals RunPass(NonAnswerDebugger* debugger) {
 void Run() {
   const std::vector<size_t> levels = PaperLevels();
   BenchEnv env(levels);
-  size_t threads = 1;
-  if (const char* t = std::getenv("KWSDBG_THREADS")) {
-    threads = static_cast<size_t>(std::strtoul(t, nullptr, 10));
-  }
   std::printf(
-      "Session verdict cache: paper workload debugged twice per session "
-      "(threads=%zu)\n", threads);
-  TablePrinter table({"level", "pass", "SQL", "cache hits", "hit rate%",
-                      "par rounds", "max batch", "ms"});
+      "Session verdict cache: paper workload debugged twice per session\n");
+  TablePrinter table({"level", "pass", "SQL", "cache hits", "hit rate%", "ms"});
   for (size_t level : levels) {
-    DebuggerOptions options;
-    options.parallel.num_threads = threads;
-    NonAnswerDebugger debugger(&env.db(), &env.lattice(level), &env.index(),
-                               options);
+    NonAnswerDebugger debugger(&env.db(), &env.lattice(level), &env.index());
     PassTotals cold = RunPass(&debugger);
     PassTotals warm = RunPass(&debugger);
     auto add_row = [&](const char* name, const PassTotals& p) {
@@ -68,8 +52,7 @@ void Run() {
       table.AddRow({std::to_string(level), name, std::to_string(p.sql),
                     std::to_string(p.hits),
                     Fmt(lookups > 0 ? 100.0 * p.hits / lookups : 0.0),
-                    std::to_string(p.parallel_rounds),
-                    std::to_string(p.max_batch), Fmt(p.millis)});
+                    Fmt(p.millis)});
     };
     add_row("cold", cold);
     add_row("warm", warm);

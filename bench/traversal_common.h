@@ -16,7 +16,6 @@ namespace bench {
 
 struct StrategyRun {
   size_t sql_queries = 0;
-  size_t pa_sample_sql = 0;  ///< Share of sql_queries spent on p_a sampling.
   double sql_millis = 0;
   double total_millis = 0;
   size_t mtns = 0;
@@ -44,7 +43,6 @@ inline StrategyRun RunStrategyOnQuery(const BenchEnv& env, size_t level,
     auto result = strategy->Run(pl, &evaluator);
     KWSDBG_CHECK(result.ok()) << result.status().ToString();
     out.sql_queries += result->stats.sql_queries;
-    out.pa_sample_sql += result->stats.pa_sample_sql;
     out.sql_millis += result->stats.sql_millis;
     out.total_millis += result->stats.total_millis;
     for (const MtnOutcome& o : result->outcomes) {

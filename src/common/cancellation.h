@@ -2,10 +2,11 @@
 // CancellationToken is armed with a wall-clock budget (or cancelled
 // explicitly); the executor, evaluator, and traversal strategies poll it at
 // safe boundaries and unwind with StatusCode::kDeadlineExceeded. Polling is
-// lock-free — one relaxed atomic load on the fast path — so tokens can be
-// shared across the frontier worker pool without contention. A fired token
-// never produces a verdict: callers that see the deadline status must treat
-// the work as unfinished, not as "empty result".
+// lock-free — one relaxed atomic load on the fast path — so the query's
+// thread polls it cheaply while any other thread may fire it through
+// RequestCancel. A fired token never produces a verdict: callers that see
+// the deadline status must treat the work as unfinished, not as "empty
+// result".
 #ifndef KWSDBG_COMMON_CANCELLATION_H_
 #define KWSDBG_COMMON_CANCELLATION_H_
 

@@ -34,10 +34,6 @@ TraversalStats DebugReport::AggregateTraversalStats() const {
     stats.cache_hits += interp.traversal_stats.cache_hits;
     stats.cache_misses += interp.traversal_stats.cache_misses;
     stats.cache_evictions += interp.traversal_stats.cache_evictions;
-    stats.parallel_rounds += interp.traversal_stats.parallel_rounds;
-    stats.parallel_nodes += interp.traversal_stats.parallel_nodes;
-    stats.max_batch = std::max(stats.max_batch,
-                               interp.traversal_stats.max_batch);
     stats.posting_hits += interp.traversal_stats.posting_hits;
     stats.scan_fallbacks += interp.traversal_stats.scan_fallbacks;
     stats.semijoin_eliminations +=
@@ -58,7 +54,6 @@ TraversalStats DebugReport::AggregateTraversalStats() const {
     stats.planner_decisions += interp.traversal_stats.planner_decisions;
     stats.planner_explored += interp.traversal_stats.planner_explored;
     stats.pa_observations += interp.traversal_stats.pa_observations;
-    stats.pa_sample_sql += interp.traversal_stats.pa_sample_sql;
     // Arm labels: one arm dominates a single-arm report; mixed picks are
     // summarized as "mixed". The model slice kept is the last (warmest) one.
     const std::string& arm = interp.traversal_stats.planned_strategy;

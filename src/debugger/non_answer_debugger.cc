@@ -65,8 +65,8 @@ StatusOr<NodeReport> MakeNodeReport(const Lattice& lattice, NodeId id,
 StatusOr<DebugReport> NonAnswerDebugger::Debug(
     const std::string& keyword_query) {
   Timer debug_timer;
-  // Fresh budget per query. Arm() is safe here: no frontier workers hold
-  // the token between Debug() calls.
+  // Fresh budget per query. Arm() is safe here: no other thread polls the
+  // token between Debug() calls.
   cancel_.Arm(options_.deadline_millis);
 
   DebugReport report;
@@ -89,8 +89,7 @@ StatusOr<DebugReport> NonAnswerDebugger::Debug(
 
   std::unique_ptr<TraversalStrategy> static_strategy;
   if (adaptive_ == nullptr) {
-    static_strategy =
-        MakeStrategy(options_.strategy, options_.sbh, options_.parallel);
+    static_strategy = MakeStrategy(options_.strategy, options_.sbh);
   } else {
     // Live mutations bump the database/table epochs; fold them into one
     // data version so the model decays counts learned against old data.
@@ -117,8 +116,7 @@ StatusOr<DebugReport> NonAnswerDebugger::Debug(
     if (adaptive_ != nullptr) {
       features = ComputePlannerFeatures(pl, index_);
       decision = adaptive_->planner().Decide(features);
-      planned = MakeArmStrategy(decision.arm, options_.sbh, options_.parallel,
-                                &adaptive_->pa());
+      planned = MakeArmStrategy(decision.arm, options_.sbh, &adaptive_->pa());
       strategy = planned.get();
       eval_options.pa_model = &adaptive_->pa();
       pa_obs_before = adaptive_->pa().observations();

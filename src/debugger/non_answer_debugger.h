@@ -42,8 +42,6 @@ struct DebuggerOptions {
   /// pre-reduction (both on by default; benches flip them off to measure
   /// the executor-v1 probe path).
   ExecutorOptions executor;
-  /// Batched parallel frontier evaluation (default: serial).
-  ParallelOptions parallel;
   /// Sample result tuples fetched per answer query (0 = skip sampling;
   /// sampling issues extra SQL that is *not* counted in traversal stats).
   size_t sample_rows = 0;
@@ -55,12 +53,12 @@ struct DebuggerOptions {
   /// (DISCOVER-style size ranking). Non-answers are never ranked or
   /// truncated — debugging needs all of them (paper Sec. 1).
   bool rank_answers = true;
-  /// Adaptive traversal (ROADMAP item 2): a StrategyPlanner picks the arm
-  /// per interpretation from pre-traversal features and SBH reads bucketed
-  /// p_a from an online-learned PaModel fed by this debugger's verdicts.
-  /// `strategy` is ignored; `sbh`/`parallel` parameterize the planner's
-  /// arms. With everything cold this degrades to SBH @ 0.5 — adaptivity
-  /// only reorders evaluations, verdicts stay ground truth either way.
+  /// Adaptive traversal: a StrategyPlanner picks the arm per
+  /// interpretation from pre-traversal features and SBH reads bucketed p_a
+  /// from an online-learned PaModel fed by this debugger's verdicts.
+  /// `strategy` is ignored; `sbh` parameterizes the planner's SBH arms.
+  /// With everything cold this degrades to SBH @ 0.5 — adaptivity only
+  /// reorders evaluations, verdicts stay ground truth either way.
   bool adaptive = false;
   /// Shared adaptive tier (model + planner). When set, the debugger feeds
   /// and consults this state (thread-safe — the DebugService plugs every

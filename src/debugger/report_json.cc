@@ -92,9 +92,6 @@ std::string DebugReportToJson(const DebugReport& report) {
         << ",\"cache_hits\":" << interp.traversal_stats.cache_hits
         << ",\"cache_misses\":" << interp.traversal_stats.cache_misses
         << ",\"cache_evictions\":" << interp.traversal_stats.cache_evictions
-        << ",\"parallel_rounds\":" << interp.traversal_stats.parallel_rounds
-        << ",\"parallel_nodes\":" << interp.traversal_stats.parallel_nodes
-        << ",\"max_batch\":" << interp.traversal_stats.max_batch
         << ",\"posting_hits\":" << interp.traversal_stats.posting_hits
         << ",\"scan_fallbacks\":" << interp.traversal_stats.scan_fallbacks
         << ",\"semijoin_eliminations\":"
@@ -119,7 +116,6 @@ std::string DebugReportToJson(const DebugReport& report) {
         << interp.traversal_stats.planner_decisions
         << ",\"planner_explored\":" << interp.traversal_stats.planner_explored
         << ",\"pa_observations\":" << interp.traversal_stats.pa_observations
-        << ",\"pa_sample_sql\":" << interp.traversal_stats.pa_sample_sql
         << ",\"planned_strategy\":";
     AppendString(&out, interp.traversal_stats.planned_strategy);
     out << ",\"pa_buckets\":[";

@@ -53,9 +53,8 @@ struct DurabilityOptions {
 
 /// Service configuration.
 struct ServiceOptions {
-  /// Worker pool size (threads); each worker runs whole queries, so this is
-  /// the inter-query parallelism. Intra-query parallelism is configured
-  /// separately via `debugger.parallel` and multiplies with this.
+  /// Worker pool size (threads); each worker runs whole queries, one at a
+  /// time, so this is the service's only parallelism.
   size_t num_workers = 4;
   /// Default per-query wall-clock budget in milliseconds (0 = unbounded);
   /// RunBatch overloads can override it per batch.

@@ -135,9 +135,6 @@ class Executor {
   /// executor; pass nullptr to fall back to LIKE scans (and call
   /// ClearCaches() if match sets were already built from a previous index).
   void RegisterTextIndex(const InvertedIndex* index) { text_index_ = index; }
-  const InvertedIndex* text_index() const { return text_index_; }
-
-  const ExecutorOptions& options() const { return options_; }
 
   /// Runs the query; `limit` of 0 means unlimited.
   StatusOr<ResultSet> Execute(const JoinNetworkQuery& query,

@@ -1,16 +1,9 @@
 // BU (paper Sec. 2.5.1): classify one MTN at a time, sweeping the MTN's
 // sub-lattice from the single-table level upward. Shares nothing across
 // MTNs — common descendants are re-evaluated (the contrast with BUWR).
-//
-// Frontier batching: nodes of one level are never ancestor/descendant of one
-// another, so the unknown nodes of a level form an independent batch whose
-// verdicts are evaluated in parallel and then folded in serially via R2 —
-// the classification is bit-identical to the serial sweep.
 #include <algorithm>
 #include <map>
 
-#include "common/timer.h"
-#include "traversal/parallel_frontier.h"
 #include "traversal/strategies.h"
 
 namespace kwsdbg {
@@ -19,19 +12,21 @@ namespace {
 
 class BottomUpStrategy : public TraversalStrategy {
  public:
-  explicit BottomUpStrategy(ParallelOptions parallel) : parallel_(parallel) {}
-
   std::string_view name() const override { return "BU"; }
 
   StatusOr<TraversalResult> Run(const PrunedLattice& pl,
                                 QueryEvaluator* evaluator) override {
-    Timer total;
+    const internal::RunCounters counters(*evaluator);
     TraversalResult result;
-    FrontierEvaluator frontier(evaluator, parallel_);
-    std::vector<NodeId> batch;
-    std::vector<char> alive;
     for (NodeId m : pl.mtns()) {
       NodeStatusMap status(pl.lattice().num_nodes());
+      // Completed MTNs stay in `result`; the current one is kept only if
+      // its sweep already classified it.
+      auto truncated = [&] {
+        internal::AppendOutcomeIfKnown(pl, status, m, &result);
+        result.truncated = true;
+        return counters.Finish(std::move(result));
+      };
       // The MTN's sub-lattice, grouped by level.
       std::map<size_t, std::vector<NodeId>> by_level;
       by_level[pl.lattice().node(m).level].push_back(m);
@@ -39,54 +34,30 @@ class BottomUpStrategy : public TraversalStrategy {
         by_level[pl.lattice().node(d).level].push_back(d);
       }
       for (auto& [level, nodes] : by_level) {
+        if (evaluator->cancelled()) return truncated();
         std::sort(nodes.begin(), nodes.end());
-        batch.clear();
         for (NodeId n : nodes) {
-          if (!status.IsKnown(n)) batch.push_back(n);  // not inferred via R2
-        }
-        Status st = frontier.cancelled()
-                        ? Status::DeadlineExceeded("traversal cancelled")
-                        : frontier.EvaluateBatch(batch, &alive);
-        if (internal::IsDeadlineExceeded(st)) {
-          // Completed MTNs stay in `result`; the current one is kept only
-          // if its sweep already classified it.
-          internal::AppendOutcomeIfKnown(pl, status, m, &result);
-          result.truncated = true;
-          frontier.FillStats(&result.stats);
-          result.stats.total_millis = total.ElapsedMillis();
-          return result;
-        }
-        KWSDBG_RETURN_NOT_OK(st);
-        for (size_t i = 0; i < batch.size(); ++i) {
-          if (alive[i]) {
-            status.Set(batch[i], NodeStatus::kAlive);
+          if (status.IsKnown(n)) continue;  // inferred via R2
+          StatusOr<bool> alive = evaluator->IsAlive(n);
+          if (internal::IsDeadlineExceeded(alive.status())) return truncated();
+          KWSDBG_RETURN_NOT_OK(alive.status());
+          if (*alive) {
+            status.Set(n, NodeStatus::kAlive);
           } else {
-            status.MarkDeadWithAncestors(batch[i], pl);
+            status.MarkDeadWithAncestors(n, pl);
           }
         }
       }
-      MtnOutcome outcome;
-      outcome.mtn = m;
-      outcome.alive = status.IsAlive(m);
-      if (!outcome.alive) {
-        outcome.mpans = internal::ExtractMpans(pl, status, m);
-        outcome.culprits = internal::ExtractMinimalDead(pl, status, m);
-      }
-      result.outcomes.push_back(std::move(outcome));
+      internal::AppendOutcomeIfKnown(pl, status, m, &result);
     }
-    frontier.FillStats(&result.stats);
-    result.stats.total_millis = total.ElapsedMillis();
-    return result;
+    return counters.Finish(std::move(result));
   }
-
- private:
-  ParallelOptions parallel_;
 };
 
 }  // namespace
 
-std::unique_ptr<TraversalStrategy> MakeBottomUp(ParallelOptions parallel) {
-  return std::make_unique<BottomUpStrategy>(parallel);
+std::unique_ptr<TraversalStrategy> MakeBottomUp() {
+  return std::make_unique<BottomUpStrategy>();
 }
 
 }  // namespace kwsdbg

@@ -1,15 +1,8 @@
 // BUWR (paper Sec. 2.5.2, Algorithm 3): one global bottom-up sweep over the
 // union of all MTNs' sub-lattices with a shared status map, so each common
 // descendant is evaluated at most once.
-//
-// Frontier batching: R2 from a node only reaches strictly higher levels, so
-// the unknown nodes of one level are mutually independent — evaluated as one
-// parallel batch, then folded in serially (bit-identical to the serial sweep,
-// including which nodes get evaluated).
 #include <algorithm>
 
-#include "common/timer.h"
-#include "traversal/parallel_frontier.h"
 #include "traversal/strategies.h"
 
 namespace kwsdbg {
@@ -18,59 +11,41 @@ namespace {
 
 class BottomUpWithReuseStrategy : public TraversalStrategy {
  public:
-  explicit BottomUpWithReuseStrategy(ParallelOptions parallel)
-      : parallel_(parallel) {}
-
   std::string_view name() const override { return "BUWR"; }
 
   StatusOr<TraversalResult> Run(const PrunedLattice& pl,
                                 QueryEvaluator* evaluator) override {
-    Timer total;
+    const internal::RunCounters counters(*evaluator);
     NodeStatusMap status(pl.lattice().num_nodes());
-    FrontierEvaluator frontier(evaluator, parallel_);
-    std::vector<NodeId> batch;
-    std::vector<char> alive;
+    auto truncated = [&] {
+      return counters.Finish(internal::BuildTruncatedOutcomes(pl, status));
+    };
     for (size_t level = 1; level <= pl.MaxRetainedLevel(); ++level) {
+      if (evaluator->cancelled()) return truncated();
       std::vector<NodeId> nodes = pl.RetainedAtLevel(level);
       std::sort(nodes.begin(), nodes.end());
-      batch.clear();
       for (NodeId n : nodes) {
-        if (!status.IsKnown(n)) batch.push_back(n);  // shared or inferred
-      }
-      Status st = frontier.cancelled()
-                      ? Status::DeadlineExceeded("traversal cancelled")
-                      : frontier.EvaluateBatch(batch, &alive);
-      if (internal::IsDeadlineExceeded(st)) {
-        TraversalResult partial = internal::BuildTruncatedOutcomes(pl, status);
-        frontier.FillStats(&partial.stats);
-        partial.stats.total_millis = total.ElapsedMillis();
-        return partial;
-      }
-      KWSDBG_RETURN_NOT_OK(st);
-      for (size_t i = 0; i < batch.size(); ++i) {
-        if (alive[i]) {
-          status.Set(batch[i], NodeStatus::kAlive);
+        if (status.IsKnown(n)) continue;  // shared or inferred
+        StatusOr<bool> alive = evaluator->IsAlive(n);
+        if (internal::IsDeadlineExceeded(alive.status())) return truncated();
+        KWSDBG_RETURN_NOT_OK(alive.status());
+        if (*alive) {
+          status.Set(n, NodeStatus::kAlive);
         } else {
-          status.MarkDeadWithAncestors(batch[i], pl);  // R2 (Alg. 3 line 36)
+          status.MarkDeadWithAncestors(n, pl);  // R2 (Alg. 3 line 36)
         }
       }
     }
     KWSDBG_ASSIGN_OR_RETURN(TraversalResult result,
                             internal::BuildOutcomes(pl, status));
-    frontier.FillStats(&result.stats);
-    result.stats.total_millis = total.ElapsedMillis();
-    return result;
+    return counters.Finish(std::move(result));
   }
-
- private:
-  ParallelOptions parallel_;
 };
 
 }  // namespace
 
-std::unique_ptr<TraversalStrategy> MakeBottomUpWithReuse(
-    ParallelOptions parallel) {
-  return std::make_unique<BottomUpWithReuseStrategy>(parallel);
+std::unique_ptr<TraversalStrategy> MakeBottomUpWithReuse() {
+  return std::make_unique<BottomUpWithReuseStrategy>();
 }
 
 }  // namespace kwsdbg

@@ -25,10 +25,9 @@ class PaModel;
 struct EvalOptions {
   /// Resolve level-1 nodes from the inverted index / catalog without SQL.
   bool base_nodes_via_index = true;
-  /// Cooperative per-query deadline, shared with the executor and every
-  /// frontier worker (worker evaluators copy these options, so the same
-  /// token reaches all of them). IsAlive polls it before issuing SQL and
-  /// returns kDeadlineExceeded once it fires — never a fabricated verdict.
+  /// Cooperative per-query deadline, shared with the executor. IsAlive
+  /// polls it before issuing SQL and returns kDeadlineExceeded once it
+  /// fires — never a fabricated verdict.
   const CancellationToken* cancellation = nullptr;
   /// Relation fences shared with LiveMutator (see
   /// storage/relation_fences.h). When set, IsAlive holds the fences of the
@@ -40,16 +39,16 @@ struct EvalOptions {
   /// Online p_a model fed by this evaluator's verdicts (see
   /// traversal/pa_model.h): fresh SQL verdicts and level-1 shortcut verdicts
   /// are observed; cache hits and R1/R2-inferred statuses are not — each
-  /// verdict must be sampled exactly once. The model is thread-safe and
-  /// shared (frontier workers copy these options, so the same model sees
-  /// their verdicts too). Null = no observation.
+  /// verdict must be sampled exactly once. The model is thread-safe, so
+  /// the evaluators of every DebugService worker may share it. Null = no
+  /// observation.
   PaModel* pa_model = nullptr;
 };
 
 /// Evaluates node aliveness for one interpretation. Not thread-safe itself
-/// (one evaluator per thread; see FrontierEvaluator), but the optional
-/// VerdictCache it consults is shared and thread-safe. Memoization of
-/// outcomes within a traversal belongs to the strategy (the no-reuse
+/// (one evaluator per strategy run, on the calling thread), but the
+/// optional VerdictCache it consults is shared and thread-safe. Memoization
+/// of outcomes within a traversal belongs to the strategy (the no-reuse
 /// variants deliberately re-execute); the verdict cache adds the *session*
 /// dimension: verdicts persist across interpretations and repeated queries
 /// until the database epoch changes.
@@ -81,10 +80,7 @@ class QueryEvaluator {
   size_t cache_misses() const { return cache_misses_; }
 
   const Executor* executor() const { return executor_; }
-  const Database* db() const { return db_; }
-  const PrunedLattice* pruned_lattice() const { return pl_; }
   const InvertedIndex* index() const { return index_; }
-  const EvalOptions& options() const { return options_; }
   VerdictCache* cache() const { return cache_; }
 
  private:

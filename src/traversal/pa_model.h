@@ -3,7 +3,7 @@
 // keyword-selectivity bucket): every fresh SQL verdict and every level-1
 // shortcut verdict is a free labeled sample, so the debugger feeds them in
 // through EvalOptions::pa_model and later SBH runs read a per-level estimate
-// instead of the fixed 0.5 or the SQL-spending pa_estimator sampling pass.
+// instead of the fixed 0.5.
 //
 // Counters are packed (alive << 32 | total) in one atomic per bucket, so the
 // observe/estimate hot path is a single relaxed fetch_add/load — cheap enough
@@ -38,7 +38,7 @@ struct PaModelOptions {
   /// Pseudo-count weight of the prior (Laplace-style smoothing).
   double prior_strength = 2.0;
   /// Clamp estimates into [lo, hi] — an all-alive or all-dead bucket must
-  /// not collapse SBH into pure TD/BU behaviour (mirrors PaEstimatorOptions).
+  /// not collapse SBH into pure TD/BU behaviour.
   double clamp_lo = 0.1;
   double clamp_hi = 0.9;
 };

@@ -12,20 +12,8 @@
 // W(n_j) + (1-p_a) A(n_j) + p_a D(n_j), which this implementation maintains
 // incrementally: classifying node u subtracts its old W from the D of its
 // ancestors and the A of its descendants.
-//
-// Parallel mode prefetches verdicts speculatively: the top-K nodes by gain
-// are evaluated as one batch, but verdicts are *applied* one at a time at
-// the exact argmax the serial greedy would pick (a verdict is ground truth,
-// so applying it at the serial selection point reproduces the serial status
-// evolution bit for bit). Prefetched verdicts whose node the greedy never
-// reselects cost extra SQL — that SQL still populates the shared verdict
-// cache, so it is recouped across interpretations and repeated queries.
 #include <algorithm>
 
-#include "common/logging.h"
-#include "common/timer.h"
-#include "traversal/pa_estimator.h"
-#include "traversal/parallel_frontier.h"
 #include "traversal/strategies.h"
 
 namespace kwsdbg {
@@ -34,19 +22,15 @@ namespace {
 
 class ScoreBasedStrategy : public TraversalStrategy {
  public:
-  ScoreBasedStrategy(SbhOptions options, ParallelOptions parallel)
-      : options_(options), parallel_(parallel) {}
+  explicit ScoreBasedStrategy(SbhOptions options) : options_(options) {}
 
   std::string_view name() const override { return "SBH"; }
 
   StatusOr<TraversalResult> Run(const PrunedLattice& pl,
                                 QueryEvaluator* evaluator) override {
-    Timer total;
-    FrontierEvaluator frontier(evaluator, parallel_);
+    const internal::RunCounters counters(*evaluator);
     const size_t num_nodes = pl.lattice().num_nodes();
     NodeStatusMap status(num_nodes);
-    double pa = options_.alive_probability;
-    size_t pa_sample_sql = 0;
 
     // Per-level p_a from the adaptive model, snapshotted at run start: the
     // verdicts this run produces feed the model for *later* queries, never
@@ -85,122 +69,48 @@ class ScoreBasedStrategy : public TraversalStrategy {
       for (NodeId desc : pl.RetainedDescendants(u)) a_sum[desc] -= delta;
     };
 
-    // Cancellation exit shared by every deadline check below: classified
+    // Cancellation exit shared by both deadline checks below: classified
     // statuses are all ground truth, so the partial result is safe.
-    auto truncated_result = [&]() -> TraversalResult {
-      TraversalResult partial = internal::BuildTruncatedOutcomes(pl, status);
-      frontier.FillStats(&partial.stats);
-      partial.stats.total_millis = total.ElapsedMillis();
-      partial.stats.pa_sample_sql = pa_sample_sql;
-      return partial;
+    auto truncated = [&] {
+      return counters.Finish(internal::BuildTruncatedOutcomes(pl, status));
     };
 
-    // The sampling pass is retired when an observation-fed model is
-    // attached: the model's estimates cost no SQL at all.
-    if (options_.estimate_pa && options_.pa_model == nullptr) {
-      PaEstimatorOptions est_options;
-      est_options.sample_size = options_.estimator_sample_size;
-      est_options.seed = options_.estimator_seed;
-      StatusOr<PaEstimate> estimate_or =
-          EstimateAliveProbability(pl, evaluator, est_options, &status);
-      if (internal::IsDeadlineExceeded(estimate_or.status())) {
-        return truncated_result();
-      }
-      KWSDBG_ASSIGN_OR_RETURN(PaEstimate estimate, std::move(estimate_or));
-      pa = estimate.alive_probability;
-      pa_sample_sql = estimate.sql_executed;
-      // Fold the sampled classifications into the W/A/D accounting.
-      for (NodeId n : pl.retained()) {
-        if (status.IsKnown(n)) on_classified(n);
-      }
-    }
-
     auto gain_of = [&](NodeId n) {
-      const double p =
-          level_pa.empty() ? pa : level_pa[pl.lattice().node(n).level];
+      const double p = level_pa.empty() ? options_.alive_probability
+                                        : level_pa[pl.lattice().node(n).level];
       return static_cast<double>(w[n]) +
              (1.0 - p) * static_cast<double>(a_sum[n]) +
              p * static_cast<double>(d_sum[n]);
     };
-    // The speculation depth: enough to keep every worker busy without
-    // evaluating far down a ranking the inference rules may invalidate.
-    const size_t prefetch_depth =
-        parallel_.num_threads > 1 ? 2 * parallel_.num_threads : 0;
 
     std::vector<NodeId> unknown = pl.retained();
     std::sort(unknown.begin(), unknown.end());
-    // Prefetched verdicts keyed by batch position: `batch` holds the
-    // speculated nodes, `batch_alive` their verdicts, `batch_consumed`
-    // marks entries already applied. The batch is at most
-    // 2 * num_threads entries, so a linear scan beats a hash map (and
-    // allocates nothing per round).
-    std::vector<std::pair<double, NodeId>> cands;
-    std::vector<NodeId> batch;
-    std::vector<char> batch_alive;
-    std::vector<char> batch_consumed;
-    auto take_prefetched = [&](NodeId n, bool* alive) {
-      for (size_t i = 0; i < batch.size(); ++i) {
-        if (batch[i] == n && !batch_consumed[i]) {
-          batch_consumed[i] = 1;
-          *alive = batch_alive[i] != 0;
-          return true;
-        }
-      }
-      return false;
-    };
     while (!unknown.empty()) {
-      // Compact out classified nodes and rank the survivors by gain. The
-      // serial argmax is the highest gain, first (= lowest node id) wins
-      // ties — `cands` is built in ascending id order, so strict `>` below
-      // reproduces that tie-break exactly.
+      // Compact out classified nodes and pick the highest gain; the first
+      // (= lowest node id) wins ties, since `unknown` stays in ascending id
+      // order and only a strictly greater gain replaces the pick.
       size_t keep = 0;
-      cands.clear();
+      NodeId n = kInvalidNode;
+      double best_gain = 0;
       for (size_t i = 0; i < unknown.size(); ++i) {
-        const NodeId n = unknown[i];
-        if (status.IsKnown(n)) continue;
-        unknown[keep++] = n;
-        cands.emplace_back(gain_of(n), n);
+        const NodeId u = unknown[i];
+        if (status.IsKnown(u)) continue;
+        unknown[keep++] = u;
+        const double gain = gain_of(u);
+        if (n == kInvalidNode || gain > best_gain) {
+          n = u;
+          best_gain = gain;
+        }
       }
       unknown.resize(keep);
       if (unknown.empty()) break;
-      size_t best = 0;
-      for (size_t i = 1; i < cands.size(); ++i) {
-        if (cands[i].first > cands[best].first) best = i;
-      }
-      const NodeId n = cands[best].second;
 
-      if (frontier.cancelled()) return truncated_result();
+      if (evaluator->cancelled()) return truncated();
+      StatusOr<bool> alive = evaluator->IsAlive(n);
+      if (internal::IsDeadlineExceeded(alive.status())) return truncated();
+      KWSDBG_RETURN_NOT_OK(alive.status());
 
-      bool alive;
-      if (take_prefetched(n, &alive)) {
-        // Speculated verdict from an earlier batch — apply it here, at the
-        // exact serial selection point.
-      } else if (prefetch_depth == 0) {
-        StatusOr<bool> alive_or = frontier.EvaluateOne(n);
-        if (internal::IsDeadlineExceeded(alive_or.status())) {
-          return truncated_result();
-        }
-        KWSDBG_ASSIGN_OR_RETURN(alive, std::move(alive_or));
-      } else {
-        // Speculate: batch the current top-K by (gain desc, id asc); the
-        // argmax is first, so its verdict is always available below.
-        const size_t k = std::min(prefetch_depth, cands.size());
-        std::partial_sort(cands.begin(), cands.begin() + k, cands.end(),
-                          [](const auto& a, const auto& b) {
-                            return a.first != b.first ? a.first > b.first
-                                                      : a.second < b.second;
-                          });
-        batch.clear();
-        for (size_t i = 0; i < k; ++i) batch.push_back(cands[i].second);
-        Status st = frontier.EvaluateBatch(batch, &batch_alive);
-        if (internal::IsDeadlineExceeded(st)) return truncated_result();
-        KWSDBG_RETURN_NOT_OK(st);
-        batch_consumed.assign(batch.size(), 0);
-        const bool hit = take_prefetched(n, &alive);
-        KWSDBG_CHECK(hit) << "argmax missing from its own batch";
-      }
-
-      if (alive) {
+      if (*alive) {
         // R1: n and its unknown descendants become alive.
         std::vector<NodeId> newly = {n};
         for (NodeId d : pl.RetainedDescendants(n)) {
@@ -221,22 +131,17 @@ class ScoreBasedStrategy : public TraversalStrategy {
 
     KWSDBG_ASSIGN_OR_RETURN(TraversalResult result,
                             internal::BuildOutcomes(pl, status));
-    frontier.FillStats(&result.stats);
-    result.stats.total_millis = total.ElapsedMillis();
-    result.stats.pa_sample_sql = pa_sample_sql;
-    return result;
+    return counters.Finish(std::move(result));
   }
 
  private:
   SbhOptions options_;
-  ParallelOptions parallel_;
 };
 
 }  // namespace
 
-std::unique_ptr<TraversalStrategy> MakeScoreBased(SbhOptions options,
-                                                  ParallelOptions parallel) {
-  return std::make_unique<ScoreBasedStrategy>(options, parallel);
+std::unique_ptr<TraversalStrategy> MakeScoreBased(SbhOptions options) {
+  return std::make_unique<ScoreBasedStrategy>(options);
 }
 
 }  // namespace kwsdbg

@@ -9,19 +9,18 @@
 namespace kwsdbg {
 
 std::unique_ptr<TraversalStrategy> MakeStrategy(TraversalKind kind,
-                                                SbhOptions sbh,
-                                                ParallelOptions parallel) {
+                                                SbhOptions sbh) {
   switch (kind) {
     case TraversalKind::kBottomUp:
-      return MakeBottomUp(parallel);
+      return MakeBottomUp();
     case TraversalKind::kTopDown:
-      return MakeTopDown(parallel);
+      return MakeTopDown();
     case TraversalKind::kBottomUpWithReuse:
-      return MakeBottomUpWithReuse(parallel);
+      return MakeBottomUpWithReuse();
     case TraversalKind::kTopDownWithReuse:
-      return MakeTopDownWithReuse(parallel);
+      return MakeTopDownWithReuse();
     case TraversalKind::kScoreBased:
-      return MakeScoreBased(sbh, parallel);
+      return MakeScoreBased(sbh);
   }
   return nullptr;
 }
@@ -51,6 +50,51 @@ const std::vector<TraversalKind>& AllTraversalKinds() {
 }
 
 namespace internal {
+
+RunCounters::RunCounters(const QueryEvaluator& evaluator)
+    : evaluator_(evaluator),
+      sql_before_(evaluator.sql_executed()),
+      sql_millis_before_(evaluator.sql_millis()),
+      hits_before_(evaluator.cache_hits()),
+      misses_before_(evaluator.cache_misses()),
+      exec_before_(evaluator.executor()->stats()) {
+  if (evaluator.cache() != nullptr) {
+    evictions_before_ = evaluator.cache()->stats().evictions;
+  }
+}
+
+TraversalResult RunCounters::Finish(TraversalResult result) const {
+  TraversalStats& stats = result.stats;
+  stats.sql_queries = evaluator_.sql_executed() - sql_before_;
+  stats.sql_millis = evaluator_.sql_millis() - sql_millis_before_;
+  stats.cache_hits = evaluator_.cache_hits() - hits_before_;
+  stats.cache_misses = evaluator_.cache_misses() - misses_before_;
+  if (evaluator_.cache() != nullptr) {
+    stats.cache_evictions =
+        evaluator_.cache()->stats().evictions - evictions_before_;
+  }
+  const ExecutorStats& now = evaluator_.executor()->stats();
+  const ExecutorStats& before = exec_before_;
+  stats.posting_hits = now.posting_hits - before.posting_hits;
+  stats.scan_fallbacks = now.keyword_scans - before.keyword_scans;
+  stats.semijoin_eliminations =
+      now.semijoin_eliminations - before.semijoin_eliminations;
+  stats.rows_probed = now.rows_probed - before.rows_probed;
+  stats.rows_filtered = now.rows_filtered - before.rows_filtered;
+  stats.index_builds = now.index_builds - before.index_builds;
+  stats.flat_probes = now.flat_probes - before.flat_probes;
+  stats.prefetch_batches = now.prefetch_batches - before.prefetch_batches;
+  stats.index_build_millis = now.index_build_millis - before.index_build_millis;
+  stats.arena_bytes = now.arena_bytes - before.arena_bytes;
+  stats.index_fallbacks = now.index_fallbacks - before.index_fallbacks;
+  stats.semijoin_fallbacks = now.semijoin_fallbacks - before.semijoin_fallbacks;
+  stats.page_hits = now.page_hits - before.page_hits;
+  stats.page_reads = now.page_reads - before.page_reads;
+  stats.page_evictions = now.page_evictions - before.page_evictions;
+  stats.posting_reads = now.posting_reads - before.posting_reads;
+  stats.total_millis = total_.ElapsedMillis();
+  return result;
+}
 
 std::vector<NodeId> ExtractMpans(const PrunedLattice& pl,
                                  const NodeStatusMap& status, NodeId m) {

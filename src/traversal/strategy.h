@@ -9,6 +9,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/timer.h"
 #include "traversal/evaluator.h"
 #include "traversal/node_status.h"
 #include "traversal/pa_model.h"
@@ -35,21 +36,15 @@ struct MtnOutcome {
 
 /// Work counters for one strategy run.
 struct TraversalStats {
-  size_t sql_queries = 0;   ///< SQL executions (Fig. 11 / Table 4), summed
-                            ///< across the main evaluator and any workers.
-  double sql_millis = 0;    ///< Time inside SQL execution (Fig. 12); with
-                            ///< workers this is CPU-like (can exceed wall).
+  size_t sql_queries = 0;   ///< SQL executions (Fig. 11 / Table 4).
+  double sql_millis = 0;    ///< Time inside SQL execution (Fig. 12).
   double total_millis = 0;  ///< End-to-end traversal time.
   // Verdict-cache traffic (zero when no cache is attached to the evaluator).
   size_t cache_hits = 0;
   size_t cache_misses = 0;
   size_t cache_evictions = 0;  ///< Evictions during this run (cache-wide).
-  // Parallel frontier evaluation (zero when running serially).
-  size_t parallel_rounds = 0;  ///< Batches dispatched to the worker pool.
-  size_t parallel_nodes = 0;   ///< Nodes evaluated by the pool.
-  size_t max_batch = 0;        ///< Largest single batch.
-  // Executor v2 probe-path counters for this run (deltas summed over the
-  // main evaluator's executor and any worker executors).
+  // Executor v2 probe-path counters for this run (deltas of the
+  // evaluator's executor).
   size_t posting_hits = 0;     ///< Keyword match sets from posting lists.
   size_t scan_fallbacks = 0;   ///< Keyword match sets from full LIKE scans.
   size_t semijoin_eliminations = 0;  ///< Probes killed before enumeration.
@@ -74,24 +69,9 @@ struct TraversalStats {
   size_t planner_decisions = 0;  ///< 1 when a StrategyPlanner picked the arm.
   size_t planner_explored = 0;   ///< 1 when that pick was an exploration.
   size_t pa_observations = 0;    ///< Verdicts fed to the PaModel by this run.
-  size_t pa_sample_sql = 0;      ///< SQL spent by the legacy estimate_pa
-                                 ///< sampling pass (already included in
-                                 ///< sql_queries; surfaced so the sampling
-                                 ///< cost is visible on its own).
   std::string planned_strategy;  ///< Planner arm label; empty otherwise.
   std::vector<PaBucketSnapshot> pa_buckets;  ///< Post-run model slice for the
                                              ///< query's selectivity bucket.
-};
-
-/// Frontier-evaluation parallelism knobs (see parallel_frontier.h). The
-/// default is strictly serial, preserving the paper's single-session model.
-struct ParallelOptions {
-  /// Worker threads for batched frontier evaluation; 0 = hardware
-  /// concurrency, 1 = serial (default).
-  size_t num_threads = 1;
-  /// Batches smaller than this run on the calling thread — thread wake-up
-  /// costs more than a couple of first-row-exit probes.
-  size_t min_batch = 2;
 };
 
 /// Result of one strategy run over one interpretation.
@@ -135,31 +115,42 @@ class TraversalStrategy {
 /// SBH parameters (paper uses p_a = 0.5).
 struct SbhOptions {
   double alive_probability = 0.5;
-  /// When true, estimate p_a by sampling a few retained nodes before the
-  /// greedy loop (the paper's future-work suggestion). Sampled outcomes are
-  /// recorded in the run's status map, so the SQL spent on sampling also
-  /// classifies part of the space (that SQL is counted in sql_queries and
-  /// surfaced separately as pa_sample_sql). `alive_probability` is ignored.
-  /// Superseded by `pa_model`, which costs no SQL at all.
-  bool estimate_pa = false;
-  /// Nodes to sample when estimate_pa is set.
-  size_t estimator_sample_size = 16;
-  uint64_t estimator_seed = 1;
   /// Online p_a model (see traversal/pa_model.h). When set, SBH reads a
   /// per-level estimate for the query's selectivity bucket — snapshotted at
   /// run start, so the schedule is deterministic given the model state —
-  /// and the estimate_pa sampling pass is skipped. A cold model yields the
-  /// 0.5 prior everywhere, reproducing static SBH @ 0.5 bit for bit.
+  /// instead of `alive_probability`. A cold model yields the 0.5 prior
+  /// everywhere, reproducing static SBH @ 0.5 bit for bit.
   const PaModel* pa_model = nullptr;
 };
 
-/// Factory. `parallel` configures batched frontier evaluation for every
-/// strategy kind; the default is serial.
+/// Factory.
 std::unique_ptr<TraversalStrategy> MakeStrategy(TraversalKind kind,
-                                                SbhOptions sbh = {},
-                                                ParallelOptions parallel = {});
+                                                SbhOptions sbh = {});
 
 namespace internal {
+
+/// Per-run accounting shared by every strategy: snapshots the evaluator's
+/// SQL and cache counters, its executor's counters and the verdict cache's
+/// eviction count at construction (run start); Finish() stamps the deltas
+/// since then, plus the elapsed wall time, into a result's stats.
+class RunCounters {
+ public:
+  explicit RunCounters(const QueryEvaluator& evaluator);
+
+  /// Fills `result.stats` and returns `result`, so every exit path of a run
+  /// — complete or truncated — reads `return counters.Finish(...)`.
+  TraversalResult Finish(TraversalResult result) const;
+
+ private:
+  const QueryEvaluator& evaluator_;
+  Timer total_;
+  size_t sql_before_;
+  double sql_millis_before_;
+  size_t hits_before_;
+  size_t misses_before_;
+  size_t evictions_before_ = 0;
+  ExecutorStats exec_before_;
+};
 
 /// Extracts the MPANs of dead MTN `m` from a fully classified status map:
 /// alive nodes in Desc(m) none of whose parents inside Desc+(m) is alive

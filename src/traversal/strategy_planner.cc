@@ -202,25 +202,24 @@ size_t StrategyPlanner::buckets() const {
 
 std::unique_ptr<TraversalStrategy> MakeArmStrategy(PlannerArm arm,
                                                    SbhOptions sbh,
-                                                   ParallelOptions parallel,
                                                    const PaModel* pa_model) {
   switch (arm) {
     case PlannerArm::kBottomUp:
-      return MakeBottomUp(parallel);
+      return MakeBottomUp();
     case PlannerArm::kTopDown:
-      return MakeTopDown(parallel);
+      return MakeTopDown();
     case PlannerArm::kBottomUpReuse:
-      return MakeBottomUpWithReuse(parallel);
+      return MakeBottomUpWithReuse();
     case PlannerArm::kTopDownReuse:
-      return MakeTopDownWithReuse(parallel);
+      return MakeTopDownWithReuse();
     case PlannerArm::kSbhFixed:
       sbh.pa_model = nullptr;
-      return MakeScoreBased(sbh, parallel);
+      return MakeScoreBased(sbh);
     case PlannerArm::kSbhAdaptive:
       sbh.pa_model = pa_model;
-      return MakeScoreBased(sbh, parallel);
+      return MakeScoreBased(sbh);
   }
-  return MakeScoreBased(sbh, parallel);
+  return MakeScoreBased(sbh);
 }
 
 }  // namespace kwsdbg

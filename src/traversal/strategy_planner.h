@@ -168,11 +168,9 @@ class AdaptiveState {
 };
 
 /// Builds the strategy an arm denotes. `pa_model` is wired into SBH for the
-/// kSbhAdaptive arm (which also disables the legacy sampling pass); the
-/// other arms ignore it.
+/// kSbhAdaptive arm; the other arms ignore it.
 std::unique_ptr<TraversalStrategy> MakeArmStrategy(PlannerArm arm,
                                                    SbhOptions sbh,
-                                                   ParallelOptions parallel,
                                                    const PaModel* pa_model);
 
 }  // namespace kwsdbg

@@ -1,15 +1,9 @@
 // TD (paper Sec. 2.5.1): classify one MTN at a time, sweeping its sub-lattice
 // from the MTN down to the single-table level; R1 propagates aliveness to all
 // descendants. No sharing across MTNs.
-//
-// Frontier batching: same-level nodes are independent (R1 only reaches
-// strictly lower levels), so each level's unknown nodes are evaluated as one
-// parallel batch and folded in serially — bit-identical to the serial sweep.
 #include <algorithm>
 #include <map>
 
-#include "common/timer.h"
-#include "traversal/parallel_frontier.h"
 #include "traversal/strategies.h"
 
 namespace kwsdbg {
@@ -18,71 +12,49 @@ namespace {
 
 class TopDownStrategy : public TraversalStrategy {
  public:
-  explicit TopDownStrategy(ParallelOptions parallel) : parallel_(parallel) {}
-
   std::string_view name() const override { return "TD"; }
 
   StatusOr<TraversalResult> Run(const PrunedLattice& pl,
                                 QueryEvaluator* evaluator) override {
-    Timer total;
+    const internal::RunCounters counters(*evaluator);
     TraversalResult result;
-    FrontierEvaluator frontier(evaluator, parallel_);
-    std::vector<NodeId> batch;
-    std::vector<char> alive;
     for (NodeId m : pl.mtns()) {
       NodeStatusMap status(pl.lattice().num_nodes());
+      auto truncated = [&] {
+        internal::AppendOutcomeIfKnown(pl, status, m, &result);
+        result.truncated = true;
+        return counters.Finish(std::move(result));
+      };
       std::map<size_t, std::vector<NodeId>, std::greater<size_t>> by_level;
       by_level[pl.lattice().node(m).level].push_back(m);
       for (NodeId d : pl.RetainedDescendants(m)) {
         by_level[pl.lattice().node(d).level].push_back(d);
       }
       for (auto& [level, nodes] : by_level) {
+        if (evaluator->cancelled()) return truncated();
         std::sort(nodes.begin(), nodes.end());
-        batch.clear();
         for (NodeId n : nodes) {
-          if (!status.IsKnown(n)) batch.push_back(n);  // not inferred via R1
-        }
-        Status st = frontier.cancelled()
-                        ? Status::DeadlineExceeded("traversal cancelled")
-                        : frontier.EvaluateBatch(batch, &alive);
-        if (internal::IsDeadlineExceeded(st)) {
-          internal::AppendOutcomeIfKnown(pl, status, m, &result);
-          result.truncated = true;
-          frontier.FillStats(&result.stats);
-          result.stats.total_millis = total.ElapsedMillis();
-          return result;
-        }
-        KWSDBG_RETURN_NOT_OK(st);
-        for (size_t i = 0; i < batch.size(); ++i) {
-          if (alive[i]) {
-            status.MarkAliveWithDescendants(batch[i], pl);
+          if (status.IsKnown(n)) continue;  // inferred via R1
+          StatusOr<bool> alive = evaluator->IsAlive(n);
+          if (internal::IsDeadlineExceeded(alive.status())) return truncated();
+          KWSDBG_RETURN_NOT_OK(alive.status());
+          if (*alive) {
+            status.MarkAliveWithDescendants(n, pl);
           } else {
-            status.Set(batch[i], NodeStatus::kDead);
+            status.Set(n, NodeStatus::kDead);
           }
         }
       }
-      MtnOutcome outcome;
-      outcome.mtn = m;
-      outcome.alive = status.IsAlive(m);
-      if (!outcome.alive) {
-        outcome.mpans = internal::ExtractMpans(pl, status, m);
-        outcome.culprits = internal::ExtractMinimalDead(pl, status, m);
-      }
-      result.outcomes.push_back(std::move(outcome));
+      internal::AppendOutcomeIfKnown(pl, status, m, &result);
     }
-    frontier.FillStats(&result.stats);
-    result.stats.total_millis = total.ElapsedMillis();
-    return result;
+    return counters.Finish(std::move(result));
   }
-
- private:
-  ParallelOptions parallel_;
 };
 
 }  // namespace
 
-std::unique_ptr<TraversalStrategy> MakeTopDown(ParallelOptions parallel) {
-  return std::make_unique<TopDownStrategy>(parallel);
+std::unique_ptr<TraversalStrategy> MakeTopDown() {
+  return std::make_unique<TopDownStrategy>();
 }
 
 }  // namespace kwsdbg

@@ -1,14 +1,8 @@
 // TDWR (paper Sec. 2.5.2): the top-down twin of BUWR — one global top-down
 // sweep with a shared status map; R1 propagates aliveness downward across
 // all MTNs' sub-lattices at once.
-//
-// Frontier batching: R1 from a node only reaches strictly lower levels, so
-// each level's unknown nodes form an independent parallel batch; serial
-// fold-in keeps the classification bit-identical to the serial sweep.
 #include <algorithm>
 
-#include "common/timer.h"
-#include "traversal/parallel_frontier.h"
 #include "traversal/strategies.h"
 
 namespace kwsdbg {
@@ -17,59 +11,41 @@ namespace {
 
 class TopDownWithReuseStrategy : public TraversalStrategy {
  public:
-  explicit TopDownWithReuseStrategy(ParallelOptions parallel)
-      : parallel_(parallel) {}
-
   std::string_view name() const override { return "TDWR"; }
 
   StatusOr<TraversalResult> Run(const PrunedLattice& pl,
                                 QueryEvaluator* evaluator) override {
-    Timer total;
+    const internal::RunCounters counters(*evaluator);
     NodeStatusMap status(pl.lattice().num_nodes());
-    FrontierEvaluator frontier(evaluator, parallel_);
-    std::vector<NodeId> batch;
-    std::vector<char> alive;
+    auto truncated = [&] {
+      return counters.Finish(internal::BuildTruncatedOutcomes(pl, status));
+    };
     for (size_t level = pl.MaxRetainedLevel(); level >= 1; --level) {
+      if (evaluator->cancelled()) return truncated();
       std::vector<NodeId> nodes = pl.RetainedAtLevel(level);
       std::sort(nodes.begin(), nodes.end());
-      batch.clear();
       for (NodeId n : nodes) {
-        if (!status.IsKnown(n)) batch.push_back(n);  // shared or inferred
-      }
-      Status st = frontier.cancelled()
-                      ? Status::DeadlineExceeded("traversal cancelled")
-                      : frontier.EvaluateBatch(batch, &alive);
-      if (internal::IsDeadlineExceeded(st)) {
-        TraversalResult partial = internal::BuildTruncatedOutcomes(pl, status);
-        frontier.FillStats(&partial.stats);
-        partial.stats.total_millis = total.ElapsedMillis();
-        return partial;
-      }
-      KWSDBG_RETURN_NOT_OK(st);
-      for (size_t i = 0; i < batch.size(); ++i) {
-        if (alive[i]) {
-          status.MarkAliveWithDescendants(batch[i], pl);  // R1
+        if (status.IsKnown(n)) continue;  // shared or inferred
+        StatusOr<bool> alive = evaluator->IsAlive(n);
+        if (internal::IsDeadlineExceeded(alive.status())) return truncated();
+        KWSDBG_RETURN_NOT_OK(alive.status());
+        if (*alive) {
+          status.MarkAliveWithDescendants(n, pl);  // R1
         } else {
-          status.Set(batch[i], NodeStatus::kDead);
+          status.Set(n, NodeStatus::kDead);
         }
       }
     }
     KWSDBG_ASSIGN_OR_RETURN(TraversalResult result,
                             internal::BuildOutcomes(pl, status));
-    frontier.FillStats(&result.stats);
-    result.stats.total_millis = total.ElapsedMillis();
-    return result;
+    return counters.Finish(std::move(result));
   }
-
- private:
-  ParallelOptions parallel_;
 };
 
 }  // namespace
 
-std::unique_ptr<TraversalStrategy> MakeTopDownWithReuse(
-    ParallelOptions parallel) {
-  return std::make_unique<TopDownWithReuseStrategy>(parallel);
+std::unique_ptr<TraversalStrategy> MakeTopDownWithReuse() {
+  return std::make_unique<TopDownWithReuseStrategy>();
 }
 
 }  // namespace kwsdbg

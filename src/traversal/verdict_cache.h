@@ -6,7 +6,7 @@
 // relation-set fingerprint over the per-table data epochs of the relations
 // the network binds) lets a session skip the SQL entirely when the same
 // sub-query recurs — across interpretations of one query, across repeated
-// queries, and across concurrent frontier workers — while a live write to
+// queries, and across the workers of a DebugService — while a live write to
 // one table invalidates only the verdicts that bound it: unrelated verdicts
 // keep matching because their fingerprint omits the mutated table's epoch.
 // Thread-safe (sharded LRU inside).
@@ -57,7 +57,8 @@ struct VerdictValue {
 /// Point-in-time counters (see LruCacheStats for field semantics).
 using VerdictCacheStats = LruCacheStats;
 
-/// Session-scoped aliveness memo shared by evaluators and frontier workers.
+/// Aliveness memo shared by the evaluators of one session, or of every
+/// DebugService worker.
 class VerdictCache {
  public:
   /// `capacity` bounds resident verdicts; entries are ~100 bytes each.

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "debugger/non_answer_debugger.h"
 #include "test_util.h"
 #include "traversal/strategies.h"
@@ -42,8 +45,10 @@ class VerdictCacheTraversalTest : public testing::Test {
                   {"candle", {fx_.ptype, 1}}}),
         pl_(PrunedLattice::Build(*fx_.lattice, binding_)) {}
 
-  TraversalResult RunWithCache(VerdictCache* cache) {
-    auto strategy = MakeStrategy(TraversalKind::kBottomUpWithReuse);
+  TraversalResult RunWithCache(
+      VerdictCache* cache,
+      TraversalKind kind = TraversalKind::kBottomUpWithReuse) {
+    auto strategy = MakeStrategy(kind);
     Executor executor(fx_.db.get());
     QueryEvaluator evaluator(fx_.db.get(), &executor, &pl_, fx_.index.get(),
                              EvalOptions{}, cache);
@@ -58,23 +63,52 @@ class VerdictCacheTraversalTest : public testing::Test {
 };
 
 TEST_F(VerdictCacheTraversalTest, SecondTraversalNeedsNoSql) {
-  VerdictCache cache;
-  TraversalResult cold = RunWithCache(&cache);
-  ASSERT_GT(cold.stats.sql_queries, 0u);
-  EXPECT_EQ(cold.stats.cache_hits, 0u);
-  EXPECT_EQ(cold.stats.cache_misses, cold.stats.sql_queries);
+  for (TraversalKind kind : AllTraversalKinds()) {
+    SCOPED_TRACE(std::string(TraversalKindName(kind)));
+    VerdictCache cache;
+    TraversalResult cold = RunWithCache(&cache, kind);
+    ASSERT_GT(cold.stats.sql_queries, 0u);
+    EXPECT_EQ(cold.stats.cache_hits, 0u);
+    EXPECT_EQ(cold.stats.cache_misses, cold.stats.sql_queries);
 
-  // A fresh evaluator over the same lattice + binding: every non-base
-  // verdict is already cached, so no SQL runs and nothing changes.
-  TraversalResult warm = RunWithCache(&cache);
-  EXPECT_EQ(warm.stats.sql_queries, 0u);
-  EXPECT_EQ(warm.stats.cache_hits, cold.stats.cache_misses);
-  EXPECT_EQ(Summarize(warm), Summarize(cold));
+    // A fresh evaluator over the same lattice + binding: every non-base
+    // verdict is already cached, so no SQL runs and nothing changes.
+    TraversalResult warm = RunWithCache(&cache, kind);
+    EXPECT_EQ(warm.stats.sql_queries, 0u);
+    EXPECT_EQ(warm.stats.cache_hits, cold.stats.cache_misses);
+    EXPECT_EQ(Summarize(warm), Summarize(cold));
 
-  // And the cache never changes classifications vs. running without one.
-  TraversalResult uncached = RunWithCache(nullptr);
-  EXPECT_EQ(Summarize(uncached), Summarize(cold));
-  EXPECT_EQ(uncached.stats.cache_hits + uncached.stats.cache_misses, 0u);
+    // And the cache never changes classifications vs. running without one.
+    TraversalResult uncached = RunWithCache(nullptr, kind);
+    EXPECT_EQ(Summarize(uncached), Summarize(cold));
+    EXPECT_EQ(uncached.stats.cache_hits + uncached.stats.cache_misses, 0u);
+  }
+}
+
+// Warm reruns on several threads at once through one cache, as the workers
+// of a DebugService share theirs: each rerun finds every verdict the cold
+// run cached, so none issues SQL and all agree with the cold run.
+using ParallelAgreementTest = VerdictCacheTraversalTest;
+
+TEST_F(ParallelAgreementTest, SharedCacheMakesParallelRerunsSqlFree) {
+  constexpr int kThreads = 4;
+  for (TraversalKind kind : AllTraversalKinds()) {
+    SCOPED_TRACE(std::string(TraversalKindName(kind)));
+    VerdictCache cache;
+    TraversalResult cold = RunWithCache(&cache, kind);
+    ASSERT_GT(cold.stats.sql_queries, 0u);
+    std::vector<TraversalResult> warm(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] { warm[t] = RunWithCache(&cache, kind); });
+    }
+    for (std::thread& t : threads) t.join();
+    for (const TraversalResult& rerun : warm) {
+      EXPECT_EQ(rerun.stats.sql_queries, 0u);
+      EXPECT_GT(rerun.stats.cache_hits, 0u);
+      EXPECT_EQ(Summarize(rerun), Summarize(cold));
+    }
+  }
 }
 
 TEST_F(VerdictCacheTraversalTest, EpochBumpInvalidatesVerdicts) {
