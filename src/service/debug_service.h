@@ -116,8 +116,7 @@ struct ServiceStats {
   /// under fault injection; see common/fault_injector.h).
   size_t index_fallbacks = 0;
   size_t semijoin_fallbacks = 0;
-  /// Probe-engine-v3 traffic summed over the batch (zero when the flat
-  /// engine is disabled in the debugger's executor options).
+  /// Join-index probe traffic summed over the batch.
   size_t flat_probes = 0;
   size_t prefetch_batches = 0;
   /// Out-of-core I/O summed over the batch (zero when every table and the

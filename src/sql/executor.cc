@@ -189,13 +189,6 @@ const Executor::KeywordMatches& Executor::GetKeywordMatches(
       .first->second;
 }
 
-const RowIndex& Executor::GetJoinIndex(const Table* table, size_t column) {
-  const size_t before = indexes_.num_indexes();
-  const RowIndex& index = indexes_.GetOrBuild(table, column);
-  stats_.index_builds += indexes_.num_indexes() - before;
-  return index;
-}
-
 const FlatRowIndex& Executor::GetFlatIndex(const Table* table,
                                            size_t column) {
   if (options_.shared_flat_indexes != nullptr) {
@@ -223,19 +216,53 @@ const FlatRowIndex& Executor::GetFlatIndex(const Table* table,
 
 RowSpan Executor::ProbeJoinIndex(const Table* table, size_t column,
                                  const Value& v) {
-  if (options_.flat_index) {
-    ++stats_.flat_probes;
-    return GetFlatIndex(table, column).Lookup(v);
-  }
-  return RowSpan::Of(GetJoinIndex(table, column).Lookup(v));
+  ++stats_.flat_probes;
+  return GetFlatIndex(table, column).Lookup(v);
 }
 
 void Executor::ClearCaches() {
-  indexes_.Clear();
   flat_indexes_.Clear();
   keyword_cache_.clear();
   infix_cache_.clear();
   table_cache_epochs_.clear();
+}
+
+void Executor::RevalidateCaches(const JoinNetworkQuery& query) {
+  // Session caches (join indexes, keyword match sets) describe one database
+  // state; a mutation + BumpEpoch() between queries makes them stale, so a
+  // long-lived session (e.g. a service worker) drops them here instead of
+  // serving rows that no longer exist.
+  if (db_->epoch() != cache_epoch_) {
+    ClearCaches();
+    cache_epoch_ = db_->epoch();
+  }
+  if (text_index_ != nullptr && text_index_->version() != index_version_) {
+    // A vocabulary change re-finalized the dictionary: cached term ids are
+    // meaningless (row match sets keyed by table stay valid — the mutated
+    // table's are dropped below via its data epoch).
+    infix_cache_.clear();
+    index_version_ = text_index_->version();
+  }
+  // Relation-scoped invalidation (live writes): a LiveMutator bumps only the
+  // written table's data epoch, so drop only that table's match sets and
+  // join indexes — every other table's caches stay warm. Must run before
+  // PrepareQuery, whose candidate counting already reads the caches.
+  for (const QueryVertex& qv : query.vertices) {
+    const Table* t = db_->FindTable(qv.table);
+    if (t == nullptr) continue;  // Validate() in PrepareQuery reports it.
+    auto [it, inserted] = table_cache_epochs_.try_emplace(t, t->data_epoch());
+    if (!inserted && it->second != t->data_epoch()) {
+      for (auto kit = keyword_cache_.begin(); kit != keyword_cache_.end();) {
+        if (kit->first.first == t) {
+          kit = keyword_cache_.erase(kit);
+        } else {
+          ++kit;
+        }
+      }
+      flat_indexes_.EraseTable(t);
+      it->second = t->data_epoch();
+    }
+  }
 }
 
 namespace {
@@ -354,50 +381,15 @@ StatusOr<bool> Executor::RunJoin(const JoinNetworkQuery& query, size_t limit,
   // the in-memory hot path byte-identical to the previous engine.
   spill_mode_ =
       db_->AnySpilled() || (text_index_ != nullptr && text_index_->spilled());
-  // Session caches (join indexes, keyword match sets) describe one database
-  // state; a mutation + BumpEpoch() between queries makes them stale, so a
-  // long-lived session (e.g. a service worker) drops them here instead of
-  // serving rows that no longer exist.
-  if (db_->epoch() != cache_epoch_) {
-    ClearCaches();
-    cache_epoch_ = db_->epoch();
-  }
-  // Relation-scoped invalidation (live writes): a LiveMutator bumps only the
-  // written table's data epoch, so drop only that table's match sets and
-  // join indexes — every other table's caches stay warm. Must run before
-  // PrepareQuery, whose candidate counting already reads the caches.
-  if (text_index_ != nullptr && text_index_->version() != index_version_) {
-    // A vocabulary change re-finalized the dictionary: cached term ids are
-    // meaningless (row match sets keyed by table stay valid — the mutated
-    // table's are dropped below via its data epoch).
-    infix_cache_.clear();
-    index_version_ = text_index_->version();
-  }
-  for (const QueryVertex& qv : query.vertices) {
-    const Table* t = db_->FindTable(qv.table);
-    if (t == nullptr) continue;  // Validate() in PrepareQuery reports it.
-    auto [it, inserted] = table_cache_epochs_.try_emplace(t, t->data_epoch());
-    if (!inserted && it->second != t->data_epoch()) {
-      for (auto kit = keyword_cache_.begin(); kit != keyword_cache_.end();) {
-        if (kit->first.first == t) {
-          kit = keyword_cache_.erase(kit);
-        } else {
-          ++kit;
-        }
-      }
-      indexes_.EraseTable(t);
-      flat_indexes_.EraseTable(t);
-      it->second = t->data_epoch();
-    }
-  }
+  RevalidateCaches(query);
   // Deadline polling: once at entry (cheap rejection of work already past
   // its budget) and every kCancelCheckStride probed rows inside the
   // backtracking loop — the only place a single query's work is unbounded.
   constexpr size_t kCancelCheckStride = 1024;
-  // Batched probe pipeline (engine v3): windows of kPrefetchWindow probe
-  // keys are hashed and their buckets prefetched before the window drains,
-  // engaged only on loops with at least kBatchMinProbes candidates —
-  // below that the window never leaves L1 anyway.
+  // Batched probe pipeline: windows of kPrefetchWindow probe keys are
+  // hashed and their buckets prefetched before the window drains, engaged
+  // only on loops with at least kBatchMinProbes candidates — below that the
+  // window never leaves L1 anyway.
   constexpr size_t kPrefetchWindow = 16;
   constexpr size_t kBatchMinProbes = 32;
   auto deadline_fired = [this] {
@@ -533,7 +525,7 @@ StatusOr<bool> Executor::RunJoin(const JoinNetworkQuery& query, size_t limit,
       changed = false;
       for (size_t v = 0; v < n; ++v) {
         for (const VertexConstraint& vc : pq.constraints[v]) {
-          // RowIndex lookups use structural equality; restrict the pass to
+          // Index lookups use structural equality; restrict the pass to
           // same-type column pairs so SqlEquals semantics (int==double)
           // are never narrowed.
           if (!same_type(vc, v)) continue;
@@ -586,17 +578,11 @@ StatusOr<bool> Executor::RunJoin(const JoinNetworkQuery& query, size_t limit,
             std::vector<uint32_t> kept;
             kept.reserve(cu.rows.size());
             // One probe per candidate row — the batched pipeline's home
-            // turf. Windows are drained strictly in order, so `kept` (and
-            // every downstream verdict) is byte-identical with batching
-            // off; the prefetches only warm the cache.
-            const FlatRowIndex* flat =
-                options_.flat_index ? &GetFlatIndex(pw.table, vc.other_column)
-                                    : nullptr;
-            const RowIndex* legacy =
-                options_.flat_index ? nullptr
-                                    : &GetJoinIndex(pw.table, vc.other_column);
-            const bool batched = flat != nullptr && options_.batched_probe &&
-                                 cu.rows.size() >= kBatchMinProbes;
+            // turf. Windows are drained strictly in order, so `kept` equals
+            // what one-key-at-a-time probing keeps; the prefetches only warm
+            // the cache.
+            const FlatRowIndex& flat = GetFlatIndex(pw.table, vc.other_column);
+            const bool batched = cu.rows.size() >= kBatchMinProbes;
             uint64_t win_hash[kPrefetchWindow];
             for (size_t base = 0; base < cu.rows.size();
                  base += kPrefetchWindow) {
@@ -609,21 +595,17 @@ StatusOr<bool> Executor::RunJoin(const JoinNetworkQuery& query, size_t limit,
                       pu.table->at(cu.rows[base + j], vc.own_column);
                   if (val.is_null()) continue;
                   win_hash[j] = val.Hash64();
-                  flat->PrefetchBucket(win_hash[j]);
+                  flat.PrefetchBucket(win_hash[j]);
                 }
               }
               for (size_t j = 0; j < w; ++j) {
                 const uint32_t row = cu.rows[base + j];
                 const Value& val = pu.table->at(row, vc.own_column);
                 RowSpan matched;
-                if (flat != nullptr) {
-                  ++stats_.flat_probes;
-                  if (!val.is_null()) {
-                    matched = batched ? flat->LookupHashed(win_hash[j], val)
-                                      : flat->Lookup(val);
-                  }
-                } else {
-                  matched = RowSpan::Of(legacy->Lookup(val));
+                ++stats_.flat_probes;
+                if (!val.is_null()) {
+                  matched = batched ? flat.LookupHashed(win_hash[j], val)
+                                    : flat.Lookup(val);
                 }
                 bool match = false;
                 for (uint32_t nrow : matched) {
@@ -754,8 +736,7 @@ StatusOr<bool> Executor::RunJoin(const JoinNetworkQuery& query, size_t limit,
     const size_t count = f.use_candidates
                              ? f.candidates.size()
                              : pq.vertices[v].table->num_rows();
-    if (options_.flat_index && options_.batched_probe && d + 1 < n &&
-        count >= kBatchMinProbes) {
+    if (d + 1 < n && count >= kBatchMinProbes) {
       // The next depth's probe constraint is deterministic: init_frame(d+1)
       // picks the first constraint of order[d+1] whose other side lies in
       // the prefix order[0..d]. When that other side is *this* vertex, each
@@ -866,6 +847,7 @@ StatusOr<bool> Executor::IsNonEmpty(const JoinNetworkQuery& query) {
 }
 
 StatusOr<std::string> Executor::Explain(const JoinNetworkQuery& query) {
+  RevalidateCaches(query);
   auto keyword_count = [this](const Table* table, const std::string& kw) {
     return GetKeywordMatches(table, kw).count;
   };

@@ -3,28 +3,26 @@
 // per-session caches (join-column hash indexes, keyword match sets) that
 // model a warm DBMS.
 //
-// Evaluation pipeline (executor v2):
+// Evaluation pipeline:
 //   1. candidate sourcing   — keyword candidates come from the registered
 //      inverted index (posting lists, Lucene-style `*kw*` dictionary scan)
 //      when possible, falling back to a full LIKE scan otherwise;
 //   2. semijoin reduction   — each vertex's candidate set is intersected
 //      against its join neighbors' join-column value sets (via the cached
-//      RowIndex hash indexes) before enumeration, so dead networks die
+//      FlatRowIndex hash indexes) before enumeration, so dead networks die
 //      without a single backtracking step;
 //   3. backtracking join    — smallest-candidate-first instance order with
-//      join-column index probes;
+//      FlatRowIndex probes on join columns;
 //   4. existence mode       — IsNonEmpty stops at the first witness without
 //      materializing rows or column headers.
 //
-// Probe engine v3 (default; see sql/flat_row_index.h): join-column probes go
-// to flat open-addressing hash indexes over 64-bit key hashes with row-id
-// runs in one contiguous arena, and hot probe loops run a DRAMHiT-style
+// Join-column probes go to flat open-addressing hash indexes over 64-bit key
+// hashes with row-id runs in one contiguous arena (sql/flat_row_index.h).
+// Probe loops over at least kBatchMinProbes candidates run a DRAMHiT-style
 // batched pipeline — hash a window of upcoming probe keys, software-prefetch
-// their buckets, then drain the window in order. Result rows, their order,
-// the kCancelCheckStride cancellation points, and the executor.join.probe
-// fault point are all bit-identical to the v2 unordered_map path
-// (`flat_index`/`batched_probe` toggles select the engine; the
-// probe_engine_workload bench gates the parity).
+// their buckets, then drain the window in order — so result rows, their
+// order, the kCancelCheckStride cancellation points and the
+// executor.join.probe fault point are the same as probing one key at a time.
 #ifndef KWSDBG_SQL_EXECUTOR_H_
 #define KWSDBG_SQL_EXECUTOR_H_
 
@@ -37,7 +35,6 @@
 #include "common/status.h"
 #include "sql/flat_row_index.h"
 #include "sql/join_network.h"
-#include "sql/row_index.h"
 #include "storage/database.h"
 #include "text/inverted_index.h"
 
@@ -54,21 +51,13 @@ struct ResultSet {
   std::string ToString(size_t max_rows = 20) const;
 };
 
-/// Executor v2 feature toggles (benchmarks compare the "before" scan-based
-/// path against the index-backed one by flipping these off).
+/// Executor options. The two feature toggles let benchmarks compare the
+/// scan-based path (both off) against the index-backed default.
 struct ExecutorOptions {
   /// Source keyword candidates from a registered inverted index.
   bool use_text_index = true;
   /// Run the semijoin pre-reduction pass before the backtracking join.
   bool semijoin_reduction = true;
-  /// Probe engine v3: join-column probes via FlatRowIndex (open-addressing
-  /// buckets + contiguous row arena) instead of the v2 unordered_map-based
-  /// RowIndex. Identical results and order; different memory layout.
-  bool flat_index = true;
-  /// Batched probe pipeline (requires flat_index): when a probe loop's
-  /// candidate set is large enough, hash a window of upcoming probe keys and
-  /// software-prefetch their buckets before draining the window in order.
-  bool batched_probe = true;
   /// Cooperative deadline: when set, long probes poll the token between row
   /// batches and unwind with kDeadlineExceeded once it fires. A cancelled
   /// probe produces no verdict and leaves session caches consistent (only
@@ -100,7 +89,6 @@ struct ExecutorStats {
   size_t semijoin_eliminations = 0;  ///< Queries proven empty by the
                                      ///< pre-reduction pass alone.
   size_t index_builds = 0;      ///< Join-column hash indexes built.
-  // Probe engine v3 (zero when flat_index is off).
   size_t flat_probes = 0;       ///< Lookups answered by a FlatRowIndex.
   size_t prefetch_batches = 0;  ///< Prefetch windows issued by the batched
                                 ///< probe pipeline.
@@ -178,15 +166,17 @@ class Executor {
   /// next fetch, so callers resolve one id at a time via PostingsForTermId.
   const std::vector<uint32_t>& InfixTermIds(const std::string& keyword);
 
-  /// indexes_.GetOrBuild with build accounting (v2 engine).
-  const RowIndex& GetJoinIndex(const Table* table, size_t column);
-
-  /// flat_indexes_.GetOrBuild with build accounting (v3 engine).
+  /// The flat index over (table, column) — from the service-shared tier
+  /// when one is set, else the session's own — with build accounting.
   const FlatRowIndex& GetFlatIndex(const Table* table, size_t column);
 
-  /// Engine-dispatching probe: rows of (table, column) structurally equal
-  /// to `v`, through whichever index the options select.
+  /// Rows of (table, column) structurally equal to `v`.
   RowSpan ProbeJoinIndex(const Table* table, size_t column, const Value& v);
+
+  /// Cache-validity prologue shared by RunJoin and Explain: drops session
+  /// caches a database epoch bump, an index vocabulary change, or a write to
+  /// one of the query's tables made stale.
+  void RevalidateCaches(const JoinNetworkQuery& query);
 
   /// Shared core of Execute/IsNonEmpty. Returns whether at least one result
   /// exists; materializes rows into `out` unless it is null (existence
@@ -197,16 +187,16 @@ class Executor {
   const Database* db_;
   ExecutorOptions options_;
   const InvertedIndex* text_index_ = nullptr;
-  RowIndexManager indexes_;
   FlatRowIndexManager flat_indexes_;
   std::unordered_map<std::pair<const Table*, std::string>, KeywordMatches,
                      PairHash>
       keyword_cache_;
   std::unordered_map<std::string, std::vector<uint32_t>> infix_cache_;
-  /// Per-table data epochs the session caches were built against. RunJoin
-  /// compares them for the query's tables and drops only the stale tables'
-  /// keyword match sets and join indexes (relation-scoped invalidation: a
-  /// write to Person leaves a warm session's Movie caches untouched).
+  /// Per-table data epochs the session caches were built against.
+  /// RevalidateCaches compares them for the query's tables and drops only
+  /// the stale tables' keyword match sets and join indexes (relation-scoped
+  /// invalidation: a write to Person leaves a warm session's Movie caches
+  /// untouched).
   std::unordered_map<const Table*, uint64_t> table_cache_epochs_;
   /// InvertedIndex::version() the infix cache (term ids) was built against;
   /// a vocabulary change re-finalizes the dictionary and re-assigns ids.
@@ -216,7 +206,7 @@ class Executor {
   /// resident hot path stays byte-identical to the in-memory engine.
   bool spill_mode_ = false;
   /// Database::epoch() the session caches were built against; a mismatch at
-  /// query entry drops them (see RunJoin).
+  /// query entry drops them (see RevalidateCaches).
   uint64_t cache_epoch_ = 0;
   ExecutorStats stats_;
 };

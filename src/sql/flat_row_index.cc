@@ -90,8 +90,8 @@ FlatRowIndex FlatRowIndex::Build(const Table& table, size_t column) {
 
   // Pass B: re-probe each row (same probe sequence, so it lands on the same
   // bucket) and append it to the run. Rows are visited in ascending order,
-  // so every run ends up ascending — exactly the order the v2 per-key
-  // vectors accumulated, which the parity gates depend on.
+  // so every run ends up ascending — the order a column scan visits them,
+  // which the executor's result order depends on.
   for (size_t i = 0; i < rows.size(); ++i) {
     const uint64_t h = hashes[i];
     uint64_t slot = h & index.mask_;
@@ -274,13 +274,6 @@ const FlatRowIndex& FlatRowIndexManager::GetOrBuild(const Table* table,
              .emplace(key, std::make_unique<FlatRowIndex>(
                                FlatRowIndex::Build(*table, column)))
              .first;
-    const FlatIndexStats& s = it->second->stats();
-    totals_.build_millis += s.build_millis;
-    totals_.distinct_keys += s.distinct_keys;
-    totals_.max_run_length =
-        std::max(totals_.max_run_length, s.max_run_length);
-    totals_.arena_bytes += s.arena_bytes;
-    totals_.bucket_bytes += s.bucket_bytes;
   }
   return *it->second;
 }
@@ -319,13 +312,6 @@ const FlatRowIndex& SharedFlatRowIndexManager::GetOrBuildLocked(
     e.table_epoch = table->data_epoch();
     it = cache_.emplace(key, std::move(e)).first;
     did_build = true;
-    const FlatIndexStats& s = it->second.index->stats();
-    totals_.build_millis += s.build_millis;
-    totals_.distinct_keys += s.distinct_keys;
-    totals_.max_run_length = std::max(totals_.max_run_length,
-                                      s.max_run_length);
-    totals_.arena_bytes += s.arena_bytes;
-    totals_.bucket_bytes += s.bucket_bytes;
   }
   if (built != nullptr) *built = did_build;
   return *it->second.index;
@@ -413,11 +399,6 @@ void SharedFlatRowIndexManager::Clear() {
 size_t SharedFlatRowIndexManager::num_indexes() const {
   std::lock_guard<std::mutex> lock(mu_);
   return cache_.size();
-}
-
-FlatIndexStats SharedFlatRowIndexManager::totals() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return totals_;
 }
 
 }  // namespace kwsdbg

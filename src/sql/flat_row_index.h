@@ -1,11 +1,10 @@
-// Probe engine v3: cache-conscious join-column indexes.
+// The executor's probe engine: cache-conscious join-column indexes.
 //
-// `FlatRowIndex` replaces the v2 `RowIndex`
-// (std::unordered_map<Value, std::vector<uint32_t>>) with an open-addressing,
-// power-of-two, linear-probing hash table over 64-bit type-tagged key hashes
-// (storage/value.h Hash64). Row ids live in one contiguous uint32_t arena —
-// one run per distinct key, rows ascending — instead of per-key vectors, so a
-// probe is: one bucket cache line, one verification cell, one arena run.
+// `FlatRowIndex` is an open-addressing, power-of-two, linear-probing hash
+// table over 64-bit type-tagged key hashes (storage/value.h Hash64). Row ids
+// live in one contiguous uint32_t arena — one run per distinct key, rows
+// ascending — instead of per-key vectors, so a probe is: one bucket cache
+// line, one verification cell, one arena run.
 // Hash collisions are resolved DRAMHiT-style by verifying the probe value
 // against the indexed column itself (the run's first row is the
 // representative), which keeps buckets at 16 bytes with no stored keys and
@@ -67,7 +66,7 @@ struct FlatIndexStats {
 
 /// value -> row-id run for one (table, column). NULL cells are not indexed
 /// (SQL equality never matches NULL). Lookup uses structural equality
-/// (Value::operator==), exactly like the v2 RowIndex.
+/// (Value::operator==).
 class FlatRowIndex {
  public:
   /// Hash of one bucket slot: 64-bit key hash + [run_begin, run_begin+len)
@@ -105,12 +104,6 @@ class FlatRowIndex {
     }
   }
 
-  /// Prefetches the head of a run returned by a bucket hit, for pipelines
-  /// that resolve buckets one window before consuming row ids.
-  void PrefetchRun(const RowSpan& run) const {
-    if (!run.empty()) __builtin_prefetch(run.data, /*rw=*/0, /*locality=*/1);
-  }
-
   /// Patches the index after `row` gained value `v` in the indexed column
   /// (append, or the new value of an update). The table must already hold
   /// `v` at (row, column) — run verification reads it. NULL is a no-op.
@@ -127,7 +120,6 @@ class FlatRowIndex {
   const FlatIndexStats& stats() const { return stats_; }
   size_t num_keys() const { return stats_.distinct_keys; }
   size_t capacity() const { return buckets_.size(); }
-  size_t arena_garbage() const { return garbage_; }
 
  private:
   /// Rebuilds the bucket array at `new_capacity` from the live buckets
@@ -147,8 +139,7 @@ class FlatRowIndex {
   FlatIndexStats stats_;
 };
 
-/// Lazy cache of FlatRowIndex instances keyed by (table, column), with
-/// accumulated build-cost stats across every index it owns.
+/// Lazy cache of FlatRowIndex instances keyed by (table, column).
 class FlatRowIndexManager {
  public:
   const FlatRowIndex& GetOrBuild(const Table* table, size_t column);
@@ -161,15 +152,10 @@ class FlatRowIndexManager {
 
   size_t num_indexes() const { return cache_.size(); }
 
-  /// Sum of per-index stats over everything built so far (survives Clear()
-  /// is NOT required — counters are harvested into ExecutorStats on build).
-  const FlatIndexStats& totals() const { return totals_; }
-
  private:
   std::unordered_map<std::pair<const Table*, size_t>,
                      std::unique_ptr<FlatRowIndex>, PairHash>
       cache_;
-  FlatIndexStats totals_;
 };
 
 /// Thread-safe, epoch-aware flat-index tier shared by the workers of a
@@ -211,8 +197,6 @@ class SharedFlatRowIndexManager {
 
   void Clear();
   size_t num_indexes() const;
-  /// Accumulated build-cost stats over every index built (any epoch).
-  FlatIndexStats totals() const;
 
  private:
   struct Entry {
@@ -226,8 +210,7 @@ class SharedFlatRowIndexManager {
   mutable std::mutex mu_;
   uint64_t epoch_ = 0;  // guarded by mu_
   std::unordered_map<std::pair<const Table*, size_t>, Entry, PairHash>
-      cache_;                // guarded by mu_
-  FlatIndexStats totals_;    // guarded by mu_; survives epoch clears
+      cache_;  // guarded by mu_
 };
 
 }  // namespace kwsdbg

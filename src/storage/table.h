@@ -176,7 +176,7 @@ class Table : public PageWriter {
   /// Monotonic per-table content version. LiveMutator bumps it after every
   /// mutation (and Compact() bumps it itself); Database::BumpEpoch() bumps
   /// every table's data epoch so legacy full invalidation still works.
-  /// Epoch-stamped caches (flat/row indexes, executor session caches,
+  /// Epoch-stamped caches (flat indexes, executor session caches,
   /// verdict relation-set fingerprints) compare against this to invalidate
   /// only structures over the mutated table.
   uint64_t data_epoch() const {

@@ -43,7 +43,7 @@ struct TraversalStats {
   size_t cache_hits = 0;
   size_t cache_misses = 0;
   size_t cache_evictions = 0;  ///< Evictions during this run (cache-wide).
-  // Executor v2 probe-path counters for this run (deltas of the
+  // Executor probe-path counters for this run (deltas of the
   // evaluator's executor).
   size_t posting_hits = 0;     ///< Keyword match sets from posting lists.
   size_t scan_fallbacks = 0;   ///< Keyword match sets from full LIKE scans.
@@ -51,7 +51,7 @@ struct TraversalStats {
   size_t rows_probed = 0;      ///< Rows pulled during backtracking joins.
   size_t rows_filtered = 0;    ///< Candidate rows removed by semijoins.
   size_t index_builds = 0;     ///< Join-column hash indexes built.
-  // Probe engine v3 counters (zero when the flat engine is off).
+  // Join-index probe counters.
   size_t flat_probes = 0;       ///< Lookups served by flat indexes.
   size_t prefetch_batches = 0;  ///< Prefetch windows issued by the batched
                                 ///< probe pipeline.

@@ -23,9 +23,10 @@ export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
 # build, or the run fails (a renamed suite would otherwise silently drop
 # out of the wall). The *_smoke entries are bench gates, so the script
 # configures each preset with benchmarks on. resilience_smoke is the
-# fault-schedule replay gate (bench/resilience_workload) and
-# probe_engine_smoke the v2-vs-v3 probe-engine parity gate
-# (bench/probe_engine_workload).
+# fault-schedule replay gate (bench/resilience_workload) and bench_smoke
+# the executor gate (bench/executor_probe_workload: v1-vs-default
+# classification parity, flat-index probes, and the existence microbench's
+# plain and prefetched probe loops agreeing on hit counts).
 # FlatRowIndexTest covers the flat probe engine the batched join pipeline and
 # the differential fuzzer lean on. The storage-tier set (BufferPoolTest,
 # SpillTest, SpillEpochTest, PostingStoreTest, ExecutorSpillTest,
@@ -48,7 +49,7 @@ export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
 # gate in bench/adaptive_workload) runs here for tsan's sake: the p_a model
 # is a lock-free atomic-counter table shared across service workers, and its
 # decay path (SyncDataVersion) CAS-races against concurrent observers.
-CONCURRENCY_TESTS='DifferentialFuzzTest|SharedCacheEpochTest|DebugServiceTest|ServiceParityTest|SubmitTest|ComputeServiceStatsTest|ServiceStatsIntegrationTest|ShardIndexForHashTest|ParallelAgreementTest|LruCacheTest|VerdictCacheTest|FailureInjectionTest|ChaosTest|ChaosFuzzTest|ChaosPropagationTest|FaultInjectorTest|FlatRowIndexTest|BufferPoolTest|PageCodecTest|DiskManagerTest|SpillTest|SpillEpochTest|PostingStoreTest|ExecutorSpillTest|MutationTest|IncrementalIndexTest|LiveMutationTest|WalTest|CheckpointTest|RelationFencesTest|DurableServiceTest|CrashRecoveryTest|resilience_smoke|probe_engine_smoke|service_scale_smoke|storage_tier_smoke|mutation_smoke|durability_smoke|PaModelTest|StrategyPlannerTest|AdaptiveColdStartTest|AdaptiveParityTest|AdaptiveDriftTest|adaptive_smoke'
+CONCURRENCY_TESTS='DifferentialFuzzTest|SharedCacheEpochTest|DebugServiceTest|ServiceParityTest|SubmitTest|ComputeServiceStatsTest|ServiceStatsIntegrationTest|ShardIndexForHashTest|ParallelAgreementTest|LruCacheTest|VerdictCacheTest|FailureInjectionTest|ChaosTest|ChaosFuzzTest|ChaosPropagationTest|FaultInjectorTest|FlatRowIndexTest|BufferPoolTest|PageCodecTest|DiskManagerTest|SpillTest|SpillEpochTest|PostingStoreTest|ExecutorSpillTest|MutationTest|IncrementalIndexTest|LiveMutationTest|WalTest|CheckpointTest|RelationFencesTest|DurableServiceTest|CrashRecoveryTest|resilience_smoke|bench_smoke|service_scale_smoke|storage_tier_smoke|mutation_smoke|durability_smoke|PaModelTest|StrategyPlannerTest|AdaptiveColdStartTest|AdaptiveParityTest|AdaptiveDriftTest|adaptive_smoke'
 
 : "${KWSDBG_FUZZ_ITERS:=200}"
 export KWSDBG_FUZZ_ITERS

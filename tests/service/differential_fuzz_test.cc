@@ -118,39 +118,13 @@ std::optional<std::string> Disagreement(const FuzzCase& fc, uint64_t seed,
     serial_sig = report->ClassificationSignature();
   }
 
-  // Layer 2b: probe engine differential — the default run above used the
-  // v3 flat indexes + batched prefetch pipeline; re-run with the v2
-  // unordered_map engine and with batching alone disabled. All three must
-  // classify bit-identically (the flat engine and the prefetch window must
-  // never change a verdict, only its cost).
-  {
-    DebuggerOptions v2_options;
-    v2_options.executor.flat_index = false;
-    NonAnswerDebugger v2(fc.db.get(), fc.lattice.get(), fc.index.get(),
-                         v2_options);
-    auto report = v2.Debug(query);
-    KWSDBG_CHECK(report.ok()) << report.status().ToString();
-    if (report->ClassificationSignature() != serial_sig) {
-      return "v2 (unordered_map) engine classification differs from v3";
-    }
-    DebuggerOptions unbatched_options;
-    unbatched_options.executor.batched_probe = false;
-    NonAnswerDebugger unbatched(fc.db.get(), fc.lattice.get(),
-                                fc.index.get(), unbatched_options);
-    auto unbatched_report = unbatched.Debug(query);
-    KWSDBG_CHECK(unbatched_report.ok())
-        << unbatched_report.status().ToString();
-    if (unbatched_report->ClassificationSignature() != serial_sig) {
-      return "flat engine with batching off differs from batched run";
-    }
-  }
   // Layer 2c: out-of-core differential — rebuild the identical catalog
   // (generation is seed-deterministic), push every table through the buffer
   // pool and the posting lists onto disk, and require the serial debugger to
-  // classify bit-identically. This is the spill analogue of 2b: paging must
-  // only change cost, never a verdict. Mutation epochs ride along: a
-  // SetValue + BumpEpoch on the spilled catalog must not leave stale pages
-  // behind (the write-back/undo pair keeps contents identical).
+  // classify bit-identically: paging must only change cost, never a
+  // verdict. Mutation epochs ride along: a SetValue + BumpEpoch on the
+  // spilled catalog must not leave stale pages behind (the write-back/undo
+  // pair keeps contents identical).
   {
     FuzzCase spilled = BuildCase(seed);
     SpillOptions spill_options;

@@ -155,5 +155,32 @@ TEST_F(ExecutorTest, CycleQuerySupported) {
   EXPECT_EQ(rs->rows.size(), 3u);
 }
 
+// Explain plans from the session's keyword match sets, so it must drop them
+// after a write exactly as Execute does: on a database epoch bump and on a
+// bump of only the written table's data epoch.
+TEST_F(ExecutorTest, ExplainSeesWritesAfterEpochBumps) {
+  const JoinNetworkQuery q = SingleTable("ProductType", "candle");
+  auto expect_candidates = [&](size_t n) {
+    auto plan = executor_->Explain(q);
+    ASSERT_TRUE(plan.ok());
+    EXPECT_NE(plan->find("~" + std::to_string(n) + " candidate rows"),
+              std::string::npos)
+        << *plan;
+    auto rs = executor_->Execute(q);
+    ASSERT_TRUE(rs.ok());
+    EXPECT_EQ(rs->rows.size(), n);
+  };
+  expect_candidates(1);
+  Table* product_type = db_->FindTable("ProductType");
+  ASSERT_TRUE(
+      product_type->AppendRow({Value(int64_t{4}), Value("tea candle")}).ok());
+  db_->BumpEpoch();
+  expect_candidates(2);
+  ASSERT_TRUE(
+      product_type->AppendRow({Value(int64_t{5}), Value("candle kit")}).ok());
+  product_type->BumpDataEpoch();
+  expect_candidates(3);
+}
+
 }  // namespace
 }  // namespace kwsdbg

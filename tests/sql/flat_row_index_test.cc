@@ -1,17 +1,17 @@
-// Probe engine v3 index coverage: FlatRowIndex must return exactly the
-// row-id runs (same rows, same ascending order) as the v2 RowIndex on any
-// column, including NULL-riddled and duplicate-heavy ones, and its
+// Join-index coverage: FlatRowIndex must return exactly the row ids a
+// brute-force column scan finds (same rows, ascending) on any column,
+// including NULL-riddled and duplicate-heavy ones, and its
 // bucket-verification must survive forced slot collisions — distinct keys
 // whose hashes land on the same bucket chain.
 #include <cstdint>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "sql/flat_row_index.h"
-#include "sql/row_index.h"
 #include "storage/schema.h"
 #include "storage/table.h"
 
@@ -23,18 +23,33 @@ Table MakeTable(const std::string& name, DataType type) {
   return Table(name, std::move(schema));
 }
 
-/// Asserts FlatRowIndex == RowIndex for every distinct value present plus
-/// the given extra probe values (misses, NULL, wrong-typed keys).
+/// Rows whose cell structurally equals `v`, ascending; none for a NULL
+/// probe (SQL equality never matches NULL).
+std::vector<uint32_t> ScanLookup(const Table& table, const Value& v) {
+  std::vector<uint32_t> rows;
+  if (v.is_null()) return rows;
+  for (size_t row = 0; row < table.num_rows(); ++row) {
+    if (table.at(row, 0) == v) rows.push_back(static_cast<uint32_t>(row));
+  }
+  return rows;
+}
+
+/// Asserts FlatRowIndex == a column scan for every distinct value present
+/// plus the given extra probe values (misses, NULL, wrong-typed keys).
 void AssertParity(const Table& table, const std::vector<Value>& probes) {
-  const RowIndex v2 = RowIndex::Build(table, 0);
-  const FlatRowIndex v3 = FlatRowIndex::Build(table, 0);
+  const FlatRowIndex index = FlatRowIndex::Build(table, 0);
+  // Each distinct value once: the scan is linear per probe.
+  struct ValueHash {
+    size_t operator()(const Value& v) const { return v.Hash(); }
+  };
+  std::unordered_set<Value, ValueHash> seen;
   std::vector<Value> all = probes;
   for (size_t row = 0; row < table.num_rows(); ++row) {
-    all.push_back(table.at(row, 0));
+    if (seen.insert(table.at(row, 0)).second) all.push_back(table.at(row, 0));
   }
   for (const Value& v : all) {
-    const std::vector<uint32_t>& expect = v2.Lookup(v);
-    const RowSpan got = v3.Lookup(v);
+    const std::vector<uint32_t> expect = ScanLookup(table, v);
+    const RowSpan got = index.Lookup(v);
     ASSERT_EQ(expect.size(), got.size()) << "probe " << v.ToString();
     for (size_t i = 0; i < expect.size(); ++i) {
       EXPECT_EQ(expect[i], got[i]) << "probe " << v.ToString() << " pos " << i;
@@ -43,8 +58,8 @@ void AssertParity(const Table& table, const std::vector<Value>& probes) {
   // Hashed entry point agrees with the convenience wrapper.
   for (const Value& v : all) {
     if (v.is_null()) continue;
-    const RowSpan a = v3.Lookup(v);
-    const RowSpan b = v3.LookupHashed(v.Hash64(), v);
+    const RowSpan a = index.Lookup(v);
+    const RowSpan b = index.LookupHashed(v.Hash64(), v);
     ASSERT_EQ(a.size(), b.size());
     ASSERT_EQ(a.data, b.data);
   }
@@ -183,7 +198,6 @@ TEST(FlatRowIndexTest, ManagerCachesAndAccumulates) {
   EXPECT_EQ(manager.num_indexes(), 1u);
   manager.GetOrBuild(&t2, 0);
   EXPECT_EQ(manager.num_indexes(), 2u);
-  EXPECT_EQ(manager.totals().distinct_keys, 50u + 25u);
   manager.Clear();
   EXPECT_EQ(manager.num_indexes(), 0u);
 }
