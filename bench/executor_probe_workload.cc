@@ -12,13 +12,12 @@
 //               SQL probe reaches the executor. The A(K)/N(K)/MPAN
 //               classification signature must be bit-identical between the
 //               variants; the default runs must never fall back to a full
-//               keyword scan, must kill probes in the semijoin pass, must
-//               probe flat indexes, and (full mode) must open prefetch
-//               windows.
+//               keyword scan, must probe flat indexes, and (full mode) must
+//               open prefetch windows.
 //   existence — a probe-heavy existence microbench (does any row carry
 //               this join key?) over a synthetic duplicate-heavy column:
 //               ~half the keys miss, per-rep timings of per-key
-//               FlatRowIndex::Lookup and of the executor's prefetch window
+//               FlatRowIndex::Lookup and of a prefetch window
 //               (PrefetchBucket + LookupHashed) interleaved. Hit counts must
 //               agree, and on a full release run the prefetched median must
 //               be at least kMinSpeedup x faster.
@@ -163,8 +162,6 @@ size_t RunEnv(const ProbeEnv& env, TablePrinter* table,
          "indexed path fell back to " +
              std::to_string(def.stats.scan_fallbacks) +
              " full keyword scan(s)");
-    gate(def.stats.semijoin_eliminations > 0,
-         "semijoin pre-reduction never fired");
     gate(def.stats.flat_probes > 0, "never probed a flat index");
     *prefetch_batches += def.stats.prefetch_batches;
     auto add_row = [&](const char* variant, const VariantRun& run) {
@@ -242,8 +239,9 @@ ExistenceResult RunExistenceWorkload(size_t num_rows, size_t num_probes,
     }
     return hits;
   };
-  // Mirrors Executor::RunJoin's batched pipeline: hash a window of probe
-  // keys, prefetch their buckets, drain the window in order.
+  // Hash a window of probe keys, prefetch their buckets, drain the window in
+  // order. Executor::RunJoin's backtracking frames prefetch the same way but
+  // probe through Lookup, which hashes the key again.
   constexpr size_t kWindow = 16;
   auto run_prefetched = [&]() {
     size_t hits = 0;

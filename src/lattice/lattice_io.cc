@@ -1,6 +1,8 @@
 #include "lattice/lattice_io.h"
 
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/string_util.h"
@@ -20,15 +22,28 @@ namespace {
 
 constexpr const char* kMagic = "KWSDBGLAT 1";
 
-StatusOr<int64_t> ParseInt(const std::string& s) {
+constexpr int64_t kMaxU16 = std::numeric_limits<uint16_t>::max();
+constexpr int64_t kMaxU32 = std::numeric_limits<uint32_t>::max();
+constexpr int64_t kMaxI64 = std::numeric_limits<int64_t>::max();
+
+/// Parses a non-negative integer no larger than `max`, the largest value of
+/// the field it is stored into. Every integer in the format is a count, an
+/// id or an index, so a negative or oversized one is a corrupt or forged
+/// file, never a value to narrow or to size an allocation with.
+StatusOr<int64_t> ParseCount(const std::string& s, int64_t max) {
+  int64_t v = 0;
   try {
     size_t pos = 0;
-    int64_t v = std::stoll(s, &pos);
+    v = std::stoll(s, &pos);
     if (pos != s.size()) return Status::ParseError("bad integer '" + s + "'");
-    return v;
   } catch (...) {
     return Status::ParseError("bad integer '" + s + "'");
   }
+  if (v < 0 || v > max) {
+    return Status::ParseError("integer '" + s + "' outside [0, " +
+                              std::to_string(max) + "]");
+  }
+  return v;
 }
 
 }  // namespace
@@ -81,7 +96,8 @@ StatusOr<std::unique_ptr<Lattice>> LatticeIoAccess::Load(
     if (parts.size() != 5 || parts[0] != "config") {
       return Status::ParseError("bad config line: " + line);
     }
-    KWSDBG_ASSIGN_OR_RETURN(int64_t mj, ParseInt(parts[1]));
+    // Levels run 1..max_joins + 1 and are stored as uint16_t.
+    KWSDBG_ASSIGN_OR_RETURN(int64_t mj, ParseCount(parts[1], kMaxU16 - 1));
     lat.config_.max_joins = static_cast<size_t>(mj);
     if (parts[2] == "all") {
       lat.config_.copy_policy = CopyPolicy::kAllRelations;
@@ -90,9 +106,9 @@ StatusOr<std::unique_ptr<Lattice>> LatticeIoAccess::Load(
     } else {
       return Status::ParseError("bad copy policy '" + parts[2] + "'");
     }
-    KWSDBG_ASSIGN_OR_RETURN(int64_t c, ParseInt(parts[3]));
+    KWSDBG_ASSIGN_OR_RETURN(int64_t c, ParseCount(parts[3], kMaxU16));
     lat.config_.num_keyword_copies = static_cast<size_t>(c);
-    KWSDBG_ASSIGN_OR_RETURN(int64_t mn, ParseInt(parts[4]));
+    KWSDBG_ASSIGN_OR_RETURN(int64_t mn, ParseCount(parts[4], kMaxI64));
     lat.config_.max_nodes = static_cast<size_t>(mn);
   }
 
@@ -103,8 +119,8 @@ StatusOr<std::unique_ptr<Lattice>> LatticeIoAccess::Load(
     if (parts.size() != 3 || parts[0] != "schema") {
       return Status::ParseError("bad schema line: " + line);
     }
-    KWSDBG_ASSIGN_OR_RETURN(int64_t nrel, ParseInt(parts[1]));
-    KWSDBG_ASSIGN_OR_RETURN(int64_t nedge, ParseInt(parts[2]));
+    KWSDBG_ASSIGN_OR_RETURN(int64_t nrel, ParseCount(parts[1], kMaxU32));
+    KWSDBG_ASSIGN_OR_RETURN(int64_t nedge, ParseCount(parts[2], kMaxU32));
     if (static_cast<size_t>(nrel) != schema.num_relations() ||
         static_cast<size_t>(nedge) != schema.num_edges()) {
       return Status::FailedPrecondition(
@@ -122,15 +138,15 @@ StatusOr<std::unique_ptr<Lattice>> LatticeIoAccess::Load(
     if (parts.size() < 2 || parts[0] != "stats") {
       return Status::ParseError("bad stats line: " + line);
     }
-    KWSDBG_ASSIGN_OR_RETURN(int64_t levels, ParseInt(parts[1]));
+    KWSDBG_ASSIGN_OR_RETURN(int64_t levels, ParseCount(parts[1], kMaxU16));
     if (parts.size() != 2 + 3 * static_cast<size_t>(levels)) {
       return Status::ParseError("stats arity mismatch");
     }
     for (int64_t i = 0; i < levels; ++i) {
       LevelStats ls;
-      KWSDBG_ASSIGN_OR_RETURN(int64_t g, ParseInt(parts[2 + 3 * i]));
-      KWSDBG_ASSIGN_OR_RETURN(int64_t d, ParseInt(parts[3 + 3 * i]));
-      KWSDBG_ASSIGN_OR_RETURN(int64_t k, ParseInt(parts[4 + 3 * i]));
+      KWSDBG_ASSIGN_OR_RETURN(int64_t g, ParseCount(parts[2 + 3 * i], kMaxI64));
+      KWSDBG_ASSIGN_OR_RETURN(int64_t d, ParseCount(parts[3 + 3 * i], kMaxI64));
+      KWSDBG_ASSIGN_OR_RETURN(int64_t k, ParseCount(parts[4 + 3 * i], kMaxI64));
       ls.generated = static_cast<size_t>(g);
       ls.duplicates = static_cast<size_t>(d);
       ls.kept = static_cast<size_t>(k);
@@ -145,8 +161,10 @@ StatusOr<std::unique_ptr<Lattice>> LatticeIoAccess::Load(
   if (head.size() != 2 || head[0] != "nodes") {
     return Status::ParseError("bad nodes line: " + line);
   }
-  KWSDBG_ASSIGN_OR_RETURN(int64_t num_nodes, ParseInt(head[1]));
-  lat.nodes_.reserve(static_cast<size_t>(num_nodes));
+  // Ids are NodeIds, kInvalidNode excluded. The count only bounds the loop:
+  // the node vector grows with the lines actually read.
+  KWSDBG_ASSIGN_OR_RETURN(int64_t num_nodes,
+                          ParseCount(head[1], int64_t{kInvalidNode} - 1));
   for (int64_t i = 0; i < num_nodes; ++i) {
     if (!std::getline(*in, line)) {
       return Status::ParseError("truncated node list at " +
@@ -165,8 +183,8 @@ StatusOr<std::unique_ptr<Lattice>> LatticeIoAccess::Load(
       if (rc.size() != 2) {
         return Status::ParseError("bad vertex '" + parts[p] + "'");
       }
-      KWSDBG_ASSIGN_OR_RETURN(int64_t rel, ParseInt(rc[0]));
-      KWSDBG_ASSIGN_OR_RETURN(int64_t copy, ParseInt(rc[1]));
+      KWSDBG_ASSIGN_OR_RETURN(int64_t rel, ParseCount(rc[0], kMaxU32));
+      KWSDBG_ASSIGN_OR_RETURN(int64_t copy, ParseCount(rc[1], kMaxU16));
       if (static_cast<size_t>(rel) >= schema.num_relations()) {
         return Status::ParseError("vertex relation out of range: " + parts[p]);
       }
@@ -193,9 +211,9 @@ StatusOr<std::unique_ptr<Lattice>> LatticeIoAccess::Load(
       if (abe.size() != 3) {
         return Status::ParseError("bad edge '" + parts[p] + "'");
       }
-      KWSDBG_ASSIGN_OR_RETURN(int64_t a, ParseInt(abe[0]));
-      KWSDBG_ASSIGN_OR_RETURN(int64_t b, ParseInt(abe[1]));
-      KWSDBG_ASSIGN_OR_RETURN(int64_t e, ParseInt(abe[2]));
+      KWSDBG_ASSIGN_OR_RETURN(int64_t a, ParseCount(abe[0], kMaxU16));
+      KWSDBG_ASSIGN_OR_RETURN(int64_t b, ParseCount(abe[1], kMaxU16));
+      KWSDBG_ASSIGN_OR_RETURN(int64_t e, ParseCount(abe[2], kMaxU32));
       edges.push_back(RawEdge{static_cast<uint16_t>(a),
                               static_cast<uint16_t>(b),
                               static_cast<EdgeId>(e)});

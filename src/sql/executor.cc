@@ -492,10 +492,13 @@ StatusOr<bool> Executor::RunJoin(const JoinNetworkQuery& query, size_t limit,
   }
 
   // --- Stage 2: semijoin pre-reduction -----------------------------------
-  // Intersect each vertex's candidates against its neighbors' join-column
-  // value sets. Only removes rows that can never appear in a result, so
-  // emitted rows and their order are untouched; a set running empty proves
-  // the whole network dead without enumerating a single join path.
+  // Materialize a full vertex next to a small, selective neighbor as the
+  // union of join-index lookups on the neighbor's values. Only removes rows
+  // that can never appear in a result, so emitted rows and their order are
+  // untouched; a union running empty proves the whole network dead without
+  // enumerating a single join path. Already-materialized candidate sets are
+  // left alone: filtering them reads every candidate row up front, while
+  // Stage 3 stops at the first witness.
   // Degraded mode: a semijoin fault skips the pre-reduction pass and runs
   // the plain backtracking join — the pass only removes rows that can never
   // appear in a result, so skipping it changes cost, never the outcome.
@@ -505,11 +508,6 @@ StatusOr<bool> Executor::RunJoin(const JoinNetworkQuery& query, size_t limit,
     ++stats_.semijoin_fallbacks;
   }
   if (semijoin_enabled) {
-    // Filtering costs one hash lookup per candidate row per constraint, and
-    // a large set almost never runs empty — the payoff of the pass. Capping
-    // the filtered-set size keeps nearly all eliminations at a fraction of
-    // the lookups.
-    constexpr size_t kSemijoinFilterCap = 1024;
     // Unions over a neighbor's values pay one hash lookup per neighbor row;
     // the sets that go on to kill a network are far smaller than this.
     constexpr size_t kSemijoinUnionCap = 64;
@@ -533,100 +531,37 @@ StatusOr<bool> Executor::RunJoin(const JoinNetworkQuery& query, size_t limit,
           const VertexCandidates& cv = cand[vc.other];
           const PreparedVertex& pu = pq.vertices[v];
           const PreparedVertex& pw = pq.vertices[vc.other];
-          if (!cu.materialized && !cv.materialized) continue;
-          if (!cu.materialized) {
-            // Full vertex reduced by a materialized neighbor: its surviving
-            // rows are the union of index lookups on the neighbor's values.
-            // Only pay for this when the neighbor is small and selective —
-            // the union is then a handful of lookups, and the work stays
-            // proportional to the hits, never to the table.
-            if (cv.rows.size() > kSemijoinUnionCap ||
-                cv.rows.size() * 4 >= pu.table->num_rows()) {
-              continue;
-            }
-            KWSDBG_FAULT_POINT("executor.index.build");
-            std::vector<uint32_t> hits;
-            for (uint32_t nrow : cv.rows) {
-              RowSpan matched;
-              if (spill_mode_) {
-                // The probe may lazily build an index over pu.table — an
-                // unbounded scan that can evict the page frame a reference
-                // into pw.table points at. Copy the key first.
-                const Value val = pw.table->at(nrow, vc.other_column);
-                matched = ProbeJoinIndex(pu.table, vc.own_column, val);
-              } else {
-                const Value& val = pw.table->at(nrow, vc.other_column);
-                matched = ProbeJoinIndex(pu.table, vc.own_column, val);
-              }
-              hits.insert(hits.end(), matched.begin(), matched.end());
-            }
-            std::sort(hits.begin(), hits.end());
-            hits.erase(std::unique(hits.begin(), hits.end()), hits.end());
-            cu.bitmap.assign(pu.table->num_rows(), 0);
-            for (uint32_t row : hits) cu.bitmap[row] = 1;
-            cu.rows = std::move(hits);
-            cu.materialized = true;
-            stats_.rows_filtered += pu.table->num_rows() - cu.rows.size();
-            changed = true;
-          } else {
-            // Filtering against a full neighbor only catches dangling join
-            // keys — one hash lookup per row for a near-certain match — so
-            // reduce only against materialized (already selective) ones.
-            if (!cv.materialized) continue;
-            if (cu.rows.size() > kSemijoinFilterCap) continue;
-            KWSDBG_FAULT_POINT("executor.index.build");
-            std::vector<uint32_t> kept;
-            kept.reserve(cu.rows.size());
-            // One probe per candidate row — the batched pipeline's home
-            // turf. Windows are drained strictly in order, so `kept` equals
-            // what one-key-at-a-time probing keeps; the prefetches only warm
-            // the cache.
-            const FlatRowIndex& flat = GetFlatIndex(pw.table, vc.other_column);
-            const bool batched = cu.rows.size() >= kBatchMinProbes;
-            uint64_t win_hash[kPrefetchWindow];
-            for (size_t base = 0; base < cu.rows.size();
-                 base += kPrefetchWindow) {
-              const size_t w =
-                  std::min(kPrefetchWindow, cu.rows.size() - base);
-              if (batched) {
-                ++stats_.prefetch_batches;
-                for (size_t j = 0; j < w; ++j) {
-                  const Value& val =
-                      pu.table->at(cu.rows[base + j], vc.own_column);
-                  if (val.is_null()) continue;
-                  win_hash[j] = val.Hash64();
-                  flat.PrefetchBucket(win_hash[j]);
-                }
-              }
-              for (size_t j = 0; j < w; ++j) {
-                const uint32_t row = cu.rows[base + j];
-                const Value& val = pu.table->at(row, vc.own_column);
-                RowSpan matched;
-                ++stats_.flat_probes;
-                if (!val.is_null()) {
-                  matched = batched ? flat.LookupHashed(win_hash[j], val)
-                                    : flat.Lookup(val);
-                }
-                bool match = false;
-                for (uint32_t nrow : matched) {
-                  if (cv.bitmap[nrow]) {
-                    match = true;
-                    break;
-                  }
-                }
-                if (match) {
-                  kept.push_back(row);
-                } else {
-                  cu.bitmap[row] = 0;
-                }
-              }
-            }
-            if (kept.size() != cu.rows.size()) {
-              stats_.rows_filtered += cu.rows.size() - kept.size();
-              cu.rows = std::move(kept);
-              changed = true;
-            }
+          if (cu.materialized || !cv.materialized) continue;
+          // Only pay for the union when the neighbor is small and selective
+          // — it is then a handful of lookups, and the work stays
+          // proportional to the hits, never to the table.
+          if (cv.rows.size() > kSemijoinUnionCap ||
+              cv.rows.size() * 4 >= pu.table->num_rows()) {
+            continue;
           }
+          std::vector<uint32_t> hits;
+          for (uint32_t nrow : cv.rows) {
+            RowSpan matched;
+            if (spill_mode_) {
+              // The probe may lazily build an index over pu.table — an
+              // unbounded scan that can evict the page frame a reference
+              // into pw.table points at. Copy the key first.
+              const Value val = pw.table->at(nrow, vc.other_column);
+              matched = ProbeJoinIndex(pu.table, vc.own_column, val);
+            } else {
+              const Value& val = pw.table->at(nrow, vc.other_column);
+              matched = ProbeJoinIndex(pu.table, vc.own_column, val);
+            }
+            hits.insert(hits.end(), matched.begin(), matched.end());
+          }
+          std::sort(hits.begin(), hits.end());
+          hits.erase(std::unique(hits.begin(), hits.end()), hits.end());
+          cu.bitmap.assign(pu.table->num_rows(), 0);
+          for (uint32_t row : hits) cu.bitmap[row] = 1;
+          cu.rows = std::move(hits);
+          cu.materialized = true;
+          stats_.rows_filtered += pu.table->num_rows() - cu.rows.size();
+          changed = true;
           if (cu.rows.empty()) {
             ++stats_.semijoin_eliminations;
             return false;
@@ -642,6 +577,8 @@ StatusOr<bool> Executor::RunJoin(const JoinNetworkQuery& query, size_t limit,
   KWSDBG_FAULT_POINT("executor.join.probe");
 
   // --- Stage 3: backtracking join over the chosen order ------------------
+  // Every multi-vertex join probes, and may build, a join-column index.
+  if (n > 1) KWSDBG_FAULT_POINT("executor.index.build");
   std::vector<uint32_t> assignment(n, 0);
   std::vector<bool> assigned(n, false);
   bool found = false;

@@ -7,10 +7,11 @@
 //   1. candidate sourcing   — keyword candidates come from the registered
 //      inverted index (posting lists, Lucene-style `*kw*` dictionary scan)
 //      when possible, falling back to a full LIKE scan otherwise;
-//   2. semijoin reduction   — each vertex's candidate set is intersected
-//      against its join neighbors' join-column value sets (via the cached
-//      FlatRowIndex hash indexes) before enumeration, so dead networks die
-//      without a single backtracking step;
+//   2. semijoin reduction   — a vertex with no per-row filter, next to a
+//      small keyword-bound or selected neighbor, is materialized as the
+//      union of FlatRowIndex lookups on the neighbor's join values, so a
+//      network whose union runs empty dies without a single backtracking
+//      step;
 //   3. backtracking join    — smallest-candidate-first instance order with
 //      FlatRowIndex probes on join columns;
 //   4. existence mode       — IsNonEmpty stops at the first witness without
@@ -18,11 +19,12 @@
 //
 // Join-column probes go to flat open-addressing hash indexes over 64-bit key
 // hashes with row-id runs in one contiguous arena (sql/flat_row_index.h).
-// Probe loops over at least kBatchMinProbes candidates run a DRAMHiT-style
-// batched pipeline — hash a window of upcoming probe keys, software-prefetch
-// their buckets, then drain the window in order — so result rows, their
-// order, the kCancelCheckStride cancellation points and the
-// executor.join.probe fault point are the same as probing one key at a time.
+// A backtracking frame of at least kBatchMinProbes candidates whose next
+// depth probes on its key runs a DRAMHiT-style batched pipeline — hash the
+// join keys of upcoming candidates, software-prefetch the child index's
+// buckets a window ahead — so result rows, their order, the
+// kCancelCheckStride cancellation points and the executor.join.probe fault
+// point are the same as probing one key at a time.
 #ifndef KWSDBG_SQL_EXECUTOR_H_
 #define KWSDBG_SQL_EXECUTOR_H_
 
@@ -84,14 +86,14 @@ struct ExecutorStats {
                                 ///< inverted index's posting lists.
   size_t rows_output = 0;
   size_t rows_probed = 0;       ///< Rows pulled during backtracking joins.
-  size_t rows_filtered = 0;     ///< Candidate rows removed by semijoin
-                                ///< pre-reduction.
-  size_t semijoin_eliminations = 0;  ///< Queries proven empty by the
-                                     ///< pre-reduction pass alone.
+  size_t rows_filtered = 0;     ///< Table rows excluded when the semijoin
+                                ///< union materializes a full vertex.
+  size_t semijoin_eliminations = 0;  ///< Queries proven empty because a
+                                     ///< semijoin union ran empty.
   size_t index_builds = 0;      ///< Join-column hash indexes built.
   size_t flat_probes = 0;       ///< Lookups answered by a FlatRowIndex.
-  size_t prefetch_batches = 0;  ///< Prefetch windows issued by the batched
-                                ///< probe pipeline.
+  size_t prefetch_batches = 0;  ///< Backtracking frames that opened a
+                                ///< child-probe prefetch window.
   double index_build_millis = 0; ///< Wall time building flat indexes.
   size_t arena_bytes = 0;       ///< Row-id arena bytes across flat indexes
                                 ///< built by this session.

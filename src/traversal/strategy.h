@@ -47,14 +47,16 @@ struct TraversalStats {
   // evaluator's executor).
   size_t posting_hits = 0;     ///< Keyword match sets from posting lists.
   size_t scan_fallbacks = 0;   ///< Keyword match sets from full LIKE scans.
-  size_t semijoin_eliminations = 0;  ///< Probes killed before enumeration.
+  size_t semijoin_eliminations = 0;  ///< Probes killed by an empty
+                                     ///< semijoin union.
   size_t rows_probed = 0;      ///< Rows pulled during backtracking joins.
-  size_t rows_filtered = 0;    ///< Candidate rows removed by semijoins.
+  size_t rows_filtered = 0;    ///< Table rows excluded when the semijoin
+                               ///< union materializes a full vertex.
   size_t index_builds = 0;     ///< Join-column hash indexes built.
   // Join-index probe counters.
   size_t flat_probes = 0;       ///< Lookups served by flat indexes.
-  size_t prefetch_batches = 0;  ///< Prefetch windows issued by the batched
-                                ///< probe pipeline.
+  size_t prefetch_batches = 0;  ///< Backtracking frames that opened a
+                                ///< child-probe prefetch window.
   double index_build_millis = 0;  ///< Wall time building flat indexes.
   size_t arena_bytes = 0;       ///< Flat-index row-arena bytes built.
   // Degraded-mode fallbacks taken under fault injection (zero otherwise).

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "datasets/dblife.h"
 #include "datasets/toy_product_db.h"
@@ -143,6 +145,37 @@ TEST(LatticeIoTest, RejectsTruncatedNodeList) {
   std::istringstream in(text);
   EXPECT_EQ(LoadLattice(ds->schema, &in).status().code(),
             StatusCode::kParseError);
+}
+
+TEST(LatticeIoTest, RejectsForgedCounts) {
+  auto ds = BuildToyProductDatabase();
+  ASSERT_TRUE(ds.ok());
+  auto lattice = MakeToyLattice(ds->schema);
+  std::ostringstream out;
+  ASSERT_TRUE(SaveLattice(*lattice, &out).ok());
+  const std::string text = out.str();
+  const std::string nodes = "\nnodes " +
+                            std::to_string(lattice->num_nodes()) + "\n";
+  // Each forgery rewrites the first occurrence of `from` in the saved file.
+  // Counts must not size an allocation, and a copy or edge endpoint outside
+  // uint16_t must not wrap into a valid-looking id.
+  const std::pair<std::string, std::string> forgeries[] = {
+      {nodes, "\nnodes -1\n"},
+      {nodes, "\nnodes 4000000000000\n"},
+      {"config 2 text 2 0", "config 4000000000000 text 2 0"},
+      {"\nn 0:1 |", "\nn 0:65537 |"},
+      {"| 0,1,", "| 65536,1,"},
+  };
+  for (const auto& [from, to] : forgeries) {
+    const size_t at = text.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    std::string forged = text;
+    forged.replace(at, from.size(), to);
+    std::istringstream in(forged);
+    EXPECT_EQ(LoadLattice(ds->schema, &in).status().code(),
+              StatusCode::kParseError)
+        << to;
+  }
 }
 
 TEST(LatticeIoTest, LoadedLatticeIsUsableEndToEnd) {

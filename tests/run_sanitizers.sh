@@ -49,7 +49,14 @@ export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
 # gate in bench/adaptive_workload) runs here for tsan's sake: the p_a model
 # is a lock-free atomic-counter table shared across service workers, and its
 # decay path (SyncDataVersion) CAS-races against concurrent observers.
-CONCURRENCY_TESTS='DifferentialFuzzTest|SharedCacheEpochTest|DebugServiceTest|ServiceParityTest|SubmitTest|ComputeServiceStatsTest|ServiceStatsIntegrationTest|ShardIndexForHashTest|ParallelAgreementTest|LruCacheTest|VerdictCacheTest|FailureInjectionTest|ChaosTest|ChaosFuzzTest|ChaosPropagationTest|FaultInjectorTest|FlatRowIndexTest|BufferPoolTest|PageCodecTest|DiskManagerTest|SpillTest|SpillEpochTest|PostingStoreTest|ExecutorSpillTest|MutationTest|IncrementalIndexTest|LiveMutationTest|WalTest|CheckpointTest|RelationFencesTest|DurableServiceTest|CrashRecoveryTest|resilience_smoke|bench_smoke|service_scale_smoke|storage_tier_smoke|mutation_smoke|durability_smoke|PaModelTest|StrategyPlannerTest|AdaptiveColdStartTest|AdaptiveParityTest|AdaptiveDriftTest|adaptive_smoke'
+# LatticeIoTest decodes untrusted lattice files: ubsan watches the narrowing
+# of parsed ids and counts, asan the forged-count paths that must fail
+# typed instead of sizing an allocation.
+# ExecutorPropertyTest is the executor's only index-free oracle (a
+# nested-loop join) and covers both executor stages that read candidate
+# rows: the semijoin union and the backtracking join's child-probe
+# prefetch window.
+CONCURRENCY_TESTS='DifferentialFuzzTest|SharedCacheEpochTest|DebugServiceTest|ServiceParityTest|SubmitTest|ComputeServiceStatsTest|ServiceStatsIntegrationTest|ShardIndexForHashTest|ParallelAgreementTest|LruCacheTest|VerdictCacheTest|FailureInjectionTest|ChaosTest|ChaosFuzzTest|ChaosPropagationTest|FaultInjectorTest|FlatRowIndexTest|BufferPoolTest|PageCodecTest|DiskManagerTest|SpillTest|SpillEpochTest|PostingStoreTest|ExecutorSpillTest|MutationTest|IncrementalIndexTest|LiveMutationTest|WalTest|CheckpointTest|RelationFencesTest|DurableServiceTest|CrashRecoveryTest|resilience_smoke|bench_smoke|service_scale_smoke|storage_tier_smoke|mutation_smoke|durability_smoke|PaModelTest|StrategyPlannerTest|AdaptiveColdStartTest|AdaptiveParityTest|AdaptiveDriftTest|adaptive_smoke|LatticeIoTest|ExecutorPropertyTest'
 
 : "${KWSDBG_FUZZ_ITERS:=200}"
 export KWSDBG_FUZZ_ITERS

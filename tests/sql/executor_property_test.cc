@@ -174,9 +174,10 @@ std::vector<std::string> NestedLoopRows(const Database& db,
 }
 
 /// Item.team_id over 64 rows holds 6 ids with every 7th cell NULL; Team
-/// repeats id 2 and has a NULL id. Every Item name carries "alpha", so an
-/// Item keyword vertex has 64 candidates — above the executor's 32-probe
-/// prefetch threshold — next to the materialized Team keyword vertex.
+/// repeats id 2, has a NULL id, and ends in 33 teams no item references.
+/// An unbound Team vertex (40 rows) is then the smaller side: it roots the
+/// join with a frame above the executor's 32-probe prefetch threshold, and
+/// the next depth probes Item on its key.
 std::unique_ptr<Database> BuildNullDuplicateKeyDb() {
   auto db = std::make_unique<Database>();
   auto item = db->CreateTable("Item", Schema({{"id", DataType::kInt64},
@@ -200,6 +201,11 @@ std::unique_ptr<Database> BuildNullDuplicateKeyDb() {
       {Value::Null(), "beta orphan"}};
   for (const auto& [id, label] : teams) {
     KWSDBG_CHECK((*team)->AppendRow({id, Value(label)}).ok());
+  }
+  for (int64_t id = 6; id < 39; ++id) {
+    KWSDBG_CHECK(
+        (*team)->AppendRow({Value(id), Value("delta " + std::to_string(id))})
+            .ok());
   }
   return db;
 }
@@ -333,8 +339,8 @@ TEST_P(ExecutorPropertyTest, MatchesNestedLoopOracle) {
       ExpectMatchesOracle(*db, &keys_executor, swapped);
     }
   }
-  // The 64-candidate Item vertex filtered against the materialized Team
-  // vertex ran the prefetch window.
+  // The 40-row root Team frame, whose child probes Item on its key, ran
+  // the prefetch window.
   EXPECT_GT(keys_executor.stats().prefetch_batches, 0u);
 }
 

@@ -38,6 +38,19 @@ class ExecutorV2Test : public testing::Test {
     plain_ = std::make_unique<Executor>(db_.get(), v1);
   }
 
+  /// Appends a fifth, red Item, so a full Item vertex holds more than four
+  /// times the rows of a one-row keyword neighbor and the semijoin union
+  /// materializes it.
+  void AddFifthItem() {
+    Table* item = db_->FindTable("Item");
+    ASSERT_NE(item, nullptr);
+    ASSERT_TRUE(item->AppendRow({Value(int64_t{5}), Value("red pillar candle"),
+                                 Value(int64_t{2}), Value(int64_t{1}),
+                                 Value(int64_t{4}), Value(2.99),
+                                 Value("no fragrance.")})
+                    .ok());
+  }
+
   /// q1 of the paper: candle x scented item x saffron color — dead.
   JoinNetworkQuery DeadThreeWay() {
     JoinNetworkQuery q;
@@ -179,7 +192,13 @@ TEST_F(ExecutorV2Test, ClearCachesDropsPostingDerivedSets) {
 // --- semijoin pre-reduction -----------------------------------------------
 
 TEST_F(ExecutorV2Test, SemijoinKillsDeadNetworkBeforeEnumeration) {
-  auto rs = indexed_->Execute(DeadThreeWay());
+  AddFifthItem();
+  // No item is saffron-colored: the union of Item rows joining the one
+  // saffron Color row is empty.
+  JoinNetworkQuery q;
+  q.vertices = {{"Color", "C", "saffron"}, {"Item", "I", ""}};
+  q.joins = {{1, "color", 0, "id"}};
+  auto rs = indexed_->Execute(q);
   ASSERT_TRUE(rs.ok());
   EXPECT_TRUE(rs->rows.empty());
   EXPECT_GE(indexed_->stats().semijoin_eliminations, 1u);
@@ -188,17 +207,23 @@ TEST_F(ExecutorV2Test, SemijoinKillsDeadNetworkBeforeEnumeration) {
 }
 
 TEST_F(ExecutorV2Test, SemijoinPreservesAliveResults) {
-  JoinNetworkQuery q;
-  q.vertices = {{"ProductType", "P", "candle"}, {"Item", "I", "scented"}};
-  q.joins = {{1, "p_type", 0, "id"}};
-  auto a = indexed_->Execute(q);
-  auto b = plain_->Execute(q);
-  ASSERT_TRUE(a.ok() && b.ok());
-  ASSERT_EQ(a->rows.size(), 3u);
-  ASSERT_EQ(b->rows.size(), 3u);
-  for (size_t i = 0; i < a->rows.size(); ++i) {
-    for (size_t j = 0; j < a->rows[i].size(); ++j) {
-      EXPECT_TRUE(a->rows[i][j] == b->rows[i][j]);
+  AddFifthItem();
+  JoinNetworkQuery bound;  // both vertices keyword-bound: nothing to union
+  bound.vertices = {{"ProductType", "P", "candle"}, {"Item", "I", "scented"}};
+  bound.joins = {{1, "p_type", 0, "id"}};
+  JoinNetworkQuery unioned;  // full Item materialized from the red Color row
+  unioned.vertices = {{"Color", "C", "red"}, {"Item", "I", ""}};
+  unioned.joins = {{1, "color", 0, "id"}};
+  for (const JoinNetworkQuery& q : {bound, unioned}) {
+    auto a = indexed_->Execute(q);
+    auto b = plain_->Execute(q);
+    ASSERT_TRUE(a.ok() && b.ok());
+    ASSERT_EQ(a->rows.size(), 3u);
+    ASSERT_EQ(b->rows.size(), 3u);
+    for (size_t i = 0; i < a->rows.size(); ++i) {
+      for (size_t j = 0; j < a->rows[i].size(); ++j) {
+        EXPECT_TRUE(a->rows[i][j] == b->rows[i][j]);
+      }
     }
   }
   EXPECT_GT(indexed_->stats().rows_filtered, 0u);
