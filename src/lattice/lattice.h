@@ -5,6 +5,7 @@
 #define KWSDBG_LATTICE_LATTICE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -66,6 +67,42 @@ struct LevelStats {
   double gen_millis = 0;  ///< Wall time spent generating this level.
 };
 
+/// Lattice nodes bucketed by keyword-copy set: a node's vertices other than
+/// free copies R_0, ascending. Phases 1-2 read the buckets of the binding's
+/// copy set and its subsets instead of scanning the lattice
+/// (kws/pruned_lattice.cc). Laid out as CSR: a key table (the keys in
+/// ascending lexicographic order, back to back in one copy array), one
+/// bucket offset array, and one node-id array holding each bucket in
+/// ascending id order.
+class CopySetIndex {
+ public:
+  static CopySetIndex Build(const std::vector<LatticeNode>& nodes);
+
+  size_t num_keys() const { return offsets_.size() - 1; }
+
+  /// Key `i`'s copies, ascending.
+  std::span<const RelationCopy> key(size_t i) const {
+    return {copies_.data() + key_begin_[i], copies_.data() + key_begin_[i + 1]};
+  }
+
+  /// Nodes whose keyword-copy set is key `i`, ascending ids.
+  std::span<const NodeId> bucket(size_t i) const {
+    return {node_ids_.data() + offsets_[i], node_ids_.data() + offsets_[i + 1]};
+  }
+
+  /// Nodes whose keyword-copy set is exactly `copies` (ascending, distinct),
+  /// ascending ids; empty when no node has that set.
+  std::span<const NodeId> Find(std::span<const RelationCopy> copies) const;
+
+ private:
+  std::vector<RelationCopy> copies_;    ///< Every key's copies, key order.
+  std::vector<uint32_t> key_begin_{0};  ///< Key i = copies_[key_begin_[i],
+                                        ///< key_begin_[i + 1]).
+  std::vector<uint32_t> offsets_{0};    ///< Bucket i = node_ids_[offsets_[i],
+                                        ///< offsets_[i + 1]).
+  std::vector<NodeId> node_ids_;
+};
+
 /// Immutable-after-build lattice.
 class Lattice {
  public:
@@ -95,6 +132,10 @@ class Lattice {
   const SchemaGraph& schema() const { return *schema_; }
   const LatticeConfig& config() const { return config_; }
 
+  /// The nodes bucketed by keyword-copy set, derived when the lattice is
+  /// generated or loaded.
+  const CopySetIndex& copy_sets() const { return copy_sets_; }
+
   /// Total duplicates removed across levels (Fig. 9(a)).
   size_t TotalDuplicates() const;
 
@@ -108,6 +149,7 @@ class Lattice {
   std::vector<LevelStats> level_stats_;      // level_stats_[k-1] for level k.
   const SchemaGraph* schema_ = nullptr;
   LatticeConfig config_;
+  CopySetIndex copy_sets_;
 };
 
 }  // namespace kwsdbg

@@ -122,6 +122,7 @@ StatusOr<std::unique_ptr<Lattice>> LatticeGenerator::Generate(
     stats.kept = lat.levels_[k].size();
     stats.gen_millis = timer.ElapsedMillis();
   }
+  lat.copy_sets_ = CopySetIndex::Build(lat.nodes_);
   return lattice;
 }
 

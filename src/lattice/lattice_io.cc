@@ -289,6 +289,7 @@ StatusOr<std::unique_ptr<Lattice>> LatticeIoAccess::Load(
       lat.nodes_[child].parents.push_back(id);
     }
   }
+  lat.copy_sets_ = CopySetIndex::Build(lat.nodes_);
   return lattice;
 }
 

@@ -4,10 +4,10 @@
 //
 // Format: a line-oriented text format ("KWSDBGLAT 1" header, the generation
 // config, then one line per node: level, vertices as rel:copy pairs, edges
-// as a,b,schema_edge triples). Parent/child links and the canonical-label
-// map are rebuilt on load, and every tree is validated against the schema
-// graph, so a corrupted or mismatched file fails loudly instead of
-// producing a subtly wrong lattice.
+// as a,b,schema_edge triples). Parent/child links, the canonical-label map
+// and the copy-set index are rebuilt on load, and every tree is validated
+// against the schema graph, so a corrupted or mismatched file fails loudly
+// instead of producing a subtly wrong lattice.
 #ifndef KWSDBG_LATTICE_LATTICE_IO_H_
 #define KWSDBG_LATTICE_LATTICE_IO_H_
 

@@ -137,7 +137,8 @@ const Executor::KeywordMatches& Executor::GetKeywordMatches(
   auto it = keyword_cache_.find(key);
   if (it != keyword_cache_.end()) return it->second;
   KeywordMatches matches;
-  matches.bitmap.assign(table->num_rows(), 0);
+  // Marks matching rows while the set is built; only `rows` is cached.
+  std::vector<uint8_t> bitmap(table->num_rows(), 0);
   uint32_t tid = IndexServable(keyword) ? text_index_->TableIdOf(table->name())
                                         : InvertedIndex::kNoTable;
   // Degraded mode: a text-index fault (injected, or a future real lookup
@@ -159,8 +160,8 @@ const Executor::KeywordMatches& Executor::GetKeywordMatches(
       if (text_index_->ProfileRowCount(term_id, tid) == 0) continue;
       for (const Posting& p : text_index_->PostingsForTermId(term_id)) {
         if (p.table_id != tid) continue;
-        if (!matches.bitmap[p.row]) {
-          matches.bitmap[p.row] = 1;
+        if (!bitmap[p.row]) {
+          bitmap[p.row] = 1;
           ++matches.count;
         }
       }
@@ -174,7 +175,7 @@ const Executor::KeywordMatches& Executor::GetKeywordMatches(
         const Value& v = table->at(row, col);
         if (v.is_null()) continue;
         if (ContainsCaseInsensitive(v.AsString(), keyword)) {
-          matches.bitmap[row] = 1;
+          bitmap[row] = 1;
           ++matches.count;
           break;
         }
@@ -182,8 +183,8 @@ const Executor::KeywordMatches& Executor::GetKeywordMatches(
     }
   }
   matches.rows.reserve(matches.count);
-  for (size_t row = 0; row < matches.bitmap.size(); ++row) {
-    if (matches.bitmap[row]) matches.rows.push_back(static_cast<uint32_t>(row));
+  for (size_t row = 0; row < bitmap.size(); ++row) {
+    if (bitmap[row]) matches.rows.push_back(static_cast<uint32_t>(row));
   }
   return keyword_cache_.emplace(std::move(key), std::move(matches))
       .first->second;
@@ -721,6 +722,9 @@ StatusOr<bool> Executor::RunJoin(const JoinNetworkQuery& query, size_t limit,
           const uint32_t pr = f.use_candidates ? f.candidates[f.prefetch_pos]
                                                : f.prefetch_pos;
           ++f.prefetch_pos;
+          // The cursor drops rows the candidate bitmap rejects before they
+          // probe, so their keys are never read (a page fetch when spilled).
+          if (cand[v].materialized && !cand[v].bitmap[pr]) continue;
           const Value& key =
               pq.vertices[v].table->at(pr, f.child_key_col);
           if (!key.is_null()) f.child_index->PrefetchBucket(key.Hash64());

@@ -149,8 +149,7 @@ class Executor {
  private:
   /// Rows of `table` matching LIKE '%keyword%' on any text column.
   struct KeywordMatches {
-    std::vector<uint8_t> bitmap;  ///< bitmap[row] != 0 iff row matches.
-    std::vector<uint32_t> rows;   ///< Matching rows, ascending.
+    std::vector<uint32_t> rows;  ///< Matching rows, ascending.
     size_t count = 0;
   };
 

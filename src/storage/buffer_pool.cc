@@ -1,6 +1,7 @@
 #include "storage/buffer_pool.h"
 
 #include <cstring>
+#include <string>
 
 #include "common/logging.h"
 
@@ -84,12 +85,27 @@ Status DecodeRows(const char* data, size_t size, std::vector<Tuple>* out) {
   if (!GetPod(data, size, &pos, &num_rows)) {
     return Status::ParseError("spill page truncated: missing row count");
   }
+  // Counts come from the input, so bound them by the bytes left before they
+  // size an allocation: a row needs at least its 2-byte arity, a cell its
+  // 1-byte tag.
+  if (num_rows > (size - pos) / sizeof(uint16_t)) {
+    return Status::ParseError("spill page corrupt: " +
+                              std::to_string(num_rows) +
+                              " rows cannot fit in " +
+                              std::to_string(size - pos) + " bytes");
+  }
   out->clear();
   out->reserve(num_rows);
   for (uint32_t i = 0; i < num_rows; ++i) {
     uint16_t arity = 0;
     if (!GetPod(data, size, &pos, &arity)) {
       return Status::ParseError("spill page truncated: missing arity");
+    }
+    if (arity > size - pos) {
+      return Status::ParseError("spill page corrupt: " +
+                                std::to_string(arity) +
+                                " cells cannot fit in " +
+                                std::to_string(size - pos) + " bytes");
     }
     Tuple row;
     row.reserve(arity);

@@ -56,6 +56,7 @@ class Reader {
     return true;
   }
   bool AtEnd() const { return pos_ == size_; }
+  size_t remaining() const { return size_ - pos_; }
 
  private:
   bool ReadRaw(void* v, size_t n) {
@@ -188,6 +189,14 @@ Status DecodeTableSection(std::string_view payload, bool metadata_only,
   uint32_t num_columns;
   if (!r.ReadString(&out->info.name) || !r.ReadU32(&num_columns)) {
     return Status::DataLoss("checkpoint table section truncated");
+  }
+  // A column needs at least its 4-byte name length and 1-byte type, so a
+  // count the section cannot hold is forged: reject it before it sizes an
+  // allocation.
+  if (num_columns > r.remaining() / 5) {
+    return Status::DataLoss("checkpoint table section claims " +
+                            std::to_string(num_columns) + " columns in " +
+                            std::to_string(r.remaining()) + " bytes");
   }
   std::vector<Column> columns;
   columns.reserve(num_columns);

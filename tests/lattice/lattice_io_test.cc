@@ -2,14 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <utility>
 
 #include "datasets/dblife.h"
 #include "datasets/toy_product_db.h"
+#include "datasets/workload.h"
+#include "kws/pruned_lattice.h"
 #include "lattice/canonical_label.h"
 #include "lattice/lattice_generator.h"
+#include "text/inverted_index.h"
 
 namespace kwsdbg {
 namespace {
@@ -195,6 +199,57 @@ TEST(LatticeIoTest, LoadedLatticeIsUsableEndToEnd) {
     EXPECT_EQ(lattice->Descendants(id).size(),
               (*loaded)->Descendants(lid).size());
   }
+}
+
+TEST(LatticeIoTest, LoadedLatticeBuildsSamePrunedLattice) {
+  // The copy-set index is derived on load, not stored: a reloaded lattice
+  // must hand Phases 1-2 the same buckets, so Build agrees node for node
+  // (ids are line order, which is generation order).
+  DblifeConfig config;
+  config.num_persons = 60;
+  config.num_publications = 100;
+  config.num_conferences = 10;
+  config.num_organizations = 12;
+  config.num_topics = 10;
+  auto ds = GenerateDblife(config);
+  ASSERT_TRUE(ds.ok());
+  LatticeConfig lconfig;
+  lconfig.max_joins = 3;
+  lconfig.num_keyword_copies = 3;
+  auto lattice = LatticeGenerator::Generate(ds->schema, lconfig);
+  ASSERT_TRUE(lattice.ok());
+  std::ostringstream out;
+  ASSERT_TRUE(SaveLattice(**lattice, &out).ok());
+  std::istringstream in(out.str());
+  auto loaded = LoadLattice(ds->schema, &in);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+
+  const CopySetIndex& a = (*lattice)->copy_sets();
+  const CopySetIndex& b = (*loaded)->copy_sets();
+  ASSERT_EQ(a.num_keys(), b.num_keys());
+  for (size_t i = 0; i < a.num_keys(); ++i) {
+    EXPECT_TRUE(std::ranges::equal(a.key(i), b.key(i))) << "key " << i;
+    EXPECT_TRUE(std::ranges::equal(a.bucket(i), b.bucket(i))) << "key " << i;
+  }
+
+  InvertedIndex index = InvertedIndex::Build(*ds->db);
+  KeywordBinder binder(&ds->schema, &index, 3);
+  size_t interpretations = 0;
+  for (const WorkloadQuery& q : PaperWorkload()) {
+    for (const KeywordBinding& binding : binder.Bind(q.text).interpretations) {
+      const PrunedLattice want = PrunedLattice::Build(**lattice, binding);
+      const PrunedLattice got = PrunedLattice::Build(**loaded, binding);
+      EXPECT_EQ(got.mtns(), want.mtns()) << q.id;
+      EXPECT_EQ(got.retained(), want.retained()) << q.id;
+      for (size_t level = 1; level <= lconfig.max_joins + 1; ++level) {
+        EXPECT_EQ(got.RetainedAtLevel(level), want.RetainedAtLevel(level));
+      }
+      EXPECT_EQ(got.stats().surviving_nodes, want.stats().surviving_nodes);
+      EXPECT_EQ(got.stats().mtn_desc_total, want.stats().mtn_desc_total);
+      ++interpretations;
+    }
+  }
+  EXPECT_GT(interpretations, 0u);
 }
 
 }  // namespace

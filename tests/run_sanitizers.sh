@@ -56,7 +56,10 @@ export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
 # nested-loop join) and covers both executor stages that read candidate
 # rows: the semijoin union and the backtracking join's child-probe
 # prefetch window.
-CONCURRENCY_TESTS='DifferentialFuzzTest|SharedCacheEpochTest|DebugServiceTest|ServiceParityTest|SubmitTest|ComputeServiceStatsTest|ServiceStatsIntegrationTest|ShardIndexForHashTest|ParallelAgreementTest|LruCacheTest|VerdictCacheTest|FailureInjectionTest|ChaosTest|ChaosFuzzTest|ChaosPropagationTest|FaultInjectorTest|FlatRowIndexTest|BufferPoolTest|PageCodecTest|DiskManagerTest|SpillTest|SpillEpochTest|PostingStoreTest|ExecutorSpillTest|MutationTest|IncrementalIndexTest|LiveMutationTest|WalTest|CheckpointTest|RelationFencesTest|DurableServiceTest|CrashRecoveryTest|resilience_smoke|bench_smoke|service_scale_smoke|storage_tier_smoke|mutation_smoke|durability_smoke|PaModelTest|StrategyPlannerTest|AdaptiveColdStartTest|AdaptiveParityTest|AdaptiveDriftTest|adaptive_smoke|LatticeIoTest|ExecutorPropertyTest'
+# PrunedLatticeOracleTest compares Phases 1-2 on the copy-set index with
+# the per-node lattice scan they replaced: asan watches the CSR spans and
+# the retained set's open-addressing table, ubsan its hash arithmetic.
+CONCURRENCY_TESTS='DifferentialFuzzTest|SharedCacheEpochTest|DebugServiceTest|ServiceParityTest|SubmitTest|ComputeServiceStatsTest|ServiceStatsIntegrationTest|ShardIndexForHashTest|ParallelAgreementTest|LruCacheTest|VerdictCacheTest|FailureInjectionTest|ChaosTest|ChaosFuzzTest|ChaosPropagationTest|FaultInjectorTest|FlatRowIndexTest|BufferPoolTest|PageCodecTest|DiskManagerTest|SpillTest|SpillEpochTest|PostingStoreTest|ExecutorSpillTest|MutationTest|IncrementalIndexTest|LiveMutationTest|WalTest|CheckpointTest|RelationFencesTest|DurableServiceTest|CrashRecoveryTest|resilience_smoke|bench_smoke|service_scale_smoke|storage_tier_smoke|mutation_smoke|durability_smoke|PaModelTest|StrategyPlannerTest|AdaptiveColdStartTest|AdaptiveParityTest|AdaptiveDriftTest|adaptive_smoke|LatticeIoTest|ExecutorPropertyTest|PrunedLatticeOracleTest'
 
 : "${KWSDBG_FUZZ_ITERS:=200}"
 export KWSDBG_FUZZ_ITERS

@@ -34,10 +34,18 @@ std::vector<uint32_t> ScanLookup(const Table& table, const Value& v) {
   return rows;
 }
 
-/// Asserts FlatRowIndex == a column scan for every distinct value present
-/// plus the given extra probe values (misses, NULL, wrong-typed keys).
-void AssertParity(const Table& table, const std::vector<Value>& probes) {
-  const FlatRowIndex index = FlatRowIndex::Build(table, 0);
+/// The bucket-array bound Build keeps: load <= 0.5 over distinct keys, in
+/// a power-of-two table of at least 16 buckets of 16 bytes.
+size_t MaxBucketBytes(size_t num_keys) {
+  size_t capacity = 16;
+  while (capacity < 2 * num_keys) capacity <<= 1;
+  return 16 * capacity;
+}
+
+/// Asserts `index` == a column scan for every distinct value present plus
+/// the given extra probe values (misses, NULL, wrong-typed keys).
+void AssertParity(const Table& table, const FlatRowIndex& index,
+                  const std::vector<Value>& probes) {
   // Each distinct value once: the scan is linear per probe.
   struct ValueHash {
     size_t operator()(const Value& v) const { return v.Hash(); }
@@ -63,6 +71,14 @@ void AssertParity(const Table& table, const std::vector<Value>& probes) {
     ASSERT_EQ(a.size(), b.size());
     ASSERT_EQ(a.data, b.data);
   }
+}
+
+/// Builds an index over column 0 and asserts it is sized by its distinct
+/// keys and agrees with a column scan.
+void AssertParity(const Table& table, const std::vector<Value>& probes) {
+  const FlatRowIndex index = FlatRowIndex::Build(table, 0);
+  EXPECT_LE(index.stats().bucket_bytes, MaxBucketBytes(index.num_keys()));
+  AssertParity(table, index, probes);
 }
 
 TEST(FlatRowIndexTest, EmptyTable) {
@@ -166,7 +182,7 @@ TEST(FlatRowIndexTest, SeededStringKeysCollideInBuckets) {
   const FlatRowIndex index = FlatRowIndex::Build(t, 0);
   EXPECT_EQ(index.num_keys(), static_cast<size_t>(kKeys));
   EXPECT_EQ(index.stats().max_run_length, 2u);
-  // Occupancy 4096 keys in 16384 buckets: the birthday bound makes slot
+  // Occupancy 4096 keys in 8192 buckets: the birthday bound makes slot
   // collisions a statistical certainty; verify every key still resolves.
   AssertParity(t, {Value("seed--1"), Value("seed-4096")});
 }
@@ -180,8 +196,33 @@ TEST(FlatRowIndexTest, StatsReflectShape) {
   EXPECT_EQ(index.stats().distinct_keys, 10u);
   EXPECT_EQ(index.stats().max_run_length, 10u);
   EXPECT_EQ(index.stats().arena_bytes, 100 * sizeof(uint32_t));
-  EXPECT_GE(index.capacity(), 200u);
-  EXPECT_GE(index.stats().bucket_bytes, index.capacity() * 16);
+  // Sized by the 10 distinct keys, not the 100 rows.
+  EXPECT_EQ(index.capacity(), 32u);
+  EXPECT_EQ(index.stats().bucket_bytes, index.capacity() * 16);
+}
+
+// A duplicate-heavy column gets a table sized to its few keys (load 0.5
+// after Build), so the first new keys must grow it; lookups stay equal to a
+// column scan through every growth step.
+TEST(FlatRowIndexTest, ParityAfterApplyInsertGrowsSizedTable) {
+  Rng rng(20261018);
+  Table t = MakeTable("grow", DataType::kInt64);
+  for (int i = 0; i < 800; ++i) {
+    t.AppendRowUnchecked({Value(static_cast<int64_t>(i % 8))});
+  }
+  FlatRowIndex index = FlatRowIndex::Build(t, 0);
+  EXPECT_EQ(index.num_keys(), 8u);
+  EXPECT_EQ(index.capacity(), 16u);
+  for (int i = 0; i < 300; ++i) {
+    const Value v = rng.Bernoulli(0.1)
+                        ? Value::Null()
+                        : Value(static_cast<int64_t>(rng.Uniform(200)));
+    t.AppendRowUnchecked({v});
+    index.ApplyInsert(static_cast<uint32_t>(t.num_rows() - 1), v);
+    if (i % 50 == 0) AssertParity(t, index, {Value(int64_t{-1})});
+  }
+  EXPECT_GT(index.capacity(), 16u);
+  AssertParity(t, index, {Value(int64_t{-1}), Value(int64_t{500})});
 }
 
 TEST(FlatRowIndexTest, ManagerCachesAndAccumulates) {

@@ -48,6 +48,31 @@ TEST(PageCodecTest, RejectsTruncatedInput) {
   EXPECT_FALSE(DecodeRows(buf.data(), buf.size() / 2, &out).ok());
 }
 
+// Counts are read from the input: a forged one must fail typed instead of
+// sizing an allocation (WAL replay, checkpoint restore and the buffer pool
+// all decode bytes from disk).
+TEST(PageCodecTest, RejectsForgedCounts) {
+  std::vector<Tuple> out;
+  // 2^31 - 1 rows and no bytes behind the count.
+  const std::string forged_rows("\xff\xff\xff\x7f", 4);
+  EXPECT_EQ(DecodeRows(forged_rows.data(), forged_rows.size(), &out).code(),
+            StatusCode::kParseError);
+  // One row claiming 65,535 cells with two bytes behind its arity.
+  const std::string forged_arity("\x01\x00\x00\x00\xff\xff\x00\x00", 8);
+  EXPECT_EQ(
+      DecodeRows(forged_arity.data(), forged_arity.size(), &out).code(),
+      StatusCode::kParseError);
+  // Counts exactly at the bound still decode: three empty rows take six
+  // bytes, and a row of two NULLs two tag bytes.
+  std::vector<Tuple> rows(3);
+  rows.push_back({Value::Null(), Value::Null()});
+  std::string buf;
+  EncodeRows(rows, &buf);
+  ASSERT_TRUE(DecodeRows(buf.data(), buf.size(), &out).ok());
+  ASSERT_EQ(out.size(), 4u);
+  EXPECT_EQ(out[3].size(), 2u);
+}
+
 // Writes one single-page extent holding `rows` and returns its page id.
 uint64_t WriteExtent(DiskManager* disk, const std::vector<Tuple>& rows) {
   auto page = disk->AllocatePages(1);

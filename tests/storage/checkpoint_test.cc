@@ -5,11 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
 
 #include "common/fault_injector.h"
+#include "common/hash.h"
 #include "common/logging.h"
 #include "storage/database.h"
 
@@ -145,6 +147,43 @@ TEST(CheckpointTest, CorruptionIsDataLoss) {
   // Truncation (a torn rename target would look like this) is also loss.
   std::filesystem::resize_file(path, contents.size() / 3);
   EXPECT_EQ(RestoreCheckpoint(dir).status().code(), StatusCode::kDataLoss);
+}
+
+TEST(CheckpointTest, ForgedColumnCountIsDataLoss) {
+  const std::string dir = TestDir("forged_columns");
+  auto db = BuildSample();
+  ASSERT_TRUE(WriteCheckpoint(*db, dir, 1).ok());
+  const std::string path = CheckpointPath(dir);
+  std::string contents;
+  {
+    std::ifstream in(path, std::ios::binary);
+    contents.assign(std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>());
+  }
+  // Keep the header frame (u32 length, u32 checksum, payload) and replace
+  // the table sections with one that claims 2^32 - 1 columns under a valid
+  // checksum, so only the decoder's own bound can catch it.
+  uint32_t header_len = 0;
+  std::memcpy(&header_len, contents.data(), 4);
+  std::string forged = contents.substr(0, 8 + header_len);
+  std::string payload;
+  const uint32_t name_len = 5;
+  const uint32_t num_columns = 0xFFFFFFFFu;
+  payload.append(reinterpret_cast<const char*>(&name_len), 4);
+  payload.append("Color");
+  payload.append(reinterpret_cast<const char*>(&num_columns), 4);
+  payload.append(16, '\0');
+  const uint32_t len = static_cast<uint32_t>(payload.size());
+  const uint32_t checksum = Checksum32(payload.data(), payload.size());
+  forged.append(reinterpret_cast<const char*>(&len), 4);
+  forged.append(reinterpret_cast<const char*>(&checksum), 4);
+  forged.append(payload);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(forged.data(), static_cast<std::streamsize>(forged.size()));
+  }
+  EXPECT_EQ(RestoreCheckpoint(dir).status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(ReadCheckpointInfo(dir).status().code(), StatusCode::kDataLoss);
 }
 
 TEST(CheckpointTest, WriteFaultLeavesPreviousSnapshotIntact) {
