@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/counter_table.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/timer.h"
@@ -89,18 +90,7 @@ VariantRun RunVariant(const ProbeEnv& env, TraversalKind kind, bool v1) {
     KWSDBG_CHECK(report.ok()) << report.status().ToString();
     run.signature += report->ClassificationSignature();
     run.signature += '\n';
-    const TraversalStats stats = report->AggregateTraversalStats();
-    run.stats.sql_queries += stats.sql_queries;
-    run.stats.posting_hits += stats.posting_hits;
-    run.stats.scan_fallbacks += stats.scan_fallbacks;
-    run.stats.semijoin_eliminations += stats.semijoin_eliminations;
-    run.stats.rows_probed += stats.rows_probed;
-    run.stats.rows_filtered += stats.rows_filtered;
-    run.stats.index_builds += stats.index_builds;
-    run.stats.flat_probes += stats.flat_probes;
-    run.stats.prefetch_batches += stats.prefetch_batches;
-    run.stats.index_build_millis += stats.index_build_millis;
-    run.stats.arena_bytes += stats.arena_bytes;
+    AddRunCounters(&run.stats, report->AggregateTraversalStats());
   }
   run.millis = timer.ElapsedMillis();
   return run;

@@ -34,7 +34,10 @@ void Run() {
   std::printf("Fig. 13: percentage of reuse per query, 100*(1 - Nu/N)\n");
   std::vector<std::string> headers = {"query"};
   for (size_t level : levels) {
-    headers.push_back("L" + std::to_string(level) + " reuse%");
+    std::string header = "L";
+    header += std::to_string(level);
+    header += " reuse%";
+    headers.push_back(header);
   }
   TablePrinter table(headers);
   for (const WorkloadQuery& q : PaperWorkload()) {

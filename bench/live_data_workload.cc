@@ -312,13 +312,13 @@ size_t RunWarmGate(LiveEnv* env, WarmResult* out) {
   for (size_t c = 0; c < victim->schema().num_columns(); ++c) {
     switch (victim->schema().column(c).type) {
       case DataType::kInt64:
-        row.push_back(Value(int64_t{424242}));
+        row.emplace_back(int64_t{424242});
         break;
       case DataType::kDouble:
-        row.push_back(Value(42.0));
+        row.emplace_back(42.0);
         break;
       case DataType::kString:
-        row.push_back(Value(std::string("livegatewrite")));
+        row.emplace_back(std::string("livegatewrite"));
         break;
     }
   }

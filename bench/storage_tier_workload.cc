@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/counter_table.h"
 #include "common/logging.h"
 #include "common/timer.h"
 #include "datasets/dblife.h"
@@ -78,13 +79,7 @@ StrategyRun RunStrategy(const TierEnv& env, TraversalKind kind) {
     KWSDBG_CHECK(report.ok()) << report.status().ToString();
     run.signature += report->ClassificationSignature();
     run.signature += '\n';
-    TraversalStats stats = report->AggregateTraversalStats();
-    run.stats.sql_queries += stats.sql_queries;
-    run.stats.rows_probed += stats.rows_probed;
-    run.stats.page_hits += stats.page_hits;
-    run.stats.page_reads += stats.page_reads;
-    run.stats.page_evictions += stats.page_evictions;
-    run.stats.posting_reads += stats.posting_reads;
+    AddRunCounters(&run.stats, report->AggregateTraversalStats());
     if (run.sample_report_json.empty()) {
       run.sample_report_json = DebugReportToJson(*report);
     }

@@ -28,32 +28,7 @@ size_t DebugReport::TotalMpans() const {
 TraversalStats DebugReport::AggregateTraversalStats() const {
   TraversalStats stats;
   for (const auto& interp : interpretations) {
-    stats.sql_queries += interp.traversal_stats.sql_queries;
-    stats.sql_millis += interp.traversal_stats.sql_millis;
-    stats.total_millis += interp.traversal_stats.total_millis;
-    stats.cache_hits += interp.traversal_stats.cache_hits;
-    stats.cache_misses += interp.traversal_stats.cache_misses;
-    stats.cache_evictions += interp.traversal_stats.cache_evictions;
-    stats.posting_hits += interp.traversal_stats.posting_hits;
-    stats.scan_fallbacks += interp.traversal_stats.scan_fallbacks;
-    stats.semijoin_eliminations +=
-        interp.traversal_stats.semijoin_eliminations;
-    stats.rows_probed += interp.traversal_stats.rows_probed;
-    stats.rows_filtered += interp.traversal_stats.rows_filtered;
-    stats.index_builds += interp.traversal_stats.index_builds;
-    stats.flat_probes += interp.traversal_stats.flat_probes;
-    stats.prefetch_batches += interp.traversal_stats.prefetch_batches;
-    stats.index_build_millis += interp.traversal_stats.index_build_millis;
-    stats.arena_bytes += interp.traversal_stats.arena_bytes;
-    stats.index_fallbacks += interp.traversal_stats.index_fallbacks;
-    stats.semijoin_fallbacks += interp.traversal_stats.semijoin_fallbacks;
-    stats.page_hits += interp.traversal_stats.page_hits;
-    stats.page_reads += interp.traversal_stats.page_reads;
-    stats.page_evictions += interp.traversal_stats.page_evictions;
-    stats.posting_reads += interp.traversal_stats.posting_reads;
-    stats.planner_decisions += interp.traversal_stats.planner_decisions;
-    stats.planner_explored += interp.traversal_stats.planner_explored;
-    stats.pa_observations += interp.traversal_stats.pa_observations;
+    AddRunCounters(&stats, interp.traversal_stats);
     // Arm labels: one arm dominates a single-arm report; mixed picks are
     // summarized as "mixed". The model slice kept is the last (warmest) one.
     const std::string& arm = interp.traversal_stats.planned_strategy;

@@ -85,38 +85,9 @@ std::string DebugReportToJson(const DebugReport& report) {
     out << ",\"truncated\":" << (interp.truncated ? "true" : "false");
     out << ",\"stats\":{\"lattice_nodes\":" << interp.prune_stats.lattice_nodes
         << ",\"surviving_nodes\":" << interp.prune_stats.surviving_nodes
-        << ",\"mtns\":" << interp.prune_stats.num_mtns
-        << ",\"sql_queries\":" << interp.traversal_stats.sql_queries
-        << ",\"sql_millis\":" << interp.traversal_stats.sql_millis
-        << ",\"total_millis\":" << interp.traversal_stats.total_millis
-        << ",\"cache_hits\":" << interp.traversal_stats.cache_hits
-        << ",\"cache_misses\":" << interp.traversal_stats.cache_misses
-        << ",\"cache_evictions\":" << interp.traversal_stats.cache_evictions
-        << ",\"posting_hits\":" << interp.traversal_stats.posting_hits
-        << ",\"scan_fallbacks\":" << interp.traversal_stats.scan_fallbacks
-        << ",\"semijoin_eliminations\":"
-        << interp.traversal_stats.semijoin_eliminations
-        << ",\"rows_probed\":" << interp.traversal_stats.rows_probed
-        << ",\"rows_filtered\":" << interp.traversal_stats.rows_filtered
-        << ",\"index_builds\":" << interp.traversal_stats.index_builds
-        << ",\"flat_probes\":" << interp.traversal_stats.flat_probes
-        << ",\"prefetch_batches\":"
-        << interp.traversal_stats.prefetch_batches
-        << ",\"index_build_millis\":"
-        << interp.traversal_stats.index_build_millis
-        << ",\"arena_bytes\":" << interp.traversal_stats.arena_bytes
-        << ",\"index_fallbacks\":" << interp.traversal_stats.index_fallbacks
-        << ",\"semijoin_fallbacks\":"
-        << interp.traversal_stats.semijoin_fallbacks
-        << ",\"page_hits\":" << interp.traversal_stats.page_hits
-        << ",\"page_reads\":" << interp.traversal_stats.page_reads
-        << ",\"page_evictions\":" << interp.traversal_stats.page_evictions
-        << ",\"posting_reads\":" << interp.traversal_stats.posting_reads
-        << ",\"planner_decisions\":"
-        << interp.traversal_stats.planner_decisions
-        << ",\"planner_explored\":" << interp.traversal_stats.planner_explored
-        << ",\"pa_observations\":" << interp.traversal_stats.pa_observations
-        << ",\"planned_strategy\":";
+        << ",\"mtns\":" << interp.prune_stats.num_mtns;
+    AppendRunCountersJson(&out, interp.traversal_stats);
+    out << ",\"planned_strategy\":";
     AppendString(&out, interp.traversal_stats.planned_strategy);
     out << ",\"pa_buckets\":[";
     for (size_t b = 0; b < interp.traversal_stats.pa_buckets.size(); ++b) {

@@ -28,7 +28,8 @@ struct Adjacency {
 // `parent` excluded from its children.
 std::string GetCode(const JoinTree& tree, const Adjacency& adj, size_t u,
                     size_t parent) {
-  std::string l = "[" + std::to_string(VertexLabelId(tree.vertex(u)));
+  std::string l = "[";
+  l += std::to_string(VertexLabelId(tree.vertex(u)));
   std::vector<std::string> child_labels;
   for (const auto& [v, eid] : adj.neighbors[u]) {
     if (v == parent) continue;

@@ -113,21 +113,7 @@ ServiceStats ComputeServiceStats(const std::vector<QueryResult>& results,
       continue;
     }
     if (r.report.truncated) ++stats.truncated;
-    const TraversalStats agg = r.report.AggregateTraversalStats();
-    stats.sql_queries += agg.sql_queries;
-    stats.cache_hits += agg.cache_hits;
-    stats.cache_misses += agg.cache_misses;
-    stats.index_fallbacks += agg.index_fallbacks;
-    stats.semijoin_fallbacks += agg.semijoin_fallbacks;
-    stats.flat_probes += agg.flat_probes;
-    stats.prefetch_batches += agg.prefetch_batches;
-    stats.page_hits += agg.page_hits;
-    stats.page_reads += agg.page_reads;
-    stats.page_evictions += agg.page_evictions;
-    stats.posting_reads += agg.posting_reads;
-    stats.planner_decisions += agg.planner_decisions;
-    stats.planner_explored += agg.planner_explored;
-    stats.pa_observations += agg.pa_observations;
+    AddRunCounters(&stats, r.report.AggregateTraversalStats());
   }
   if (stats.queries > 0) {
     // Tiny batches can finish inside the timer's microsecond resolution; a

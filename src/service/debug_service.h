@@ -28,6 +28,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/counter_table.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/timer.h"
@@ -112,24 +113,6 @@ struct ServiceStats {
   size_t retries = 0;        ///< Retry attempts across the batch.
   size_t shed = 0;           ///< Queries rejected by admission control
                              ///< (kResourceExhausted; included in failed).
-  /// Degraded-mode executor fallbacks summed over the batch (nonzero only
-  /// under fault injection; see common/fault_injector.h).
-  size_t index_fallbacks = 0;
-  size_t semijoin_fallbacks = 0;
-  /// Join-index probe traffic summed over the batch.
-  size_t flat_probes = 0;
-  size_t prefetch_batches = 0;
-  /// Out-of-core I/O summed over the batch (zero when every table and the
-  /// index are resident, the usual service configuration).
-  size_t page_hits = 0;
-  size_t page_reads = 0;
-  size_t page_evictions = 0;
-  size_t posting_reads = 0;
-  /// Adaptive-traversal traffic summed over the batch (zero when the
-  /// debugger template runs a static strategy).
-  size_t planner_decisions = 0;
-  size_t planner_explored = 0;
-  size_t pa_observations = 0;
   double wall_millis = 0;    ///< Batch submit -> last query done.
   double queries_per_second = 0;
   /// Latency distribution over exec_millis of queries that actually ran
@@ -140,11 +123,12 @@ struct ServiceStats {
   double p999_millis = 0;
   double max_millis = 0;
   double mean_queue_millis = 0;  ///< Average worker wait (ran queries only).
-  /// SQL actually issued vs. verdicts answered from cache, summed over the
-  /// batch's traversal stats (hits here include intra-query reuse).
-  size_t sql_queries = 0;
-  size_t cache_hits = 0;
-  size_t cache_misses = 0;
+  /// Every KWSDBG_TRAVERSAL_COUNTERS row (common/counter_table.h) summed
+  /// over the traversal stats of the batch's completed queries. cache_hits
+  /// include intra-query reuse; cache_evictions sums each run's cache-wide
+  /// eviction delta, beside the tier's own lifetime count in
+  /// shared_cache.evictions.
+  KWSDBG_TRAVERSAL_COUNTERS(KWSDBG_COUNTER_FIELD)
   /// Live-write counters since service construction (all zero for a service
   /// built over a const database; see LiveMutator).
   size_t mutations_applied = 0;

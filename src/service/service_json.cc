@@ -13,14 +13,6 @@ std::string ServiceStatsToJson(const ServiceStats& stats) {
       << ",\"failed\":" << stats.failed
       << ",\"retries\":" << stats.retries
       << ",\"shed\":" << stats.shed
-      << ",\"index_fallbacks\":" << stats.index_fallbacks
-      << ",\"semijoin_fallbacks\":" << stats.semijoin_fallbacks
-      << ",\"flat_probes\":" << stats.flat_probes
-      << ",\"prefetch_batches\":" << stats.prefetch_batches
-      << ",\"page_hits\":" << stats.page_hits
-      << ",\"page_reads\":" << stats.page_reads
-      << ",\"page_evictions\":" << stats.page_evictions
-      << ",\"posting_reads\":" << stats.posting_reads
       << ",\"wall_millis\":" << stats.wall_millis
       << ",\"queries_per_second\":" << stats.queries_per_second
       << ",\"p50_millis\":" << stats.p50_millis
@@ -29,9 +21,6 @@ std::string ServiceStatsToJson(const ServiceStats& stats) {
       << ",\"p999_millis\":" << stats.p999_millis
       << ",\"max_millis\":" << stats.max_millis
       << ",\"mean_queue_millis\":" << stats.mean_queue_millis
-      << ",\"sql_queries\":" << stats.sql_queries
-      << ",\"cache_hits\":" << stats.cache_hits
-      << ",\"cache_misses\":" << stats.cache_misses
       << ",\"mutations_applied\":" << stats.mutations_applied
       << ",\"partial_evictions\":" << stats.partial_evictions
       << ",\"index_patches\":" << stats.index_patches
@@ -39,11 +28,9 @@ std::string ServiceStatsToJson(const ServiceStats& stats) {
       << ",\"wal_fsyncs\":" << stats.wal_fsyncs
       << ",\"checkpoints\":" << stats.checkpoints
       << ",\"wal_replayed\":" << stats.wal_replayed
-      << ",\"recovery_torn_bytes\":" << stats.recovery_torn_bytes
-      << ",\"planner_decisions\":" << stats.planner_decisions
-      << ",\"planner_explored\":" << stats.planner_explored
-      << ",\"pa_observations\":" << stats.pa_observations
-      << ",\"shared_cache\":{\"entries\":" << stats.shared_cache.entries
+      << ",\"recovery_torn_bytes\":" << stats.recovery_torn_bytes;
+  AppendRunCountersJson(&out, stats);
+  out << ",\"shared_cache\":{\"entries\":" << stats.shared_cache.entries
       << ",\"hits\":" << stats.shared_cache.hits
       << ",\"misses\":" << stats.shared_cache.misses
       << ",\"insertions\":" << stats.shared_cache.insertions

@@ -109,7 +109,9 @@ std::string ResultSet::ToString(size_t max_rows) const {
     }
     out += "\n";
   }
-  out += "(" + std::to_string(rows.size()) + " rows)\n";
+  out += "(";
+  out += std::to_string(rows.size());
+  out += " rows)\n";
   return out;
 }
 
@@ -168,7 +170,7 @@ const Executor::KeywordMatches& Executor::GetKeywordMatches(
     }
   } else {
     // Scan fallback: LIKE '%keyword%' over every text column.
-    ++stats_.keyword_scans;
+    ++stats_.scan_fallbacks;
     const std::vector<size_t> text_cols = table->schema().TextColumnIndices();
     for (size_t row = 0; row < table->num_rows(); ++row) {
       for (size_t col : text_cols) {
@@ -394,10 +396,7 @@ StatusOr<bool> Executor::RunJoin(const JoinNetworkQuery& query, size_t limit,
   constexpr size_t kPrefetchWindow = 16;
   constexpr size_t kBatchMinProbes = 32;
   auto deadline_fired = [this] {
-    if (options_.cancellation == nullptr || !options_.cancellation->Expired())
-      return false;
-    ++stats_.deadline_aborts;
-    return true;
+    return options_.cancellation != nullptr && options_.cancellation->Expired();
   };
   if (deadline_fired()) {
     return Status::DeadlineExceeded("query cancelled before execution");

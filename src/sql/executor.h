@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "common/cancellation.h"
+#include "common/counter_table.h"
 #include "common/hash.h"
 #include "common/status.h"
 #include "sql/flat_row_index.h"
@@ -76,42 +77,15 @@ struct ExecutorOptions {
 };
 
 /// Accumulated executor counters; the traversal experiments read these.
+/// The per-run ones are the rows of KWSDBG_EXECUTOR_COUNTERS
+/// (common/counter_table.h).
 struct ExecutorStats {
   size_t queries_executed = 0;  ///< Execute/IsNonEmpty calls (failed too).
   double exec_millis = 0;       ///< Total wall time inside the executor,
                                 ///< accounted on every exit path.
-  size_t keyword_scans = 0;     ///< Keyword match sets built by a full
-                                ///< LIKE scan (index miss or fallback).
-  size_t posting_hits = 0;      ///< Keyword match sets served from the
-                                ///< inverted index's posting lists.
   size_t rows_output = 0;
-  size_t rows_probed = 0;       ///< Rows pulled during backtracking joins.
-  size_t rows_filtered = 0;     ///< Table rows excluded when the semijoin
-                                ///< union materializes a full vertex.
-  size_t semijoin_eliminations = 0;  ///< Queries proven empty because a
-                                     ///< semijoin union ran empty.
-  size_t index_builds = 0;      ///< Join-column hash indexes built.
-  size_t flat_probes = 0;       ///< Lookups answered by a FlatRowIndex.
-  size_t prefetch_batches = 0;  ///< Backtracking frames that opened a
-                                ///< child-probe prefetch window.
-  double index_build_millis = 0; ///< Wall time building flat indexes.
-  size_t arena_bytes = 0;       ///< Row-id arena bytes across flat indexes
-                                ///< built by this session.
   size_t existence_probes = 0;  ///< IsNonEmpty calls (first-witness mode).
-  size_t deadline_aborts = 0;   ///< Probes unwound by a fired cancellation
-                                ///< token (no verdict was produced).
-  // Degraded-mode fallbacks (see common/fault_injector.h): a faulted fast
-  // path falls back to a slower correct one instead of failing the query.
-  size_t index_fallbacks = 0;    ///< Keyword match sets that fell back from
-                                 ///< posting lists to a LIKE scan because
-                                 ///< the text-index path faulted.
-  size_t semijoin_fallbacks = 0; ///< Queries that skipped the semijoin pass
-                                 ///< (plain backtracking join) on a fault.
-  // Out-of-core tier (all zero for a fully resident database + index).
-  size_t page_hits = 0;       ///< Table page fetches served by the pool.
-  size_t page_reads = 0;      ///< Table pages read from disk.
-  size_t page_evictions = 0;  ///< Buffer-pool frames displaced.
-  size_t posting_reads = 0;   ///< Posting lists fetched from disk.
+  KWSDBG_EXECUTOR_COUNTERS(KWSDBG_COUNTER_FIELD)
 };
 
 /// One executor = one "database session". Not thread-safe.

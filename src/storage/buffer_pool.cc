@@ -123,7 +123,7 @@ Status DecodeRows(const char* data, size_t size, std::vector<Tuple>* out) {
           if (!GetPod(data, size, &pos, &bits)) {
             return Status::ParseError("spill page truncated: int payload");
           }
-          row.push_back(Value(static_cast<int64_t>(bits)));
+          row.emplace_back(static_cast<int64_t>(bits));
           break;
         }
         case kTagDouble: {
@@ -133,7 +133,7 @@ Status DecodeRows(const char* data, size_t size, std::vector<Tuple>* out) {
           }
           double d;
           std::memcpy(&d, &bits, sizeof(d));
-          row.push_back(Value(d));
+          row.emplace_back(d);
           break;
         }
         case kTagString: {
@@ -144,7 +144,7 @@ Status DecodeRows(const char* data, size_t size, std::vector<Tuple>* out) {
           if (pos + len > size) {
             return Status::ParseError("spill page truncated: string payload");
           }
-          row.push_back(Value(std::string(data + pos, len)));
+          row.emplace_back(std::string(data + pos, len));
           pos += len;
           break;
         }

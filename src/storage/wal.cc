@@ -183,7 +183,7 @@ Status ScanWal(const std::string& bytes, const std::string& path,
     return Status::OK();
   }
   Reader header(bytes.data(), kHeaderSize);
-  uint32_t magic, version;
+  uint32_t magic = 0, version = 0;
   header.ReadU32(&magic);
   header.ReadU32(&version);
   header.ReadU64(&out->base_seq);

@@ -74,24 +74,10 @@ TraversalResult RunCounters::Finish(TraversalResult result) const {
         evaluator_.cache()->stats().evictions - evictions_before_;
   }
   const ExecutorStats& now = evaluator_.executor()->stats();
-  const ExecutorStats& before = exec_before_;
-  stats.posting_hits = now.posting_hits - before.posting_hits;
-  stats.scan_fallbacks = now.keyword_scans - before.keyword_scans;
-  stats.semijoin_eliminations =
-      now.semijoin_eliminations - before.semijoin_eliminations;
-  stats.rows_probed = now.rows_probed - before.rows_probed;
-  stats.rows_filtered = now.rows_filtered - before.rows_filtered;
-  stats.index_builds = now.index_builds - before.index_builds;
-  stats.flat_probes = now.flat_probes - before.flat_probes;
-  stats.prefetch_batches = now.prefetch_batches - before.prefetch_batches;
-  stats.index_build_millis = now.index_build_millis - before.index_build_millis;
-  stats.arena_bytes = now.arena_bytes - before.arena_bytes;
-  stats.index_fallbacks = now.index_fallbacks - before.index_fallbacks;
-  stats.semijoin_fallbacks = now.semijoin_fallbacks - before.semijoin_fallbacks;
-  stats.page_hits = now.page_hits - before.page_hits;
-  stats.page_reads = now.page_reads - before.page_reads;
-  stats.page_evictions = now.page_evictions - before.page_evictions;
-  stats.posting_reads = now.posting_reads - before.posting_reads;
+#define KWSDBG_EXECUTOR_DELTA(name, kind, doc) \
+  stats.name = now.name - exec_before_.name;
+  KWSDBG_EXECUTOR_COUNTERS(KWSDBG_EXECUTOR_DELTA)
+#undef KWSDBG_EXECUTOR_DELTA
   stats.total_millis = total_.ElapsedMillis();
   return result;
 }
@@ -184,14 +170,7 @@ StatusOr<TraversalResult> BuildOutcomes(const PrunedLattice& pl,
       return Status::Internal("MTN " + std::to_string(m) +
                               " left unclassified by traversal");
     }
-    MtnOutcome outcome;
-    outcome.mtn = m;
-    outcome.alive = status.IsAlive(m);
-    if (!outcome.alive) {
-      outcome.mpans = ExtractMpans(pl, status, m);
-      outcome.culprits = ExtractMinimalDead(pl, status, m);
-    }
-    result.outcomes.push_back(std::move(outcome));
+    AppendOutcomeIfKnown(pl, status, m, &result);
   }
   return result;
 }

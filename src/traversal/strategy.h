@@ -9,6 +9,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/counter_table.h"
 #include "common/timer.h"
 #include "traversal/evaluator.h"
 #include "traversal/node_status.h"
@@ -34,43 +35,10 @@ struct MtnOutcome {
   bool frontier_complete = true;
 };
 
-/// Work counters for one strategy run.
+/// Work counters for one strategy run: the rows of KWSDBG_TRAVERSAL_COUNTERS
+/// (common/counter_table.h), plus the adaptive planner's pick.
 struct TraversalStats {
-  size_t sql_queries = 0;   ///< SQL executions (Fig. 11 / Table 4).
-  double sql_millis = 0;    ///< Time inside SQL execution (Fig. 12).
-  double total_millis = 0;  ///< End-to-end traversal time.
-  // Verdict-cache traffic (zero when no cache is attached to the evaluator).
-  size_t cache_hits = 0;
-  size_t cache_misses = 0;
-  size_t cache_evictions = 0;  ///< Evictions during this run (cache-wide).
-  // Executor probe-path counters for this run (deltas of the
-  // evaluator's executor).
-  size_t posting_hits = 0;     ///< Keyword match sets from posting lists.
-  size_t scan_fallbacks = 0;   ///< Keyword match sets from full LIKE scans.
-  size_t semijoin_eliminations = 0;  ///< Probes killed by an empty
-                                     ///< semijoin union.
-  size_t rows_probed = 0;      ///< Rows pulled during backtracking joins.
-  size_t rows_filtered = 0;    ///< Table rows excluded when the semijoin
-                               ///< union materializes a full vertex.
-  size_t index_builds = 0;     ///< Join-column hash indexes built.
-  // Join-index probe counters.
-  size_t flat_probes = 0;       ///< Lookups served by flat indexes.
-  size_t prefetch_batches = 0;  ///< Backtracking frames that opened a
-                                ///< child-probe prefetch window.
-  double index_build_millis = 0;  ///< Wall time building flat indexes.
-  size_t arena_bytes = 0;       ///< Flat-index row-arena bytes built.
-  // Degraded-mode fallbacks taken under fault injection (zero otherwise).
-  size_t index_fallbacks = 0;     ///< Posting lists -> LIKE scan fallbacks.
-  size_t semijoin_fallbacks = 0;  ///< Semijoin pass skipped (plain join).
-  // Out-of-core tier counters (zero for resident databases/indexes).
-  size_t page_hits = 0;       ///< Table page fetches served by the pool.
-  size_t page_reads = 0;      ///< Table pages read from disk.
-  size_t page_evictions = 0;  ///< Buffer-pool frames displaced.
-  size_t posting_reads = 0;   ///< Posting lists fetched from disk.
-  // Adaptive traversal (zero/empty without a planner or model attached).
-  size_t planner_decisions = 0;  ///< 1 when a StrategyPlanner picked the arm.
-  size_t planner_explored = 0;   ///< 1 when that pick was an exploration.
-  size_t pa_observations = 0;    ///< Verdicts fed to the PaModel by this run.
+  KWSDBG_TRAVERSAL_COUNTERS(KWSDBG_COUNTER_FIELD)
   std::string planned_strategy;  ///< Planner arm label; empty otherwise.
   std::vector<PaBucketSnapshot> pa_buckets;  ///< Post-run model slice for the
                                              ///< query's selectivity bucket.
@@ -166,7 +134,8 @@ std::vector<NodeId> ExtractMpans(const PrunedLattice& pl,
 std::vector<NodeId> ExtractMinimalDead(const PrunedLattice& pl,
                                        const NodeStatusMap& status, NodeId m);
 
-/// Builds per-MTN outcomes from a fully classified global status map.
+/// Builds per-MTN outcomes from a fully classified global status map (via
+/// AppendOutcomeIfKnown); an MTN left unclassified is an Internal error.
 StatusOr<TraversalResult> BuildOutcomes(const PrunedLattice& pl,
                                         const NodeStatusMap& status);
 

@@ -6,6 +6,7 @@
 
 #include <sstream>
 
+#include "common/counter_table.h"
 #include "common/logging.h"
 #include "datasets/dblife.h"
 #include "datasets/ecommerce.h"
@@ -115,9 +116,11 @@ TEST(EndToEndTest, PersistedArtifactsGiveIdenticalReports) {
     report->bind_millis = 0;
     report->debug_millis = 0;
     for (auto& interp : report->interpretations) {
-      interp.traversal_stats.sql_millis = 0;
-      interp.traversal_stats.total_millis = 0;
-      interp.traversal_stats.index_build_millis = 0;
+      TraversalStats& stats = interp.traversal_stats;
+#define KWSDBG_STRIP_MILLIS(name, kind, doc) \
+  if (CounterKind::kind == CounterKind::kMillis) stats.name = 0;
+      KWSDBG_TRAVERSAL_COUNTERS(KWSDBG_STRIP_MILLIS)
+#undef KWSDBG_STRIP_MILLIS
       interp.prune_stats.prune_millis = 0;
       interp.prune_stats.mtn_millis = 0;
     }

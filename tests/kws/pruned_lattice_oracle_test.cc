@@ -185,7 +185,9 @@ std::vector<RelationCopy> KeywordCopies(const Lattice& lattice) {
 KeywordBinding BindingOf(const std::vector<RelationCopy>& copies) {
   std::vector<KeywordAssignment> assignments;
   for (size_t i = 0; i < copies.size(); ++i) {
-    assignments.push_back({"k" + std::to_string(i), copies[i]});
+    std::string keyword = "k";
+    keyword += std::to_string(i);
+    assignments.push_back({std::move(keyword), copies[i]});
   }
   return KeywordBinding(std::move(assignments));
 }

@@ -25,7 +25,10 @@ class CanonicalLabelTest : public testing::Test {
 TEST_F(CanonicalLabelTest, SingleVertexLabel) {
   JoinTree t = JoinTree::Single({0, 1});
   std::string l = CanonicalLabel(t);
-  EXPECT_EQ(l, "[" + std::to_string(VertexLabelId({0, 1})) + "]");
+  std::string want = "[";
+  want += std::to_string(VertexLabelId({0, 1}));
+  want += "]";
+  EXPECT_EQ(l, want);
 }
 
 TEST_F(CanonicalLabelTest, ExtensionOrderIrrelevant) {

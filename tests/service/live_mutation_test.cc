@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <string>
+#include <stop_token>
 #include <thread>
 #include <vector>
 
@@ -184,11 +186,12 @@ TEST(LiveMutationTest, ConcurrentWritesWhileQuerying) {
   DebugService service(fx.db.get(), fx.lattice.get(), fx.index.get(),
                        options);
 
-  std::atomic<bool> stop{false};
   std::atomic<size_t> writes_ok{0};
-  std::thread writer([&] {
+  // A jthread, so an ASSERT below that returns early still stops and joins
+  // the writer before the service it uses is destroyed.
+  std::jthread writer([&](std::stop_token stop) {
     size_t i = 0;
-    while (!stop.load(std::memory_order_relaxed)) {
+    while (!stop.stop_requested()) {
       // Rotate insert / update / delete, always with existing vocabulary.
       Status s;
       if (i % 3 == 0) {
@@ -207,15 +210,31 @@ TEST(LiveMutationTest, ConcurrentWritesWhileQuerying) {
     }
   });
 
-  for (int pass = 0; pass < 6; ++pass) {
+  // A toy batch takes a few milliseconds, which can be less than the
+  // writer's first ApplyMutation takes to return; so batches keep running
+  // until kMinWrites writes are acknowledged too, not just kMinPasses
+  // passes. The wall-clock bound turns a starved writer into a failure
+  // with a message instead of a hang.
+  constexpr int kMinPasses = 6;
+  constexpr size_t kMinWrites = 12;
+  constexpr auto kBound = std::chrono::seconds(30);
+  const auto give_up = std::chrono::steady_clock::now() + kBound;
+  int passes = 0;
+  while (passes < kMinPasses || writes_ok.load() < kMinWrites) {
+    if (std::chrono::steady_clock::now() > give_up) break;
     BatchResult batch = service.RunBatch(queries);
     ASSERT_TRUE(batch.status.ok());
     for (const QueryResult& r : batch.results) {
       EXPECT_TRUE(r.status.ok()) << r.status.ToString();
     }
+    ++passes;
   }
-  stop.store(true);
+  writer.request_stop();
   writer.join();
+  EXPECT_GE(passes, kMinPasses);
+  EXPECT_GE(writes_ok.load(), kMinWrites)
+      << "writer starved: " << writes_ok.load() << " acknowledged write(s) "
+      << "in " << passes << " passes within " << kBound.count() << " s";
   EXPECT_GT(writes_ok.load(), 0u);
 
   // Quiesced now: the final batch must agree with a fresh debugger over the

@@ -171,6 +171,7 @@ TEST(SharedCacheEpochTest, BumpEpochInvalidatesWithoutClear) {
                              Value(std::string(kBaseSynonyms) + ", " + kMarker))
                   .ok());
   fx.db->BumpEpoch();
+  EXPECT_NE(fx.db->epoch(), initial_epoch);
 
   auto after = evaluator.IsAlive(node);
   ASSERT_TRUE(after.ok());

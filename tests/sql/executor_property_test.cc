@@ -81,8 +81,9 @@ JoinNetworkQuery RandomDblifePath(Rng* rng) {
   JoinNetworkQuery q;
   auto add_vertex = [&](const std::string& table, bool entity) {
     const std::string keyword = entity ? kKeywords[rng->Uniform(11)] : "";
-    q.vertices.push_back(
-        {table, "v" + std::to_string(q.vertices.size()), keyword});
+    std::string alias = "v";
+    alias += std::to_string(q.vertices.size());
+    q.vertices.push_back({table, alias, keyword});
     return static_cast<uint16_t>(q.vertices.size() - 1);
   };
   // Adds `link` entered from its side `from`; returns the far entity.

@@ -124,12 +124,12 @@ TEST_F(ExecutorTest, StatsCountQueries) {
 
 TEST_F(ExecutorTest, KeywordScansAreCached) {
   ASSERT_TRUE(executor_->Execute(SingleTable("Item", "candle")).ok());
-  const size_t scans = executor_->stats().keyword_scans;
+  const size_t scans = executor_->stats().scan_fallbacks;
   ASSERT_TRUE(executor_->Execute(SingleTable("Item", "candle")).ok());
-  EXPECT_EQ(executor_->stats().keyword_scans, scans);
+  EXPECT_EQ(executor_->stats().scan_fallbacks, scans);
   executor_->ClearCaches();
   ASSERT_TRUE(executor_->Execute(SingleTable("Item", "candle")).ok());
-  EXPECT_EQ(executor_->stats().keyword_scans, scans + 1);
+  EXPECT_EQ(executor_->stats().scan_fallbacks, scans + 1);
 }
 
 TEST_F(ExecutorTest, InvalidQueryRejected) {
@@ -163,9 +163,10 @@ TEST_F(ExecutorTest, ExplainSeesWritesAfterEpochBumps) {
   auto expect_candidates = [&](size_t n) {
     auto plan = executor_->Explain(q);
     ASSERT_TRUE(plan.ok());
-    EXPECT_NE(plan->find("~" + std::to_string(n) + " candidate rows"),
-              std::string::npos)
-        << *plan;
+    std::string want = "~";
+    want += std::to_string(n);
+    want += " candidate rows";
+    EXPECT_NE(plan->find(want), std::string::npos) << *plan;
     auto rs = executor_->Execute(q);
     ASSERT_TRUE(rs.ok());
     EXPECT_EQ(rs->rows.size(), n);

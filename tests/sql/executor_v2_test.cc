@@ -163,10 +163,10 @@ TEST_F(ExecutorV2Test, PostingListAndScanCandidatesAgree) {
 }
 
 TEST_F(ExecutorV2Test, IndexedPathNeverScansForSingleTokenKeywords) {
-  for (const std::string& kw : {"saffron", "candle", "scented"}) {
+  for (const char* kw : {"saffron", "candle", "scented"}) {
     ASSERT_TRUE(indexed_->Execute(SingleTable("Item", kw)).ok());
   }
-  EXPECT_EQ(indexed_->stats().keyword_scans, 0u);
+  EXPECT_EQ(indexed_->stats().scan_fallbacks, 0u);
   EXPECT_GT(indexed_->stats().posting_hits, 0u);
 }
 
@@ -176,7 +176,7 @@ TEST_F(ExecutorV2Test, MultiTokenKeywordFallsBackToScan) {
   auto rs = indexed_->Execute(SingleTable("Item", "scented candle"));
   ASSERT_TRUE(rs.ok());
   EXPECT_EQ(rs->rows.size(), 2u);  // items 2 and 3
-  EXPECT_EQ(indexed_->stats().keyword_scans, 1u);
+  EXPECT_EQ(indexed_->stats().scan_fallbacks, 1u);
 }
 
 TEST_F(ExecutorV2Test, ClearCachesDropsPostingDerivedSets) {

@@ -43,22 +43,25 @@ TEST_P(ParserFuzzTest, GeneratedStatementsAlwaysParse) {
   Rng rng(GetParam() * 7919 + 1);
   const char* tables[] = {"Item", "Color", "ProductType"};
   const char* columns[] = {"id", "name", "color"};
+  auto alias = [](size_t i) {
+    std::string a = "a";
+    a += std::to_string(i);
+    return a;
+  };
   for (int iter = 0; iter < 200; ++iter) {
     SelectStatement stmt;
     stmt.select_all = true;
     const size_t nt = 1 + rng.Uniform(3);
     for (size_t i = 0; i < nt; ++i) {
-      stmt.from.push_back(FromItem{tables[rng.Uniform(3)],
-                                   "a" + std::to_string(i)});
+      stmt.from.push_back(FromItem{tables[rng.Uniform(3)], alias(i)});
     }
     const size_t np = rng.Uniform(4);
     for (size_t i = 0; i < np; ++i) {
-      ColumnRef ref{"a" + std::to_string(rng.Uniform(nt)),
-                    columns[rng.Uniform(3)]};
+      ColumnRef ref{alias(rng.Uniform(nt)), columns[rng.Uniform(3)]};
       switch (rng.Uniform(4)) {
         case 0:
           stmt.where.emplace_back(JoinPredicate{
-              ref, ColumnRef{"a" + std::to_string(rng.Uniform(nt)), "id"}});
+              ref, ColumnRef{alias(rng.Uniform(nt)), "id"}});
           break;
         case 1:
           stmt.where.emplace_back(LikePredicate{ref, "%x%"});
