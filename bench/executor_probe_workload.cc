@@ -6,9 +6,8 @@
 //
 //   parity    — DBLife + e-commerce debugger workloads replayed under all
 //               five traversal strategies with two executor variants: v1
-//               (LIKE-scan keyword candidates, no semijoin pre-reduction)
-//               and default (posting-list candidates + semijoin
-//               pre-reduction). The session verdict cache is off so every
+//               (LIKE-scan keyword candidates) and default (posting-list
+//               candidates). The session verdict cache is off so every
 //               SQL probe reaches the executor. The A(K)/N(K)/MPAN
 //               classification signature must be bit-identical between the
 //               variants; the default runs must never fall back to a full
@@ -74,14 +73,12 @@ struct VariantRun {
   double millis = 0;
 };
 
-/// Replays the env's queries; `v1` turns off index-sourced candidates and
-/// the semijoin pass.
+/// Replays the env's queries; `v1` turns off index-sourced candidates.
 VariantRun RunVariant(const ProbeEnv& env, TraversalKind kind, bool v1) {
   DebuggerOptions options;
   options.strategy = kind;
   options.verdict_cache_capacity = 0;  // measure raw probes, not the cache
   options.executor.use_text_index = !v1;
-  options.executor.semijoin_reduction = !v1;
   NonAnswerDebugger debugger(env.db, env.lattice, env.index, options);
   VariantRun run;
   Timer timer;
@@ -112,9 +109,7 @@ struct BenchRow {
         << "\",\"sql_queries\":" << s.sql_queries
         << ",\"posting_hits\":" << s.posting_hits
         << ",\"scan_fallbacks\":" << s.scan_fallbacks
-        << ",\"semijoin_eliminations\":" << s.semijoin_eliminations
         << ",\"rows_probed\":" << s.rows_probed
-        << ",\"rows_filtered\":" << s.rows_filtered
         << ",\"index_builds\":" << s.index_builds
         << ",\"flat_probes\":" << s.flat_probes
         << ",\"prefetch_batches\":" << s.prefetch_batches
@@ -159,9 +154,7 @@ size_t RunEnv(const ProbeEnv& env, TablePrinter* table,
                      std::to_string(run.stats.sql_queries),
                      std::to_string(run.stats.posting_hits),
                      std::to_string(run.stats.scan_fallbacks),
-                     std::to_string(run.stats.semijoin_eliminations),
                      std::to_string(run.stats.rows_probed),
-                     std::to_string(run.stats.rows_filtered),
                      std::to_string(run.stats.flat_probes),
                      std::to_string(run.stats.prefetch_batches),
                      Fmt(run.millis)});
@@ -298,8 +291,8 @@ int Run(bool smoke, const std::string& out_path) {
   const std::string skip_reason = SpeedupGateSkipReason(smoke);
   const std::string speedup_gate =
       skip_reason.empty() ? "gated" : "skipped: " + skip_reason;
-  std::printf("Executor probe workload: v1 (LIKE scans, no semijoin) vs "
-              "default (posting lists + semijoin), verdict cache off\n"
+  std::printf("Executor probe workload: v1 (LIKE scans) vs default "
+              "(posting lists), verdict cache off\n"
               "speedup gate: %s\n",
               speedup_gate.c_str());
 
@@ -307,8 +300,8 @@ int Run(bool smoke, const std::string& out_path) {
   std::vector<BenchRow> rows;
   size_t prefetch_batches = 0;
   TablePrinter table({"env", "strategy", "variant", "SQL", "posting",
-                      "scans", "semijoin kills", "rows probed",
-                      "rows filtered", "flat probes", "batches", "ms"});
+                      "scans", "rows probed", "flat probes", "batches",
+                      "ms"});
 
   LatticeConfig small_lattice;
   small_lattice.max_joins = 2;

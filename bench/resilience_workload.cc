@@ -10,9 +10,9 @@
 //   no-retry   — same schedule, retries disabled: affected queries must fail
 //                with a typed *retryable* status (never a wrong verdict);
 //                untouched queries stay bit-identical.
-//   degraded   — always-on faults on the degrade-don't-fail paths (posting
-//                lists, semijoin pass): bit-identical classifications with
-//                nonzero fallback counters.
+//   degraded   — an always-on fault on the degrade-don't-fail path
+//                (posting lists): bit-identical classifications with a
+//                nonzero fallback counter.
 //   shed       — bounded admission queue: overload queries rejected with
 //                kResourceExhausted, the rest classified identically.
 //
@@ -58,9 +58,8 @@ constexpr char kTransientSchedule[] =
     "executor.join.probe=resource-exhausted,times=3";
 constexpr size_t kTransientFires = 9;
 
-// Always-on faults on the two degraded-mode paths.
-constexpr char kDegradedSchedule[] =
-    "executor.text_index=unavailable;executor.semijoin=unavailable";
+// An always-on fault on the degraded-mode path.
+constexpr char kDegradedSchedule[] = "executor.text_index=unavailable";
 
 /// One phase's outcome, for the JSON artifact and the gate verdict.
 struct PhaseMetrics {
@@ -71,7 +70,6 @@ struct PhaseMetrics {
   size_t retries = 0;
   size_t shed = 0;
   size_t index_fallbacks = 0;
-  size_t semijoin_fallbacks = 0;
   size_t fault_fires = 0;
   double wall_millis = 0;
   double qps = 0;
@@ -82,7 +80,6 @@ struct PhaseMetrics {
         << ",\"mismatches\":" << mismatches << ",\"failed\":" << failed
         << ",\"retries\":" << retries << ",\"shed\":" << shed
         << ",\"index_fallbacks\":" << index_fallbacks
-        << ",\"semijoin_fallbacks\":" << semijoin_fallbacks
         << ",\"fault_fires\":" << fault_fires
         << ",\"wall_millis\":" << wall_millis << ",\"qps\":" << qps << "}";
     return out.str();
@@ -99,7 +96,6 @@ PhaseMetrics Collect(const char* phase, const BatchResult& batch,
   m.retries = batch.stats.retries;
   m.shed = batch.stats.shed;
   m.index_fallbacks = batch.stats.index_fallbacks;
-  m.semijoin_fallbacks = batch.stats.semijoin_fallbacks;
   m.fault_fires = FaultInjector::Global().TotalFires();
   m.wall_millis = batch.stats.wall_millis;
   m.qps = batch.stats.queries_per_second;
@@ -202,14 +198,11 @@ size_t RunCase(const char* name, const Database* db, const Lattice* lattice,
     DebugService service(db, lattice, index, base_options);
     BatchResult batch = service.RunBatch(queries);
     PhaseMetrics m = Collect("degraded", batch, baseline_sigs, false);
-    std::printf("  degraded: %zu index fallback(s), %zu semijoin "
-                "fallback(s)\n",
-                m.index_fallbacks, m.semijoin_fallbacks);
+    std::printf("  degraded: %zu index fallback(s)\n", m.index_fallbacks);
     all_metrics->push_back(m);
     gate(m.mismatches == 0, "degraded phase changed a classification");
     gate(m.failed == 0, "degraded phase failed a query");
-    gate(m.index_fallbacks + m.semijoin_fallbacks > 0,
-         "degraded phase never took a fallback path");
+    gate(m.index_fallbacks > 0, "degraded phase never took a fallback path");
   }
 
   // Phase 4: overload — bounded queue sheds typed, the rest classify true.

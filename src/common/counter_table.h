@@ -26,19 +26,20 @@ using CounterValue =
 
 /// Executor counters (ExecutorStats) that a strategy run reports as deltas
 /// of its evaluator's executor (TraversalStats). The storage rows are zero
-/// for a resident database and index; the two fallback rows are zero unless
-/// a fault is injected (common/fault_injector.h).
+/// for a resident database and index; the fallback row is zero unless a
+/// fault is injected (common/fault_injector.h).
 #define KWSDBG_EXECUTOR_COUNTERS(X)                                           \
   X(posting_hits, kCount,                                                     \
     "Keyword match sets served from the inverted index's posting lists.")     \
   X(scan_fallbacks, kCount,                                                   \
     "Keyword match sets built by a full LIKE scan (index miss or fallback).") \
   X(semijoin_eliminations, kCount,                                            \
-    "Queries proven empty because a semijoin union ran empty.")               \
+    "Always 0: the executor has no semijoin pass any more. Kept until "       \
+    "perfbench/ (paper.cc, served.cc) stops reading it.")                     \
   X(rows_probed, kCount, "Rows pulled during backtracking joins.")            \
   X(rows_filtered, kCount,                                                    \
-    "Table rows excluded when the semijoin union materializes a full "        \
-    "vertex.")                                                                \
+    "Always 0: the executor has no semijoin pass any more. Kept until "       \
+    "perfbench/ (paper.cc, served.cc) stops reading it.")                     \
   X(index_builds, kCount, "Join-column hash indexes built.")                  \
   X(flat_probes, kCount, "Lookups answered by a FlatRowIndex.")               \
   X(prefetch_batches, kCount,                                                 \
@@ -48,9 +49,6 @@ using CounterValue =
   X(index_fallbacks, kCount,                                                  \
     "Keyword match sets that fell back from posting lists to a LIKE scan "    \
     "because the text-index path faulted.")                                   \
-  X(semijoin_fallbacks, kCount,                                               \
-    "Queries that skipped the semijoin pass (plain backtracking join) on a "  \
-    "fault.")                                                                 \
   X(page_hits, kCount, "Table page fetches served by the buffer pool.")       \
   X(page_reads, kCount, "Table pages read from disk.")                        \
   X(page_evictions, kCount, "Buffer-pool frames displaced.")                  \

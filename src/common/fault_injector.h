@@ -154,7 +154,7 @@ class ScopedFaultInjection {
     }                                                               \
   } while (0)
 
-/// Fault-point check for degrade-don't-fail sites (text index, semijoin):
+/// Fault-point check for degrade-don't-fail sites (the text index):
 /// true when an armed fault fires, letting the caller fall back to a slower
 /// correct path instead of surfacing an error.
 inline bool FaultPointFires(std::string_view point) {

@@ -112,14 +112,10 @@ std::string DebugReport::ToString(size_t max_items_per_section) const {
     }
     out << "\n";
     const TraversalStats& ts = rep.traversal_stats;
-    if (ts.posting_hits + ts.scan_fallbacks + ts.semijoin_eliminations +
-            ts.rows_probed + ts.rows_filtered >
-        0) {
+    if (ts.posting_hits + ts.scan_fallbacks + ts.rows_probed > 0) {
       out << "   executor: " << ts.posting_hits << " posting-list match set(s), "
-          << ts.scan_fallbacks << " scan fallback(s), "
-          << ts.semijoin_eliminations << " semijoin elimination(s), "
-          << ts.rows_probed << " row(s) probed, " << ts.rows_filtered
-          << " filtered, " << ts.index_builds << " index build(s)\n";
+          << ts.scan_fallbacks << " scan fallback(s), " << ts.rows_probed
+          << " row(s) probed, " << ts.index_builds << " index build(s)\n";
       if (ts.flat_probes > 0) {
         out << "   probe engine: " << ts.flat_probes << " flat probe(s), "
             << ts.prefetch_batches << " prefetch batch(es), "
@@ -131,10 +127,9 @@ std::string DebugReport::ToString(size_t max_items_per_section) const {
             << " eviction(s), " << ts.posting_reads
             << " posting-list read(s)\n";
       }
-      if (ts.index_fallbacks + ts.semijoin_fallbacks > 0) {
+      if (ts.index_fallbacks > 0) {
         out << "   degraded: " << ts.index_fallbacks
-            << " text-index fallback(s), " << ts.semijoin_fallbacks
-            << " semijoin fallback(s)\n";
+            << " text-index fallback(s)\n";
       }
     }
     size_t shown = 0;

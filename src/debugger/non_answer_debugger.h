@@ -38,9 +38,8 @@ struct DebuggerOptions {
   /// budget fires mid-query, Debug() returns a partial report with
   /// `truncated` set — classified verdicts only, never fabricated ones.
   double deadline_millis = 0;
-  /// SQL-session knobs: posting-list candidate sourcing and semijoin
-  /// pre-reduction (both on by default; benches flip them off to measure
-  /// the executor-v1 probe path).
+  /// SQL-session knobs: posting-list candidate sourcing (on by default;
+  /// benches turn it off to measure the executor-v1 LIKE-scan path).
   ExecutorOptions executor;
   /// Sample result tuples fetched per answer query (0 = skip sampling;
   /// sampling issues extra SQL that is *not* counted in traversal stats).

@@ -49,9 +49,8 @@ std::string ServiceStats::ToString() const {
     out << " (" << retries << " retried attempt(s), " << shed << " shed)";
   }
   out << "\n";
-  if (index_fallbacks + semijoin_fallbacks > 0) {
-    out << "  degraded: " << index_fallbacks << " text-index fallback(s), "
-        << semijoin_fallbacks << " semijoin fallback(s)\n";
+  if (index_fallbacks > 0) {
+    out << "  degraded: " << index_fallbacks << " text-index fallback(s)\n";
   }
   if (page_hits + page_reads + posting_reads > 0) {
     out << "  storage: " << page_reads << " page read(s), " << page_hits

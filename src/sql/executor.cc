@@ -39,9 +39,9 @@ struct PreparedQuery {
   std::vector<bool> order_connected;  // order[i] joined to a prior instance?
 };
 
-/// Per-vertex candidate rows for one query. A vertex with no keyword and no
-/// selections starts "full" (every row passes trivially) and is only
-/// materialized if a semijoin pass reduces it.
+/// Per-vertex candidate rows for one query. Only a vertex with a per-row
+/// filter is materialized; one without stays "full" (every row passes
+/// trivially) and is reached through join-index probes or a table scan.
 struct VertexCandidates {
   bool materialized = false;
   std::vector<uint32_t> rows;   // ascending
@@ -434,7 +434,7 @@ StatusOr<bool> Executor::RunJoin(const JoinNetworkQuery& query, size_t limit,
   // --- Stage 1: candidate sourcing ---------------------------------------
   // Materialize the candidate rows of every vertex with any per-row filter
   // (keyword containment, constant selections, column LIKEs); unfiltered
-  // vertices stay "full" until a semijoin pass touches them.
+  // vertices stay "full".
   std::vector<VertexCandidates> cand(n);
   // Selectivity-first sourcing: under spill, materialize the cheapest
   // vertex (by profile estimate) first, so a network killed by an empty
@@ -491,92 +491,12 @@ StatusOr<bool> Executor::RunJoin(const JoinNetworkQuery& query, size_t limit,
     if (c.rows.empty()) return false;  // a filter matched nothing
   }
 
-  // --- Stage 2: semijoin pre-reduction -----------------------------------
-  // Materialize a full vertex next to a small, selective neighbor as the
-  // union of join-index lookups on the neighbor's values. Only removes rows
-  // that can never appear in a result, so emitted rows and their order are
-  // untouched; a union running empty proves the whole network dead without
-  // enumerating a single join path. Already-materialized candidate sets are
-  // left alone: filtering them reads every candidate row up front, while
-  // Stage 3 stops at the first witness.
-  // Degraded mode: a semijoin fault skips the pre-reduction pass and runs
-  // the plain backtracking join — the pass only removes rows that can never
-  // appear in a result, so skipping it changes cost, never the outcome.
-  bool semijoin_enabled = options_.semijoin_reduction && n > 1;
-  if (semijoin_enabled && FaultPointFires("executor.semijoin")) {
-    semijoin_enabled = false;
-    ++stats_.semijoin_fallbacks;
-  }
-  if (semijoin_enabled) {
-    // Unions over a neighbor's values pay one hash lookup per neighbor row;
-    // the sets that go on to kill a network are far smaller than this.
-    constexpr size_t kSemijoinUnionCap = 64;
-    auto same_type = [&](const VertexConstraint& vc, size_t v) {
-      return pq.vertices[v].table->schema().columns()[vc.own_column].type ==
-             pq.vertices[vc.other]
-                 .table->schema()
-                 .columns()[vc.other_column]
-                 .type;
-    };
-    bool changed = true;
-    for (int pass = 0; pass < 2 && changed; ++pass) {
-      changed = false;
-      for (size_t v = 0; v < n; ++v) {
-        for (const VertexConstraint& vc : pq.constraints[v]) {
-          // Index lookups use structural equality; restrict the pass to
-          // same-type column pairs so SqlEquals semantics (int==double)
-          // are never narrowed.
-          if (!same_type(vc, v)) continue;
-          VertexCandidates& cu = cand[v];
-          const VertexCandidates& cv = cand[vc.other];
-          const PreparedVertex& pu = pq.vertices[v];
-          const PreparedVertex& pw = pq.vertices[vc.other];
-          if (cu.materialized || !cv.materialized) continue;
-          // Only pay for the union when the neighbor is small and selective
-          // — it is then a handful of lookups, and the work stays
-          // proportional to the hits, never to the table.
-          if (cv.rows.size() > kSemijoinUnionCap ||
-              cv.rows.size() * 4 >= pu.table->num_rows()) {
-            continue;
-          }
-          std::vector<uint32_t> hits;
-          for (uint32_t nrow : cv.rows) {
-            RowSpan matched;
-            if (spill_mode_) {
-              // The probe may lazily build an index over pu.table — an
-              // unbounded scan that can evict the page frame a reference
-              // into pw.table points at. Copy the key first.
-              const Value val = pw.table->at(nrow, vc.other_column);
-              matched = ProbeJoinIndex(pu.table, vc.own_column, val);
-            } else {
-              const Value& val = pw.table->at(nrow, vc.other_column);
-              matched = ProbeJoinIndex(pu.table, vc.own_column, val);
-            }
-            hits.insert(hits.end(), matched.begin(), matched.end());
-          }
-          std::sort(hits.begin(), hits.end());
-          hits.erase(std::unique(hits.begin(), hits.end()), hits.end());
-          cu.bitmap.assign(pu.table->num_rows(), 0);
-          for (uint32_t row : hits) cu.bitmap[row] = 1;
-          cu.rows = std::move(hits);
-          cu.materialized = true;
-          stats_.rows_filtered += pu.table->num_rows() - cu.rows.size();
-          changed = true;
-          if (cu.rows.empty()) {
-            ++stats_.semijoin_eliminations;
-            return false;
-          }
-        }
-      }
-    }
-  }
-
   if (deadline_fired()) {
-    return Status::DeadlineExceeded("query cancelled after pre-reduction");
+    return Status::DeadlineExceeded("query cancelled after candidate sourcing");
   }
   KWSDBG_FAULT_POINT("executor.join.probe");
 
-  // --- Stage 3: backtracking join over the chosen order ------------------
+  // --- Stage 2: backtracking join over the chosen order ------------------
   // Every multi-vertex join probes, and may build, a join-column index.
   if (n > 1) KWSDBG_FAULT_POINT("executor.index.build");
   std::vector<uint32_t> assignment(n, 0);
@@ -647,9 +567,9 @@ StatusOr<bool> Executor::RunJoin(const JoinNetworkQuery& query, size_t limit,
       const VertexConstraint& vc = vcs[ci];
       if (!assigned[vc.other]) continue;
       if (spill_mode_) {
-        // Same copy rule as the semijoin union: the probe may trigger an
-        // index build over this vertex's table, invalidating a page-frame
-        // reference into the neighbor's.
+        // The probe may lazily build an index over this vertex's table — an
+        // unbounded scan that can evict the page frame a reference into the
+        // neighbor's table points at. Copy the key first.
         const Value probe = pq.vertices[vc.other].table->at(
             assignment[vc.other], vc.other_column);
         f.candidates = ProbeJoinIndex(pq.vertices[v].table, vc.own_column,

@@ -7,14 +7,10 @@
 //   1. candidate sourcing   — keyword candidates come from the registered
 //      inverted index (posting lists, Lucene-style `*kw*` dictionary scan)
 //      when possible, falling back to a full LIKE scan otherwise;
-//   2. semijoin reduction   — a vertex with no per-row filter, next to a
-//      small keyword-bound or selected neighbor, is materialized as the
-//      union of FlatRowIndex lookups on the neighbor's join values, so a
-//      network whose union runs empty dies without a single backtracking
-//      step;
-//   3. backtracking join    — smallest-candidate-first instance order with
-//      FlatRowIndex probes on join columns;
-//   4. existence mode       — IsNonEmpty stops at the first witness without
+//   2. backtracking join    — smallest-candidate-first instance order with
+//      FlatRowIndex probes on join columns; a network is dead once the
+//      search runs out of candidates without a witness;
+//   3. existence mode       — IsNonEmpty stops at the first witness without
 //      materializing rows or column headers.
 //
 // Join-column probes go to flat open-addressing hash indexes over 64-bit key
@@ -54,13 +50,11 @@ struct ResultSet {
   std::string ToString(size_t max_rows = 20) const;
 };
 
-/// Executor options. The two feature toggles let benchmarks compare the
-/// scan-based path (both off) against the index-backed default.
+/// Executor options. The feature toggle lets benchmarks compare the
+/// LIKE-scan path (off) against the index-backed default.
 struct ExecutorOptions {
   /// Source keyword candidates from a registered inverted index.
   bool use_text_index = true;
-  /// Run the semijoin pre-reduction pass before the backtracking join.
-  bool semijoin_reduction = true;
   /// Cooperative deadline: when set, long probes poll the token between row
   /// batches and unwind with kDeadlineExceeded once it fires. A cancelled
   /// probe produces no verdict and leaves session caches consistent (only

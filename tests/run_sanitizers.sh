@@ -53,9 +53,8 @@ export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
 # of parsed ids and counts, asan the forged-count paths that must fail
 # typed instead of sizing an allocation.
 # ExecutorPropertyTest is the executor's only index-free oracle (a
-# nested-loop join) and covers both executor stages that read candidate
-# rows: the semijoin union and the backtracking join's child-probe
-# prefetch window.
+# nested-loop join) and covers the one executor stage that reads candidate
+# rows: the backtracking join, child-probe prefetch window included.
 # PrunedLatticeOracleTest compares Phases 1-2 on the copy-set index with
 # the per-node lattice scan they replaced: asan watches the CSR spans and
 # the retained set's open-addressing table, ubsan its hash arithmetic.

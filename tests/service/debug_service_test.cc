@@ -442,8 +442,7 @@ TEST(DebugServiceTest, JsonCarriesResilienceFields) {
   BatchResult batch = service.RunBatch({"saffron candle"});
   const std::string stats_json = ServiceStatsToJson(batch.stats);
   for (const char* field :
-       {"\"retries\":", "\"shed\":", "\"index_fallbacks\":",
-        "\"semijoin_fallbacks\":"}) {
+       {"\"retries\":", "\"shed\":", "\"index_fallbacks\":"}) {
     EXPECT_NE(stats_json.find(field), std::string::npos) << field;
   }
   const std::string batch_json =
