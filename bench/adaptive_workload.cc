@@ -1,48 +1,40 @@
-// Adaptive traversal gate: the online-learned p_a model + per-query strategy
-// planner (src/traversal/pa_model.h, strategy_planner.h) vs. every static
-// strategy — see docs/architecture.md "Adaptive traversal".
+// Adaptive traversal gate: SBH reading an online-learned p_a model
+// (src/traversal/pa_model.h) vs. every static strategy — see
+// docs/architecture.md "Adaptive traversal".
 //
 // For each workload (Table 2 DBLife, a random-query DBLife sweep, and the
-// e-commerce dataset) the bench runs four phases against one AdaptiveState:
+// e-commerce dataset) the bench runs three phases against one PaModel:
 //
 //   warm     — observation-only passes fill the p_a model from real verdicts
 //              (the model is advisory: verdicts stay ground truth).
 //   freeze   — the model stops observing/decaying so every later pass sees
 //              the same frozen estimates.
-//   train    — each of the six planner arms replays the workload with a
-//              fresh debugger and no verdict cache; per-interpretation costs
-//              feed StrategyPlanner::ObserveArm and double as the static
-//              baselines. Traversal is deterministic against a frozen model,
-//              so these measured costs are exactly what the adaptive pass
-//              will pay for the same (bucket, arm) picks.
-//   measure  — the planner is frozen (pure exploitation) and the workload
-//              replays once more in adaptive mode through the shared state.
+//   measure  — each static strategy (SBH at the paper's fixed p_a = 0.5)
+//              replays the workload with a fresh debugger and no verdict
+//              cache, then the workload replays once more in adaptive mode:
+//              SBH reading the frozen model.
 //
 // Gates (per workload):
-//   - adaptive total SQL <= every static arm's total (always checked; holds
-//     by construction: the planner picks the per-bucket argmin of the same
-//     deterministic costs the baselines just measured).
-//   - adaptive traversal wall-clock <= every static arm's, with a 10% jitter
-//     allowance (full mode + NDEBUG only; smoke timings are sub-millisecond
-//     and all noise). The JSON records "wallclock_gate": "gated" or
-//     "skipped: <reason>".
-//   - classification signatures bit-identical across every arm and the
+//   - adaptive total SQL <= every static strategy's total (always checked).
+//   - adaptive traversal wall-clock <= every static strategy's, with a 10%
+//     jitter allowance (full mode + NDEBUG only; smoke timings are
+//     sub-millisecond and all noise). The JSON records "wallclock_gate":
+//     "gated" or "skipped: <reason>".
+//   - classification signatures bit-identical across every strategy and the
 //     adaptive pass (verdict order never changes verdicts).
-//   - planner/model counters visible in the DebugService stats JSON with
-//     the service's shared model actually observing.
+//   - the model's counters visible in the DebugService stats JSON with the
+//     service's shared model actually observing.
 //
 // Emits BENCH_adaptive.json.
 //
 //   ./adaptive_workload [--smoke] [--out=BENCH_adaptive.json]
 //
 // Environment knobs: KWSDBG_SEED / KWSDBG_SCALE (bench_util.h),
-// KWSDBG_WORKLOAD_SEED (random sweep), KWSDBG_ADAPTIVE_SEED /
-// KWSDBG_EXPLORE_EPS (planner; printed below so regressions reproduce).
+// KWSDBG_WORKLOAD_SEED (random sweep).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -55,13 +47,11 @@
 #include "datasets/query_generator.h"
 #include "datasets/workload.h"
 #include "debugger/non_answer_debugger.h"
-#include "kws/keyword_binding.h"
-#include "kws/pruned_lattice.h"
 #include "lattice/lattice_generator.h"
 #include "service/debug_service.h"
 #include "service/service_json.h"
 #include "text/inverted_index.h"
-#include "traversal/strategy_planner.h"
+#include "traversal/pa_model.h"
 
 namespace kwsdbg {
 namespace bench {
@@ -75,8 +65,8 @@ struct TierEnv {
   std::unique_ptr<InvertedIndex> index;
 };
 
-/// One workload over one dataset; each gets its own AdaptiveState so the
-/// gate is judged on what the model learned from *this* workload alone.
+/// One workload over one dataset; each gets its own PaModel so the gate is
+/// judged on what the model learned from *this* workload alone.
 struct Workload {
   const TierEnv* tier = nullptr;
   std::string name;
@@ -88,41 +78,18 @@ struct PassMeasure {
   double traversal_millis = 0;  ///< Sum of per-interpretation total_millis.
   double wall_millis = 0;       ///< Whole pass, including binding/reports.
   std::string signature;
-  size_t explored = 0;
-  std::map<std::string, size_t> decisions;  ///< arm label -> interp count.
 };
-
-/// Pre-traversal features per (query, interpretation), computed bench-side
-/// with the same binder configuration the debugger uses so the order and
-/// the feature buckets line up 1:1 with report.interpretations.
-std::vector<std::vector<PlannerFeatures>> ComputeWorkloadFeatures(
-    const Workload& w) {
-  const TierEnv& tier = *w.tier;
-  KeywordBinder binder(&tier.schema, tier.index.get(),
-                       tier.lattice->config().EffectiveKeywordCopies());
-  std::vector<std::vector<PlannerFeatures>> features;
-  for (const std::string& query : w.queries) {
-    BindingResult binding = binder.Bind(query);
-    std::vector<PlannerFeatures> per_interp;
-    for (const KeywordBinding& b : binding.interpretations) {
-      PrunedLattice pl = PrunedLattice::Build(*tier.lattice, b);
-      per_interp.push_back(ComputePlannerFeatures(pl, tier.index.get()));
-    }
-    features.push_back(std::move(per_interp));
-  }
-  return features;
-}
 
 /// Observation-only warm pass: a static strategy with the evaluator's
 /// observation hook attached. Different strategies evaluate different node
 /// subsets, so two passes (bottom-up-reuse + SBH) cover low and mixed levels.
-void WarmModel(const Workload& w, AdaptiveState* state) {
+void WarmModel(const Workload& w, PaModel* model) {
   for (TraversalKind kind :
        {TraversalKind::kBottomUpWithReuse, TraversalKind::kScoreBased}) {
     DebuggerOptions options;
     options.strategy = kind;
     options.verdict_cache_capacity = 0;
-    options.eval.pa_model = &state->pa();
+    options.eval.pa_model = model;
     NonAnswerDebugger debugger(w.tier->db.get(), w.tier->lattice.get(),
                                w.tier->index.get(), options);
     for (const std::string& query : w.queries) {
@@ -132,55 +99,22 @@ void WarmModel(const Workload& w, AdaptiveState* state) {
   }
 }
 
-/// Replays the workload under one pinned arm with a fresh debugger and no
-/// verdict cache — the same per-interpretation conditions the adaptive pass
-/// runs under. When `train` is set, per-interpretation costs feed the
-/// planner via ObserveArm using the precomputed feature vectors.
-PassMeasure MeasureArm(const Workload& w, PlannerArm arm, AdaptiveState* state,
-                       const std::vector<std::vector<PlannerFeatures>>* features,
-                       bool train) {
+/// Replays the workload with a fresh debugger and no verdict cache: under
+/// `kind` at the fixed p_a when `adaptive` is off, else in adaptive mode
+/// (SBH reading the frozen `model`).
+PassMeasure MeasurePass(const Workload& w, TraversalKind kind, bool adaptive,
+                        PaModel* model) {
   DebuggerOptions options;
-  options.strategy = ArmTraversalKind(arm);
+  options.strategy = kind;
   options.verdict_cache_capacity = 0;
-  if (arm == PlannerArm::kSbhAdaptive) options.sbh.pa_model = &state->pa();
-  // Mirror the adaptive debugger's evaluator wiring; Observe() no-ops on the
-  // frozen model, so this only equalizes the code path being timed.
-  options.eval.pa_model = &state->pa();
-  NonAnswerDebugger debugger(w.tier->db.get(), w.tier->lattice.get(),
-                             w.tier->index.get(), options);
-  PassMeasure m;
-  Timer timer;
-  for (size_t q = 0; q < w.queries.size(); ++q) {
-    auto report = debugger.Debug(w.queries[q]);
-    KWSDBG_CHECK(report.ok()) << report.status().ToString();
-    m.signature += report->ClassificationSignature();
-    m.signature += '\n';
-    const auto& interps = report->interpretations;
-    if (train) {
-      KWSDBG_CHECK(interps.size() == (*features)[q].size())
-          << w.name << ": bench-side binding disagrees with the debugger on "
-          << w.queries[q];
-    }
-    for (size_t i = 0; i < interps.size(); ++i) {
-      const TraversalStats& ts = interps[i].traversal_stats;
-      m.sql += ts.sql_queries;
-      m.traversal_millis += ts.total_millis;
-      if (train) {
-        state->planner().ObserveArm((*features)[q][i], arm, ts.sql_queries,
-                                    ts.total_millis);
-      }
-    }
+  if (adaptive) {
+    options.adaptive = true;
+    options.shared_pa_model = model;
+  } else {
+    // Mirror the adaptive debugger's evaluator wiring; Observe() no-ops on
+    // the frozen model, so this only equalizes the code path being timed.
+    options.eval.pa_model = model;
   }
-  m.wall_millis = timer.ElapsedMillis();
-  return m;
-}
-
-/// The measured adaptive pass: frozen state, pure exploitation.
-PassMeasure MeasureAdaptive(const Workload& w, AdaptiveState* state) {
-  DebuggerOptions options;
-  options.adaptive = true;
-  options.shared_adaptive = state;
-  options.verdict_cache_capacity = 0;
   NonAnswerDebugger debugger(w.tier->db.get(), w.tier->lattice.get(),
                              w.tier->index.get(), options);
   PassMeasure m;
@@ -191,11 +125,8 @@ PassMeasure MeasureAdaptive(const Workload& w, AdaptiveState* state) {
     m.signature += report->ClassificationSignature();
     m.signature += '\n';
     for (const InterpretationReport& interp : report->interpretations) {
-      const TraversalStats& ts = interp.traversal_stats;
-      m.sql += ts.sql_queries;
-      m.traversal_millis += ts.total_millis;
-      m.explored += ts.planner_explored;
-      if (!ts.planned_strategy.empty()) ++m.decisions[ts.planned_strategy];
+      m.sql += interp.traversal_stats.sql_queries;
+      m.traversal_millis += interp.traversal_stats.total_millis;
     }
   }
   m.wall_millis = timer.ElapsedMillis();
@@ -241,72 +172,55 @@ size_t RunWorkload(const Workload& w, bool gate_wallclock, TablePrinter* table,
     }
   };
 
-  AdaptiveState state(AdaptiveOptions::FromEnv());
-  const auto features = ComputeWorkloadFeatures(w);
+  PaModel model;
+  WarmModel(w, &model);
+  model.Freeze();  // every measured pass sees identical estimates
 
-  WarmModel(w, &state);
-  state.pa().Freeze();  // train + measure see identical estimates
-
-  std::vector<std::pair<PlannerArm, PassMeasure>> arms;
-  for (PlannerArm arm : AllPlannerArms()) {
-    arms.emplace_back(arm, MeasureArm(w, arm, &state, &features, true));
+  std::vector<std::pair<TraversalKind, PassMeasure>> arms;
+  for (TraversalKind kind : AllTraversalKinds()) {
+    arms.emplace_back(kind, MeasurePass(w, kind, /*adaptive=*/false, &model));
   }
-  state.Freeze();  // planner: pure exploitation from here on
-
-  const PassMeasure adaptive = MeasureAdaptive(w, &state);
+  const PassMeasure adaptive = MeasurePass(w, DebuggerOptions{}.strategy,
+                                           /*adaptive=*/true, &model);
 
   const std::string& reference = arms.front().second.signature;
-  for (const auto& [arm, m] : arms) {
+  for (const auto& [kind, m] : arms) {
+    const std::string arm(TraversalKindName(kind));
     const bool match = m.signature == reference;
-    gate(match, std::string(PlannerArmName(arm)) + " classifies differently");
+    gate(match, arm + " classifies differently");
     gate(adaptive.sql <= m.sql,
-         "adaptive ran more SQL than " + std::string(PlannerArmName(arm)) +
-             " (" + std::to_string(adaptive.sql) + " vs " +
-             std::to_string(m.sql) + ")");
+         "adaptive ran more SQL than " + arm + " (" +
+             std::to_string(adaptive.sql) + " vs " + std::to_string(m.sql) +
+             ")");
     if (gate_wallclock) {
       // 10% relative + 1ms absolute allowance: sub-millisecond workloads
       // (small envs) are pure timer jitter and must not flip the gate.
       gate(adaptive.traversal_millis <= m.traversal_millis * 1.10 + 1.0,
-           "adaptive traversal slower than " +
-               std::string(PlannerArmName(arm)) + " beyond jitter (" +
+           "adaptive traversal slower than " + arm + " beyond jitter (" +
                Fmt(adaptive.traversal_millis) + "ms vs " +
                Fmt(m.traversal_millis) + "ms)");
     }
-    table->AddRow({w.name, std::string(PlannerArmName(arm)),
-                   std::to_string(m.sql), Fmt(m.traversal_millis),
-                   Fmt(m.wall_millis), match ? "yes" : "NO", "-"});
-    rows->push_back({w.name, std::string(PlannerArmName(arm)), m.sql,
-                     m.traversal_millis, m.wall_millis, match});
+    table->AddRow({w.name, arm, std::to_string(m.sql),
+                   Fmt(m.traversal_millis), Fmt(m.wall_millis),
+                   match ? "yes" : "NO"});
+    rows->push_back(
+        {w.name, arm, m.sql, m.traversal_millis, m.wall_millis, match});
   }
   const bool adaptive_match = adaptive.signature == reference;
   gate(adaptive_match, "adaptive pass classifies differently");
-  gate(adaptive.explored == 0, "frozen planner still explored");
 
-  std::string picks;
-  for (const auto& [label, count] : adaptive.decisions) {
-    if (!picks.empty()) picks += ' ';
-    picks += label + ":" + std::to_string(count);
-  }
   table->AddRow({w.name, "adaptive", std::to_string(adaptive.sql),
                  Fmt(adaptive.traversal_millis), Fmt(adaptive.wall_millis),
-                 adaptive_match ? "yes" : "NO", picks});
+                 adaptive_match ? "yes" : "NO"});
   rows->push_back({w.name, "adaptive", adaptive.sql,
                    adaptive.traversal_millis, adaptive.wall_millis,
                    adaptive_match});
 
   *json << "{\"workload\":\"" << w.name
         << "\",\"queries\":" << w.queries.size()
-        << ",\"planner_buckets\":" << state.planner().buckets()
-        << ",\"pa_observations\":" << state.pa().observations()
-        << ",\"decisions\":{";
-  bool first = true;
-  for (const auto& [label, count] : adaptive.decisions) {
-    if (!first) *json << ',';
-    first = false;
-    *json << '"' << label << "\":" << count;
-  }
-  *json << "},\"pa_buckets\":[";
-  const auto snapshot = state.pa().Snapshot();
+        << ",\"pa_observations\":" << model.observations()
+        << ",\"pa_buckets\":[";
+  const auto snapshot = model.Snapshot();
   for (size_t i = 0; i < snapshot.size(); ++i) {
     if (i > 0) *json << ',';
     *json << "{\"level\":" << snapshot[i].level
@@ -319,7 +233,7 @@ size_t RunWorkload(const Workload& w, bool gate_wallclock, TablePrinter* table,
   return violations;
 }
 
-/// Adaptive mode through the service: planner/model counters must be visible
+/// Adaptive mode through the service: the model's counter must be visible
 /// in the stats JSON and the shared model must actually observe.
 size_t RunServiceCheck(const Workload& w, std::ostringstream* json) {
   size_t violations = 0;
@@ -332,19 +246,14 @@ size_t RunServiceCheck(const Workload& w, std::ostringstream* json) {
   ServiceOptions options;
   options.num_workers = 2;
   options.debugger.adaptive = true;
-  options.debugger.adaptive_options = AdaptiveOptions::FromEnv();
   DebugService service(w.tier->db.get(), w.tier->lattice.get(),
                        w.tier->index.get(), options);
   BatchResult batch = service.RunBatch(w.queries);
   gate(batch.status.ok(),
        "adaptive batch failed: " + batch.status.ToString());
-  gate(batch.stats.planner_decisions > 0,
-       "no planner decisions surfaced in service stats");
-  gate(service.shared_adaptive()->pa().observations() > 0,
+  gate(service.shared_pa_model()->observations() > 0,
        "the shared p_a model never observed");
   const std::string stats_json = ServiceStatsToJson(batch.stats);
-  gate(stats_json.find("\"planner_decisions\"") != std::string::npos,
-       "service stats JSON does not expose planner_decisions");
   gate(stats_json.find("\"pa_observations\"") != std::string::npos,
        "service stats JSON does not expose pa_observations");
   *json << ",\"service_stats\":" << stats_json;
@@ -402,14 +311,8 @@ std::vector<std::string> RandomQueries(const TierEnv& tier, size_t n) {
 }
 
 int Run(bool smoke, const std::string& out_path) {
-  const AdaptiveOptions adaptive_options = AdaptiveOptions::FromEnv();
-  std::printf(
-      "Adaptive traversal workload, %s mode\n"
-      "planner seed %llu (KWSDBG_ADAPTIVE_SEED), explore eps %.3f "
-      "(KWSDBG_EXPLORE_EPS)\n",
-      smoke ? "smoke" : "full",
-      static_cast<unsigned long long>(adaptive_options.planner.seed),
-      adaptive_options.planner.explore_eps);
+  std::printf("Adaptive traversal workload, %s mode\n",
+              smoke ? "smoke" : "full");
 
   const std::string skip_reason = WallclockGateSkipReason(smoke);
   const std::string wallclock_gate =
@@ -432,8 +335,8 @@ int Run(bool smoke, const std::string& out_path) {
 
   size_t violations = 0;
   std::vector<BenchRow> rows;
-  TablePrinter table({"workload", "arm", "SQL", "traversal ms", "wall ms",
-                      "sig", "picks"});
+  TablePrinter table(
+      {"workload", "arm", "SQL", "traversal ms", "wall ms", "sig"});
   std::ostringstream workload_jsons;
   bool first = true;
   for (const Workload* w : {&table2, &random, &shop}) {
@@ -451,8 +354,6 @@ int Run(bool smoke, const std::string& out_path) {
     std::ostringstream json;
     json << "{\"bench\":\"adaptive_workload\",\"smoke\":"
          << (smoke ? "true" : "false")
-         << ",\"planner_seed\":" << adaptive_options.planner.seed
-         << ",\"explore_eps\":" << adaptive_options.planner.explore_eps
          << ",\"wallclock_gate\":\"" << wallclock_gate << '"'
          << ",\"runs\":[";
     for (size_t i = 0; i < rows.size(); ++i) {
@@ -475,8 +376,8 @@ int Run(bool smoke, const std::string& out_path) {
     return 1;
   }
   std::printf(
-      "\nADAPTIVE GATE OK: planner-picked traversal never exceeds any "
-      "static strategy's SQL, classifications bit-identical\n");
+      "\nADAPTIVE GATE OK: model-fed SBH never exceeds any static "
+      "strategy's SQL, classifications bit-identical\n");
   return 0;
 }
 

@@ -21,10 +21,14 @@ size_t EnvSize(const char* name, size_t fallback) {
 }
 }  // namespace
 
-DblifeConfig EnvDblifeConfig() {
+double EnvScale(double default_scale) {
+  return EnvDouble("KWSDBG_SCALE", default_scale);
+}
+
+DblifeConfig EnvDblifeConfig(double default_scale) {
   DblifeConfig config;
   config.seed = EnvSize("KWSDBG_SEED", 42);
-  const double scale = EnvDouble("KWSDBG_SCALE", 1.0);
+  const double scale = EnvScale(default_scale);
   return scale == 1.0 ? config : config.Scaled(scale);
 }
 

@@ -50,8 +50,11 @@ class BenchEnv {
   std::map<size_t, double> gen_millis_;
 };
 
-/// Reads the scale/seed knobs from the environment.
-DblifeConfig EnvDblifeConfig();
+/// The dataset scale: KWSDBG_SCALE when set, else `default_scale`.
+double EnvScale(double default_scale = 1.0);
+
+/// Reads the seed knob and EnvScale(default_scale) from the environment.
+DblifeConfig EnvDblifeConfig(double default_scale = 1.0);
 size_t EnvMaxLevel();
 
 /// Minimal fixed-width table printer.

@@ -18,8 +18,9 @@
 //
 //   ./storage_tier_workload [--smoke] [--out=BENCH_storage.json]
 //
-// Environment knobs: KWSDBG_SEED / KWSDBG_SCALE as in bench_util.h (full
-// mode scales DBLife 10x toward the paper's 801k-tuple snapshot).
+// Environment knobs: KWSDBG_SEED / KWSDBG_SCALE as in bench_util.h.
+// KWSDBG_SCALE replaces the mode's default DBLife scale: 10x in full mode
+// (toward the paper's 801k-tuple snapshot), 0.05x in smoke mode.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -237,11 +238,13 @@ size_t RunEnvPair(TierEnv resident, TierEnv spilled, TablePrinter* table,
 
 TierEnv BuildDblifeEnv(bool smoke) {
   // Full mode: 10x toward the paper's snapshot; smoke keeps CI cheap.
-  DblifeConfig config = EnvDblifeConfig().Scaled(smoke ? 0.05 : 10.0);
-  auto dataset = GenerateDblife(config);
+  const double default_scale = smoke ? 0.05 : 10.0;
+  auto dataset = GenerateDblife(EnvDblifeConfig(default_scale));
   KWSDBG_CHECK(dataset.ok()) << dataset.status().ToString();
   TierEnv env;
-  env.name = smoke ? "dblife(0.05x)" : "dblife(10x)";
+  std::ostringstream name;
+  name << "dblife(" << EnvScale(default_scale) << "x)";
+  env.name = name.str();
   env.db = std::move(dataset->db);
   env.schema = std::move(dataset->schema);
   LatticeConfig lconfig;

@@ -55,8 +55,8 @@ using CounterValue =
   X(posting_reads, kCount, "Posting lists fetched from disk.")
 
 /// Every numeric counter of one strategy run (TraversalStats), in report
-/// JSON order: the evaluator's, the executor's, then the adaptive ones
-/// (zero without a StrategyPlanner or PaModel attached).
+/// JSON order: the evaluator's, the executor's, then the adaptive one
+/// (zero without a PaModel attached).
 #define KWSDBG_TRAVERSAL_COUNTERS(X)                                          \
   X(sql_queries, kCount, "SQL executions (Fig. 11 / Table 4).")               \
   X(sql_millis, kMillis, "Time inside SQL execution (Fig. 12).")              \
@@ -67,9 +67,8 @@ using CounterValue =
   X(cache_evictions, kCount,                                                  \
     "Verdict-cache evictions during the run, cache-wide.")                    \
   KWSDBG_EXECUTOR_COUNTERS(X)                                                 \
-  X(planner_decisions, kCount, "1 when a StrategyPlanner picked the arm.")    \
-  X(planner_explored, kCount, "1 when that pick was an exploration.")         \
-  X(pa_observations, kCount, "Verdicts fed to the PaModel by the run.")
+  X(pa_observations, kCount,                                                  \
+    "Verdicts the run fed to the PaModel (none while it is frozen).")
 
 /// Expands a table row into a zero-initialized field of its kind's type.
 #define KWSDBG_COUNTER_FIELD(name, kind, doc) \

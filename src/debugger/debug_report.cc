@@ -29,16 +29,7 @@ TraversalStats DebugReport::AggregateTraversalStats() const {
   TraversalStats stats;
   for (const auto& interp : interpretations) {
     AddRunCounters(&stats, interp.traversal_stats);
-    // Arm labels: one arm dominates a single-arm report; mixed picks are
-    // summarized as "mixed". The model slice kept is the last (warmest) one.
-    const std::string& arm = interp.traversal_stats.planned_strategy;
-    if (!arm.empty()) {
-      if (stats.planned_strategy.empty()) {
-        stats.planned_strategy = arm;
-      } else if (stats.planned_strategy != arm) {
-        stats.planned_strategy = "mixed";
-      }
-    }
+    // The model slice kept is the last (warmest) one.
     if (!interp.traversal_stats.pa_buckets.empty()) {
       stats.pa_buckets = interp.traversal_stats.pa_buckets;
     }

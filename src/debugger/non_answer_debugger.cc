@@ -35,13 +35,15 @@ NonAnswerDebugger::NonAnswerDebugger(const Database* db,
     verdict_cache_ = owned_verdict_cache_.get();
   }
   if (options_.adaptive) {
-    if (options_.shared_adaptive != nullptr) {
-      adaptive_ = options_.shared_adaptive;
+    if (options_.shared_pa_model != nullptr) {
+      pa_model_ = options_.shared_pa_model;
     } else {
-      owned_adaptive_ =
-          std::make_unique<AdaptiveState>(options_.adaptive_options);
-      adaptive_ = owned_adaptive_.get();
+      owned_pa_model_ = std::make_unique<PaModel>();
+      pa_model_ = owned_pa_model_.get();
     }
+    // The evaluator feeds the model; SBH reads it.
+    options_.eval.pa_model = pa_model_;
+    options_.sbh.pa_model = pa_model_;
   }
 }
 
@@ -87,13 +89,12 @@ StatusOr<DebugReport> NonAnswerDebugger::Debug(
     return report;
   }
 
-  std::unique_ptr<TraversalStrategy> static_strategy;
-  if (adaptive_ == nullptr) {
-    static_strategy = MakeStrategy(options_.strategy, options_.sbh);
-  } else {
+  const std::unique_ptr<TraversalStrategy> strategy =
+      MakeStrategy(options_.strategy, options_.sbh);
+  if (pa_model_ != nullptr) {
     // Live mutations bump the database/table epochs; fold them into one
     // data version so the model decays counts learned against old data.
-    adaptive_->SyncDataVersion(DataVersionOf(*db_));
+    pa_model_->SyncDataVersion(DataVersionOf(*db_));
   }
 
   for (const KeywordBinding& binding : binding_result.interpretations) {
@@ -103,38 +104,15 @@ StatusOr<DebugReport> NonAnswerDebugger::Debug(
     PrunedLattice pl =
         PrunedLattice::Build(*lattice_, binding, options_.node_filter);
     interp.prune_stats = pl.stats();
-
-    // Adaptive mode: pick the arm for this interpretation from features
-    // available before traversal starts, and wire the shared p_a model into
-    // both SBH (reads) and the evaluator (observes fresh verdicts).
-    TraversalStrategy* strategy = static_strategy.get();
-    std::unique_ptr<TraversalStrategy> planned;
-    PlannerFeatures features;
-    PlannerDecision decision;
-    EvalOptions eval_options = options_.eval;
-    size_t pa_obs_before = 0;
-    if (adaptive_ != nullptr) {
-      features = ComputePlannerFeatures(pl, index_);
-      decision = adaptive_->planner().Decide(features);
-      planned = MakeArmStrategy(decision.arm, options_.sbh, &adaptive_->pa());
-      strategy = planned.get();
-      eval_options.pa_model = &adaptive_->pa();
-      pa_obs_before = adaptive_->pa().observations();
-    }
-    auto stamp_adaptive = [&](TraversalStats* stats) {
-      if (adaptive_ == nullptr) return;
-      stats->planner_decisions = 1;
-      stats->planner_explored = decision.explored ? 1 : 0;
-      // Saturating delta: a concurrent decay (data-version change on a
-      // shared model) can shrink the total mid-run.
-      const size_t obs_now = adaptive_->pa().observations();
-      stats->pa_observations = obs_now > pa_obs_before ? obs_now - pa_obs_before : 0;
-      stats->planned_strategy = std::string(PlannerArmName(decision.arm));
-      stats->pa_buckets = adaptive_->pa().SnapshotFor(features.sel_bucket);
+    // Adaptive mode reports the model slice this interpretation reads.
+    auto pa_slice = [&] {
+      return pa_model_ == nullptr
+                 ? std::vector<PaBucketSnapshot>{}
+                 : pa_model_->SnapshotFor(SelectivityBucketFor(pl, index_));
     };
 
     QueryEvaluator evaluator(db_, executor_.get(), &pl, index_,
-                             eval_options, verdict_cache_);
+                             options_.eval, verdict_cache_);
     StatusOr<TraversalResult> traversal_or = strategy->Run(pl, &evaluator);
     if (!traversal_or.ok() &&
         traversal_or.status().code() == StatusCode::kDeadlineExceeded) {
@@ -143,20 +121,14 @@ StatusOr<DebugReport> NonAnswerDebugger::Debug(
       // interpretation instead of failing the query.
       report.truncated = true;
       interp.truncated = true;
-      stamp_adaptive(&interp.traversal_stats);
+      interp.traversal_stats.pa_buckets = pa_slice();
       report.interpretations.push_back(std::move(interp));
       break;
     }
     KWSDBG_ASSIGN_OR_RETURN(TraversalResult traversal,
                             std::move(traversal_or));
-    // Feed the planner the measured cost of its pick. Truncated runs are
-    // skipped — a deadline-clipped cost would look artificially cheap.
-    if (adaptive_ != nullptr && !traversal.truncated) {
-      adaptive_->planner().Observe(decision, traversal.stats.sql_queries,
-                                   traversal.stats.total_millis);
-    }
-    interp.traversal_stats = traversal.stats;
-    stamp_adaptive(&interp.traversal_stats);
+    interp.traversal_stats = std::move(traversal.stats);
+    interp.traversal_stats.pa_buckets = pa_slice();
     interp.truncated = traversal.truncated;
     if (traversal.truncated) report.truncated = true;
 

@@ -14,8 +14,8 @@
 #include "lattice/lattice.h"
 #include "sql/executor.h"
 #include "text/inverted_index.h"
+#include "traversal/pa_model.h"
 #include "traversal/strategy.h"
-#include "traversal/strategy_planner.h"
 #include "traversal/verdict_cache.h"
 
 namespace kwsdbg {
@@ -52,21 +52,17 @@ struct DebuggerOptions {
   /// (DISCOVER-style size ranking). Non-answers are never ranked or
   /// truncated — debugging needs all of them (paper Sec. 1).
   bool rank_answers = true;
-  /// Adaptive traversal: a StrategyPlanner picks the arm per
-  /// interpretation from pre-traversal features and SBH reads bucketed p_a
-  /// from an online-learned PaModel fed by this debugger's verdicts.
-  /// `strategy` is ignored; `sbh` parameterizes the planner's SBH arms.
-  /// With everything cold this degrades to SBH @ 0.5 — adaptivity only
-  /// reorders evaluations, verdicts stay ground truth either way.
+  /// Adaptive traversal: attaches an online-learned PaModel
+  /// (traversal/pa_model.h). The evaluator feeds it this debugger's fresh
+  /// verdicts and SBH reads its per-level p_a instead of `sbh`'s fixed one;
+  /// `strategy` still picks the traversal. A cold model yields SBH @ 0.5 —
+  /// the model only reorders evaluations, verdicts stay ground truth.
   bool adaptive = false;
-  /// Shared adaptive tier (model + planner). When set, the debugger feeds
-  /// and consults this state (thread-safe — the DebugService plugs every
-  /// worker into one, like the shared verdict cache) instead of
-  /// owning session state; `adaptive_options` is then ignored. Must outlive
-  /// the debugger.
-  AdaptiveState* shared_adaptive = nullptr;
-  /// Knobs for the owned session state (exploration eps/seed, model prior).
-  AdaptiveOptions adaptive_options;
+  /// Shared p_a model for adaptive mode. When set, the debugger feeds and
+  /// reads this model (thread-safe — the DebugService plugs every worker
+  /// into one, like the shared verdict cache) instead of owning one.
+  /// Ignored unless `adaptive` is set. Must outlive the debugger.
+  PaModel* shared_pa_model = nullptr;
 };
 
 /// Facade wiring Phases 1-3 together over a prebuilt lattice and index.
@@ -91,9 +87,9 @@ class NonAnswerDebugger {
   /// benches and tests can inspect hit rates or Clear() between passes.
   VerdictCache* verdict_cache() { return verdict_cache_; }
 
-  /// The adaptive tier in effect — the shared state if one was configured,
-  /// else the owned session state, or nullptr when adaptive mode is off.
-  AdaptiveState* adaptive_state() { return adaptive_; }
+  /// The p_a model in effect — the shared model if one was configured, else
+  /// the owned session model, or nullptr when adaptive mode is off.
+  PaModel* pa_model() { return pa_model_; }
 
   /// Overrides the per-query deadline for subsequent Debug() calls (the
   /// DebugService sets this per request).
@@ -116,8 +112,8 @@ class NonAnswerDebugger {
   std::unique_ptr<Executor> executor_;
   std::unique_ptr<VerdictCache> owned_verdict_cache_;
   VerdictCache* verdict_cache_ = nullptr;  ///< Effective tier (shared/owned).
-  std::unique_ptr<AdaptiveState> owned_adaptive_;
-  AdaptiveState* adaptive_ = nullptr;  ///< Effective adaptive tier, or null.
+  std::unique_ptr<PaModel> owned_pa_model_;
+  PaModel* pa_model_ = nullptr;  ///< Effective p_a model (shared/owned).
   KeywordBinder binder_;
 };
 

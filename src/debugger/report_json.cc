@@ -87,8 +87,6 @@ std::string DebugReportToJson(const DebugReport& report) {
         << ",\"surviving_nodes\":" << interp.prune_stats.surviving_nodes
         << ",\"mtns\":" << interp.prune_stats.num_mtns;
     AppendRunCountersJson(&out, interp.traversal_stats);
-    out << ",\"planned_strategy\":";
-    AppendString(&out, interp.traversal_stats.planned_strategy);
     out << ",\"pa_buckets\":[";
     for (size_t b = 0; b < interp.traversal_stats.pa_buckets.size(); ++b) {
       const PaBucketSnapshot& snap = interp.traversal_stats.pa_buckets[b];

@@ -66,10 +66,8 @@ std::string ServiceStats::ToString() const {
       << "; shared tier: " << shared_cache.entries << " entries, "
       << shared_cache.hits << " hit(s), " << shared_cache.evictions
       << " eviction(s)";
-  if (planner_decisions > 0) {
-    out << "\n  adaptive: " << planner_decisions << " planner decision(s), "
-        << planner_explored << " explored, " << pa_observations
-        << " p_a observation(s)";
+  if (pa_observations > 0) {
+    out << "\n  adaptive: " << pa_observations << " p_a observation(s)";
   }
   if (mutations_applied + partial_evictions + index_patches > 0) {
     out << "\n  writes: " << mutations_applied << " mutation(s), "
@@ -151,10 +149,7 @@ DebugService::DebugService(const Database* db, const Lattice* lattice,
       options_(options),
       cache_(std::max<size_t>(1, options_.shared_cache_capacity)) {
   if (options_.num_workers == 0) options_.num_workers = 1;
-  if (options_.debugger.adaptive) {
-    adaptive_ =
-        std::make_unique<AdaptiveState>(options_.debugger.adaptive_options);
-  }
+  if (options_.debugger.adaptive) pa_model_ = std::make_unique<PaModel>();
   // The write path must exist before any worker thread starts: workers read
   // fences_ when building their evaluators.
   if (mutable_db != nullptr) {
@@ -471,11 +466,11 @@ void DebugService::WaitIdle() {
 void DebugService::WorkerLoop(size_t worker_id) {
   // The debugger (and with it the SQL session + evaluator) is built on the
   // worker thread and lives for the pool's lifetime, plugged into the
-  // shared verdict, flat-index and adaptive tiers.
+  // shared verdict and flat-index tiers and the shared p_a model.
   DebuggerOptions debugger_options = options_.debugger;
   debugger_options.shared_verdict_cache = &cache_;
   debugger_options.executor.shared_flat_indexes = &flat_indexes_;
-  debugger_options.shared_adaptive = adaptive_.get();  // Null = static.
+  debugger_options.shared_pa_model = pa_model_.get();  // Null = static.
   debugger_options.eval.fences = fences_.get();  // Null = no write path.
   debugger_options.deadline_millis = 0;  // Armed per task below.
   NonAnswerDebugger debugger(db_, lattice_, index_, debugger_options);

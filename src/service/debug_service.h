@@ -2,8 +2,8 @@
 // one shared immutable Lattice + Database. One bounded task queue under one
 // mutex feeds `num_workers` threads; each worker pops one task per lock
 // acquisition and runs it to completion. All workers share one verdict
-// cache, one flat-index tier and (in adaptive mode) one p_a model + planner,
-// so a verdict computed by any worker answers every later query.
+// cache, one flat-index tier and (in adaptive mode) one p_a model, so a
+// verdict computed by any worker answers every later query.
 //
 // Two entry points: synchronous RunBatch (results in input order plus the
 // batch aggregate) and asynchronous Submit (open-loop load generation —
@@ -84,7 +84,7 @@ struct ServiceOptions {
   /// no write path to log.
   DurabilityOptions durability;
   /// Template for each worker's debugger. `shared_verdict_cache`,
-  /// `executor.shared_flat_indexes`, `shared_adaptive`, and
+  /// `executor.shared_flat_indexes`, `shared_pa_model`, and
   /// `deadline_millis` are overwritten by the service (wired to its shared
   /// tiers).
   DebuggerOptions debugger;
@@ -233,9 +233,9 @@ class DebugService {
   /// seed or Clear() it).
   VerdictCache* shared_cache() { return &cache_; }
 
-  /// The p_a model + planner every worker shares, or null when the
-  /// debugger template has `adaptive` off.
-  AdaptiveState* shared_adaptive() { return adaptive_.get(); }
+  /// The p_a model every worker shares, or null when the debugger
+  /// template has `adaptive` off.
+  PaModel* shared_pa_model() { return pa_model_.get(); }
 
   /// Applies one live write (insert/delete/update) through the mutation
   /// engine: safe to call while queries are in flight — the write fences
@@ -308,7 +308,7 @@ class DebugService {
   VerdictCache cache_;
   SharedFlatRowIndexManager flat_indexes_;
   /// Null when adaptive mode is off.
-  std::unique_ptr<AdaptiveState> adaptive_;
+  std::unique_ptr<PaModel> pa_model_;
   /// Present iff constructed mutable: per-relation fences shared by every
   /// worker's evaluator and the mutation engine.
   std::unique_ptr<RelationFences> fences_;

@@ -31,6 +31,13 @@ QueryEvaluator::QueryEvaluator(const Database* db, Executor* executor,
   }
 }
 
+void QueryEvaluator::ObservePa(size_t level, bool alive) {
+  if (options_.pa_model != nullptr &&
+      options_.pa_model->Observe(level, pa_bucket_, alive)) {
+    ++pa_observations_;
+  }
+}
+
 const std::string& QueryEvaluator::CanonicalFor(NodeId id) {
   std::string& memo = canonical_memo_[id];
   if (memo.empty()) memo = CanonicalLabel(pl_->lattice().node(id).tree);
@@ -89,9 +96,7 @@ StatusOr<bool> QueryEvaluator::IsAlive(NodeId id) {
       const Table* t = db_->FindTable(table);
       if (t == nullptr) return Status::NotFound("no table " + table);
       const bool alive = t->live_rows() > 0;
-      if (options_.pa_model != nullptr) {
-        options_.pa_model->Observe(node.level, pa_bucket_, alive);
-      }
+      ObservePa(node.level, alive);
       return alive;
     }
     const std::string* kw = pl_->binding().KeywordFor(v);
@@ -99,9 +104,7 @@ StatusOr<bool> QueryEvaluator::IsAlive(NodeId id) {
       // The inverted index told Phase 1 the keyword occurs in this table; a
       // token occurrence implies the LIKE '%kw%' scan matches too.
       const bool alive = index_->TableContains(*kw, table);
-      if (options_.pa_model != nullptr) {
-        options_.pa_model->Observe(node.level, pa_bucket_, alive);
-      }
+      ObservePa(node.level, alive);
       return alive;
     }
     // Unbound keyword copy should have been pruned; fall through to SQL.
@@ -140,9 +143,7 @@ StatusOr<bool> QueryEvaluator::IsAlive(NodeId id) {
   sql_millis_ += timer.ElapsedMillis();
   // A fresh SQL verdict is a free labeled p_a sample (cache hits above are
   // not re-observed — they were sampled when first evaluated).
-  if (options_.pa_model != nullptr) {
-    options_.pa_model->Observe(node.level, pa_bucket_, alive);
-  }
+  ObservePa(node.level, alive);
   if (cache_ != nullptr) {
     cache_->Insert(CanonicalFor(id), binding_sig_, epoch, relset, alive,
                    rel_mask);

@@ -79,11 +79,20 @@ class QueryEvaluator {
   size_t cache_hits() const { return cache_hits_; }
   size_t cache_misses() const { return cache_misses_; }
 
+  /// Verdicts this evaluator fed EvalOptions::pa_model that the model
+  /// recorded (a frozen model records none). Counted here rather than read
+  /// off the model, whose total also moves with every other evaluator
+  /// sharing it.
+  size_t pa_observations() const { return pa_observations_; }
+
   const Executor* executor() const { return executor_; }
   const InvertedIndex* index() const { return index_; }
   VerdictCache* cache() const { return cache_; }
 
  private:
+  /// Feeds one verdict to the attached p_a model, if any.
+  void ObservePa(size_t level, bool alive);
+
   /// Memoized canonical label of the node's join tree.
   const std::string& CanonicalFor(NodeId id);
 
@@ -117,6 +126,7 @@ class QueryEvaluator {
   double sql_millis_ = 0;
   size_t cache_hits_ = 0;
   size_t cache_misses_ = 0;
+  size_t pa_observations_ = 0;
   size_t pa_bucket_ = 0;  ///< Selectivity bucket of pl_'s binding (only
                           ///< computed when a pa_model is attached).
 };

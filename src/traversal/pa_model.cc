@@ -15,12 +15,18 @@ namespace {
 
 constexpr uint64_t kAliveUnit = uint64_t{1} << 32;
 
+/// Buckets with fewer observations than this return the prior untouched.
+constexpr uint64_t kMinObservations = 4;
+/// Pseudo-count weight of the prior (Laplace-style smoothing).
+constexpr double kPriorStrength = 2.0;
+/// Estimates clamp into [kClampLo, kClampHi].
+constexpr double kClampLo = 0.1;
+constexpr double kClampHi = 0.9;
+
 uint64_t AliveOf(uint64_t packed) { return packed >> 32; }
 uint64_t TotalOf(uint64_t packed) { return packed & 0xffffffffull; }
 
 }  // namespace
-
-PaModel::PaModel(PaModelOptions options) : options_(options) {}
 
 size_t PaModel::LevelIndex(size_t level) {
   if (level == 0) return 0;
@@ -31,23 +37,22 @@ size_t PaModel::IndexOf(size_t level, size_t sel_bucket) {
   return LevelIndex(level) * kSelBuckets + std::min(sel_bucket, kSelBuckets - 1);
 }
 
-void PaModel::Observe(size_t level, size_t sel_bucket, bool alive) {
-  if (frozen()) return;
+bool PaModel::Observe(size_t level, size_t sel_bucket, bool alive) {
+  if (frozen()) return false;
   counts_[IndexOf(level, sel_bucket)].fetch_add(
       (alive ? kAliveUnit : 0) + 1, std::memory_order_relaxed);
+  return true;
 }
 
 double PaModel::Estimate(size_t level, size_t sel_bucket) const {
   const uint64_t packed =
       counts_[IndexOf(level, sel_bucket)].load(std::memory_order_relaxed);
+  if (TotalOf(packed) < kMinObservations) return kPrior;
   const double total = static_cast<double>(TotalOf(packed));
-  if (total < static_cast<double>(options_.min_observations)) {
-    return options_.prior;
-  }
   const double alive = static_cast<double>(AliveOf(packed));
-  const double p = (alive + options_.prior * options_.prior_strength) /
-                   (total + options_.prior_strength);
-  return std::clamp(p, options_.clamp_lo, options_.clamp_hi);
+  const double p =
+      (alive + kPrior * kPriorStrength) / (total + kPriorStrength);
+  return std::clamp(p, kClampLo, kClampHi);
 }
 
 void PaModel::SyncDataVersion(uint64_t version) {

@@ -29,20 +29,6 @@ class KeywordBinding;
 class PrunedLattice;
 class SchemaGraph;
 
-/// Model knobs. Defaults keep cold buckets at the paper's 0.5 prior, so an
-/// empty model reproduces static SBH @ 0.5 bit for bit.
-struct PaModelOptions {
-  /// Buckets with fewer observations than this return the prior untouched.
-  size_t min_observations = 4;
-  double prior = 0.5;
-  /// Pseudo-count weight of the prior (Laplace-style smoothing).
-  double prior_strength = 2.0;
-  /// Clamp estimates into [lo, hi] — an all-alive or all-dead bucket must
-  /// not collapse SBH into pure TD/BU behaviour.
-  double clamp_lo = 0.1;
-  double clamp_hi = 0.9;
-};
-
 /// One non-empty model bucket, for stats plumbing and report JSON.
 struct PaBucketSnapshot {
   uint32_t level = 0;       ///< Lattice level (clamped to kMaxLevelBuckets).
@@ -60,14 +46,17 @@ class PaModel {
   static constexpr size_t kMaxLevelBuckets = 8;
   /// Selectivity buckets (log4 of the rarest bound keyword's row count).
   static constexpr size_t kSelBuckets = 8;
+  /// The paper's fixed p_a, returned for cold buckets, so an empty model
+  /// reproduces static SBH @ 0.5 bit for bit.
+  static constexpr double kPrior = 0.5;
 
-  explicit PaModel(PaModelOptions options = {});
+  /// Records one verdict; returns false (and records nothing) once frozen.
+  bool Observe(size_t level, size_t sel_bucket, bool alive);
 
-  /// Records one verdict. No-op once frozen.
-  void Observe(size_t level, size_t sel_bucket, bool alive);
-
-  /// Current estimate for a bucket: the prior while the bucket is cold,
-  /// else the smoothed, clamped alive fraction.
+  /// Current estimate for a bucket: kPrior while the bucket has fewer than
+  /// four observations, else the alive fraction smoothed by two pseudo-counts
+  /// of kPrior and clamped into [0.1, 0.9] (an all-alive or all-dead bucket
+  /// must not collapse SBH into pure TD/BU behaviour).
   double Estimate(size_t level, size_t sel_bucket) const;
 
   /// Folds the data version (see DataVersionOf) into the model: on a change
@@ -92,13 +81,10 @@ class PaModel {
   /// Non-empty buckets of one selectivity column (the slice a query reads).
   std::vector<PaBucketSnapshot> SnapshotFor(size_t sel_bucket) const;
 
-  const PaModelOptions& options() const { return options_; }
-
  private:
   static size_t LevelIndex(size_t level);
   static size_t IndexOf(size_t level, size_t sel_bucket);
 
-  PaModelOptions options_;
   /// alive << 32 | total, so one fetch_add keeps the pair consistent.
   std::array<std::atomic<uint64_t>, kMaxLevelBuckets * kSelBuckets> counts_{};
   std::atomic<uint64_t> data_version_{0};  ///< 0 = never synced.
@@ -123,8 +109,8 @@ size_t SelectivityBucketFor(const PrunedLattice& pl,
 
 /// Folds the database epoch and every table's data epoch into one version
 /// (never 0, so 0 can mean "unset"). Live mutations bump these epochs; the
-/// debugger calls this per query and hands it to PaModel/StrategyPlanner so
-/// model state tracks data drift.
+/// adaptive debugger calls this per query and hands it to
+/// PaModel::SyncDataVersion so model state tracks data drift.
 uint64_t DataVersionOf(const Database& db);
 
 }  // namespace kwsdbg

@@ -41,7 +41,7 @@ class ScoreBasedStrategy : public TraversalStrategy {
     if (options_.pa_model != nullptr) {
       const size_t bucket = SelectivityBucketFor(pl, evaluator->index());
       const size_t max_level = pl.MaxRetainedLevel();
-      level_pa.resize(max_level + 1, options_.pa_model->options().prior);
+      level_pa.resize(max_level + 1, PaModel::kPrior);
       for (size_t level = 1; level <= max_level; ++level) {
         level_pa[level] = options_.pa_model->Estimate(level, bucket);
       }

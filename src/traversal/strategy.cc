@@ -57,6 +57,7 @@ RunCounters::RunCounters(const QueryEvaluator& evaluator)
       sql_millis_before_(evaluator.sql_millis()),
       hits_before_(evaluator.cache_hits()),
       misses_before_(evaluator.cache_misses()),
+      pa_observations_before_(evaluator.pa_observations()),
       exec_before_(evaluator.executor()->stats()) {
   if (evaluator.cache() != nullptr) {
     evictions_before_ = evaluator.cache()->stats().evictions;
@@ -69,6 +70,8 @@ TraversalResult RunCounters::Finish(TraversalResult result) const {
   stats.sql_millis = evaluator_.sql_millis() - sql_millis_before_;
   stats.cache_hits = evaluator_.cache_hits() - hits_before_;
   stats.cache_misses = evaluator_.cache_misses() - misses_before_;
+  stats.pa_observations =
+      evaluator_.pa_observations() - pa_observations_before_;
   if (evaluator_.cache() != nullptr) {
     stats.cache_evictions =
         evaluator_.cache()->stats().evictions - evictions_before_;

@@ -5,7 +5,6 @@
 #define KWSDBG_TRAVERSAL_STRATEGY_H_
 
 #include <memory>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -36,10 +35,9 @@ struct MtnOutcome {
 };
 
 /// Work counters for one strategy run: the rows of KWSDBG_TRAVERSAL_COUNTERS
-/// (common/counter_table.h), plus the adaptive planner's pick.
+/// (common/counter_table.h), plus the adaptive debugger's model slice.
 struct TraversalStats {
   KWSDBG_TRAVERSAL_COUNTERS(KWSDBG_COUNTER_FIELD)
-  std::string planned_strategy;  ///< Planner arm label; empty otherwise.
   std::vector<PaBucketSnapshot> pa_buckets;  ///< Post-run model slice for the
                                              ///< query's selectivity bucket.
 };
@@ -100,9 +98,10 @@ std::unique_ptr<TraversalStrategy> MakeStrategy(TraversalKind kind,
 namespace internal {
 
 /// Per-run accounting shared by every strategy: snapshots the evaluator's
-/// SQL and cache counters, its executor's counters and the verdict cache's
-/// eviction count at construction (run start); Finish() stamps the deltas
-/// since then, plus the elapsed wall time, into a result's stats.
+/// SQL, cache and p_a-observation counters, its executor's counters and the
+/// verdict cache's eviction count at construction (run start); Finish()
+/// stamps the deltas since then, plus the elapsed wall time, into a
+/// result's stats.
 class RunCounters {
  public:
   explicit RunCounters(const QueryEvaluator& evaluator);
@@ -118,6 +117,7 @@ class RunCounters {
   double sql_millis_before_;
   size_t hits_before_;
   size_t misses_before_;
+  size_t pa_observations_before_;
   size_t evictions_before_ = 0;
   ExecutorStats exec_before_;
 };

@@ -44,10 +44,12 @@ export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
 # `crash`-labeled forked power-cut cycles) runs the WAL framing, the
 # checkpoint codec, and recovery replay under all three tools; ubsan in
 # particular watches the byte-level frame encode/decode paths.
-# The adaptive set (PaModelTest, StrategyPlannerTest, AdaptiveColdStartTest,
-# AdaptiveParityTest, AdaptiveDriftTest, plus adaptive_smoke — the planner
-# gate in bench/adaptive_workload) runs here for tsan's sake: the p_a model
-# is a lock-free atomic-counter table shared across service workers, and its
+# The adaptive set (PaModelTest, AdaptiveColdStartTest, AdaptiveParityTest,
+# AdaptiveDriftTest, PaObservationCountTest — whose
+# ConcurrentObserverDoesNotLeakIntoRunCount is the tsan target for a run
+# racing another observer on one model — plus adaptive_smoke, the gate in
+# bench/adaptive_workload) runs here for tsan's sake: the p_a model is a
+# lock-free atomic-counter table shared across service workers, and its
 # decay path (SyncDataVersion) CAS-races against concurrent observers.
 # LatticeIoTest decodes untrusted lattice files: ubsan watches the narrowing
 # of parsed ids and counts, asan the forged-count paths that must fail
@@ -60,7 +62,7 @@ export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
 # the retained set's open-addressing table, ubsan its hash arithmetic.
 # CounterFlowTest debugs a spilled toy database: asan watches the evictable
 # frames its page reads go through.
-CONCURRENCY_TESTS='DifferentialFuzzTest|SharedCacheEpochTest|DebugServiceTest|ServiceParityTest|SubmitTest|ComputeServiceStatsTest|ServiceStatsIntegrationTest|ShardIndexForHashTest|ParallelAgreementTest|LruCacheTest|VerdictCacheTest|FailureInjectionTest|ChaosTest|ChaosFuzzTest|ChaosPropagationTest|FaultInjectorTest|FlatRowIndexTest|BufferPoolTest|PageCodecTest|DiskManagerTest|SpillTest|SpillEpochTest|PostingStoreTest|ExecutorSpillTest|MutationTest|IncrementalIndexTest|LiveMutationTest|WalTest|CheckpointTest|RelationFencesTest|DurableServiceTest|CrashRecoveryTest|resilience_smoke|bench_smoke|service_scale_smoke|storage_tier_smoke|mutation_smoke|durability_smoke|PaModelTest|StrategyPlannerTest|AdaptiveColdStartTest|AdaptiveParityTest|AdaptiveDriftTest|adaptive_smoke|LatticeIoTest|ExecutorPropertyTest|PrunedLatticeOracleTest|CounterFlowTest'
+CONCURRENCY_TESTS='DifferentialFuzzTest|SharedCacheEpochTest|DebugServiceTest|ServiceParityTest|SubmitTest|ComputeServiceStatsTest|ServiceStatsIntegrationTest|ShardIndexForHashTest|ParallelAgreementTest|LruCacheTest|VerdictCacheTest|FailureInjectionTest|ChaosTest|ChaosFuzzTest|ChaosPropagationTest|FaultInjectorTest|FlatRowIndexTest|BufferPoolTest|PageCodecTest|DiskManagerTest|SpillTest|SpillEpochTest|PostingStoreTest|ExecutorSpillTest|MutationTest|IncrementalIndexTest|LiveMutationTest|WalTest|CheckpointTest|RelationFencesTest|DurableServiceTest|CrashRecoveryTest|resilience_smoke|bench_smoke|service_scale_smoke|storage_tier_smoke|mutation_smoke|durability_smoke|PaModelTest|AdaptiveColdStartTest|AdaptiveParityTest|AdaptiveDriftTest|PaObservationCountTest|adaptive_smoke|LatticeIoTest|ExecutorPropertyTest|PrunedLatticeOracleTest|CounterFlowTest'
 
 : "${KWSDBG_FUZZ_ITERS:=200}"
 export KWSDBG_FUZZ_ITERS

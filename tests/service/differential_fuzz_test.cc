@@ -174,23 +174,21 @@ std::optional<std::string> Disagreement(const FuzzCase& fc, uint64_t seed,
     }
   }
 
-  // Layer 2d: adaptive traversal differential — a planner with forced
-  // exploration (eps = 1) plus an observation-fed p_a model must classify
-  // bit-identically. Two passes: the first runs cold, the second replays
-  // against the warmed model (SBH reads learned per-level estimates).
+  // Layer 2d: adaptive traversal differential — SBH reading an
+  // observation-fed p_a model must classify bit-identically. Two passes:
+  // the first runs cold, the second replays against the warmed model (SBH
+  // reads learned per-level estimates).
   {
     DebuggerOptions adaptive_options;
     adaptive_options.adaptive = true;
-    adaptive_options.adaptive_options.planner.explore_eps = 1.0;
-    adaptive_options.adaptive_options.planner.seed = seed;
     NonAnswerDebugger adaptive(fc.db.get(), fc.lattice.get(), fc.index.get(),
                                adaptive_options);
     for (int pass = 0; pass < 2; ++pass) {
       auto report = adaptive.Debug(query);
       KWSDBG_CHECK(report.ok()) << report.status().ToString();
       if (report->ClassificationSignature() != serial_sig) {
-        return std::string("adaptive (forced exploration) classification "
-                           "differs from serial on pass ") +
+        return std::string("adaptive classification differs from serial on "
+                           "pass ") +
                (pass == 0 ? "1 (cold model)" : "2 (warm model)");
       }
     }
@@ -320,15 +318,18 @@ TEST(DifferentialFuzzTest, ChaosMutationsNeverServeStaleVerdicts) {
           std::to_string(seed));
     }
 
-    // The service runs in adaptive mode with a forced-exploration planner:
-    // every write bumps a data epoch, so the shared model keeps decaying
-    // and re-learning mid-stream — the rebuilt-world oracle below catches
-    // any verdict the model-fed traversal gets wrong under drift.
+    // The service runs in adaptive mode on a strategy rotated by iteration
+    // (keyed by the seed, so the repro line below replays it), so every
+    // traversal runs through a multi-worker service under live writes.
+    // Every write bumps a data epoch, so the shared model keeps decaying and
+    // re-learning mid-stream — the rebuilt-world oracle below catches any
+    // verdict the traversal gets wrong under drift.
+    const TraversalKind strategy =
+        AllTraversalKinds()[seed % AllTraversalKinds().size()];
     ServiceOptions service_options;
     service_options.num_workers = 2;
+    service_options.debugger.strategy = strategy;
     service_options.debugger.adaptive = true;
-    service_options.debugger.adaptive_options.planner.explore_eps = 1.0;
-    service_options.debugger.adaptive_options.planner.seed = seed;
     DebugService service(fc.db.get(), fc.lattice.get(), fc.index.get(),
                          service_options);
     ASSERT_NE(service.mutator(), nullptr);
@@ -373,7 +374,8 @@ TEST(DifferentialFuzzTest, ChaosMutationsNeverServeStaleVerdicts) {
         ASSERT_TRUE(r.status.ok()) << r.status.ToString();
         ASSERT_EQ(r.report.ClassificationSignature(), want)
             << "stale verdict after live writes: iteration " << iter
-            << ", seed " << seed << ", query \"" << query << "\" ("
+            << ", seed " << seed << ", strategy "
+            << TraversalKindName(strategy) << ", query \"" << query << "\" ("
             << applied << " mutation(s) applied; repro: KWSDBG_FUZZ_SEED="
             << seed << " KWSDBG_FUZZ_ITERS=1 KWSDBG_MUTATION_RATE="
             << mutation_rate << ")";

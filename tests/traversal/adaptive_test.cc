@@ -1,20 +1,17 @@
-// Adaptive traversal tier (traversal/pa_model.h, strategy_planner.h):
-// model learning/decay/freeze semantics, planner explore/exploit behaviour,
-// and the two safety properties the tier is gated on — a cold model
-// reproduces static SBH @ 0.5 bit for bit, and planner decisions never
-// change a classification (verdicts are ground truth; see DESIGN.md).
+// Adaptive traversal (traversal/pa_model.h): model learning/decay/freeze
+// semantics, and the two safety properties adaptive mode is gated on — a
+// cold model reproduces static SBH @ 0.5 bit for bit, and a warm model never
+// changes a classification (verdicts are ground truth; see DESIGN.md).
 #include <gtest/gtest.h>
 
-#include <map>
-#include <set>
-#include <string>
-#include <vector>
+#include <atomic>
+#include <thread>
 
+#include "common/fault_injector.h"
 #include "debugger/non_answer_debugger.h"
 #include "test_util.h"
 #include "traversal/pa_model.h"
 #include "traversal/strategies.h"
-#include "traversal/strategy_planner.h"
 
 namespace kwsdbg {
 namespace {
@@ -32,7 +29,7 @@ TEST(PaModelTest, ColdBucketReturnsPrior) {
 }
 
 TEST(PaModelTest, BelowMinObservationsStaysAtPrior) {
-  PaModel model;  // min_observations = 4
+  PaModel model;  // buckets answer the prior below four observations
   for (int i = 0; i < 3; ++i) model.Observe(2, 1, /*alive=*/true);
   EXPECT_DOUBLE_EQ(model.Estimate(2, 1), 0.5);
   model.Observe(2, 1, true);
@@ -111,84 +108,6 @@ TEST(PaModelTest, SelectivityBucketsAreMonotoneAndCapped) {
   EXPECT_EQ(SelectivityBucketOf(1u << 20), PaModel::kSelBuckets - 1);
 }
 
-// ---- StrategyPlanner ----
-
-PlannerFeatures SomeFeatures() {
-  PlannerFeatures f;
-  f.retained_nodes = 12;
-  f.num_mtns = 3;
-  f.max_level = 3;
-  f.base_nodes = 4;
-  f.top_nodes = 1;
-  f.min_keyword_rows = 9;
-  f.sel_bucket = SelectivityBucketOf(9);
-  return f;
-}
-
-TEST(StrategyPlannerTest, ColdBucketFallsBackToModelFedSbh) {
-  StrategyPlannerOptions options;
-  options.explore_eps = 0;
-  StrategyPlanner planner(options);
-  PlannerDecision decision = planner.Decide(SomeFeatures());
-  EXPECT_EQ(decision.arm, PlannerArm::kSbhAdaptive);
-  EXPECT_FALSE(decision.explored);
-}
-
-TEST(StrategyPlannerTest, ExploitsLowestMeanSqlWithMillisTieBreak) {
-  StrategyPlannerOptions options;
-  options.explore_eps = 0;
-  StrategyPlanner planner(options);
-  const PlannerFeatures f = SomeFeatures();
-  for (PlannerArm arm : AllPlannerArms()) {
-    planner.ObserveArm(f, arm, /*sql_queries=*/50, /*total_millis=*/5.0);
-  }
-  planner.ObserveArm(f, PlannerArm::kTopDown, 2, 9.0);
-  EXPECT_EQ(planner.Decide(f).arm, PlannerArm::kTopDown);
-  // Tie on mean SQL: BUWR matches TD's mean but is faster.
-  planner.ObserveArm(f, PlannerArm::kBottomUpReuse, 2, 0.5);
-  planner.ObserveArm(f, PlannerArm::kBottomUpReuse, 2, 0.5);
-  planner.ObserveArm(f, PlannerArm::kTopDown, 2, 9.0);
-  // TD mean sql = (50+2+2)/3 = 18; BUWR = (50+2+2)/3 = 18; BUWR millis win.
-  EXPECT_EQ(planner.Decide(f).arm, PlannerArm::kBottomUpReuse);
-}
-
-TEST(StrategyPlannerTest, ForcedExplorationVisitsEveryArm) {
-  StrategyPlannerOptions options;
-  options.explore_eps = 1.0;
-  options.seed = 99;
-  StrategyPlanner planner(options);
-  const PlannerFeatures f = SomeFeatures();
-  std::set<PlannerArm> seen;
-  for (int i = 0; i < 48; ++i) {
-    PlannerDecision d = planner.Decide(f);
-    EXPECT_TRUE(d.explored);
-    seen.insert(d.arm);
-    planner.Observe(d, 10, 1.0);
-  }
-  EXPECT_EQ(seen.size(), kNumPlannerArms);
-  EXPECT_EQ(planner.explored(), 48u);
-  EXPECT_EQ(planner.decisions(), 48u);
-}
-
-TEST(StrategyPlannerTest, FrozenPlannerExploitsOnly) {
-  StrategyPlannerOptions options;
-  options.explore_eps = 1.0;
-  StrategyPlanner planner(options);
-  const PlannerFeatures f = SomeFeatures();
-  for (PlannerArm arm : AllPlannerArms()) planner.ObserveArm(f, arm, 50, 5.0);
-  planner.ObserveArm(f, PlannerArm::kBottomUp, 1, 1.0);
-  planner.Freeze();
-  for (int i = 0; i < 16; ++i) {
-    PlannerDecision d = planner.Decide(f);
-    EXPECT_FALSE(d.explored);
-    EXPECT_EQ(d.arm, PlannerArm::kBottomUp);
-  }
-  EXPECT_EQ(planner.explored(), 0u);
-  // Observation and decay are also frozen out.
-  planner.Observe(planner.Decide(f), 1000, 1000.0);
-  EXPECT_EQ(planner.Decide(f).arm, PlannerArm::kBottomUp);
-}
-
 // ---- Cold-start safety: empty model == SBH @ 0.5, bit for bit ----
 
 TEST(AdaptiveColdStartTest, ColdModelSbhMatchesFixedSbhExactly) {
@@ -226,13 +145,14 @@ TEST(AdaptiveColdStartTest, ColdAdaptiveDebuggerMatchesStaticSbh) {
     auto want = fixed.Debug(query);
     ASSERT_TRUE(want.ok()) << want.status().ToString();
 
-    // Fresh owned state per query: the planner's cold fallback must be
-    // model-fed SBH, which against an empty model is SBH @ 0.5.
+    // Fresh owned model per query: model-fed SBH against an empty model is
+    // SBH @ 0.5.
     DebuggerOptions adaptive_options;
     adaptive_options.adaptive = true;
-    adaptive_options.adaptive_options.planner.explore_eps = 0;
     NonAnswerDebugger adaptive(fx.db.get(), fx.lattice.get(), fx.index.get(),
                                adaptive_options);
+    ASSERT_NE(adaptive.pa_model(), nullptr);
+    EXPECT_EQ(fixed.pa_model(), nullptr);
     auto got = adaptive.Debug(query);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
 
@@ -245,61 +165,52 @@ TEST(AdaptiveColdStartTest, ColdAdaptiveDebuggerMatchesStaticSbh) {
       const TraversalStats& g = got->interpretations[0].traversal_stats;
       const TraversalStats& w = want->interpretations[0].traversal_stats;
       EXPECT_EQ(g.sql_queries, w.sql_queries) << query;
-      EXPECT_EQ(g.planned_strategy, "SBH+pa") << query;
-      EXPECT_EQ(g.planner_decisions, 1u);
     }
   }
 }
 
-// ---- Classification parity: planner picks never change a verdict ----
+// ---- Classification parity: a warm model never changes a verdict ----
 
+// The adaptive debugger runs SBH reading the shared model; a fresh run of
+// the configured strategy (static SBH @ 0.5) must classify identically.
 TEST(AdaptiveParityTest, AdaptiveVerdictsMatchFreshRunOfPlannedStrategy) {
   ToyFixture fx;
-  AdaptiveState state([] {
-    AdaptiveOptions o;
-    o.planner.explore_eps = 0.3;  // force a mix of explored arms
-    o.planner.seed = 7;
-    return o;
-  }());
+  const char* queries[] = {"saffron candle", "red candle", "candle",
+                           "saffron scented candle", "gray soap"};
+  PaModel model;
   DebuggerOptions options;
   options.adaptive = true;
-  options.shared_adaptive = &state;
+  options.shared_pa_model = &model;
+  {
+    // Warm the model: without a verdict cache every pass re-observes.
+    DebuggerOptions warm = options;
+    warm.verdict_cache_capacity = 0;
+    NonAnswerDebugger warmer(fx.db.get(), fx.lattice.get(), fx.index.get(),
+                             warm);
+    for (int pass = 0; pass < 3; ++pass) {
+      for (const char* query : queries) {
+        ASSERT_TRUE(warmer.Debug(query).ok()) << query;
+      }
+    }
+  }
+  // The parity below means something only if SBH reads a learned p_a.
+  bool learned = false;
+  for (const PaBucketSnapshot& bucket : model.Snapshot()) {
+    learned |= model.Estimate(bucket.level, bucket.sel_bucket) != 0.5;
+  }
+  ASSERT_TRUE(learned) << "warm-up left every bucket at the 0.5 prior";
+
   NonAnswerDebugger adaptive(fx.db.get(), fx.lattice.get(), fx.index.get(),
                              options);
-
-  const char* queries[] = {"saffron candle", "red candle", "candle",
-                           "saffron scented candle", "saffron candle",
-                           "red candle", "candle"};
-  std::map<std::string, PlannerArm> arm_by_name;
-  for (PlannerArm arm : AllPlannerArms()) {
-    arm_by_name[std::string(PlannerArmName(arm))] = arm;
-  }
-  size_t reruns = 0;
   for (const char* query : queries) {
-    auto report = adaptive.Debug(query);
-    ASSERT_TRUE(report.ok()) << report.status().ToString();
-    const std::string label =
-        report->AggregateTraversalStats().planned_strategy;
-    if (label.empty() || label == "mixed") continue;
-    // Re-run the whole query with the planner's pick pinned on a fresh
-    // debugger: the verdicts must be bit-identical.
-    ASSERT_TRUE(arm_by_name.count(label)) << label;
-    const PlannerArm arm = arm_by_name[label];
-    DebuggerOptions pinned;
-    pinned.strategy = ArmTraversalKind(arm);
-    if (arm == PlannerArm::kSbhAdaptive) pinned.sbh.pa_model = &state.pa();
-    NonAnswerDebugger fresh(fx.db.get(), fx.lattice.get(), fx.index.get(),
-                            pinned);
-    auto want = fresh.Debug(query);
+    auto got = adaptive.Debug(query);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    NonAnswerDebugger fixed(fx.db.get(), fx.lattice.get(), fx.index.get());
+    auto want = fixed.Debug(query);
     ASSERT_TRUE(want.ok()) << want.status().ToString();
-    EXPECT_EQ(report->ClassificationSignature(),
-              want->ClassificationSignature())
-        << query << " planned as " << label;
-    ++reruns;
+    EXPECT_EQ(got->ClassificationSignature(), want->ClassificationSignature())
+        << query;
   }
-  EXPECT_GT(reruns, 0u);
-  EXPECT_GT(state.planner().decisions(), 0u);
-  EXPECT_GT(state.pa().observations(), 0u);
 }
 
 // ---- Data-version plumbing: live epochs reach the model ----
@@ -313,25 +224,77 @@ TEST(AdaptiveDriftTest, EpochBumpChangesDataVersionAndDecaysModel) {
   const uint64_t v2 = DataVersionOf(*fx.db);
   EXPECT_NE(v1, v2);
 
-  AdaptiveState state;
+  PaModel model;
   DebuggerOptions options;
   options.adaptive = true;
-  options.adaptive_options.planner.explore_eps = 0;
-  options.shared_adaptive = &state;
+  options.shared_pa_model = &model;
   NonAnswerDebugger debugger(fx.db.get(), fx.lattice.get(), fx.index.get(),
                              options);
   auto report = debugger.Debug("saffron candle");
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(state.pa().data_version(), v2);
-  const size_t warm = state.pa().observations();
+  EXPECT_EQ(model.data_version(), v2);
+  const size_t warm = model.observations();
   ASSERT_GT(warm, 0u);
 
   // A mutation epoch decays the learned counts on the next query.
   fx.db->BumpEpoch();
   auto again = debugger.Debug("red candle");
   ASSERT_TRUE(again.ok()) << again.status().ToString();
-  EXPECT_EQ(state.pa().data_version(), DataVersionOf(*fx.db));
-  EXPECT_NE(state.pa().data_version(), v2);
+  EXPECT_EQ(model.data_version(), DataVersionOf(*fx.db));
+  EXPECT_NE(model.data_version(), v2);
+}
+
+// ---- Per-run accounting: pa_observations counts this run's verdicts ----
+
+size_t RunPaObservations(const ToyFixture& fx, PaModel* model,
+                         const char* query) {
+  DebuggerOptions options;
+  options.adaptive = true;
+  options.shared_pa_model = model;
+  NonAnswerDebugger debugger(fx.db.get(), fx.lattice.get(), fx.index.get(),
+                             options);
+  auto report = debugger.Debug(query);
+  KWSDBG_CHECK(report.ok()) << report.status().ToString();
+  return report->AggregateTraversalStats().pa_observations;
+}
+
+// Another worker's verdicts land in a shared model while this run is in
+// flight; they must not be counted as this run's observations. The observer
+// writes a selectivity bucket no toy query reads, so the schedule (and with
+// it the run's own count) is the private model's.
+TEST(PaObservationCountTest, ConcurrentObserverDoesNotLeakIntoRunCount) {
+  ToyFixture fx;
+  const char* query = "saffron scented candle";
+  PaModel private_model;
+  const size_t want = RunPaObservations(fx, &private_model, query);
+  ASSERT_GT(want, 0u);
+
+  PaModel shared;
+  std::atomic<bool> stop{false};
+  std::thread observer([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      shared.Observe(1, PaModel::kSelBuckets - 1, /*alive=*/true);
+    }
+  });
+  while (shared.observations() == 0) std::this_thread::yield();
+  size_t got = 0;
+  {
+    // A latency-only fault sleeps before every SQL verdict, so the observer
+    // runs mid-run even when both threads share one core.
+    ScopedFaultInjection pause("cache.verdict.lookup=ok,latency=1");
+    got = RunPaObservations(fx, &shared, query);
+  }
+  stop.store(true, std::memory_order_relaxed);
+  observer.join();
+  EXPECT_EQ(got, want);
+}
+
+TEST(PaObservationCountTest, FrozenModelCountsNothing) {
+  ToyFixture fx;
+  PaModel model;
+  model.Freeze();
+  EXPECT_EQ(RunPaObservations(fx, &model, "saffron scented candle"), 0u);
+  EXPECT_EQ(model.observations(), 0u);
 }
 
 }  // namespace
