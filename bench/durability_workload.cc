@@ -79,7 +79,8 @@ size_t EnvSizeOr(const char* name, size_t fallback) {
 /// database itself is rebuilt fresh per cycle from the deterministic
 /// generators so every incarnation starts identical.
 struct MasterEnv {
-  std::string name;
+  std::string name;   ///< Seeds the crash schedule and names the WAL dirs.
+  std::string label;  ///< `name` plus the DBLife scale, for output.
   bool dblife = true;
   bool smoke = true;
   SchemaGraph schema;
@@ -98,8 +99,11 @@ MasterEnv BuildMaster(bool dblife, bool smoke) {
   master.smoke = smoke;
   if (dblife) {
     master.name = "dblife";
-    DblifeConfig config = EnvDblifeConfig().Scaled(smoke ? 0.05 : 1.0);
-    auto dataset = GenerateDblife(config);
+    const double default_scale = smoke ? 0.05 : 1.0;
+    std::ostringstream label;
+    label << "dblife(" << EnvScale(default_scale) << "x)";
+    master.label = label.str();
+    auto dataset = GenerateDblife(EnvDblifeConfig(default_scale));
     KWSDBG_CHECK(dataset.ok()) << dataset.status().ToString();
     master.schema = std::move(dataset->schema);
     for (const WorkloadQuery& q : PaperWorkload()) {
@@ -108,6 +112,7 @@ MasterEnv BuildMaster(bool dblife, bool smoke) {
     }
   } else {
     master.name = "ecommerce";
+    master.label = master.name;
     EcommerceConfig config;
     config.num_items = smoke ? 100 : 400;
     auto dataset = GenerateEcommerce(config);
@@ -127,8 +132,7 @@ MasterEnv BuildMaster(bool dblife, bool smoke) {
 Instance BuildInstance(const MasterEnv& master) {
   Instance inst;
   if (master.dblife) {
-    DblifeConfig config = EnvDblifeConfig().Scaled(master.smoke ? 0.05 : 1.0);
-    auto dataset = GenerateDblife(config);
+    auto dataset = GenerateDblife(EnvDblifeConfig(master.smoke ? 0.05 : 1.0));
     KWSDBG_CHECK(dataset.ok()) << dataset.status().ToString();
     inst.db = std::move(dataset->db);
   } else {
@@ -502,7 +506,7 @@ size_t RunReplayFaultCheck(const MasterEnv& master, const std::string& dir) {
       ++violations;
       std::printf("  [GATE] %s: replay fault was swallowed — service came "
                   "up over a half-replayed log\n",
-                  master.name.c_str());
+                  master.label.c_str());
     }
   }
   {
@@ -512,11 +516,11 @@ size_t RunReplayFaultCheck(const MasterEnv& master, const std::string& dir) {
     if (!service.durability_status().ok()) {
       ++violations;
       std::printf("  [GATE] %s: clean recovery retry failed: %s\n",
-                  master.name.c_str(),
+                  master.label.c_str(),
                   service.durability_status().ToString().c_str());
     }
   }
-  std::printf("  %s replay-fault robustness: %s\n", master.name.c_str(),
+  std::printf("  %s replay-fault robustness: %s\n", master.label.c_str(),
               violations == 0 ? "typed failure, clean retry ok" : "FAILED");
   return violations;
 }
@@ -576,13 +580,13 @@ int Run(bool smoke, const std::string& out_path) {
     const MasterEnv master = BuildMaster(is_dblife, smoke);
     std::printf("\n%s: %zu queries, stream of %zu seeded write(s) per "
                 "incarnation\n",
-                master.name.c_str(), master.queries.size(), stream_len);
+                master.label.c_str(), master.queries.size(), stream_len);
     Rng after_rng(crash_seed ^ Checksum64(master.name.data(),
                                           master.name.size()));
     for (const FsyncPolicy policy : policies) {
       for (const std::string& point : points) {
         ComboTotals totals;
-        totals.env = master.name;
+        totals.env = master.label;
         totals.policy = PolicyName(policy);
         totals.point = point;
         for (size_t cycle = 0; cycle < cycles_per_combo; ++cycle) {
@@ -627,7 +631,7 @@ int Run(bool smoke, const std::string& out_path) {
         RunReplayFaultCheck(master, base_dir + "/" + master.name + "_replay");
     violations += robustness;
     if (robustness_json.tellp() > 0) robustness_json << ',';
-    robustness_json << "{\"env\":\"" << master.name << "\",\"ok\":"
+    robustness_json << "{\"env\":\"" << master.label << "\",\"ok\":"
                     << (robustness == 0 ? "true" : "false") << "}";
   }
 

@@ -66,11 +66,13 @@ struct LiveEnv {
 };
 
 LiveEnv BuildDblifeEnv(bool smoke) {
-  DblifeConfig config = EnvDblifeConfig().Scaled(smoke ? 0.05 : 1.0);
-  auto dataset = GenerateDblife(config);
+  const double default_scale = smoke ? 0.05 : 1.0;
+  auto dataset = GenerateDblife(EnvDblifeConfig(default_scale));
   KWSDBG_CHECK(dataset.ok()) << dataset.status().ToString();
   LiveEnv env;
-  env.name = "dblife";
+  std::ostringstream name;
+  name << "dblife(" << EnvScale(default_scale) << "x)";
+  env.name = name.str();
   env.db = std::move(dataset->db);
   env.schema = std::move(dataset->schema);
   LatticeConfig lconfig;

@@ -1,7 +1,7 @@
 #include "sql/executor.h"
 
 #include <algorithm>
-#include <functional>
+#include <bit>
 
 #include "common/fault_injector.h"
 #include "common/logging.h"
@@ -14,39 +14,33 @@ namespace kwsdbg {
 
 namespace {
 
-/// Per-query execution state prepared from the query + database.
-struct PreparedVertex {
-  const Table* table = nullptr;
-  bool has_keyword = false;
-  std::string keyword;      // lower-cased
-  size_t candidate_count = 0;
-};
+/// Batched probe pipeline: windows of kPrefetchWindow probe keys are hashed
+/// and their buckets prefetched before the window drains, engaged only on
+/// loops with at least kBatchMinProbes candidates — below that the window
+/// never leaves L1 anyway.
+constexpr size_t kPrefetchWindow = 16;
+constexpr size_t kBatchMinProbes = 32;
+/// Window hashes are kept by position modulo this (a power of two larger
+/// than the kPrefetchWindow + 1 positions hashed but not yet probed), so
+/// the descent from a candidate probes with the hash its window computed.
+constexpr uint32_t kHashRing = 32;
+static_assert(kHashRing > kPrefetchWindow &&
+              (kHashRing & (kHashRing - 1)) == 0);
+
+/// Deadline polling stride inside the backtracking loop.
+constexpr size_t kCancelCheckStride = 1024;
 
 /// A join constraint from the perspective of one vertex.
 struct VertexConstraint {
-  uint16_t other;          // the other vertex
-  size_t own_column;       // column index in this vertex's table
-  size_t other_column;     // column index in the other vertex's table
+  uint16_t other;       // the other vertex
+  size_t own_column;    // column index in this vertex's table
+  size_t other_column;  // column index in the other vertex's table
 };
 
-/// Everything Execute/Explain need, resolved once per query.
-struct PreparedQuery {
-  std::vector<PreparedVertex> vertices;
-  std::vector<std::vector<VertexConstraint>> constraints;
-  std::vector<std::vector<std::pair<size_t, const Value*>>> selections;
-  std::vector<std::vector<std::pair<size_t, const std::string*>>> likes;
-  std::vector<uint16_t> order;
-  std::vector<bool> order_connected;  // order[i] joined to a prior instance?
-};
-
-/// Per-vertex candidate rows for one query. Only a vertex with a per-row
-/// filter is materialized; one without stays "full" (every row passes
-/// trivially) and is reached through join-index probes or a table scan.
-struct VertexCandidates {
-  bool materialized = false;
-  std::vector<uint32_t> rows;   // ascending
-  std::vector<uint8_t> bitmap;  // sized num_rows; valid iff materialized
-};
+/// Bit `row` of a one-bit-per-row set of `num_bits` bits.
+bool TestBit(const uint64_t* bits, size_t num_bits, uint32_t row) {
+  return row < num_bits && ((bits[row >> 6] >> (row & 63)) & 1) != 0;
+}
 
 /// Adds exec_millis on every exit path, including error returns — the
 /// counters must not drift on invalid queries.
@@ -57,30 +51,119 @@ struct ExecTimeGuard {
   ~ExecTimeGuard() { *acc += timer.ElapsedMillis(); }
 };
 
-/// Harvests the out-of-core I/O this query caused as deltas of the global
-/// storage/index counters, on every exit path (like ExecTimeGuard).
+/// Harvests the out-of-core I/O this query caused as deltas of the buffer
+/// pool, page file and posting store counters, on every exit path (like
+/// ExecTimeGuard). Reads those counters directly: no catalog walk.
 struct StorageIoGuard {
-  const Database* db;
+  const BufferPool* pool;
+  const DiskManager* disk;
   const InvertedIndex* index;
   ExecutorStats* stats;
-  StorageStats before;
-  PostingIoStats posting_before;
+  BufferPoolStats pool_before;
+  size_t page_reads_before;
+  size_t posting_reads_before;
   StorageIoGuard(const Database* d, const InvertedIndex* i, ExecutorStats* s)
-      : db(d), index(i), stats(s), before(d->storage_stats()),
-        posting_before(i != nullptr ? i->io_stats() : PostingIoStats{}) {}
+      : pool(d->buffer_pool()),
+        disk(d->disk()),
+        index(i),
+        stats(s),
+        pool_before(pool != nullptr ? pool->stats() : BufferPoolStats{}),
+        page_reads_before(disk != nullptr ? disk->stats().page_reads : 0),
+        posting_reads_before(i != nullptr ? i->io_stats().posting_reads : 0) {
+  }
   ~StorageIoGuard() {
-    const StorageStats now = db->storage_stats();
-    stats->page_hits += now.page_hits - before.page_hits;
-    stats->page_reads += now.page_reads - before.page_reads;
-    stats->page_evictions += now.page_evictions - before.page_evictions;
+    if (pool != nullptr) {
+      stats->page_hits += pool->stats().page_hits - pool_before.page_hits;
+      stats->page_evictions +=
+          pool->stats().page_evictions - pool_before.page_evictions;
+    }
+    if (disk != nullptr) {
+      stats->page_reads += disk->stats().page_reads - page_reads_before;
+    }
     if (index != nullptr) {
       stats->posting_reads +=
-          index->io_stats().posting_reads - posting_before.posting_reads;
+          index->io_stats().posting_reads - posting_reads_before;
     }
   }
 };
 
 }  // namespace
+
+/// Everything one RunJoin or Explain resolves for its plan. Kept across
+/// queries so a query allocates nothing once the buffers have grown to its
+/// size; every field is reset by Prepare. Spans into cached match sets and
+/// resolved index pointers are valid for the current query only.
+struct Executor::JoinState {
+  struct Vertex {
+    const Table* table = nullptr;
+    const std::string* keyword = nullptr;  // into the plan; null = free
+    const KeywordMatches* matches = nullptr;  // once materialized
+    size_t candidate_count = 0;
+    bool residual = false;  // constant or LIKE selections on this vertex
+    // A vertex with any per-row filter (keyword, residual) is sourced in
+    // Stage 1: `rows` are its candidates, ascending, and `bits` (of
+    // `num_bits`) their membership set. Without filters it stays "full"
+    // (every row passes) and is reached through index probes or a scan.
+    bool filtered = false;
+    RowSpan rows;
+    const uint64_t* bits = nullptr;
+    size_t num_bits = 0;
+    // Storage for candidates materialized under residual filters.
+    std::vector<uint32_t> owned_rows;
+    std::vector<uint64_t> owned_bits;
+
+    bool Admits(uint32_t row) const {
+      return !filtered || TestBit(bits, num_bits, row);
+    }
+  };
+
+  /// One backtracking level of the iterative depth-first search.
+  struct Frame {
+    RowSpan candidates;           // probe/candidate rows (use_candidates)
+    bool use_candidates = false;  // false: enumerate the whole table
+    uint32_t next_pos = 0;        // position in candidates/rows
+    // Batched child-probe prefetch: set when the next depth will index-probe
+    // on a key column of this frame's table, so every candidate row here
+    // determines one upcoming bucket — prefetched a window ahead, its hash
+    // kept for the probe.
+    const FlatRowIndex* child_index = nullptr;
+    size_t child_key_col = 0;
+    uint32_t prefetch_pos = 0;
+    uint64_t window_hash[kHashRing] = {};  // by position % kHashRing
+  };
+
+  std::vector<Vertex> vertices;
+  // Constraints grouped by vertex: vertex v's are
+  // constraints[constraint_begin[v] .. constraint_begin[v + 1]), in join
+  // order. constraint_index[c] is constraint c's probe index, resolved on
+  // first use in this query.
+  std::vector<VertexConstraint> constraints;
+  std::vector<uint32_t> constraint_begin;
+  std::vector<const FlatRowIndex*> constraint_index;
+  std::vector<uint16_t> order;
+  std::vector<bool> order_connected;  // order[i] joined to a prior instance?
+  std::vector<uint16_t> source_order;
+  std::vector<uint32_t> assignment;
+  std::vector<bool> assigned;
+  std::vector<Frame> stack;
+  // Offset within the vertex's constraints of the constraint the frame's
+  // index probe satisfied (-1 = no probe).
+  std::vector<int> probe_constraint;
+
+  /// Constraints of vertex `v`.
+  const VertexConstraint* begin(size_t v) const {
+    return constraints.data() + constraint_begin[v];
+  }
+  const VertexConstraint* end(size_t v) const {
+    return constraints.data() + constraint_begin[v + 1];
+  }
+};
+
+Executor::Executor(const Database* db, ExecutorOptions options)
+    : db_(db), options_(options), state_(std::make_unique<JoinState>()) {}
+Executor::~Executor() = default;
+Executor::Executor(Executor&&) noexcept = default;
+Executor& Executor::operator=(Executor&&) noexcept = default;
 
 std::string ResultSet::ToString(size_t max_rows) const {
   std::string out;
@@ -135,12 +218,16 @@ const std::vector<uint32_t>& Executor::InfixTermIds(
 
 const Executor::KeywordMatches& Executor::GetKeywordMatches(
     const Table* table, const std::string& keyword) {
-  auto key = std::make_pair(table, keyword);
-  auto it = keyword_cache_.find(key);
-  if (it != keyword_cache_.end()) return it->second;
+  std::unordered_map<std::string, KeywordMatches>& per_table =
+      keyword_cache_[table];
+  auto it = per_table.find(keyword);
+  if (it != per_table.end()) return it->second;
   KeywordMatches matches;
-  // Marks matching rows while the set is built; only `rows` is cached.
-  std::vector<uint8_t> bitmap(table->num_rows(), 0);
+  // The membership bitset is built first; the row list is read off it.
+  matches.bits.assign((table->num_rows() + 63) / 64, 0);
+  auto mark = [&matches](size_t row) {
+    matches.bits[row >> 6] |= uint64_t{1} << (row & 63);
+  };
   uint32_t tid = IndexServable(keyword) ? text_index_->TableIdOf(table->name())
                                         : InvertedIndex::kNoTable;
   // Degraded mode: a text-index fault (injected, or a future real lookup
@@ -161,11 +248,7 @@ const Executor::KeywordMatches& Executor::GetKeywordMatches(
       // fetch (a disk read when spilled) would contribute nothing.
       if (text_index_->ProfileRowCount(term_id, tid) == 0) continue;
       for (const Posting& p : text_index_->PostingsForTermId(term_id)) {
-        if (p.table_id != tid) continue;
-        if (!bitmap[p.row]) {
-          bitmap[p.row] = 1;
-          ++matches.count;
-        }
+        if (p.table_id == tid) mark(p.row);
       }
     }
   } else {
@@ -177,19 +260,22 @@ const Executor::KeywordMatches& Executor::GetKeywordMatches(
         const Value& v = table->at(row, col);
         if (v.is_null()) continue;
         if (ContainsCaseInsensitive(v.AsString(), keyword)) {
-          bitmap[row] = 1;
-          ++matches.count;
+          mark(row);
           break;
         }
       }
     }
   }
-  matches.rows.reserve(matches.count);
-  for (size_t row = 0; row < bitmap.size(); ++row) {
-    if (bitmap[row]) matches.rows.push_back(static_cast<uint32_t>(row));
+  size_t count = 0;
+  for (uint64_t word : matches.bits) count += std::popcount(word);
+  matches.rows.reserve(count);
+  for (size_t w = 0; w < matches.bits.size(); ++w) {
+    for (uint64_t word = matches.bits[w]; word != 0; word &= word - 1) {
+      matches.rows.push_back(
+          static_cast<uint32_t>(w * 64 + std::countr_zero(word)));
+    }
   }
-  return keyword_cache_.emplace(std::move(key), std::move(matches))
-      .first->second;
+  return per_table.emplace(keyword, std::move(matches)).first->second;
 }
 
 const FlatRowIndex& Executor::GetFlatIndex(const Table* table,
@@ -217,12 +303,6 @@ const FlatRowIndex& Executor::GetFlatIndex(const Table* table,
   return index;
 }
 
-RowSpan Executor::ProbeJoinIndex(const Table* table, size_t column,
-                                 const Value& v) {
-  ++stats_.flat_probes;
-  return GetFlatIndex(table, column).Lookup(v);
-}
-
 void Executor::ClearCaches() {
   flat_indexes_.Clear();
   keyword_cache_.clear();
@@ -230,7 +310,7 @@ void Executor::ClearCaches() {
   table_cache_epochs_.clear();
 }
 
-void Executor::RevalidateCaches(const JoinNetworkQuery& query) {
+void Executor::RevalidateCaches(const JoinPlan& plan) {
   // Session caches (join indexes, keyword match sets) describe one database
   // state; a mutation + BumpEpoch() between queries makes them stale, so a
   // long-lived session (e.g. a service worker) drops them here instead of
@@ -249,53 +329,103 @@ void Executor::RevalidateCaches(const JoinNetworkQuery& query) {
   // Relation-scoped invalidation (live writes): a LiveMutator bumps only the
   // written table's data epoch, so drop only that table's match sets and
   // join indexes — every other table's caches stay warm. Must run before
-  // PrepareQuery, whose candidate counting already reads the caches.
-  for (const QueryVertex& qv : query.vertices) {
-    const Table* t = db_->FindTable(qv.table);
-    if (t == nullptr) continue;  // Validate() in PrepareQuery reports it.
+  // Prepare, whose candidate counting already reads the caches.
+  for (const JoinPlan::Vertex& pv : plan.vertices) {
+    const Table* t = pv.table;
     auto [it, inserted] = table_cache_epochs_.try_emplace(t, t->data_epoch());
     if (!inserted && it->second != t->data_epoch()) {
-      for (auto kit = keyword_cache_.begin(); kit != keyword_cache_.end();) {
-        if (kit->first.first == t) {
-          kit = keyword_cache_.erase(kit);
-        } else {
-          ++kit;
-        }
-      }
+      keyword_cache_.erase(t);
       flat_indexes_.EraseTable(t);
       it->second = t->data_epoch();
     }
   }
 }
 
-namespace {
+void Executor::Prepare(const JoinPlan& plan, bool estimate_spilled) {
+  JoinState& st = *state_;
+  const size_t n = plan.vertices.size();
+  st.vertices.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    JoinState::Vertex& sv = st.vertices[i];
+    const JoinPlan::Vertex& pv = plan.vertices[i];
+    sv.table = pv.table;
+    sv.keyword = pv.keyword.empty() ? nullptr : &pv.keyword;
+    sv.matches = nullptr;
+    sv.residual = false;
+    sv.rows = RowSpan{};
+    sv.bits = nullptr;
+    sv.num_bits = 0;
+    if (sv.keyword == nullptr) {
+      sv.candidate_count = sv.table->num_rows();
+    } else if (estimate_spilled && spill_mode_ && text_index_ != nullptr &&
+               text_index_->spilled() && options_.use_text_index &&
+               IndexServable(pv.keyword)) {
+      // Spilled index: plan from the RAM-resident selectivity profile
+      // instead of materializing the match set (which costs posting I/O).
+      // The profile sum is an upper bound — exact when zero, which is what
+      // RunJoin's fast reject relies on; the true set is only materialized
+      // for the vertices that survive, cheapest first.
+      sv.candidate_count =
+          text_index_->EstimatedInfixRows(pv.keyword, sv.table->name());
+    } else {
+      sv.matches = &GetKeywordMatches(sv.table, pv.keyword);
+      sv.candidate_count = sv.matches->rows.size();
+    }
+  }
+  for (const JoinPlan::Selection& sel : plan.selections) {
+    st.vertices[sel.vertex].residual = true;
+  }
+  for (const JoinPlan::LikeSelection& like : plan.like_selections) {
+    st.vertices[like.vertex].residual = true;
+  }
+  for (JoinState::Vertex& sv : st.vertices) {
+    sv.filtered = sv.keyword != nullptr || sv.residual;
+  }
 
-/// Chooses the instance order: start at the smallest candidate set, then
-/// repeatedly take the connected unplaced instance with the fewest
-/// candidates (disconnected queries fall back to the globally smallest —
-/// a cross product, which the KWS-S system never generates but the shell
-/// may).
-void ChooseOrder(PreparedQuery* pq) {
-  const size_t n = pq->vertices.size();
-  std::vector<bool> placed(n, false);
+  // Per-vertex constraints, each vertex's in join order.
+  st.constraints.clear();
+  st.constraint_begin.resize(n + 1);
+  for (size_t v = 0; v < n; ++v) {
+    st.constraint_begin[v] = static_cast<uint32_t>(st.constraints.size());
+    for (const JoinPlan::Join& j : plan.joins) {
+      if (j.left == v) {
+        st.constraints.push_back(
+            VertexConstraint{j.right, j.left_column, j.right_column});
+      }
+      if (j.right == v) {
+        st.constraints.push_back(
+            VertexConstraint{j.left, j.right_column, j.left_column});
+      }
+    }
+  }
+  st.constraint_begin[n] = static_cast<uint32_t>(st.constraints.size());
+  st.constraint_index.assign(st.constraints.size(), nullptr);
+
+  // Instance order: start at the smallest candidate set, then repeatedly
+  // take the connected unplaced instance with the fewest candidates
+  // (disconnected queries fall back to the globally smallest — a cross
+  // product, which the KWS-S system never generates but the shell may).
+  st.order.clear();
+  st.order_connected.clear();
+  st.assigned.assign(n, false);  // "placed" while ordering
   size_t first = 0;
   for (size_t i = 1; i < n; ++i) {
-    if (pq->vertices[i].candidate_count <
-        pq->vertices[first].candidate_count) {
+    if (st.vertices[i].candidate_count <
+        st.vertices[first].candidate_count) {
       first = i;
     }
   }
-  pq->order.push_back(static_cast<uint16_t>(first));
-  pq->order_connected.push_back(false);
-  placed[first] = true;
-  while (pq->order.size() < n) {
+  st.order.push_back(static_cast<uint16_t>(first));
+  st.order_connected.push_back(false);
+  st.assigned[first] = true;
+  while (st.order.size() < n) {
     int best = -1;
     bool best_connected = false;
     for (size_t i = 0; i < n; ++i) {
-      if (placed[i]) continue;
+      if (st.assigned[i]) continue;
       bool connected = false;
-      for (const VertexConstraint& vc : pq->constraints[i]) {
-        if (placed[vc.other]) {
+      for (const VertexConstraint* vc = st.begin(i); vc != st.end(i); ++vc) {
+        if (st.assigned[vc->other]) {
           connected = true;
           break;
         }
@@ -303,192 +433,119 @@ void ChooseOrder(PreparedQuery* pq) {
       const bool better =
           best < 0 || (connected && !best_connected) ||
           (connected == best_connected &&
-           pq->vertices[i].candidate_count <
-               pq->vertices[best].candidate_count);
+           st.vertices[i].candidate_count <
+               st.vertices[best].candidate_count);
       if (better) {
         best = static_cast<int>(i);
         best_connected = connected;
       }
     }
-    pq->order.push_back(static_cast<uint16_t>(best));
-    pq->order_connected.push_back(best_connected);
-    placed[best] = true;
+    st.order.push_back(static_cast<uint16_t>(best));
+    st.order_connected.push_back(best_connected);
+    st.assigned[best] = true;
   }
 }
 
-/// Resolves names to indexes, computes candidate counts, and picks the
-/// instance order. `keyword_count` reports how many rows of a table match a
-/// keyword (backed by the executor's match-set cache).
-StatusOr<PreparedQuery> PrepareQuery(
-    const JoinNetworkQuery& query, const Database& db,
-    const std::function<size_t(const Table*, const std::string&)>&
-        keyword_count) {
-  KWSDBG_RETURN_NOT_OK(query.Validate(db));
-  const size_t n = query.vertices.size();
-  PreparedQuery pq;
-  pq.vertices.resize(n);
-  pq.constraints.resize(n);
-  pq.selections.resize(n);
-  pq.likes.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    PreparedVertex& pv = pq.vertices[i];
-    pv.table = db.FindTable(query.vertices[i].table);
-    // Non-null: Validate() above resolved every vertex table via GetTable.
-    KWSDBG_CHECK(pv.table != nullptr);
-
-    if (!query.vertices[i].keyword.empty()) {
-      pv.has_keyword = true;
-      pv.keyword = ToLower(query.vertices[i].keyword);
-      pv.candidate_count = keyword_count(pv.table, pv.keyword);
-    } else {
-      pv.candidate_count = pv.table->num_rows();
-    }
-  }
-  for (const QueryJoin& j : query.joins) {
-    KWSDBG_ASSIGN_OR_RETURN(
-        size_t lcol,
-        pq.vertices[j.left].table->schema().ColumnIndex(j.left_column));
-    KWSDBG_ASSIGN_OR_RETURN(
-        size_t rcol,
-        pq.vertices[j.right].table->schema().ColumnIndex(j.right_column));
-    pq.constraints[j.left].push_back(VertexConstraint{j.right, lcol, rcol});
-    pq.constraints[j.right].push_back(VertexConstraint{j.left, rcol, lcol});
-  }
-  for (const QuerySelection& sel : query.selections) {
-    KWSDBG_ASSIGN_OR_RETURN(
-        size_t col,
-        pq.vertices[sel.vertex].table->schema().ColumnIndex(sel.column));
-    pq.selections[sel.vertex].emplace_back(col, &sel.value);
-  }
-  for (const QueryLikeSelection& like : query.like_selections) {
-    KWSDBG_ASSIGN_OR_RETURN(
-        size_t col,
-        pq.vertices[like.vertex].table->schema().ColumnIndex(like.column));
-    pq.likes[like.vertex].emplace_back(col, &like.pattern);
-  }
-  ChooseOrder(&pq);
-  return pq;
-}
-
-}  // namespace
-
-StatusOr<bool> Executor::RunJoin(const JoinNetworkQuery& query, size_t limit,
+StatusOr<bool> Executor::RunJoin(const JoinPlan& plan, size_t limit,
                                  ResultSet* out) {
   ++stats_.queries_executed;
   ExecTimeGuard time_guard(&stats_.exec_millis);
   StorageIoGuard io_guard(db_, text_index_, &stats_);
   // Out-of-core mode: some table (or the index) serves from disk. Two
   // behavioral changes hang off this flag — `const Value&` references that
-  // straddle an unbounded index build are copied, and candidate sourcing
-  // runs most-selective-first — both no-ops for resident databases, keeping
-  // the in-memory hot path byte-identical to the previous engine.
+  // straddle a page access of another table are copied, and candidate
+  // sourcing runs most-selective-first — both no-ops for resident
+  // databases.
   spill_mode_ =
       db_->AnySpilled() || (text_index_ != nullptr && text_index_->spilled());
-  RevalidateCaches(query);
+  RevalidateCaches(plan);
   // Deadline polling: once at entry (cheap rejection of work already past
   // its budget) and every kCancelCheckStride probed rows inside the
   // backtracking loop — the only place a single query's work is unbounded.
-  constexpr size_t kCancelCheckStride = 1024;
-  // Batched probe pipeline: windows of kPrefetchWindow probe keys are
-  // hashed and their buckets prefetched before the window drains, engaged
-  // only on loops with at least kBatchMinProbes candidates — below that the
-  // window never leaves L1 anyway.
-  constexpr size_t kPrefetchWindow = 16;
-  constexpr size_t kBatchMinProbes = 32;
   auto deadline_fired = [this] {
     return options_.cancellation != nullptr && options_.cancellation->Expired();
   };
   if (deadline_fired()) {
     return Status::DeadlineExceeded("query cancelled before execution");
   }
-  auto keyword_count = [this](const Table* table,
-                              const std::string& kw) -> size_t {
-    // Spilled index: plan from the RAM-resident selectivity profile instead
-    // of materializing the match set (which costs posting I/O). The profile
-    // sum is an upper bound — exact when zero, which is what the fast-reject
-    // below relies on; the true set is only materialized for the vertices
-    // that survive, cheapest first.
-    if (spill_mode_ && text_index_ != nullptr && text_index_->spilled() &&
-        options_.use_text_index && IndexServable(kw)) {
-      return text_index_->EstimatedInfixRows(kw, table->name());
-    }
-    return GetKeywordMatches(table, kw).count;
-  };
-  KWSDBG_ASSIGN_OR_RETURN(PreparedQuery pq,
-                          PrepareQuery(query, *db_, keyword_count));
-  const size_t n = pq.vertices.size();
-
-  if (out != nullptr) {
-    for (size_t i = 0; i < n; ++i) {
-      for (const Column& col : pq.vertices[i].table->schema().columns()) {
-        out->columns.push_back(query.vertices[i].alias + "." + col.name);
-      }
-    }
-  }
+  Prepare(plan, /*estimate_spilled=*/true);
+  JoinState& st = *state_;
+  const size_t n = st.vertices.size();
 
   // Fast reject: a bound instance with zero matching rows.
-  for (const PreparedVertex& pv : pq.vertices) {
-    if (pv.candidate_count == 0) return false;
+  for (const JoinState::Vertex& sv : st.vertices) {
+    if (sv.candidate_count == 0) return false;
   }
 
   // --- Stage 1: candidate sourcing ---------------------------------------
-  // Materialize the candidate rows of every vertex with any per-row filter
-  // (keyword containment, constant selections, column LIKEs); unfiltered
-  // vertices stay "full".
-  std::vector<VertexCandidates> cand(n);
-  // Selectivity-first sourcing: under spill, materialize the cheapest
-  // vertex (by profile estimate) first, so a network killed by an empty
-  // filter dies on the least posting/page I/O. Resident databases keep
-  // vertex order — their match sets were already built during planning, so
-  // reordering would change nothing but is kept off to leave the in-memory
-  // engine untouched.
-  std::vector<uint16_t> source_order(n);
-  for (size_t v = 0; v < n; ++v) source_order[v] = static_cast<uint16_t>(v);
+  // Every vertex with a per-row filter gets its candidate rows and their
+  // membership set; unfiltered vertices stay "full". Selectivity-first
+  // sourcing: under spill, source the cheapest vertex (by profile estimate)
+  // first, so a network killed by an empty filter dies on the least
+  // posting/page I/O. Resident databases keep vertex order — their match
+  // sets were already built during planning.
+  st.source_order.resize(n);
+  for (size_t v = 0; v < n; ++v) st.source_order[v] = static_cast<uint16_t>(v);
   if (spill_mode_) {
-    std::stable_sort(source_order.begin(), source_order.end(),
+    std::stable_sort(st.source_order.begin(), st.source_order.end(),
                      [&](uint16_t a, uint16_t b) {
-                       return pq.vertices[a].candidate_count <
-                              pq.vertices[b].candidate_count;
+                       return st.vertices[a].candidate_count <
+                              st.vertices[b].candidate_count;
                      });
   }
-  for (uint16_t v : source_order) {
-    const PreparedVertex& pv = pq.vertices[v];
-    const bool filtered =
-        pv.has_keyword || !pq.selections[v].empty() || !pq.likes[v].empty();
-    if (!filtered) continue;
+  for (uint16_t v : st.source_order) {
+    JoinState::Vertex& sv = st.vertices[v];
+    if (!sv.filtered) continue;
     // Table/row access is about to scan this vertex's table.
     KWSDBG_FAULT_POINT("storage.table.read");
-    VertexCandidates& c = cand[v];
-    c.materialized = true;
-    c.bitmap.assign(pv.table->num_rows(), 0);
-    auto residual_ok = [&](uint32_t row) {
-      for (const auto& [col, value] : pq.selections[v]) {
-        if (!pv.table->at(row, col).SqlEquals(*value)) return false;
-      }
-      for (const auto& [col, pattern] : pq.likes[v]) {
-        const Value& cell = pv.table->at(row, col);
-        if (cell.is_null() || !LikeMatch(*pattern, cell.AsString())) {
-          return false;
+    if (sv.keyword != nullptr && sv.matches == nullptr) {
+      sv.matches = &GetKeywordMatches(sv.table, *sv.keyword);
+    }
+    if (!sv.residual) {
+      // Keyword only (every lattice node): the cached match set is the
+      // candidate set, rows and bitset alike.
+      sv.rows = RowSpan::Of(sv.matches->rows);
+      sv.bits = sv.matches->bits.data();
+      sv.num_bits = sv.matches->bits.size() * 64;
+    } else {
+      auto residual_ok = [&](uint32_t row) {
+        for (const JoinPlan::Selection& sel : plan.selections) {
+          if (sel.vertex == v &&
+              !sv.table->at(row, sel.column).SqlEquals(sel.value)) {
+            return false;
+          }
+        }
+        for (const JoinPlan::LikeSelection& like : plan.like_selections) {
+          if (like.vertex != v) continue;
+          const Value& cell = sv.table->at(row, like.column);
+          if (cell.is_null() || !LikeMatch(like.pattern, cell.AsString())) {
+            return false;
+          }
+        }
+        return true;
+      };
+      const uint32_t num_rows = static_cast<uint32_t>(sv.table->num_rows());
+      sv.owned_rows.clear();
+      sv.owned_bits.assign((num_rows + 63) / 64, 0);
+      auto take = [&sv](uint32_t row) {
+        sv.owned_bits[row >> 6] |= uint64_t{1} << (row & 63);
+        sv.owned_rows.push_back(row);
+      };
+      if (sv.matches != nullptr) {
+        for (uint32_t row : sv.matches->rows) {
+          if (residual_ok(row)) take(row);
+        }
+      } else {
+        for (uint32_t row = 0; row < num_rows; ++row) {
+          if (sv.table->deleted(row)) continue;  // tombstoned rows are gone
+          if (residual_ok(row)) take(row);
         }
       }
-      return true;
-    };
-    if (pv.has_keyword) {
-      for (uint32_t row : GetKeywordMatches(pv.table, pv.keyword).rows) {
-        if (!residual_ok(row)) continue;
-        c.bitmap[row] = 1;
-        c.rows.push_back(row);
-      }
-    } else {
-      const uint32_t num_rows = static_cast<uint32_t>(pv.table->num_rows());
-      for (uint32_t row = 0; row < num_rows; ++row) {
-        if (pv.table->deleted(row)) continue;  // tombstoned rows are gone
-        if (!residual_ok(row)) continue;
-        c.bitmap[row] = 1;
-        c.rows.push_back(row);
-      }
+      sv.rows = RowSpan::Of(sv.owned_rows);
+      sv.bits = sv.owned_bits.data();
+      sv.num_bits = size_t{num_rows};
     }
-    if (c.rows.empty()) return false;  // a filter matched nothing
+    if (sv.rows.empty()) return false;  // a filter matched nothing
   }
 
   if (deadline_fired()) {
@@ -499,14 +556,18 @@ StatusOr<bool> Executor::RunJoin(const JoinNetworkQuery& query, size_t limit,
   // --- Stage 2: backtracking join over the chosen order ------------------
   // Every multi-vertex join probes, and may build, a join-column index.
   if (n > 1) KWSDBG_FAULT_POINT("executor.index.build");
-  std::vector<uint32_t> assignment(n, 0);
-  std::vector<bool> assigned(n, false);
+  st.assignment.assign(n, 0);
+  st.assigned.assign(n, false);
+  st.stack.resize(n);
+  st.probe_constraint.assign(n, -1);
+  std::vector<uint32_t>& assignment = st.assignment;
+  std::vector<bool>& assigned = st.assigned;
   bool found = false;
 
   auto emit = [&]() {
     Tuple row;
     for (size_t i = 0; i < n; ++i) {
-      const Tuple& src = pq.vertices[i].table->row(assignment[i]);
+      const Tuple& src = st.vertices[i].table->row(assignment[i]);
       row.insert(row.end(), src.begin(), src.end());
     }
     out->rows.push_back(std::move(row));
@@ -515,84 +576,87 @@ StatusOr<bool> Executor::RunJoin(const JoinNetworkQuery& query, size_t limit,
 
   // Checks all constraints of `v` against already-assigned vertices except
   // the specific one used for the index probe (`skip_constraint` is an
-  // index into pq.constraints[v], or -1). Skipping by constraint — not by
-  // the probed vertex — keeps every predicate of a composite or parallel
-  // edge enforced.
+  // offset into v's constraints, or -1). Skipping by constraint — not by the
+  // probed vertex — keeps every predicate of a composite or parallel edge
+  // enforced.
   auto check_constraints = [&](size_t v, uint32_t row, int skip_constraint) {
-    const std::vector<VertexConstraint>& vcs = pq.constraints[v];
-    for (size_t ci = 0; ci < vcs.size(); ++ci) {
-      if (static_cast<int>(ci) == skip_constraint) continue;
-      const VertexConstraint& vc = vcs[ci];
-      if (!assigned[vc.other]) continue;
-      const Value& own = pq.vertices[v].table->at(row, vc.own_column);
-      const Value& other = pq.vertices[vc.other].table->at(
-          assignment[vc.other], vc.other_column);
+    const VertexConstraint* vcs = st.begin(v);
+    for (const VertexConstraint* vc = vcs; vc != st.end(v); ++vc) {
+      if (vc - vcs == skip_constraint) continue;
+      if (!assigned[vc->other]) continue;
+      const Value& own = st.vertices[v].table->at(row, vc->own_column);
+      const Value& other = st.vertices[vc->other].table->at(
+          assignment[vc->other], vc->other_column);
       if (!own.SqlEquals(other)) return false;
     }
     return true;
   };
 
+  // The index over constraint c's own column, resolved once per query.
+  auto probe_index = [&](size_t v, const VertexConstraint* vc) {
+    const FlatRowIndex*& index =
+        st.constraint_index[vc - st.constraints.data()];
+    if (index == nullptr) {
+      index = &GetFlatIndex(st.vertices[v].table, vc->own_column);
+    }
+    return index;
+  };
+
   // Iterative depth-first search to avoid recursion-depth concerns and to
   // allow clean early exit on `limit` / the first existence witness.
-  struct Frame {
-    RowSpan candidates;           // probe/candidate rows (use_candidates)
-    bool use_candidates = false;  // false: enumerate the whole table
-    uint32_t next_pos = 0;        // position in candidates/rows
-    // Batched child-probe prefetch: set when the next depth will index-probe
-    // on a key column of this frame's table, so every candidate row here
-    // determines one upcoming bucket — prefetched a window ahead.
-    const FlatRowIndex* child_index = nullptr;
-    size_t child_key_col = 0;
-    uint32_t prefetch_pos = 0;
-  };
-  std::vector<Frame> stack(n);
-  // Index into pq.constraints[v] of the constraint the frame's index probe
-  // satisfied (-1 = no probe).
-  std::vector<int> probe_constraint(n, -1);
   size_t depth = 0;
   bool done = false;
 
   auto init_frame = [&](size_t d) {
-    const uint16_t v = pq.order[d];
-    Frame& f = stack[d];
+    const uint16_t v = st.order[d];
+    JoinState::Frame& f = st.stack[d];
     f.next_pos = 0;
     f.candidates = RowSpan{};
     f.use_candidates = false;
     f.child_index = nullptr;
     f.prefetch_pos = 0;
-    probe_constraint[d] = -1;
+    st.probe_constraint[d] = -1;
     // Prefer an index probe on a constraint to an assigned vertex.
-    const std::vector<VertexConstraint>& vcs = pq.constraints[v];
-    for (size_t ci = 0; ci < vcs.size(); ++ci) {
-      const VertexConstraint& vc = vcs[ci];
-      if (!assigned[vc.other]) continue;
+    for (const VertexConstraint* vc = st.begin(v); vc != st.end(v); ++vc) {
+      if (!assigned[vc->other]) continue;
+      const FlatRowIndex* index = probe_index(v, vc);
+      // When the parent frame prefetched this probe's bucket, its window
+      // already hashed the key: probe with that hash.
+      const JoinState::Frame* parent = d > 0 ? &st.stack[d - 1] : nullptr;
+      const bool hashed = parent != nullptr &&
+                          parent->child_index != nullptr &&
+                          vc->other == st.order[d - 1];
+      auto probe = [&](const Value& key) {
+        if (key.is_null()) return RowSpan{};
+        const uint64_t hash =
+            hashed ? parent->window_hash[(parent->next_pos - 1) % kHashRing]
+                   : key.Hash64();
+        return index->LookupHashed(hash, key);
+      };
+      ++stats_.flat_probes;
       if (spill_mode_) {
-        // The probe may lazily build an index over this vertex's table — an
-        // unbounded scan that can evict the page frame a reference into the
-        // neighbor's table points at. Copy the key first.
-        const Value probe = pq.vertices[vc.other].table->at(
-            assignment[vc.other], vc.other_column);
-        f.candidates = ProbeJoinIndex(pq.vertices[v].table, vc.own_column,
-                                      probe);
+        // Verifying a hash match may read this vertex's table — a page
+        // access that can evict the frame a reference into the neighbor's
+        // table points at. Copy the key first.
+        const Value key = st.vertices[vc->other].table->at(
+            assignment[vc->other], vc->other_column);
+        f.candidates = probe(key);
       } else {
-        const Value& probe = pq.vertices[vc.other].table->at(
-            assignment[vc.other], vc.other_column);
-        f.candidates = ProbeJoinIndex(pq.vertices[v].table, vc.own_column,
-                                      probe);
+        f.candidates = probe(st.vertices[vc->other].table->at(
+            assignment[vc->other], vc->other_column));
       }
       f.use_candidates = true;
-      probe_constraint[d] = static_cast<int>(ci);
+      st.probe_constraint[d] = static_cast<int>(vc - st.begin(v));
       break;
     }
     // No assigned neighbor (root or disconnected component): enumerate the
-    // materialized candidate list instead of scanning the table.
-    if (!f.use_candidates && cand[v].materialized) {
-      f.candidates = RowSpan::Of(cand[v].rows);
+    // candidate list instead of scanning the table.
+    if (!f.use_candidates && st.vertices[v].filtered) {
+      f.candidates = st.vertices[v].rows;
       f.use_candidates = true;
     }
-    const size_t count = f.use_candidates
-                             ? f.candidates.size()
-                             : pq.vertices[v].table->num_rows();
+    const size_t count = f.use_candidates ? f.candidates.size()
+                                          : st.vertices[v].table->num_rows();
     if (d + 1 < n && count >= kBatchMinProbes) {
       // The next depth's probe constraint is deterministic: init_frame(d+1)
       // picks the first constraint of order[d+1] whose other side lies in
@@ -600,17 +664,17 @@ StatusOr<bool> Executor::RunJoin(const JoinNetworkQuery& query, size_t limit,
       // candidate row here keys the child's index probe, so its bucket can
       // be prefetched a window ahead. (When it is an earlier vertex the key
       // is constant across this frame — nothing to pipeline.)
-      const uint16_t child = pq.order[d + 1];
-      for (const VertexConstraint& vc : pq.constraints[child]) {
+      const uint16_t child = st.order[d + 1];
+      for (const VertexConstraint* vc = st.begin(child); vc != st.end(child);
+           ++vc) {
         bool in_prefix = false;
         for (size_t k = 0; k <= d && !in_prefix; ++k) {
-          in_prefix = pq.order[k] == vc.other;
+          in_prefix = st.order[k] == vc->other;
         }
         if (!in_prefix) continue;
-        if (vc.other == v) {
-          f.child_index =
-              &GetFlatIndex(pq.vertices[child].table, vc.own_column);
-          f.child_key_col = vc.other_column;
+        if (vc->other == v) {
+          f.child_index = probe_index(child, vc);
+          f.child_key_col = vc->other_column;
         }
         break;  // first in-prefix constraint is the probe; done either way
       }
@@ -620,33 +684,34 @@ StatusOr<bool> Executor::RunJoin(const JoinNetworkQuery& query, size_t limit,
   init_frame(0);
 
   while (!done) {
-    const uint16_t v = pq.order[depth];
-    Frame& f = stack[depth];
+    const uint16_t v = st.order[depth];
+    const JoinState::Vertex& sv = st.vertices[v];
+    JoinState::Frame& f = st.stack[depth];
     bool advanced = false;
-    const size_t table_rows = pq.vertices[v].table->num_rows();
     const size_t frame_rows =
-        f.use_candidates ? f.candidates.size() : table_rows;
+        f.use_candidates ? f.candidates.size() : sv.table->num_rows();
     while (true) {
       if (f.next_pos >= frame_rows) break;
       const uint32_t row =
           f.use_candidates ? f.candidates[f.next_pos++] : f.next_pos++;
       if (f.child_index != nullptr) {
         // Keep the child-probe window kPrefetchWindow keys ahead of the
-        // cursor: hash the join key of upcoming candidates and prefetch the
-        // child bucket each will probe on descent.
+        // cursor: hash the join key of upcoming candidates, keep the hash
+        // for the descent's probe and prefetch the bucket it starts at.
         const bool window_open = f.prefetch_pos == 0;
         const size_t horizon =
             std::min(frame_rows, f.next_pos + kPrefetchWindow);
         while (f.prefetch_pos < horizon) {
-          const uint32_t pr = f.use_candidates ? f.candidates[f.prefetch_pos]
-                                               : f.prefetch_pos;
-          ++f.prefetch_pos;
-          // The cursor drops rows the candidate bitmap rejects before they
+          const uint32_t pos = f.prefetch_pos++;
+          const uint32_t pr = f.use_candidates ? f.candidates[pos] : pos;
+          // The cursor drops rows the candidate set rejects before they
           // probe, so their keys are never read (a page fetch when spilled).
-          if (cand[v].materialized && !cand[v].bitmap[pr]) continue;
-          const Value& key =
-              pq.vertices[v].table->at(pr, f.child_key_col);
-          if (!key.is_null()) f.child_index->PrefetchBucket(key.Hash64());
+          if (!sv.Admits(pr)) continue;
+          const Value& key = sv.table->at(pr, f.child_key_col);
+          if (key.is_null()) continue;
+          const uint64_t hash = key.Hash64();
+          f.window_hash[pos % kHashRing] = hash;
+          f.child_index->PrefetchBucket(hash);
         }
         if (window_open) ++stats_.prefetch_batches;
       }
@@ -657,11 +722,11 @@ StatusOr<bool> Executor::RunJoin(const JoinNetworkQuery& query, size_t limit,
         }
         KWSDBG_FAULT_POINT("executor.join.probe");
       }
-      if (cand[v].materialized && !cand[v].bitmap[row]) continue;
+      if (!sv.Admits(row)) continue;
       // Full-table enumeration sees tombstoned rows; every other source
       // (match sets, candidate lists, patched join indexes) excludes them.
-      if (!f.use_candidates && pq.vertices[v].table->deleted(row)) continue;
-      if (!check_constraints(v, row, probe_constraint[depth])) continue;
+      if (!f.use_candidates && sv.table->deleted(row)) continue;
+      if (!check_constraints(v, row, st.probe_constraint[depth])) continue;
       assignment[v] = row;
       assigned[v] = true;
       if (depth + 1 == n) {
@@ -687,59 +752,91 @@ StatusOr<bool> Executor::RunJoin(const JoinNetworkQuery& query, size_t limit,
     if (!advanced) {
       if (depth == 0) break;
       --depth;
-      assigned[pq.order[depth]] = false;
+      assigned[st.order[depth]] = false;
     }
   }
 
   return found;
 }
 
+StatusOr<JoinPlan> Executor::Compile(const JoinNetworkQuery& query) {
+  JoinPlan plan;
+  Status status = query.Validate(*db_, &plan);
+  if (status.ok()) return plan;
+  // Counted like a query that ran (ExecutorStats::queries_executed), and an
+  // expired deadline still wins over a malformed query.
+  ++stats_.queries_executed;
+  if (options_.cancellation != nullptr && options_.cancellation->Expired()) {
+    return Status::DeadlineExceeded("query cancelled before execution");
+  }
+  return status;
+}
+
 StatusOr<ResultSet> Executor::Execute(const JoinNetworkQuery& query,
                                       size_t limit) {
+  KWSDBG_ASSIGN_OR_RETURN(JoinPlan plan, Compile(query));
   ResultSet result;
-  KWSDBG_RETURN_NOT_OK(RunJoin(query, limit, &result).status());
+  for (size_t i = 0; i < plan.vertices.size(); ++i) {
+    for (const Column& col : plan.vertices[i].table->schema().columns()) {
+      result.columns.push_back(query.vertices[i].alias + "." + col.name);
+    }
+  }
+  KWSDBG_RETURN_NOT_OK(RunJoin(plan, limit, &result).status());
   return result;
 }
 
 StatusOr<bool> Executor::IsNonEmpty(const JoinNetworkQuery& query) {
+  StatusOr<JoinPlan> plan = Compile(query);
+  if (!plan.ok()) {
+    ++stats_.existence_probes;
+    return plan.status();
+  }
+  return IsNonEmpty(*plan);
+}
+
+StatusOr<bool> Executor::IsNonEmpty(const JoinPlan& plan) {
   ++stats_.existence_probes;
-  return RunJoin(query, /*limit=*/1, /*out=*/nullptr);
+  return RunJoin(plan, /*limit=*/1, /*out=*/nullptr);
 }
 
 StatusOr<std::string> Executor::Explain(const JoinNetworkQuery& query) {
-  RevalidateCaches(query);
-  auto keyword_count = [this](const Table* table, const std::string& kw) {
-    return GetKeywordMatches(table, kw).count;
-  };
-  KWSDBG_ASSIGN_OR_RETURN(PreparedQuery pq,
-                          PrepareQuery(query, *db_, keyword_count));
+  JoinPlan plan;
+  KWSDBG_RETURN_NOT_OK(query.Validate(*db_, &plan));
+  RevalidateCaches(plan);
+  Prepare(plan, /*estimate_spilled=*/false);
+  const JoinState& st = *state_;
   std::string out = "plan:\n";
-  for (size_t d = 0; d < pq.order.size(); ++d) {
-    const uint16_t v = pq.order[d];
-    const PreparedVertex& pv = pq.vertices[v];
+  for (size_t d = 0; d < st.order.size(); ++d) {
+    const uint16_t v = st.order[d];
+    const JoinState::Vertex& sv = st.vertices[v];
     out += "  " + std::to_string(d + 1) + ". " + query.vertices[v].alias +
            " (" + query.vertices[v].table + ", ~" +
-           std::to_string(pv.candidate_count) + " candidate rows)";
+           std::to_string(sv.candidate_count) + " candidate rows)";
     if (d == 0) {
-      if (!pv.has_keyword) {
+      if (sv.keyword == nullptr) {
         out += " via full scan";
-      } else if (IndexServable(pv.keyword)) {
-        out += " via posting lists for '" + pv.keyword + "'";
+      } else if (IndexServable(*sv.keyword)) {
+        out += " via posting lists for '" + *sv.keyword + "'";
       } else {
-        out += " via keyword scan '" + pv.keyword + "'";
+        out += " via keyword scan '" + *sv.keyword + "'";
       }
-    } else if (pq.order_connected[d]) {
+    } else if (st.order_connected[d]) {
       out += " via index probe on a join column";
     } else {
       out += " via cross product (no join to prior instances)";
     }
-    if (!pq.selections[v].empty() || !pq.likes[v].empty()) {
-      out += ", +" +
-             std::to_string(pq.selections[v].size() + pq.likes[v].size()) +
-             " residual filter(s)";
+    size_t residual = 0;
+    for (const JoinPlan::Selection& sel : plan.selections) {
+      residual += sel.vertex == v;
     }
-    if (d > 0 && pv.has_keyword) {
-      out += ", keyword filter '" + pv.keyword + "'";
+    for (const JoinPlan::LikeSelection& like : plan.like_selections) {
+      residual += like.vertex == v;
+    }
+    if (residual > 0) {
+      out += ", +" + std::to_string(residual) + " residual filter(s)";
+    }
+    if (d > 0 && sv.keyword != nullptr) {
+      out += ", keyword filter '" + *sv.keyword + "'";
     }
     out += "\n";
   }

@@ -3,34 +3,47 @@
 // per-session caches (join-column hash indexes, keyword match sets) that
 // model a warm DBMS.
 //
-// Evaluation pipeline:
-//   1. candidate sourcing   — keyword candidates come from the registered
-//      inverted index (posting lists, Lucene-style `*kw*` dictionary scan)
-//      when possible, falling back to a full LIKE scan otherwise;
+// The executor runs a JoinPlan (sql/join_network.h): tables, columns and
+// keywords already resolved. The debugger builds one per lattice node
+// straight from the join tree (NodePlanBuilder, kws/query_builder.h); a
+// JoinNetworkQuery (shell, Execute, Explain) is validated and compiled into
+// one first. Both then take the same path:
+//   1. candidate sourcing   — keyword candidates come from the session's
+//      cached match set: the rows of the registered inverted index's posting
+//      lists (Lucene-style `*kw*` dictionary scan) when possible, of a full
+//      LIKE scan otherwise, plus a one-bit-per-row membership bitset built
+//      with them. A keyword vertex without residual filters (every lattice
+//      node) uses that row list and bitset as they are; only residual
+//      constant or LIKE filters (shell queries) materialize candidates;
 //   2. backtracking join    — smallest-candidate-first instance order with
-//      FlatRowIndex probes on join columns; a network is dead once the
-//      search runs out of candidates without a witness;
+//      FlatRowIndex probes on join columns, each (vertex, probe constraint)
+//      index resolved once per query; a network is dead once the search
+//      runs out of candidates without a witness;
 //   3. existence mode       — IsNonEmpty stops at the first witness without
 //      materializing rows or column headers.
+// Spans into cached match sets and resolved index pointers live for one
+// query only: a write between two queries may drop a match set or rebuild an
+// index, which the next query's cache revalidation handles.
 //
 // Join-column probes go to flat open-addressing hash indexes over 64-bit key
 // hashes with row-id runs in one contiguous arena (sql/flat_row_index.h).
 // A backtracking frame of at least kBatchMinProbes candidates whose next
 // depth probes on its key runs a DRAMHiT-style batched pipeline — hash the
 // join keys of upcoming candidates, software-prefetch the child index's
-// buckets a window ahead — so result rows, their order, the
-// kCancelCheckStride cancellation points and the executor.join.probe fault
-// point are the same as probing one key at a time.
+// buckets a window ahead, and probe with those same hashes on descent — so
+// result rows, their order, the kCancelCheckStride cancellation points and
+// the executor.join.probe fault point are the same as probing one key at a
+// time.
 #ifndef KWSDBG_SQL_EXECUTOR_H_
 #define KWSDBG_SQL_EXECUTOR_H_
 
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/cancellation.h"
 #include "common/counter_table.h"
-#include "common/hash.h"
 #include "common/status.h"
 #include "sql/flat_row_index.h"
 #include "sql/join_network.h"
@@ -85,8 +98,10 @@ struct ExecutorStats {
 /// One executor = one "database session". Not thread-safe.
 class Executor {
  public:
-  explicit Executor(const Database* db, ExecutorOptions options = {})
-      : db_(db), options_(options) {}
+  explicit Executor(const Database* db, ExecutorOptions options = {});
+  ~Executor();
+  Executor(Executor&&) noexcept;
+  Executor& operator=(Executor&&) noexcept;
 
   /// Registers the inverted index keyword candidates are sourced from. The
   /// index must be built over this executor's database and outlive the
@@ -103,6 +118,10 @@ class Executor {
   /// result rows or column headers.
   StatusOr<bool> IsNonEmpty(const JoinNetworkQuery& query);
 
+  /// IsNonEmpty on an already resolved plan (the debugger's path: no names
+  /// to look up). The plan's tables must belong to this executor's database.
+  StatusOr<bool> IsNonEmpty(const JoinPlan& plan);
+
   /// Human-readable execution plan: the chosen instance order with the
   /// estimated candidate rows per instance and the access path (keyword
   /// scan, full scan, or index probe on a join column).
@@ -111,6 +130,9 @@ class Executor {
   const ExecutorStats& stats() const { return stats_; }
   void ResetStats() { stats_ = ExecutorStats{}; }
 
+  /// The database queries run against.
+  const Database* db() const { return db_; }
+
   /// Drops the index and keyword-match caches (cold session).
   void ClearCaches();
 
@@ -118,8 +140,14 @@ class Executor {
   /// Rows of `table` matching LIKE '%keyword%' on any text column.
   struct KeywordMatches {
     std::vector<uint32_t> rows;  ///< Matching rows, ascending.
-    size_t count = 0;
+    /// Bit r set iff row r matches; one bit per table row at build time.
+    /// The join tests candidate membership here.
+    std::vector<uint64_t> bits;
   };
+
+  /// Per-query working state of RunJoin and Explain (defined in
+  /// executor.cc), kept across queries so its buffers are reused.
+  struct JoinState;
 
   const KeywordMatches& GetKeywordMatches(const Table* table,
                                           const std::string& keyword);
@@ -139,26 +167,32 @@ class Executor {
   /// when one is set, else the session's own — with build accounting.
   const FlatRowIndex& GetFlatIndex(const Table* table, size_t column);
 
-  /// Rows of (table, column) structurally equal to `v`.
-  RowSpan ProbeJoinIndex(const Table* table, size_t column, const Value& v);
-
   /// Cache-validity prologue shared by RunJoin and Explain: drops session
   /// caches a database epoch bump, an index vocabulary change, or a write to
-  /// one of the query's tables made stale.
-  void RevalidateCaches(const JoinNetworkQuery& query);
+  /// one of the plan's tables made stale.
+  void RevalidateCaches(const JoinPlan& plan);
+
+  /// Fills state_ for `plan`: candidate counts, per-vertex constraints and
+  /// the instance order. With `estimate_spilled`, keyword vertices over a
+  /// spilled index are counted from its profile instead of materialized.
+  void Prepare(const JoinPlan& plan, bool estimate_spilled);
+
+  /// Validates and compiles `query` for Execute/IsNonEmpty. A query that
+  /// does not compile still counts as executed.
+  StatusOr<JoinPlan> Compile(const JoinNetworkQuery& query);
 
   /// Shared core of Execute/IsNonEmpty. Returns whether at least one result
   /// exists; materializes rows into `out` unless it is null (existence
   /// mode, which stops at the first witness).
-  StatusOr<bool> RunJoin(const JoinNetworkQuery& query, size_t limit,
-                         ResultSet* out);
+  StatusOr<bool> RunJoin(const JoinPlan& plan, size_t limit, ResultSet* out);
 
   const Database* db_;
   ExecutorOptions options_;
   const InvertedIndex* text_index_ = nullptr;
   FlatRowIndexManager flat_indexes_;
-  std::unordered_map<std::pair<const Table*, std::string>, KeywordMatches,
-                     PairHash>
+  /// Keyword match sets by table, then by lower-cased keyword.
+  std::unordered_map<const Table*,
+                     std::unordered_map<std::string, KeywordMatches>>
       keyword_cache_;
   std::unordered_map<std::string, std::vector<uint32_t>> infix_cache_;
   /// Per-table data epochs the session caches were built against.
@@ -178,6 +212,7 @@ class Executor {
   /// query entry drops them (see RevalidateCaches).
   uint64_t cache_epoch_ = 0;
   ExecutorStats stats_;
+  std::unique_ptr<JoinState> state_;
 };
 
 }  // namespace kwsdbg

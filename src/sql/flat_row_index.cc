@@ -35,9 +35,16 @@ FlatRowIndex FlatRowIndex::Build(const Table& table, size_t column) {
   for (size_t row = 0; row < num_rows; ++row) {
     const Value& v = table.at(row, column);
     if (v.is_null()) continue;
+    index.int_keys_ = index.int_keys_ && v.is_int();
     hashes.push_back(v.Hash64());
     rows.push_back(static_cast<uint32_t>(row));
   }
+  // Over an int64-only column equal hashes are equal keys, so the passes
+  // below verify against the column only when some key is not an int64.
+  auto same_key = [&](uint32_t rep_row, uint32_t row) {
+    return index.int_keys_ ||
+           table.at(rep_row, column) == table.at(row, column);
+  };
 
   // Pass A: find-or-claim a bucket per row, counting run lengths. The table
   // starts at 16 buckets and doubles whenever claiming a key would push the
@@ -56,10 +63,7 @@ FlatRowIndex FlatRowIndex::Build(const Table& table, size_t column) {
     for (;; slot = (slot + 1) & index.mask_) {
       const Bucket& b = index.buckets_[slot];
       if (b.run_len == 0) break;
-      if (b.hash == h &&
-          table.at(b.run_begin, column) == table.at(rows[i], column)) {
-        break;
-      }
+      if (b.hash == h && same_key(b.run_begin, rows[i])) break;
     }
     if (index.buckets_[slot].run_len != 0) {
       ++index.buckets_[slot].run_len;
@@ -105,8 +109,7 @@ FlatRowIndex FlatRowIndex::Build(const Table& table, size_t column) {
     uint64_t slot = h & index.mask_;
     while (true) {
       const Bucket& b = buckets[slot];
-      if (b.hash == h && b.run_len != 0 &&
-          table.at(rep_rows[slot], column) == table.at(rows[i], column)) {
+      if (b.hash == h && b.run_len != 0 && same_key(rep_rows[slot], rows[i])) {
         index.arena_[cursors[slot]++] = rows[i];
         break;
       }
@@ -121,6 +124,7 @@ FlatRowIndex FlatRowIndex::Build(const Table& table, size_t column) {
 }
 
 RowSpan FlatRowIndex::LookupHashed(uint64_t hash, const Value& v) const {
+  if (buckets_.empty()) return RowSpan{};
   uint64_t slot = hash & mask_;
   while (true) {
     const Bucket& b = buckets_[slot];
@@ -128,8 +132,7 @@ RowSpan FlatRowIndex::LookupHashed(uint64_t hash, const Value& v) const {
       // Never-used slot: key absent. A tombstone (deleted bucket) keeps the
       // probe chain alive for keys placed past it.
       if (b.run_begin != kTombstoneSlot) return RowSpan{};
-    } else if (b.hash == hash &&
-               table_->at(arena_[b.run_begin], column_) == v) {
+    } else if (b.hash == hash && KeyMatches(b, v)) {
       return RowSpan{arena_.data() + b.run_begin, b.run_len};
     }
     slot = (slot + 1) & mask_;
@@ -138,6 +141,7 @@ RowSpan FlatRowIndex::LookupHashed(uint64_t hash, const Value& v) const {
 
 void FlatRowIndex::ApplyInsert(uint32_t row, const Value& v) {
   if (v.is_null()) return;
+  int_keys_ = int_keys_ && v.is_int();
   if (buckets_.empty()) {
     // Index built over an empty or all-NULL column: bootstrap a table.
     buckets_.assign(16, Bucket{});
@@ -170,7 +174,7 @@ void FlatRowIndex::ApplyInsert(uint32_t row, const Value& v) {
       stats_.max_run_length = std::max<size_t>(stats_.max_run_length, 1);
       break;
     }
-    if (b.hash == h && table_->at(arena_[b.run_begin], column_) == v) {
+    if (b.hash == h && KeyMatches(b, v)) {
       const size_t end = b.run_begin + b.run_len;
       if (end == arena_.size() && row > arena_[end - 1]) {
         // Run already at the arena tail and the row extends it in order

@@ -9,6 +9,12 @@
 // against the indexed column itself (the run's first row is the
 // representative), which keeps buckets at 16 bytes with no stored keys and
 // makes lookups exact for every value type, including strings.
+// Verification rule for integer keys: Value::Hash64 of an int64 is a
+// bijection of the integer, so while every key the index holds is an int64
+// (tracked by Build and ApplyInsert; int_keys()), an int64 probe whose hash
+// matches a bucket *is* that bucket's key and no row is read — on a spilled
+// table that is one page access saved per probe. Double, string and mixed
+// probes, and every probe once a non-int64 key was inserted, still verify.
 //
 // The bucket array and the arena are the only allocations, both contiguous,
 // so callers can hide DRAM latency with software prefetching: hash a window
@@ -87,12 +93,13 @@ class FlatRowIndex {
   /// Rows whose column structurally equals `v`, ascending. NULL probes and
   /// misses return an empty span.
   RowSpan Lookup(const Value& v) const {
-    if (v.is_null() || buckets_.empty()) return RowSpan{};
+    if (v.is_null()) return RowSpan{};
     return LookupHashed(v.Hash64(), v);
   }
 
-  /// Lookup with the key hash already computed (batched pipelines hash a
-  /// window ahead of the drain). `hash` must equal `v.Hash64()`.
+  /// Lookup with the key hash already computed (the executor's batched
+  /// probe pipeline hashes a window ahead of the drain and probes with
+  /// those hashes). `hash` must equal `v.Hash64()`; `v` must not be NULL.
   RowSpan LookupHashed(uint64_t hash, const Value& v) const;
 
   /// Prefetches the bucket cache line a probe for `hash` starts at. The
@@ -120,6 +127,10 @@ class FlatRowIndex {
   const FlatIndexStats& stats() const { return stats_; }
   size_t num_keys() const { return stats_.distinct_keys; }
   size_t capacity() const { return buckets_.size(); }
+  /// True while every key ever indexed is an int64: int64 probes then match
+  /// on the hash alone (see the verification rule above). Deletes never
+  /// turn it back on.
+  bool int_keys() const { return int_keys_; }
 
  private:
   /// Rebuilds the bucket array at `new_capacity` from the live buckets
@@ -129,6 +140,14 @@ class FlatRowIndex {
   /// Rewrites the arena without garbage slots once they exceed 25% of it.
   void MaybeCompactArena();
 
+  /// True iff the bucket whose hash equals `v`'s holds `v`: by the hash
+  /// alone for an int64 probe into an int64-only index, else by reading the
+  /// run's representative row.
+  bool KeyMatches(const Bucket& b, const Value& v) const {
+    return (int_keys_ && v.is_int()) ||
+           table_->at(arena_[b.run_begin], column_) == v;
+  }
+
   const Table* table_ = nullptr;
   size_t column_ = 0;
   uint64_t mask_ = 0;               ///< buckets_.size() - 1 (power of two).
@@ -136,6 +155,7 @@ class FlatRowIndex {
   std::vector<uint32_t> arena_;     ///< All runs, back to back.
   size_t garbage_ = 0;              ///< Dead arena slots (relocated runs).
   size_t tombstones_ = 0;           ///< Deleted buckets still in chains.
+  bool int_keys_ = true;            ///< Every indexed key is an int64.
   FlatIndexStats stats_;
 };
 

@@ -51,14 +51,17 @@ StatusOr<std::string> JoinNetworkQuery::ToSql(const Database& db) const {
   return stmt.ToSql();
 }
 
-Status JoinNetworkQuery::Validate(const Database& db) const {
+Status JoinNetworkQuery::Validate(const Database& db, JoinPlan* plan) const {
   if (vertices.empty()) {
     return Status::InvalidArgument("query has no relation instances");
   }
+  // Resolved in the vertex loop, so each table is looked up by name once.
+  std::vector<const Table*> tables;
+  tables.reserve(vertices.size());
   std::unordered_set<std::string> aliases;
   for (const QueryVertex& v : vertices) {
     KWSDBG_ASSIGN_OR_RETURN(Table * table, db.GetTable(v.table));
-    (void)table;
+    tables.push_back(table);
     if (v.alias.empty()) {
       return Status::InvalidArgument("empty alias for table " + v.table);
     }
@@ -70,33 +73,46 @@ Status JoinNetworkQuery::Validate(const Database& db) const {
     if (j.left >= vertices.size() || j.right >= vertices.size()) {
       return Status::InvalidArgument("join references missing instance");
     }
-    const Table* lt = db.FindTable(vertices[j.left].table);
-    const Table* rt = db.FindTable(vertices[j.right].table);
-    // Non-null: the vertex loop above GetTable-verified every vertex table.
-    KWSDBG_CHECK(lt != nullptr && rt != nullptr);
-    KWSDBG_CHECK_OK_OR_RETURN(lt->schema().ColumnIndex(j.left_column));
-    KWSDBG_CHECK_OK_OR_RETURN(rt->schema().ColumnIndex(j.right_column));
+    KWSDBG_ASSIGN_OR_RETURN(
+        size_t lcol, tables[j.left]->schema().ColumnIndex(j.left_column));
+    KWSDBG_ASSIGN_OR_RETURN(
+        size_t rcol, tables[j.right]->schema().ColumnIndex(j.right_column));
+    if (plan != nullptr) {
+      plan->joins.push_back(JoinPlan::Join{j.left, j.right, lcol, rcol});
+    }
   }
   for (const QuerySelection& sel : selections) {
     if (sel.vertex >= vertices.size()) {
       return Status::InvalidArgument("selection references missing instance");
     }
-    const Table* t = db.FindTable(vertices[sel.vertex].table);
-    KWSDBG_CHECK(t != nullptr);
-    KWSDBG_CHECK_OK_OR_RETURN(t->schema().ColumnIndex(sel.column));
+    KWSDBG_ASSIGN_OR_RETURN(
+        size_t col, tables[sel.vertex]->schema().ColumnIndex(sel.column));
+    if (plan != nullptr) {
+      plan->selections.push_back(
+          JoinPlan::Selection{sel.vertex, col, sel.value});
+    }
   }
   for (const QueryLikeSelection& like : like_selections) {
     if (like.vertex >= vertices.size()) {
       return Status::InvalidArgument(
           "LIKE selection references missing instance");
     }
-    const Table* t = db.FindTable(vertices[like.vertex].table);
-    KWSDBG_CHECK(t != nullptr);
+    const Table* t = tables[like.vertex];
     KWSDBG_ASSIGN_OR_RETURN(size_t col,
                             t->schema().ColumnIndex(like.column));
     if (t->schema().column(col).type != DataType::kString) {
       return Status::InvalidArgument("LIKE on non-text column '" +
                                      like.column + "'");
+    }
+    if (plan != nullptr) {
+      plan->like_selections.push_back(
+          JoinPlan::LikeSelection{like.vertex, col, like.pattern});
+    }
+  }
+  if (plan != nullptr) {
+    for (size_t i = 0; i < vertices.size(); ++i) {
+      plan->vertices.push_back(
+          JoinPlan::Vertex{tables[i], ToLower(vertices[i].keyword)});
     }
   }
   return Status::OK();

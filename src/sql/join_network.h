@@ -47,6 +47,43 @@ struct QueryLikeSelection {
   std::string pattern;
 };
 
+/// A join-network query with every name resolved against one database:
+/// tables as pointers, columns as indexes, keywords lower-cased. It is the
+/// form the executor runs. JoinNetworkQuery::Validate compiles a query into
+/// it; NodePlanBuilder (kws/query_builder.h) builds one straight from a
+/// lattice node without any strings but the keywords. Holds pointers to the
+/// database's tables, so it is valid while they are.
+struct JoinPlan {
+  struct Vertex {
+    const Table* table = nullptr;
+    std::string keyword;  ///< Lower-cased; empty = free instance.
+  };
+  /// `vertices[left].left_column = vertices[right].right_column`.
+  struct Join {
+    uint16_t left = 0;
+    uint16_t right = 0;
+    size_t left_column = 0;
+    size_t right_column = 0;
+  };
+  /// `vertices[vertex].column = value`.
+  struct Selection {
+    uint16_t vertex = 0;
+    size_t column = 0;
+    Value value;
+  };
+  /// `vertices[vertex].column LIKE pattern`.
+  struct LikeSelection {
+    uint16_t vertex = 0;
+    size_t column = 0;
+    std::string pattern;
+  };
+
+  std::vector<Vertex> vertices;
+  std::vector<Join> joins;
+  std::vector<Selection> selections;
+  std::vector<LikeSelection> like_selections;
+};
+
 /// The query. `joins` may form any connected shape; the KWS-S system only
 /// ever produces trees, but the executor handles cycles too. `selections`
 /// are constant filters the shell's SQL subset supports on top of the
@@ -62,8 +99,10 @@ struct JoinNetworkQuery {
   /// Needs the database to know each table's text columns.
   StatusOr<std::string> ToSql(const Database& db) const;
 
-  /// Checks tables, columns and alias uniqueness against `db`.
-  Status Validate(const Database& db) const;
+  /// Checks tables, columns and alias uniqueness against `db`. When `plan`
+  /// is non-null it must be empty; a valid query is compiled into it (an
+  /// invalid one may leave it partly filled).
+  Status Validate(const Database& db, JoinPlan* plan = nullptr) const;
 };
 
 /// Reconstructs a JoinNetworkQuery from a parsed SELECT statement. Mapping

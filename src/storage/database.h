@@ -88,6 +88,8 @@ class Database {
 
   BufferPool* buffer_pool() { return pool_.get(); }
   DiskManager* disk() { return disk_.get(); }
+  const BufferPool* buffer_pool() const { return pool_.get(); }
+  const DiskManager* disk() const { return disk_.get(); }
 
   /// Monotonic data-version counter. Catalog changes bump it automatically;
   /// callers that mutate table contents in place (bulk loads, what-if edits

@@ -134,11 +134,14 @@ StatusOr<bool> QueryEvaluator::IsAlive(NodeId id) {
   if (cancelled()) {
     return Status::DeadlineExceeded("node evaluation cancelled");
   }
-  KWSDBG_ASSIGN_OR_RETURN(
-      JoinNetworkQuery query,
-      BuildNodeQuery(pl_->lattice(), id, pl_->binding()));
+  if (!plan_builder_.has_value()) {
+    // Resolved against the executor's database, which the SQL runs on.
+    plan_builder_.emplace(pl_->lattice().schema(), *executor_->db(),
+                          pl_->binding());
+  }
+  KWSDBG_RETURN_NOT_OK(plan_builder_->Build(node.tree, &plan_));
   Timer timer;
-  KWSDBG_ASSIGN_OR_RETURN(bool alive, executor_->IsNonEmpty(query));
+  KWSDBG_ASSIGN_OR_RETURN(bool alive, executor_->IsNonEmpty(plan_));
   ++sql_executed_;
   sql_millis_ += timer.ElapsedMillis();
   // A fresh SQL verdict is a free labeled p_a sample (cache hits above are

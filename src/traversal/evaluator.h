@@ -1,11 +1,13 @@
 // Node aliveness evaluation: executes the node's instantiated SQL query with
-// first-row early exit, with the paper's base-level shortcuts (bound
+// first-row early exit (as a JoinPlan built straight from the node's join
+// tree — see NodePlanBuilder), with the paper's base-level shortcuts (bound
 // single-table nodes are known alive from the inverted index — Alg. 3
 // GetBaseNodes; free single-table nodes from the catalog), and an optional
 // session-level verdict cache consulted before any SQL is issued.
 #ifndef KWSDBG_TRAVERSAL_EVALUATOR_H_
 #define KWSDBG_TRAVERSAL_EVALUATOR_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -122,6 +124,10 @@ class QueryEvaluator {
   std::string binding_sig_;  ///< Computed once from pl_->binding().
   std::vector<std::string> canonical_memo_;  ///< Lazily filled per node.
   std::vector<NodeRelations> relations_memo_;  ///< Lazily filled per node.
+  /// Built on the first SQL verdict, so interpretations answered entirely
+  /// from the cache or the level-1 shortcuts resolve nothing.
+  std::optional<NodePlanBuilder> plan_builder_;
+  JoinPlan plan_;  ///< Reused by every SQL verdict.
   size_t sql_executed_ = 0;
   double sql_millis_ = 0;
   size_t cache_hits_ = 0;

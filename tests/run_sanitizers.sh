@@ -62,7 +62,17 @@ export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
 # the retained set's open-addressing table, ubsan its hash arithmetic.
 # CounterFlowTest debugs a spilled toy database: asan watches the evictable
 # frames its page reads go through.
-CONCURRENCY_TESTS='DifferentialFuzzTest|SharedCacheEpochTest|DebugServiceTest|ServiceParityTest|SubmitTest|ComputeServiceStatsTest|ServiceStatsIntegrationTest|ShardIndexForHashTest|ParallelAgreementTest|LruCacheTest|VerdictCacheTest|FailureInjectionTest|ChaosTest|ChaosFuzzTest|ChaosPropagationTest|FaultInjectorTest|FlatRowIndexTest|BufferPoolTest|PageCodecTest|DiskManagerTest|SpillTest|SpillEpochTest|PostingStoreTest|ExecutorSpillTest|MutationTest|IncrementalIndexTest|LiveMutationTest|WalTest|CheckpointTest|RelationFencesTest|DurableServiceTest|CrashRecoveryTest|resilience_smoke|bench_smoke|service_scale_smoke|storage_tier_smoke|mutation_smoke|durability_smoke|PaModelTest|AdaptiveColdStartTest|AdaptiveParityTest|AdaptiveDriftTest|PaObservationCountTest|adaptive_smoke|LatticeIoTest|ExecutorPropertyTest|PrunedLatticeOracleTest|CounterFlowTest'
+# NodePlanParityTest runs every Table 2 node of a resident and a spilled
+# DBLife through both executor front ends (resolved node plans and compiled
+# query strings): asan watches the candidate spans the join takes straight
+# from cached match sets, their membership bitsets, and the probe keys read
+# through evictable frames. EvaluatorTest's
+# WriteBetweenVerdictsFlipsLikeAFreshExecutor writes between two verdicts of
+# one session, so asan sees a span or bitset that outlives its dropped match
+# set. The service's shared index tier, where resolved index pointers are
+# held for one query, stays covered under tsan by SharedCacheEpochTest,
+# LiveMutationTest and the chaos layer of DifferentialFuzzTest.
+CONCURRENCY_TESTS='DifferentialFuzzTest|SharedCacheEpochTest|DebugServiceTest|ServiceParityTest|SubmitTest|ComputeServiceStatsTest|ServiceStatsIntegrationTest|ShardIndexForHashTest|ParallelAgreementTest|LruCacheTest|VerdictCacheTest|FailureInjectionTest|ChaosTest|ChaosFuzzTest|ChaosPropagationTest|FaultInjectorTest|FlatRowIndexTest|BufferPoolTest|PageCodecTest|DiskManagerTest|SpillTest|SpillEpochTest|PostingStoreTest|ExecutorSpillTest|MutationTest|IncrementalIndexTest|LiveMutationTest|WalTest|CheckpointTest|RelationFencesTest|DurableServiceTest|CrashRecoveryTest|resilience_smoke|bench_smoke|service_scale_smoke|storage_tier_smoke|mutation_smoke|durability_smoke|PaModelTest|AdaptiveColdStartTest|AdaptiveParityTest|AdaptiveDriftTest|PaObservationCountTest|adaptive_smoke|LatticeIoTest|ExecutorPropertyTest|PrunedLatticeOracleTest|CounterFlowTest|NodePlanParityTest|EvaluatorTest'
 
 : "${KWSDBG_FUZZ_ITERS:=200}"
 export KWSDBG_FUZZ_ITERS

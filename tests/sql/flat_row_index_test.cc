@@ -4,6 +4,7 @@
 // bucket-verification must survive forced slot collisions — distinct keys
 // whose hashes land on the same bucket chain.
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -223,6 +224,62 @@ TEST(FlatRowIndexTest, ParityAfterApplyInsertGrowsSizedTable) {
   }
   EXPECT_GT(index.capacity(), 16u);
   AssertParity(t, index, {Value(int64_t{-1}), Value(int64_t{500})});
+}
+
+// The int64 fast path matches on the hash alone, so it is exercised where
+// a wrong match would show. Value::Hash64 folds the type tag (the variant
+// index, in the top byte) into the raw bits before one bijective mix, so the
+// int64 whose bits are 5.0's with the int and double tags swapped hashes
+// exactly like 5.0: a full 64-bit collision across types, which only
+// verification can tell apart. Every int64 key shares that hash's bucket
+// chain. A 5.0 and a "5" cell inserted into the int column turn the fast
+// path off; every probe must return exactly the structurally equal rows on
+// both sides of that switch.
+TEST(FlatRowIndexTest, IntKeysSharingBucketsMatchExactlyAcrossTypes) {
+  uint64_t five_bits = 0;
+  const double five = 5.0;
+  std::memcpy(&five_bits, &five, sizeof(five_bits));
+  const uint64_t int_tag = uint64_t{1} << 56, double_tag = uint64_t{2} << 56;
+  const int64_t twin = static_cast<int64_t>(five_bits ^ int_tag ^ double_tag);
+  ASSERT_EQ(Value(twin).Hash64(), Value(5.0).Hash64());
+  const uint64_t mask = 63;  // covers every capacity the indexes take here
+  const uint64_t slot = Value(twin).Hash64() & mask;
+  std::vector<int64_t> keys = {twin};
+  for (int64_t k = 0; keys.size() < 8; ++k) {
+    if ((Value(k).Hash64() & mask) == slot) keys.push_back(k);
+  }
+  keys.push_back(5);
+  Table t = MakeTable("shared_chain", DataType::kInt64);
+  for (int rep = 0; rep < 3; ++rep) {
+    for (int64_t k : keys) t.AppendRowUnchecked({Value(k)});
+  }
+  FlatRowIndex index = FlatRowIndex::Build(t, 0);
+  ASSERT_EQ(index.num_keys(), keys.size());
+  ASSERT_LE(index.capacity(), mask + 1);
+  const std::vector<Value> probes = {Value(int64_t{5}), Value(5.0),
+                                     Value("5"), Value(twin),
+                                     Value(int64_t{-1})};
+  EXPECT_TRUE(index.int_keys());
+  AssertParity(t, index, probes);
+
+  t.AppendRowUnchecked({Value(5.0)});
+  index.ApplyInsert(static_cast<uint32_t>(t.num_rows() - 1), Value(5.0));
+  EXPECT_FALSE(index.int_keys());
+  AssertParity(t, index, probes);
+
+  t.AppendRowUnchecked({Value("5")});
+  index.ApplyInsert(static_cast<uint32_t>(t.num_rows() - 1), Value("5"));
+  ASSERT_LE(index.capacity(), mask + 1);
+  AssertParity(t, index, probes);
+
+  // Built with the double first, its bucket precedes the twin's in the
+  // chain, so an int64 probe for the twin must verify its way past it.
+  Table mixed = MakeTable("double_first", DataType::kInt64);
+  mixed.AppendRowUnchecked({Value(5.0)});
+  for (int64_t k : keys) mixed.AppendRowUnchecked({Value(k)});
+  const FlatRowIndex built = FlatRowIndex::Build(mixed, 0);
+  EXPECT_FALSE(built.int_keys());
+  AssertParity(mixed, built, probes);
 }
 
 TEST(FlatRowIndexTest, ManagerCachesAndAccumulates) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "service/live_mutator.h"
 #include "test_util.h"
 
 namespace kwsdbg {
@@ -96,6 +97,48 @@ TEST_F(EvaluatorTest, FreeBaseNodeDeadOnEmptyTable) {
   ASSERT_TRUE(alive.ok());
   EXPECT_FALSE(*alive);
   EXPECT_EQ(evaluator.sql_executed(), 0u);
+}
+
+// A write to a bound table between two verdicts on one executor: the
+// session's match set for that table, and the membership bitset built with
+// it, must not outlive the write. Each verdict must equal a fresh
+// executor's.
+TEST_F(EvaluatorTest, WriteBetweenVerdictsFlipsLikeAFreshExecutor) {
+  QueryEvaluator evaluator(fx_.db.get(), &executor_, &pl_, fx_.index.get());
+  ASSERT_EQ(pl_.mtns().size(), 1u);
+  const NodeId mtn = pl_.mtns()[0];  // q1's dead Color-Item-ProductType
+  auto fresh_verdict = [&]() {
+    Executor fresh(fx_.db.get());
+    QueryEvaluator eval(fx_.db.get(), &fresh, &pl_, fx_.index.get());
+    auto alive = eval.IsAlive(mtn);
+    KWSDBG_CHECK(alive.ok()) << alive.status().ToString();
+    return *alive;
+  };
+  auto before = evaluator.IsAlive(mtn);
+  ASSERT_TRUE(before.ok());
+  EXPECT_FALSE(*before);
+
+  // A saffron-coloured scented candle: the network gains a witness.
+  LiveMutator mutator(fx_.db.get(), fx_.index.get(), /*fences=*/nullptr);
+  const size_t row = (*fx_.db->GetTable("Item"))->num_rows();
+  ASSERT_TRUE(mutator
+                  .Apply(Mutation::Insert(
+                      "Item", {Value(int64_t{99}),
+                               Value("saffron scented candle"),
+                               Value(int64_t{2}), Value(int64_t{4}),
+                               Value(int64_t{1}), Value(1.0), Value("new")}))
+                  .ok());
+  auto alive = evaluator.IsAlive(mtn);
+  ASSERT_TRUE(alive.ok());
+  EXPECT_TRUE(*alive);
+  EXPECT_EQ(*alive, fresh_verdict());
+
+  ASSERT_TRUE(mutator.Apply(Mutation::Delete("Item", row)).ok());
+  auto dead = evaluator.IsAlive(mtn);
+  ASSERT_TRUE(dead.ok());
+  EXPECT_FALSE(*dead);
+  EXPECT_EQ(*dead, fresh_verdict());
+  EXPECT_EQ(evaluator.sql_executed(), 3u);
 }
 
 TEST_F(EvaluatorTest, MissingTableSurfacesError) {
