@@ -207,12 +207,14 @@ size_t RunEnvPair(TierEnv resident, TierEnv spilled, TablePrinter* table,
 
   // …and in the service stats JSON. A spilled engine is a single-session
   // artifact (the pool and posting cache are not thread-safe), so the
-  // service runs one worker.
+  // service is const (no write path) and runs one worker; DebugService
+  // refuses anything else over it.
   {
     ServiceOptions service_options;
     service_options.num_workers = 1;
-    DebugService service(spilled.db.get(), spilled.lattice.get(),
-                         spilled.index.get(), service_options);
+    const Database* db = spilled.db.get();
+    const InvertedIndex* index = spilled.index.get();
+    DebugService service(db, spilled.lattice.get(), index, service_options);
     BatchResult batch = service.RunBatch(
         {spilled.queries.front(), spilled.queries.back()});
     gate(batch.status.ok(), "service batch failed on the spilled engine: " +

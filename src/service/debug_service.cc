@@ -149,6 +149,19 @@ DebugService::DebugService(const Database* db, const Lattice* lattice,
       options_(options),
       cache_(std::max<size_t>(1, options_.shared_cache_capacity)) {
   if (options_.num_workers == 0) options_.num_workers = 1;
+  // The buffer pool and a spilled index's PostingStore keep unguarded LRU
+  // state and counters, and a pool hit decodes into its frame: a spilled
+  // engine is a single-session artifact. Refuse to serve it from more than
+  // one thread instead of racing on it.
+  const bool spilled =
+      db->AnySpilled() || (index != nullptr && index->spilled());
+  if (spilled && (options_.num_workers > 1 || mutable_db != nullptr)) {
+    storage_status_ = Status::FailedPrecondition(
+        "a spilled database or text index is single-session: serve it from "
+        "a const DebugService with one worker (this one has " +
+        std::to_string(options_.num_workers) + " worker(s)" +
+        (mutable_db != nullptr ? " and a write path)" : ")"));
+  }
   if (options_.debugger.adaptive) pa_model_ = std::make_unique<PaModel>();
   // The write path must exist before any worker thread starts: workers read
   // fences_ when building their evaluators.
@@ -427,6 +440,7 @@ Status DebugService::ApplyMutation(const Mutation& m) {
     if (draining_) {
       return Status::Unavailable("service is draining; no new writes admitted");
     }
+    KWSDBG_RETURN_NOT_OK(storage_status_);
     // A recovery that failed kDataLoss leaves the in-memory state unknown;
     // admitting writes on top would compound the divergence.
     KWSDBG_RETURN_NOT_OK(durability_status_);
@@ -502,6 +516,11 @@ void DebugService::ExecuteTask(NonAnswerDebugger* debugger, Rng* backoff_rng,
   result.keyword_query = task.query;
   result.queue_millis = task.enqueued.ElapsedMillis();
   result.worker = worker_id;
+  if (!storage_status_.ok()) {
+    result.status = storage_status_;
+    task.done(std::move(result));
+    return;
+  }
   Timer exec;
   debugger->set_deadline_millis(task.deadline_millis);
   StatusOr<DebugReport> report_or = debugger->Debug(task.query);

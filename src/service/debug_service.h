@@ -254,6 +254,12 @@ class DebugService {
   /// reads, but ApplyMutation is rejected so divergence cannot compound).
   Status durability_status() const { return durability_status_; }
 
+  /// kFailedPrecondition when the database has a spilled table or the text
+  /// index is spilled and the service has more than one worker or a write
+  /// path: the out-of-core tier is single-session, so every query and
+  /// ApplyMutation then fails with this status. OK otherwise.
+  Status storage_status() const { return storage_status_; }
+
   /// Crash-consistent snapshot of the database + index fingerprint into the
   /// durability dir, then truncates the WAL at the covered seq. Excludes
   /// writers for the duration by taking every relation fence shared (reads
@@ -320,6 +326,9 @@ class DebugService {
   /// Drain against each other.
   std::unique_ptr<WalWriter> wal_;
   Status durability_status_ = Status::OK();
+  /// Set once in the constructor, before workers start (see
+  /// storage_status()).
+  Status storage_status_ = Status::OK();
   std::mutex checkpoint_mu_;
   std::atomic<size_t> checkpoints_{0};
   size_t wal_replayed_ = 0;        ///< Set once during SetupDurability.

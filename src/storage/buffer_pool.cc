@@ -1,9 +1,9 @@
 #include "storage/buffer_pool.h"
 
+#include <algorithm>
 #include <cstring>
 #include <string>
-
-#include "common/logging.h"
+#include <type_traits>
 
 namespace kwsdbg {
 
@@ -30,6 +30,100 @@ bool GetPod(const char* data, size_t size, size_t* pos, T* out) {
   std::memcpy(out, data + *pos, sizeof(T));
   *pos += sizeof(T);
   return true;
+}
+
+Status ParseError(const std::string& what) {
+  return Status::ParseError("spill page " + what);
+}
+
+// Reads the encoded row starting at *pos — its arity bound, tags and
+// lengths — and advances *pos past it. With `out` non-null the cells are
+// decoded into it (reusing its capacity); with null the row is only checked
+// and skipped. This is the codec's one parser: the buffer pool's validating
+// walk and every decode go through it.
+Status ParseRow(const char* data, size_t size, size_t* pos, Tuple* out) {
+  uint16_t arity = 0;
+  if (!GetPod(data, size, pos, &arity)) {
+    return ParseError("truncated: missing arity");
+  }
+  // A cell needs at least its 1-byte tag.
+  if (arity > size - *pos) {
+    return ParseError("corrupt: " + std::to_string(arity) +
+                      " cells cannot fit in " + std::to_string(size - *pos) +
+                      " bytes");
+  }
+  if (out != nullptr) {
+    out->clear();
+    out->reserve(arity);
+  }
+  for (uint16_t c = 0; c < arity; ++c) {
+    if (*pos >= size) return ParseError("truncated: missing tag");
+    const uint8_t tag = static_cast<uint8_t>(data[(*pos)++]);
+    switch (tag) {
+      case kTagNull:
+        if (out != nullptr) out->emplace_back();
+        break;
+      case kTagInt: {
+        uint64_t bits = 0;
+        if (!GetPod(data, size, pos, &bits)) {
+          return ParseError("truncated: int payload");
+        }
+        if (out != nullptr) out->emplace_back(static_cast<int64_t>(bits));
+        break;
+      }
+      case kTagDouble: {
+        uint64_t bits = 0;
+        if (!GetPod(data, size, pos, &bits)) {
+          return ParseError("truncated: double payload");
+        }
+        if (out != nullptr) {
+          double d;
+          std::memcpy(&d, &bits, sizeof(d));
+          out->emplace_back(d);
+        }
+        break;
+      }
+      case kTagString: {
+        uint32_t len = 0;
+        if (!GetPod(data, size, pos, &len)) {
+          return ParseError("truncated: string length");
+        }
+        if (len > size - *pos) return ParseError("truncated: string payload");
+        if (out != nullptr) out->emplace_back(std::string(data + *pos, len));
+        *pos += len;
+        break;
+      }
+      default:
+        return ParseError("corrupt: unknown value tag " +
+                          std::to_string(tag));
+    }
+  }
+  return Status::OK();
+}
+
+// The validating walk: checks the whole block without decoding a cell and
+// records where each row starts. Allocates only `offsets`, and a reused
+// vector not even that.
+Status IndexRows(const char* data, size_t size, std::vector<size_t>* offsets) {
+  size_t pos = 0;
+  uint32_t num_rows = 0;
+  if (!GetPod(data, size, &pos, &num_rows)) {
+    return ParseError("truncated: missing row count");
+  }
+  // Counts come from the input, so bound them by the bytes left before they
+  // size an allocation: a row needs at least its 2-byte arity.
+  if (num_rows > (size - pos) / sizeof(uint16_t)) {
+    return ParseError("corrupt: " + std::to_string(num_rows) +
+                      " rows cannot fit in " + std::to_string(size - pos) +
+                      " bytes");
+  }
+  offsets->clear();
+  offsets->reserve(num_rows);
+  for (uint32_t i = 0; i < num_rows; ++i) {
+    offsets->push_back(pos);
+    KWSDBG_RETURN_NOT_OK(ParseRow(data, size, &pos, nullptr));
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -80,80 +174,12 @@ void EncodeRows(const std::vector<Tuple>& rows, std::string* out) {
 }
 
 Status DecodeRows(const char* data, size_t size, std::vector<Tuple>* out) {
-  size_t pos = 0;
-  uint32_t num_rows = 0;
-  if (!GetPod(data, size, &pos, &num_rows)) {
-    return Status::ParseError("spill page truncated: missing row count");
-  }
-  // Counts come from the input, so bound them by the bytes left before they
-  // size an allocation: a row needs at least its 2-byte arity, a cell its
-  // 1-byte tag.
-  if (num_rows > (size - pos) / sizeof(uint16_t)) {
-    return Status::ParseError("spill page corrupt: " +
-                              std::to_string(num_rows) +
-                              " rows cannot fit in " +
-                              std::to_string(size - pos) + " bytes");
-  }
+  std::vector<size_t> offsets;
+  KWSDBG_RETURN_NOT_OK(IndexRows(data, size, &offsets));
   out->clear();
-  out->reserve(num_rows);
-  for (uint32_t i = 0; i < num_rows; ++i) {
-    uint16_t arity = 0;
-    if (!GetPod(data, size, &pos, &arity)) {
-      return Status::ParseError("spill page truncated: missing arity");
-    }
-    if (arity > size - pos) {
-      return Status::ParseError("spill page corrupt: " +
-                                std::to_string(arity) +
-                                " cells cannot fit in " +
-                                std::to_string(size - pos) + " bytes");
-    }
-    Tuple row;
-    row.reserve(arity);
-    for (uint16_t c = 0; c < arity; ++c) {
-      if (pos >= size) {
-        return Status::ParseError("spill page truncated: missing tag");
-      }
-      uint8_t tag = static_cast<uint8_t>(data[pos++]);
-      switch (tag) {
-        case kTagNull:
-          row.push_back(Value::Null());
-          break;
-        case kTagInt: {
-          uint64_t bits = 0;
-          if (!GetPod(data, size, &pos, &bits)) {
-            return Status::ParseError("spill page truncated: int payload");
-          }
-          row.emplace_back(static_cast<int64_t>(bits));
-          break;
-        }
-        case kTagDouble: {
-          uint64_t bits = 0;
-          if (!GetPod(data, size, &pos, &bits)) {
-            return Status::ParseError("spill page truncated: double payload");
-          }
-          double d;
-          std::memcpy(&d, &bits, sizeof(d));
-          row.emplace_back(d);
-          break;
-        }
-        case kTagString: {
-          uint32_t len = 0;
-          if (!GetPod(data, size, &pos, &len)) {
-            return Status::ParseError("spill page truncated: string length");
-          }
-          if (pos + len > size) {
-            return Status::ParseError("spill page truncated: string payload");
-          }
-          row.emplace_back(std::string(data + pos, len));
-          pos += len;
-          break;
-        }
-        default:
-          return Status::ParseError("spill page corrupt: unknown value tag " +
-                                    std::to_string(tag));
-      }
-    }
-    out->push_back(std::move(row));
+  out->resize(offsets.size());
+  for (size_t i = 0; i < offsets.size(); ++i) {
+    KWSDBG_RETURN_NOT_OK(ParseRow(data, size, &offsets[i], &(*out)[i]));
   }
   return Status::OK();
 }
@@ -167,101 +193,171 @@ BufferPool::~BufferPool() {
   // its database, whose spill file is removed anyway.
 }
 
-StatusOr<BufferPool::Frame*> BufferPool::FetchFrame(uint64_t first_page,
-                                                    uint32_t num_pages,
-                                                    PageWriter* writer) {
-  auto it = frames_.find(first_page);
-  if (it != frames_.end()) {
-    Frame* f = it->second.get();
-    lru_.splice(lru_.end(), lru_, f->lru_pos);  // move to MRU position
-    ++stats_.page_hits;
-    return f;
+void BufferPool::LinkMru(uint32_t idx) {
+  Frame& f = frames_[idx];
+  f.lru_prev = lru_tail_;
+  f.lru_next = kNoFrame;
+  if (lru_tail_ != kNoFrame) {
+    frames_[lru_tail_].lru_next = idx;
+  } else {
+    lru_head_ = idx;
   }
-  ++stats_.page_misses;
-  while (frames_.size() >= capacity_) {
-    KWSDBG_RETURN_NOT_OK(EvictOne());
-  }
-  io_buf_.resize(static_cast<size_t>(num_pages) * disk_->page_size());
-  KWSDBG_RETURN_NOT_OK(disk_->ReadPages(first_page, num_pages, io_buf_.data()));
-  auto frame = std::make_unique<Frame>();
-  frame->first_page = first_page;
-  frame->num_pages = num_pages;
-  frame->writer = writer;
-  KWSDBG_RETURN_NOT_OK(
-      DecodeRows(io_buf_.data(), io_buf_.size(), &frame->rows));
-  Frame* f = frame.get();
-  lru_.push_back(first_page);
-  f->lru_pos = std::prev(lru_.end());
-  frames_.emplace(first_page, std::move(frame));
-  return f;
+  lru_tail_ = idx;
 }
 
-Status BufferPool::EvictOne() {
-  for (auto it = lru_.begin(); it != lru_.end(); ++it) {
-    Frame* f = frames_.at(*it).get();
-    if (f->pins > 0) continue;
-    if (f->dirty) {
-      KWSDBG_RETURN_NOT_OK(f->writer->WriteBack(f->first_page, f->rows));
+void BufferPool::Unlink(uint32_t idx) {
+  Frame& f = frames_[idx];
+  if (f.lru_prev != kNoFrame) {
+    frames_[f.lru_prev].lru_next = f.lru_next;
+  } else {
+    lru_head_ = f.lru_next;
+  }
+  if (f.lru_next != kNoFrame) {
+    frames_[f.lru_next].lru_prev = f.lru_prev;
+  } else {
+    lru_tail_ = f.lru_prev;
+  }
+}
+
+void BufferPool::Unmap(uint32_t idx) {
+  Unlink(idx);
+  Frame& f = frames_[idx];
+  page_frame_[f.first_page] = kNoFrame;
+  f.dirty = false;
+  f.pins = 0;
+  f.writer = nullptr;
+}
+
+StatusOr<uint32_t> BufferPool::TakeFrame() {
+  // Growing frames_ moves frames; a nothrow move keeps each frame's row
+  // slots (and every reference into them) where they are.
+  static_assert(std::is_nothrow_move_constructible_v<Frame>);
+  if (num_frames() < capacity_) {
+    if (free_frames_.empty()) {
+      frames_.emplace_back();
+      return static_cast<uint32_t>(frames_.size() - 1);
+    }
+    const uint32_t idx = free_frames_.back();
+    free_frames_.pop_back();
+    return idx;
+  }
+  for (uint32_t idx = lru_head_; idx != kNoFrame;
+       idx = frames_[idx].lru_next) {
+    Frame& f = frames_[idx];
+    if (f.pins > 0) continue;
+    if (f.dirty) {
+      KWSDBG_RETURN_NOT_OK(f.writer->WriteBack(f.first_page, f.rows));
       ++stats_.write_backs;
     }
-    frames_.erase(f->first_page);
-    lru_.erase(it);
+    Unmap(idx);
     ++stats_.page_evictions;
-    return Status::OK();
+    return idx;
   }
   return Status::ResourceExhausted(
       "buffer pool exhausted: all " + std::to_string(capacity_) +
       " frames are pinned");
 }
 
-StatusOr<const std::vector<Tuple>*> BufferPool::Fetch(uint64_t first_page,
-                                                      uint32_t num_pages,
-                                                      PageWriter* writer) {
-  KWSDBG_ASSIGN_OR_RETURN(Frame * f,
-                          FetchFrame(first_page, num_pages, writer));
-  return const_cast<const std::vector<Tuple>*>(&f->rows);
+StatusOr<BufferPool::Frame*> BufferPool::FetchFrame(uint64_t first_page,
+                                                    uint32_t num_pages,
+                                                    size_t row,
+                                                    PageWriter* writer) {
+  uint32_t idx = FrameOf(first_page);
+  if (idx != kNoFrame) {
+    Unlink(idx);  // move to the MRU position
+    LinkMru(idx);
+    ++stats_.page_hits;
+  } else {
+    ++stats_.page_misses;
+    KWSDBG_ASSIGN_OR_RETURN(idx, TakeFrame());
+    Frame& f = frames_[idx];
+    f.bytes.resize(static_cast<size_t>(num_pages) * disk_->page_size());
+    Status read = disk_->ReadPages(first_page, num_pages, f.bytes.data());
+    if (read.ok()) read = IndexRows(f.bytes.data(), f.bytes.size(), &f.offsets);
+    if (!read.ok()) {
+      free_frames_.push_back(idx);
+      return read;
+    }
+    f.first_page = first_page;
+    f.writer = writer;
+    f.rows.resize(f.offsets.size());
+    f.decoded.assign(f.offsets.size(), 0);
+    if (first_page >= page_frame_.size()) {
+      page_frame_.resize(
+          std::max<uint64_t>(first_page + 1, disk_->num_pages()), kNoFrame);
+    }
+    page_frame_[first_page] = idx;
+    LinkMru(idx);
+  }
+  Frame* f = &frames_[idx];
+  if (row >= f->offsets.size()) {
+    return Status::OutOfRange("row " + std::to_string(row) +
+                              " past the " +
+                              std::to_string(f->offsets.size()) +
+                              " rows of the extent at page " +
+                              std::to_string(first_page));
+  }
+  return f;
 }
 
-StatusOr<std::vector<Tuple>*> BufferPool::FetchMutable(uint64_t first_page,
-                                                       uint32_t num_pages,
-                                                       PageWriter* writer) {
+Status BufferPool::DecodeRow(Frame* f, size_t row) {
+  if (f->decoded[row]) return Status::OK();
+  size_t pos = f->offsets[row];
+  KWSDBG_RETURN_NOT_OK(
+      ParseRow(f->bytes.data(), f->bytes.size(), &pos, &f->rows[row]));
+  f->decoded[row] = 1;
+  return Status::OK();
+}
+
+StatusOr<const Tuple*> BufferPool::Fetch(uint64_t first_page,
+                                         uint32_t num_pages, size_t row,
+                                         PageWriter* writer) {
   KWSDBG_ASSIGN_OR_RETURN(Frame * f,
-                          FetchFrame(first_page, num_pages, writer));
+                          FetchFrame(first_page, num_pages, row, writer));
+  KWSDBG_RETURN_NOT_OK(DecodeRow(f, row));
+  return const_cast<const Tuple*>(&f->rows[row]);
+}
+
+StatusOr<Tuple*> BufferPool::FetchMutable(uint64_t first_page,
+                                          uint32_t num_pages, size_t row,
+                                          PageWriter* writer) {
+  KWSDBG_ASSIGN_OR_RETURN(Frame * f,
+                          FetchFrame(first_page, num_pages, row, writer));
+  // Write-back re-encodes the whole extent from the slots.
+  for (size_t i = 0; i < f->rows.size(); ++i) {
+    KWSDBG_RETURN_NOT_OK(DecodeRow(f, i));
+  }
   f->dirty = true;
-  return &f->rows;
+  return &f->rows[row];
 }
 
 void BufferPool::Pin(uint64_t first_page) {
-  auto it = frames_.find(first_page);
-  if (it != frames_.end()) ++it->second->pins;
+  const uint32_t idx = FrameOf(first_page);
+  if (idx != kNoFrame) ++frames_[idx].pins;
 }
 
 void BufferPool::Unpin(uint64_t first_page) {
-  auto it = frames_.find(first_page);
-  if (it != frames_.end() && it->second->pins > 0) --it->second->pins;
+  const uint32_t idx = FrameOf(first_page);
+  if (idx != kNoFrame && frames_[idx].pins > 0) --frames_[idx].pins;
 }
 
 Status BufferPool::FlushAll() {
-  for (auto& [page, frame] : frames_) {
-    if (!frame->dirty) continue;
-    KWSDBG_RETURN_NOT_OK(frame->writer->WriteBack(frame->first_page,
-                                                  frame->rows));
-    frame->dirty = false;
+  for (uint32_t idx = lru_head_; idx != kNoFrame;
+       idx = frames_[idx].lru_next) {
+    Frame& f = frames_[idx];
+    if (!f.dirty) continue;
+    KWSDBG_RETURN_NOT_OK(f.writer->WriteBack(f.first_page, f.rows));
+    f.dirty = false;
     ++stats_.write_backs;
   }
   return Status::OK();
 }
 
 void BufferPool::DropAll() {
-  frames_.clear();
-  lru_.clear();
-}
-
-void BufferPool::Drop(uint64_t first_page) {
-  auto it = frames_.find(first_page);
-  if (it == frames_.end()) return;
-  lru_.erase(it->second->lru_pos);
-  frames_.erase(it);
+  while (lru_head_ != kNoFrame) {
+    free_frames_.push_back(lru_head_);
+    Unmap(lru_head_);
+  }
 }
 
 }  // namespace kwsdbg

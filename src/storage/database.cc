@@ -105,10 +105,15 @@ Status Database::ApplyMemoryBudget(size_t budget_bytes, SpillOptions options) {
                      return a.bytes > b.bytes;
                    });
 
-  // Half the budget for resident tables, half for buffer-pool frames. A
-  // decoded frame costs roughly its encoded extent (one page) plus tuple
-  // headers, so frames are charged at 4 pages each — deliberately
-  // conservative, and clamped to the pool's 16-frame floor either way.
+  // Half the budget for resident tables, half for buffer-pool frames, each
+  // charged at 4 pages and clamped to the pool's 16-frame floor. A frame
+  // costs its page image, an offset and a slot per row (32 bytes), and the
+  // rows decoded into those slots, which keep their capacity across
+  // residencies (about 130 bytes per row of three int64s). On an 8 KiB
+  // page of 282 such rows that is about 2 pages while few rows are
+  // touched, and more than 4 once most of the page has been decoded. The
+  // charge stays at 4 pages: a smaller one would raise the frame count,
+  // which also cuts page reads, and that needs its own measurement.
   const size_t resident_target = budget_bytes / 2;
   std::vector<Table*> to_spill;
   for (const Candidate& c : candidates) {

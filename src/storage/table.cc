@@ -54,11 +54,10 @@ Status Table::DeleteRow(size_t row) {
     for (size_t c = 0; c < cols; ++c) t[c] = Value::Null();
   } else {
     const PageExtent& ext = ExtentForRow(row);
-    KWSDBG_ASSIGN_OR_RETURN(
-        std::vector<Tuple> * frame_rows,
-        pool_->FetchMutable(ext.first_page, ext.num_pages, this));
-    Tuple& t = (*frame_rows)[row - ext.first_row];
-    for (size_t c = 0; c < cols; ++c) t[c] = Value::Null();
+    KWSDBG_ASSIGN_OR_RETURN(Tuple * t,
+                            pool_->FetchMutable(ext.first_page, ext.num_pages,
+                                                row - ext.first_row, this));
+    for (size_t c = 0; c < cols; ++c) (*t)[c] = Value::Null();
   }
   if (deleted_.size() < num_rows()) deleted_.resize(num_rows(), false);
   deleted_[row] = true;
@@ -98,10 +97,10 @@ Status Table::SetValue(size_t row, size_t col, Value value) {
     return Status::OK();
   }
   const PageExtent& ext = ExtentForRow(row);
-  KWSDBG_ASSIGN_OR_RETURN(
-      std::vector<Tuple> * frame_rows,
-      pool_->FetchMutable(ext.first_page, ext.num_pages, this));
-  (*frame_rows)[row - ext.first_row][col] = std::move(value);
+  KWSDBG_ASSIGN_OR_RETURN(Tuple * t,
+                          pool_->FetchMutable(ext.first_page, ext.num_pages,
+                                              row - ext.first_row, this));
+  (*t)[col] = std::move(value);
   return Status::OK();
 }
 
@@ -250,13 +249,13 @@ const PageExtent& Table::ExtentForRow(size_t row) const {
 const Tuple& Table::SpilledRow(size_t i) const {
   if (i >= spilled_rows_) return tail_rows_[i - spilled_rows_];
   const PageExtent& ext = ExtentForRow(i);
-  auto rows_or = pool_->Fetch(ext.first_page, ext.num_pages,
-                              const_cast<Table*>(this));
+  auto row_or = pool_->Fetch(ext.first_page, ext.num_pages,
+                             i - ext.first_row, const_cast<Table*>(this));
   // at()/row() have no error channel; a failed or corrupt page read is a
   // broken invariant of our own spill file, not a recoverable condition.
-  KWSDBG_CHECK(rows_or.ok()) << "page read failed for table '" << name_
-                             << "': " << rows_or.status().ToString();
-  return (**rows_or)[i - ext.first_row];
+  KWSDBG_CHECK(row_or.ok()) << "page read failed for table '" << name_
+                            << "': " << row_or.status().ToString();
+  return **row_or;
 }
 
 Status Table::WriteBack(uint64_t first_page, const std::vector<Tuple>& rows) {

@@ -61,7 +61,19 @@ export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
 # the per-node lattice scan they replaced: asan watches the CSR spans and
 # the retained set's open-addressing table, ubsan its hash arithmetic.
 # CounterFlowTest debugs a spilled toy database: asan watches the evictable
-# frames its page reads go through.
+# frames its page reads go through. Buffer-pool frames keep the page image
+# and decode a row on first touch, so three cases aim at that:
+# PageCodecTest.SeededMutationsAgreeAcrossDecodeAndPoolFetch runs 10k
+# seeded byte mutations through DecodeRows and through the pool's
+# validating walk and per-row decode (asan and ubsan watch the forged
+# counts and lengths); BufferPoolTest's
+# ReferenceStaysValidAcrossCapacityMinusOneFetches holds a row reference
+# while every other row of its frame decodes, and SpillTest's
+# SetValueOnSpilledTableWritesBack evicts a written frame whose other rows
+# were never read (asan sees a slot that moves or a write-back that drops
+# an undecoded row). DebugServiceTest's SpilledEngine* cases are the tsan
+# side: a service with two workers or a write path over a spilled engine
+# fails every request kFailedPrecondition before a worker touches the pool.
 # NodePlanParityTest runs every Table 2 node of a resident and a spilled
 # DBLife through both executor front ends (resolved node plans and compiled
 # query strings): asan watches the candidate spans the join takes straight

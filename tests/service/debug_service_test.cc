@@ -452,5 +452,90 @@ TEST(DebugServiceTest, JsonCarriesResilienceFields) {
   }
 }
 
+// Pushes every toy table through a buffer pool of 512-byte pages and the
+// posting lists onto disk: the out-of-core tier, which is single-session.
+void SpillToy(testutil::ToyFixture* fx) {
+  SpillOptions spill;
+  spill.page_size = 512;
+  ASSERT_TRUE(fx->db->ApplyMemoryBudget(1, spill).ok());
+  ASSERT_TRUE(fx->db->AnySpilled());
+  ASSERT_TRUE(fx->index->SpillToDisk("", /*cache_lists=*/8).ok());
+}
+
+TEST(DebugServiceTest, SpilledEngineRejectsMultipleWorkers) {
+  testutil::ToyFixture fx;
+  SpillToy(&fx);
+  ServiceOptions options;
+  options.num_workers = 2;
+  const Database* db = fx.db.get();
+  const InvertedIndex* index = fx.index.get();
+  DebugService service(db, fx.lattice.get(), index, options);
+  EXPECT_EQ(service.storage_status().code(), StatusCode::kFailedPrecondition);
+
+  BatchResult batch = service.RunBatch(ToyQueries());
+  ASSERT_TRUE(batch.status.ok());
+  for (const QueryResult& r : batch.results) {
+    EXPECT_EQ(r.status.code(), StatusCode::kFailedPrecondition)
+        << r.keyword_query;
+  }
+  EXPECT_EQ(batch.stats.failed, ToyQueries().size());
+  // Nothing touched the pool: the refusal comes before any query runs.
+  EXPECT_EQ(fx.db->storage_stats().page_hits, 0u);
+}
+
+TEST(DebugServiceTest, SpilledEngineRejectsWritePath) {
+  testutil::ToyFixture fx;
+  SpillToy(&fx);
+  ServiceOptions options;
+  options.num_workers = 1;
+  DebugService service(fx.db.get(), fx.lattice.get(), fx.index.get(),
+                       options);
+  ASSERT_NE(service.mutator(), nullptr);
+  EXPECT_EQ(service.storage_status().code(), StatusCode::kFailedPrecondition);
+
+  BatchResult batch = service.RunBatch({"saffron candle"});
+  ASSERT_EQ(batch.results.size(), 1u);
+  EXPECT_EQ(batch.results[0].status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(service
+                .ApplyMutation(Mutation::Update(
+                    "Attribute", 2, 2, Value(std::string("striped"))))
+                .code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(batch.stats.mutations_applied, 0u);
+}
+
+TEST(DebugServiceTest, SpilledEngineServesOneConstWorker) {
+  const std::vector<std::string> queries = ToyQueries();
+  testutil::ToyFixture fx;
+  SpillToy(&fx);
+  const Database* db = fx.db.get();
+  const InvertedIndex* index = fx.index.get();
+
+  std::vector<std::string> serial_sigs;
+  {
+    NonAnswerDebugger serial(db, fx.lattice.get(), index);
+    for (const std::string& q : queries) {
+      auto report = serial.Debug(q);
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      serial_sigs.push_back(report->ClassificationSignature());
+    }
+  }
+
+  ServiceOptions options;
+  options.num_workers = 1;
+  DebugService service(db, fx.lattice.get(), index, options);
+  EXPECT_TRUE(service.storage_status().ok());
+  BatchResult batch = service.RunBatch(queries);
+  ASSERT_TRUE(batch.status.ok());
+  ASSERT_EQ(batch.results.size(), queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const QueryResult& r = batch.results[i];
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_EQ(r.report.ClassificationSignature(), serial_sigs[i])
+        << "query \"" << queries[i] << "\"";
+  }
+  EXPECT_GT(batch.stats.page_hits + batch.stats.page_reads, 0u);
+}
+
 }  // namespace
 }  // namespace kwsdbg

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "storage/disk_manager.h"
 
 namespace kwsdbg {
@@ -90,22 +92,188 @@ std::vector<Tuple> OneRow(int64_t v) {
   return rows;
 }
 
+// A random block of rows holding every value kind, small enough for one
+// 512-byte page, plus the byte offsets of its arity and string-length
+// fields (the counts a forgery targets).
+struct CodecCase {
+  std::vector<Tuple> rows;
+  std::string bytes;
+  std::vector<size_t> arity_at;
+  std::vector<size_t> string_len_at;
+};
+
+CodecCase RandomCase(Rng* rng, size_t max_bytes) {
+  CodecCase c;
+  const size_t num_rows = 1 + rng->Uniform(10);
+  for (size_t r = 0; r < num_rows; ++r) {
+    Tuple row;
+    const size_t arity = rng->Uniform(5);
+    for (size_t i = 0; i < arity; ++i) {
+      switch (rng->Uniform(4)) {
+        case 0:
+          row.push_back(Value::Null());
+          break;
+        case 1:
+          row.emplace_back(static_cast<int64_t>(rng->Next()));
+          break;
+        case 2:
+          row.emplace_back(rng->NextDouble() * 1e6 - 5e5);
+          break;
+        default:
+          row.emplace_back(std::string(rng->Uniform(40), 'a' + r % 26));
+      }
+    }
+    c.rows.push_back(std::move(row));
+    if (EncodedRowsSize(c.rows) > max_bytes) {
+      c.rows.pop_back();
+      break;
+    }
+  }
+  EncodeRows(c.rows, &c.bytes);
+  size_t pos = sizeof(uint32_t);
+  for (const Tuple& row : c.rows) {
+    c.arity_at.push_back(pos);
+    pos += sizeof(uint16_t);
+    for (const Value& v : row) {
+      pos += 1;  // tag
+      if (v.is_string()) {
+        c.string_len_at.push_back(pos);
+        pos += sizeof(uint32_t) + v.AsString().size();
+      } else if (!v.is_null()) {
+        pos += 8;
+      }
+    }
+  }
+  return c;
+}
+
+template <typename T>
+void Forge(std::string* bytes, size_t at, T value) {
+  if (at + sizeof(T) <= bytes->size()) {
+    std::memcpy(bytes->data() + at, &value, sizeof(T));
+  }
+}
+
+// Bitwise row equality: a flipped double may be NaN, which Value's == would
+// call unequal to itself.
+bool SameRow(const Tuple& a, const Tuple& b) {
+  std::string ea, eb;
+  EncodeRows({a}, &ea);
+  EncodeRows({b}, &eb);
+  return ea == eb;
+}
+
+// Seeded byte mutations of encoded pages (bit flips, truncations, forged
+// row counts, arities and string lengths). Every mutated page either fails
+// kParseError both through DecodeRows and through a pool fetch, or gives
+// the same rows through DecodeRows and through a fetch of each row — the
+// pool's validating walk and lazy per-row decode parse exactly what
+// DecodeRows parses. Counts never size more than the page holds.
+TEST(PageCodecTest, SeededMutationsAgreeAcrossDecodeAndPoolFetch) {
+  constexpr size_t kMutations = 10000;
+  auto disk = TempDisk();
+  const size_t page_size = disk->page_size();
+  BufferPool pool(disk.get(), 16);
+  Rng rng(0xC0DEC);
+  size_t failed = 0, parsed = 0;
+  for (size_t iter = 0; iter < kMutations; ++iter) {
+    const CodecCase c = RandomCase(&rng, page_size);
+    std::string page = c.bytes;
+    switch (rng.Uniform(5)) {
+      case 0:  // bit flips
+        for (uint64_t n = 1 + rng.Uniform(3); n > 0; --n) {
+          page[rng.Uniform(page.size())] ^=
+              static_cast<char>(1u << rng.Uniform(8));
+        }
+        break;
+      case 1: {  // truncation; the rest of the page reads back as zeroes
+        page.resize(rng.Uniform(page.size()));
+        std::vector<Tuple> raw;
+        const Status cut = DecodeRows(page.data(), page.size(), &raw);
+        EXPECT_TRUE(cut.ok() || cut.code() == StatusCode::kParseError);
+        break;
+      }
+      case 2:  // forged row count, near the true one or anywhere
+        Forge<uint32_t>(&page, 0,
+                        rng.Bernoulli(0.5)
+                            ? static_cast<uint32_t>(rng.Next())
+                            : static_cast<uint32_t>(c.rows.size() +
+                                                    rng.Uniform(5)) -
+                                  2);
+        break;
+      case 3:  // forged arity
+        if (!c.arity_at.empty()) {
+          Forge<uint16_t>(&page, c.arity_at[rng.Uniform(c.arity_at.size())],
+                          static_cast<uint16_t>(rng.Next()));
+        }
+        break;
+      default:  // forged string length
+        if (!c.string_len_at.empty()) {
+          Forge<uint32_t>(
+              &page, c.string_len_at[rng.Uniform(c.string_len_at.size())],
+              rng.Bernoulli(0.5) ? static_cast<uint32_t>(rng.Next())
+                                 : static_cast<uint32_t>(rng.Uniform(600)));
+        }
+    }
+    page.resize(page_size, '\0');
+    auto p = disk->AllocatePages(1);
+    ASSERT_TRUE(p.ok());
+    ASSERT_TRUE(disk->WritePages(*p, 1, page.data()).ok());
+
+    std::vector<Tuple> decoded;
+    const Status whole = DecodeRows(page.data(), page.size(), &decoded);
+    if (!whole.ok()) {
+      ++failed;
+      ASSERT_EQ(whole.code(), StatusCode::kParseError) << whole.ToString();
+      auto fetched = pool.Fetch(*p, 1, 0, nullptr);
+      ASSERT_FALSE(fetched.ok()) << "iteration " << iter;
+      ASSERT_EQ(fetched.status().code(), StatusCode::kParseError)
+          << "iteration " << iter;
+      continue;
+    }
+    ++parsed;
+    size_t cells = 0;
+    for (const Tuple& row : decoded) cells += row.size();
+    ASSERT_LE(decoded.size() + cells, page.size());
+    // Touch the rows in a random order: lazy decode must not depend on it.
+    std::vector<size_t> order(decoded.size());
+    for (size_t r = 0; r < order.size(); ++r) order[r] = r;
+    rng.Shuffle(&order);
+    for (size_t r : order) {
+      auto row = pool.Fetch(*p, 1, r, nullptr);
+      ASSERT_TRUE(row.ok()) << "iteration " << iter << ": "
+                            << row.status().ToString();
+      ASSERT_TRUE(SameRow(**row, decoded[r]))
+          << "iteration " << iter << ", row " << r;
+    }
+    EXPECT_EQ(pool.Fetch(*p, 1, decoded.size(), nullptr).status().code(),
+              StatusCode::kOutOfRange);
+  }
+  // Both outcomes are exercised, so neither half of the property is vacuous.
+  EXPECT_GT(failed, kMutations / 10);
+  EXPECT_GT(parsed, kMutations / 10);
+}
+
 TEST(BufferPoolTest, FetchDecodesAndCaches) {
   auto disk = TempDisk();
   uint64_t p = WriteExtent(disk.get(), OneRow(11));
   BufferPool pool(disk.get(), 16);
 
-  auto rows = pool.Fetch(p, 1, nullptr);
-  ASSERT_TRUE(rows.ok());
-  ASSERT_EQ((*rows)->size(), 1u);
-  EXPECT_EQ((*(*rows))[0][0].AsInt(), 11);
+  auto row = pool.Fetch(p, 1, 0, nullptr);
+  ASSERT_TRUE(row.ok());
+  ASSERT_EQ((*row)->size(), 1u);
+  EXPECT_EQ((**row)[0].AsInt(), 11);
   EXPECT_EQ(pool.stats().page_misses, 1u);
 
   // Second fetch is a hit: no new disk read.
   size_t reads_before = disk->stats().page_reads;
-  ASSERT_TRUE(pool.Fetch(p, 1, nullptr).ok());
+  ASSERT_TRUE(pool.Fetch(p, 1, 0, nullptr).ok());
   EXPECT_EQ(pool.stats().page_hits, 1u);
   EXPECT_EQ(disk->stats().page_reads, reads_before);
+
+  // The extent holds one row: row 1 is out of range, not a decode.
+  EXPECT_EQ(pool.Fetch(p, 1, 1, nullptr).status().code(),
+            StatusCode::kOutOfRange);
 }
 
 TEST(BufferPoolTest, LruEvictsOldestUnpinned) {
@@ -115,48 +283,61 @@ TEST(BufferPoolTest, LruEvictsOldestUnpinned) {
   for (int i = 0; i < 17; ++i) {
     pages.push_back(WriteExtent(disk.get(), OneRow(i)));
   }
-  for (uint64_t p : pages) ASSERT_TRUE(pool.Fetch(p, 1, nullptr).ok());
+  for (uint64_t p : pages) ASSERT_TRUE(pool.Fetch(p, 1, 0, nullptr).ok());
   // 17 extents through 16 frames: exactly one eviction, of the first page.
   EXPECT_EQ(pool.stats().page_evictions, 1u);
   EXPECT_EQ(pool.num_frames(), 16u);
 
   size_t misses = pool.stats().page_misses;
-  ASSERT_TRUE(pool.Fetch(pages[0], 1, nullptr).ok());
+  ASSERT_TRUE(pool.Fetch(pages[0], 1, 0, nullptr).ok());
   EXPECT_EQ(pool.stats().page_misses, misses + 1);  // was evicted
-  ASSERT_TRUE(pool.Fetch(pages[16], 1, nullptr).ok());
+  ASSERT_TRUE(pool.Fetch(pages[16], 1, 0, nullptr).ok());
   EXPECT_EQ(pool.stats().page_misses, misses + 1);  // still resident
 }
 
 TEST(BufferPoolTest, ReferenceStaysValidAcrossCapacityMinusOneFetches) {
   auto disk = TempDisk();
   BufferPool pool(disk.get(), 16);
-  uint64_t first = WriteExtent(disk.get(), OneRow(99));
-  auto rows = pool.Fetch(first, 1, nullptr);
-  ASSERT_TRUE(rows.ok());
-  const std::vector<Tuple>* held = *rows;
+  // Many rows in one frame, with heap strings, so a row store that moved
+  // while later rows of the frame decode would show under asan.
+  std::vector<Tuple> many;
+  for (int64_t i = 0; i < 12; ++i) {
+    many.push_back({Value(99 + i), Value(std::string(24, 'a' + i))});
+  }
+  uint64_t first = WriteExtent(disk.get(), many);
+  auto row = pool.Fetch(first, 1, 0, nullptr);
+  ASSERT_TRUE(row.ok());
+  const Tuple* held = *row;
+  for (size_t r = 1; r < many.size(); ++r) {
+    auto other = pool.Fetch(first, 1, r, nullptr);
+    ASSERT_TRUE(other.ok());
+    EXPECT_EQ(**other, many[r]);
+  }
+  EXPECT_EQ(*held, many[0]);
   for (int i = 0; i < 15; ++i) {
     uint64_t p = WriteExtent(disk.get(), OneRow(i));
-    ASSERT_TRUE(pool.Fetch(p, 1, nullptr).ok());
+    ASSERT_TRUE(pool.Fetch(p, 1, 0, nullptr).ok());
   }
   // 15 = capacity - 1 distinct fetches later, the reference still reads 99.
-  EXPECT_EQ((*held)[0][0].AsInt(), 99);
+  EXPECT_EQ((*held)[0].AsInt(), 99);
+  EXPECT_EQ((*held)[1].AsString(), std::string(24, 'a'));
 }
 
 TEST(BufferPoolTest, PinnedFramesSurviveEvictionPressure) {
   auto disk = TempDisk();
   BufferPool pool(disk.get(), 16);
   uint64_t keep = WriteExtent(disk.get(), OneRow(1234));
-  ASSERT_TRUE(pool.Fetch(keep, 1, nullptr).ok());
+  ASSERT_TRUE(pool.Fetch(keep, 1, 0, nullptr).ok());
   pool.Pin(keep);
   for (int i = 0; i < 40; ++i) {
     ASSERT_TRUE(
-        pool.Fetch(WriteExtent(disk.get(), OneRow(i)), 1, nullptr).ok());
+        pool.Fetch(WriteExtent(disk.get(), OneRow(i)), 1, 0, nullptr).ok());
   }
   size_t misses = pool.stats().page_misses;
-  auto rows = pool.Fetch(keep, 1, nullptr);
-  ASSERT_TRUE(rows.ok());
+  auto row = pool.Fetch(keep, 1, 0, nullptr);
+  ASSERT_TRUE(row.ok());
   EXPECT_EQ(pool.stats().page_misses, misses);  // never left the pool
-  EXPECT_EQ((*(*rows))[0][0].AsInt(), 1234);
+  EXPECT_EQ((**row)[0].AsInt(), 1234);
   pool.Unpin(keep);
 }
 
@@ -165,13 +346,13 @@ TEST(BufferPoolTest, AllPinnedIsResourceExhausted) {
   BufferPool pool(disk.get(), 16);
   for (int i = 0; i < 16; ++i) {
     uint64_t p = WriteExtent(disk.get(), OneRow(i));
-    ASSERT_TRUE(pool.Fetch(p, 1, nullptr).ok());
+    ASSERT_TRUE(pool.Fetch(p, 1, 0, nullptr).ok());
     pool.Pin(p);
   }
   uint64_t extra = WriteExtent(disk.get(), OneRow(-1));
-  auto rows = pool.Fetch(extra, 1, nullptr);
-  ASSERT_FALSE(rows.ok());
-  EXPECT_EQ(rows.status().code(), StatusCode::kResourceExhausted);
+  auto row = pool.Fetch(extra, 1, 0, nullptr);
+  ASSERT_FALSE(row.ok());
+  EXPECT_EQ(row.status().code(), StatusCode::kResourceExhausted);
 }
 
 // PageWriter that records write-backs, re-encoding in place.
@@ -194,22 +375,22 @@ TEST(BufferPoolTest, DirtyFrameWritesBackOnEviction) {
   RecordingWriter writer(disk.get());
   BufferPool pool(disk.get(), 16);
   uint64_t p = WriteExtent(disk.get(), OneRow(5));
-  auto rows = pool.FetchMutable(p, 1, &writer);
-  ASSERT_TRUE(rows.ok());
-  (*(*rows))[0][0] = Value(int64_t{500});
+  auto row = pool.FetchMutable(p, 1, 0, &writer);
+  ASSERT_TRUE(row.ok());
+  (**row)[0] = Value(int64_t{500});
 
   // Push it out of the pool.
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(
-        pool.Fetch(WriteExtent(disk.get(), OneRow(i)), 1, nullptr).ok());
+        pool.Fetch(WriteExtent(disk.get(), OneRow(i)), 1, 0, nullptr).ok());
   }
   EXPECT_GE(writer.calls, 1u);
   EXPECT_GE(pool.stats().write_backs, 1u);
 
   // Re-reading decodes the written-back value.
-  auto again = pool.Fetch(p, 1, nullptr);
+  auto again = pool.Fetch(p, 1, 0, nullptr);
   ASSERT_TRUE(again.ok());
-  EXPECT_EQ((*(*again))[0][0].AsInt(), 500);
+  EXPECT_EQ((**again)[0].AsInt(), 500);
 }
 
 TEST(BufferPoolTest, FlushAllWritesDirtyFramesOnce) {
@@ -217,9 +398,9 @@ TEST(BufferPoolTest, FlushAllWritesDirtyFramesOnce) {
   RecordingWriter writer(disk.get());
   BufferPool pool(disk.get(), 16);
   uint64_t p = WriteExtent(disk.get(), OneRow(8));
-  auto rows = pool.FetchMutable(p, 1, &writer);
-  ASSERT_TRUE(rows.ok());
-  (*(*rows))[0][0] = Value(int64_t{80});
+  auto row = pool.FetchMutable(p, 1, 0, &writer);
+  ASSERT_TRUE(row.ok());
+  (**row)[0] = Value(int64_t{80});
   ASSERT_TRUE(pool.FlushAll().ok());
   EXPECT_EQ(writer.calls, 1u);
   ASSERT_TRUE(pool.FlushAll().ok());  // now clean: no second write
@@ -227,9 +408,9 @@ TEST(BufferPoolTest, FlushAllWritesDirtyFramesOnce) {
 
   pool.DropAll();
   EXPECT_EQ(pool.num_frames(), 0u);
-  auto again = pool.Fetch(p, 1, nullptr);
+  auto again = pool.Fetch(p, 1, 0, nullptr);
   ASSERT_TRUE(again.ok());
-  EXPECT_EQ((*(*again))[0][0].AsInt(), 80);
+  EXPECT_EQ((**again)[0].AsInt(), 80);
 }
 
 TEST(DiskManagerTest, SinglePagesRecycleThroughFreeList) {

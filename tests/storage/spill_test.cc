@@ -69,11 +69,14 @@ TEST(SpillTest, SetValueOnSpilledTableWritesBack) {
   auto disk = DiskManager::CreateTemp("", 512);
   ASSERT_TRUE(disk.ok());
   BufferPool pool(disk->get(), 16);
+  Table resident("t", TestSchema());
+  Fill(&resident, 600, "r");
   Table t("t", TestSchema());
-  Fill(&t, 200, "r");
+  Fill(&t, 600, "r");
   ASSERT_TRUE(t.Spill(&pool, disk->get()).ok());
 
   ASSERT_TRUE(t.SetValue(7, 1, Value(std::string("edited"))).ok());
+  ASSERT_TRUE(resident.SetValue(7, 1, Value(std::string("edited"))).ok());
   EXPECT_EQ(t.at(7, 1).AsString(), "edited");
 
   // Force the dirty frame out and read the row back from disk.
@@ -81,6 +84,30 @@ TEST(SpillTest, SetValueOnSpilledTableWritesBack) {
   pool.DropAll();
   EXPECT_EQ(t.at(7, 1).AsString(), "edited");
   EXPECT_EQ(t.at(7, 0).AsInt(), 7);  // neighbors in the extent intact
+
+  // A frame whose first touch is a write: none of its other rows was read,
+  // so the write-back must still re-encode every one of them. An update and
+  // a delete dirty it; LRU eviction (not a flush) writes it back.
+  ASSERT_GT(t.extents().size(), BufferPool::kMinCapacity + 1);
+  const PageExtent target = t.extents()[t.extents().size() / 2];
+  ASSERT_GE(target.num_rows, 3u);
+  ASSERT_TRUE(t.SetValue(target.first_row + 1, 2, Value(-1.5)).ok());
+  ASSERT_TRUE(resident.SetValue(target.first_row + 1, 2, Value(-1.5)).ok());
+  ASSERT_TRUE(t.DeleteRow(target.first_row + 2).ok());
+  ASSERT_TRUE(resident.DeleteRow(target.first_row + 2).ok());
+  const size_t write_backs = pool.stats().write_backs;
+  for (const PageExtent& e : t.extents()) {
+    if (e.first_page != target.first_page) (void)t.at(e.first_row, 0);
+  }
+  EXPECT_EQ(pool.stats().write_backs, write_backs + 1);
+
+  // Re-read every row from disk: each equals the resident copy.
+  for (size_t r = 0; r < resident.num_rows(); ++r) {
+    for (size_t c = 0; c < 3; ++c) {
+      EXPECT_TRUE(t.at(r, c) == resident.at(r, c))
+          << "mismatch at (" << r << ", " << c << ")";
+    }
+  }
 }
 
 TEST(SpillTest, WriteBackGrowsExtentWhenRowNoLongerFits) {
