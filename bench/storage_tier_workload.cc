@@ -228,13 +228,21 @@ size_t RunEnvPair(TierEnv resident, TierEnv spilled, TablePrinter* table,
   }
 
   StorageStats final_stats = spilled.db->storage_stats();
+  std::printf("  %s: buffer pool holds %zu frame(s), %.1f of its %.1f KiB\n",
+              resident.name.c_str(), final_stats.pool_frames,
+              final_stats.pool_charged_bytes / 1024.0,
+              final_stats.pool_budget_bytes / 1024.0);
   *env_json << ",\"storage\":{\"resident_bytes\":" << resident_bytes
             << ",\"budget_bytes\":" << budget
             << ",\"spilled_tables\":" << final_stats.spilled_tables
             << ",\"spilled_bytes\":" << final_stats.spilled_bytes
             << ",\"page_hits\":" << final_stats.page_hits
             << ",\"page_reads\":" << final_stats.page_reads
-            << ",\"page_evictions\":" << final_stats.page_evictions << "}";
+            << ",\"page_evictions\":" << final_stats.page_evictions
+            << ",\"pool_frames\":" << final_stats.pool_frames
+            << ",\"pool_charged_bytes\":" << final_stats.pool_charged_bytes
+            << ",\"pool_budget_bytes\":" << final_stats.pool_budget_bytes
+            << "}";
   return violations;
 }
 

@@ -5,6 +5,8 @@
 #include <string>
 #include <type_traits>
 
+#include "common/logging.h"
+
 namespace kwsdbg {
 
 namespace {
@@ -39,8 +41,8 @@ Status ParseError(const std::string& what) {
 // Reads the encoded row starting at *pos — its arity bound, tags and
 // lengths — and advances *pos past it. With `out` non-null the cells are
 // decoded into it (reusing its capacity); with null the row is only checked
-// and skipped. This is the codec's one parser: the buffer pool's validating
-// walk and every decode go through it.
+// and skipped. Every decode goes through it, and it words every kParseError
+// a row can give.
 Status ParseRow(const char* data, size_t size, size_t* pos, Tuple* out) {
   uint16_t arity = 0;
   if (!GetPod(data, size, pos, &arity)) {
@@ -101,10 +103,44 @@ Status ParseRow(const char* data, size_t size, size_t* pos, Tuple* out) {
   return Status::OK();
 }
 
-// The validating walk: checks the whole block without decoding a cell and
-// records where each row starts. Allocates only `offsets`, and a reused
-// vector not even that.
-Status IndexRows(const char* data, size_t size, std::vector<size_t>* offsets) {
+// The check-only scan: exactly ParseRow's checks, in its order (the arity
+// bound, a tag present, the int/double payload, the string length and
+// payload bounds, a known tag), with no Status and nothing allocated. True
+// iff ParseRow would accept the row; advances *pos past it only then.
+inline bool RowIsWellFormed(const char* data, size_t size, size_t* pos) {
+  size_t p = *pos;
+  if (size - p < sizeof(uint16_t)) return false;
+  uint16_t arity;
+  std::memcpy(&arity, data + p, sizeof(arity));
+  p += sizeof(arity);
+  if (arity > size - p) return false;
+  for (uint16_t c = 0; c < arity; ++c) {
+    if (p >= size) return false;
+    const uint8_t tag = static_cast<uint8_t>(data[p++]);
+    if (tag == kTagInt || tag == kTagDouble) {
+      if (size - p < sizeof(uint64_t)) return false;
+      p += sizeof(uint64_t);
+    } else if (tag == kTagString) {
+      if (size - p < sizeof(uint32_t)) return false;
+      uint32_t len;
+      std::memcpy(&len, data + p, sizeof(len));
+      p += sizeof(len);
+      if (len > size - p) return false;
+      p += len;
+    } else if (tag != kTagNull) {
+      return false;
+    }
+  }
+  *pos = p;
+  return true;
+}
+
+// The validating walk: checks the whole block with the check-only scan and,
+// with `offsets` non-null, records where each row starts (the caller keeps
+// the block under 2^31 bytes then). Only a failing row goes through
+// ParseRow, for its kParseError. Allocates only `offsets`.
+Status WalkRows(const char* data, size_t size,
+                std::vector<uint32_t>* offsets) {
   size_t pos = 0;
   uint32_t num_rows = 0;
   if (!GetPod(data, size, &pos, &num_rows)) {
@@ -117,11 +153,20 @@ Status IndexRows(const char* data, size_t size, std::vector<size_t>* offsets) {
                       " rows cannot fit in " + std::to_string(size - pos) +
                       " bytes");
   }
-  offsets->clear();
-  offsets->reserve(num_rows);
+  if (offsets != nullptr) {
+    offsets->clear();
+    offsets->reserve(num_rows);
+  }
   for (uint32_t i = 0; i < num_rows; ++i) {
-    offsets->push_back(pos);
-    KWSDBG_RETURN_NOT_OK(ParseRow(data, size, &pos, nullptr));
+    const size_t start = pos;
+    if (!RowIsWellFormed(data, size, &pos)) {
+      Status st = ParseRow(data, size, &pos, nullptr);
+      KWSDBG_CHECK(!st.ok()) << "check-only scan rejected a row ParseRow "
+                                "accepts at byte "
+                             << start;
+      return st;
+    }
+    if (offsets != nullptr) offsets->push_back(static_cast<uint32_t>(start));
   }
   return Status::OK();
 }
@@ -174,23 +219,73 @@ void EncodeRows(const std::vector<Tuple>& rows, std::string* out) {
 }
 
 Status DecodeRows(const char* data, size_t size, std::vector<Tuple>* out) {
-  std::vector<size_t> offsets;
-  KWSDBG_RETURN_NOT_OK(IndexRows(data, size, &offsets));
+  KWSDBG_RETURN_NOT_OK(WalkRows(data, size, nullptr));
+  uint32_t num_rows = 0;
+  size_t pos = 0;
+  GetPod(data, size, &pos, &num_rows);
   out->clear();
-  out->resize(offsets.size());
-  for (size_t i = 0; i < offsets.size(); ++i) {
-    KWSDBG_RETURN_NOT_OK(ParseRow(data, size, &offsets[i], &(*out)[i]));
+  out->resize(num_rows);
+  for (Tuple& row : *out) {
+    KWSDBG_RETURN_NOT_OK(ParseRow(data, size, &pos, &row));
   }
   return Status::OK();
 }
 
-BufferPool::BufferPool(DiskManager* disk, size_t capacity)
-    : disk_(disk), capacity_(capacity < kMinCapacity ? kMinCapacity
-                                                     : capacity) {}
+BufferPool::BufferPool(DiskManager* disk, size_t budget_bytes)
+    : disk_(disk), budget_bytes_(budget_bytes) {}
 
 BufferPool::~BufferPool() {
   // Dirty frames are intentionally not written back here: the pool dies with
   // its database, whose spill file is removed anyway.
+}
+
+size_t BufferPool::capacity() const {
+  return std::max(kMinFrames,
+                  budget_bytes_ / (sizeof(Frame) + disk_->page_size()));
+}
+
+size_t BufferPool::ContainerBytes(const Frame& f) {
+  return sizeof(Frame) + f.image_size +
+         f.row_at.capacity() * sizeof(uint32_t) +
+         f.slot_chunks.capacity() * sizeof(f.slot_chunks[0]) +
+         f.slot_chunks.size() * kSlotChunk * sizeof(Tuple);
+}
+
+size_t BufferPool::DecodedBytes(const Frame& f) {
+  size_t bytes = 0;
+  for (uint32_t s = 0; s < f.num_slots; ++s) {
+    bytes += EstimateTupleBytes(Slot(f, s));
+  }
+  return bytes;
+}
+
+size_t BufferPool::charged_bytes() const {
+  if (open_mutable_ == kNoFrame) return charged_;
+  const Frame& f = frames_[open_mutable_];
+  return charged_ - f.charge + ContainerBytes(f) + DecodedBytes(f);
+}
+
+size_t BufferPool::RecountBytes() const {
+  size_t bytes = 0;
+  for (uint32_t idx = lru_head_; idx != kNoFrame;
+       idx = frames_[idx].lru_next) {
+    bytes += ContainerBytes(frames_[idx]) + DecodedBytes(frames_[idx]);
+  }
+  return bytes;
+}
+
+void BufferPool::Recharge(Frame* f) {
+  charged_ -= f->charge;
+  f->charge = ContainerBytes(*f) + f->decoded_bytes;
+  charged_ += f->charge;
+}
+
+void BufferPool::SettleMutable() {
+  if (open_mutable_ == kNoFrame) return;
+  Frame& f = frames_[open_mutable_];
+  f.decoded_bytes = DecodedBytes(f);
+  Recharge(&f);
+  open_mutable_ = kNoFrame;
 }
 
 void BufferPool::LinkMru(uint32_t idx) {
@@ -219,116 +314,177 @@ void BufferPool::Unlink(uint32_t idx) {
   }
 }
 
-void BufferPool::Unmap(uint32_t idx) {
-  Unlink(idx);
+void BufferPool::Release(uint32_t idx) {
   Frame& f = frames_[idx];
-  page_frame_[f.first_page] = kNoFrame;
   f.dirty = false;
   f.pins = 0;
   f.writer = nullptr;
+  f.image.reset();
+  f.image_size = 0;
+  std::vector<uint32_t>().swap(f.row_at);
+  std::vector<std::unique_ptr<Tuple[]>>().swap(f.slot_chunks);
+  f.num_slots = 0;
+  f.decoded_bytes = 0;
+  charged_ -= f.charge;
+  f.charge = 0;
+  free_frames_.push_back(idx);
 }
 
-StatusOr<uint32_t> BufferPool::TakeFrame() {
-  // Growing frames_ moves frames; a nothrow move keeps each frame's row
-  // slots (and every reference into them) where they are.
-  static_assert(std::is_nothrow_move_constructible_v<Frame>);
-  if (num_frames() < capacity_) {
-    if (free_frames_.empty()) {
-      frames_.emplace_back();
-      return static_cast<uint32_t>(frames_.size() - 1);
-    }
-    const uint32_t idx = free_frames_.back();
-    free_frames_.pop_back();
-    return idx;
+void BufferPool::Drop(uint32_t idx) {
+  Unlink(idx);
+  Frame& f = frames_[idx];
+  page_frame_[f.first_page] = kNoFrame;
+  --resident_;
+  Release(idx);
+}
+
+Status BufferPool::WriteBack(const Frame& f) {
+  // Slots are in decode order; the writer takes the rows in row order.
+  // FetchMutable decoded every row of a dirty frame.
+  std::vector<Tuple> rows;
+  rows.reserve(f.row_at.size());
+  for (uint32_t at : f.row_at) {
+    KWSDBG_DCHECK(at & kDecoded);
+    rows.push_back(Slot(f, at & ~kDecoded));
   }
-  for (uint32_t idx = lru_head_; idx != kNoFrame;
-       idx = frames_[idx].lru_next) {
-    Frame& f = frames_[idx];
-    if (f.pins > 0) continue;
-    if (f.dirty) {
-      KWSDBG_RETURN_NOT_OK(f.writer->WriteBack(f.first_page, f.rows));
-      ++stats_.write_backs;
+  KWSDBG_RETURN_NOT_OK(f.writer->WriteBack(f.first_page, rows));
+  ++stats_.write_backs;
+  return Status::OK();
+}
+
+Status BufferPool::MakeRoom() {
+  uint32_t idx = lru_head_;
+  while (charged_ > budget_bytes_ && resident_ >= kMinFrames) {
+    while (idx != kNoFrame && frames_[idx].pins > 0) {
+      idx = frames_[idx].lru_next;
     }
-    Unmap(idx);
+    if (idx == kNoFrame) {
+      return Status::ResourceExhausted(
+          "buffer pool exhausted: all " + std::to_string(resident_) +
+          " resident frames are pinned");
+    }
+    const uint32_t victim = idx;
+    idx = frames_[idx].lru_next;
+    if (frames_[victim].dirty) {
+      KWSDBG_RETURN_NOT_OK(WriteBack(frames_[victim]));
+    }
+    Drop(victim);
     ++stats_.page_evictions;
-    return idx;
   }
-  return Status::ResourceExhausted(
-      "buffer pool exhausted: all " + std::to_string(capacity_) +
-      " frames are pinned");
+  return Status::OK();
+}
+
+Tuple* BufferPool::DecodeRow(Frame* f, size_t row) {
+  uint32_t& at = f->row_at[row];
+  if (at & kDecoded) return &Slot(*f, at & ~kDecoded);
+  const uint32_t slot = f->num_slots++;
+  if (slot % kSlotChunk == 0) {
+    f->slot_chunks.push_back(std::make_unique<Tuple[]>(kSlotChunk));
+  }
+  Tuple& out = Slot(*f, slot);
+  size_t pos = at;
+  // The walk checked every row of the image, so this parse cannot fail.
+  Status st = ParseRow(f->image.get(), f->image_size, &pos, &out);
+  KWSDBG_DCHECK(st.ok()) << st.ToString();
+  at = kDecoded | slot;
+  f->decoded_bytes += EstimateTupleBytes(out);
+  Recharge(f);
+  return &out;
 }
 
 StatusOr<BufferPool::Frame*> BufferPool::FetchFrame(uint64_t first_page,
                                                     uint32_t num_pages,
                                                     size_t row,
+                                                    bool all_rows,
                                                     PageWriter* writer) {
+  SettleMutable();
   uint32_t idx = FrameOf(first_page);
-  if (idx != kNoFrame) {
+  const bool miss = idx == kNoFrame;
+  if (!miss) {
     Unlink(idx);  // move to the MRU position
     LinkMru(idx);
     ++stats_.page_hits;
   } else {
     ++stats_.page_misses;
-    KWSDBG_ASSIGN_OR_RETURN(idx, TakeFrame());
+    const size_t image_size =
+        static_cast<size_t>(num_pages) * disk_->page_size();
+    if (image_size >= kDecoded) {
+      return Status::OutOfRange("extent at page " +
+                                std::to_string(first_page) + " of " +
+                                std::to_string(image_size) +
+                                " bytes is too large for a frame");
+    }
+    if (free_frames_.empty()) {
+      // Growing frames_ moves frames; their slots are behind pointers and
+      // stay where they are.
+      static_assert(std::is_nothrow_move_constructible_v<Frame>);
+      free_frames_.push_back(static_cast<uint32_t>(frames_.size()));
+      frames_.emplace_back();
+    }
+    idx = free_frames_.back();
+    free_frames_.pop_back();
     Frame& f = frames_[idx];
-    f.bytes.resize(static_cast<size_t>(num_pages) * disk_->page_size());
-    Status read = disk_->ReadPages(first_page, num_pages, f.bytes.data());
-    if (read.ok()) read = IndexRows(f.bytes.data(), f.bytes.size(), &f.offsets);
+    f.image.reset(new char[image_size]);
+    f.image_size = image_size;
+    Status read = disk_->ReadPages(first_page, num_pages, f.image.get());
+    if (read.ok()) read = WalkRows(f.image.get(), image_size, &f.row_at);
     if (!read.ok()) {
-      free_frames_.push_back(idx);
+      Release(idx);
       return read;
     }
     f.first_page = first_page;
     f.writer = writer;
-    f.rows.resize(f.offsets.size());
-    f.decoded.assign(f.offsets.size(), 0);
+    Recharge(&f);
+  }
+  Frame& f = frames_[idx];
+  const bool in_range = row < f.row_at.size();
+  if (in_range && all_rows) {
+    for (size_t r = 0; r < f.row_at.size(); ++r) DecodeRow(&f, r);
+  } else if (in_range) {
+    DecodeRow(&f, row);
+  }
+  if (miss) {
+    // After the decode, so the pool fits its budget once the miss is done.
+    // The frame is charged but not linked, so it cannot be its own victim.
+    Status room = MakeRoom();
+    if (!room.ok()) {
+      Release(idx);
+      return room;
+    }
     if (first_page >= page_frame_.size()) {
       page_frame_.resize(
           std::max<uint64_t>(first_page + 1, disk_->num_pages()), kNoFrame);
     }
     page_frame_[first_page] = idx;
+    ++resident_;
     LinkMru(idx);
   }
-  Frame* f = &frames_[idx];
-  if (row >= f->offsets.size()) {
-    return Status::OutOfRange("row " + std::to_string(row) +
-                              " past the " +
-                              std::to_string(f->offsets.size()) +
+  if (!in_range) {
+    return Status::OutOfRange("row " + std::to_string(row) + " past the " +
+                              std::to_string(f.row_at.size()) +
                               " rows of the extent at page " +
                               std::to_string(first_page));
   }
-  return f;
-}
-
-Status BufferPool::DecodeRow(Frame* f, size_t row) {
-  if (f->decoded[row]) return Status::OK();
-  size_t pos = f->offsets[row];
-  KWSDBG_RETURN_NOT_OK(
-      ParseRow(f->bytes.data(), f->bytes.size(), &pos, &f->rows[row]));
-  f->decoded[row] = 1;
-  return Status::OK();
+  return &f;
 }
 
 StatusOr<const Tuple*> BufferPool::Fetch(uint64_t first_page,
                                          uint32_t num_pages, size_t row,
                                          PageWriter* writer) {
-  KWSDBG_ASSIGN_OR_RETURN(Frame * f,
-                          FetchFrame(first_page, num_pages, row, writer));
-  KWSDBG_RETURN_NOT_OK(DecodeRow(f, row));
-  return const_cast<const Tuple*>(&f->rows[row]);
+  KWSDBG_ASSIGN_OR_RETURN(
+      Frame * f, FetchFrame(first_page, num_pages, row, false, writer));
+  return const_cast<const Tuple*>(DecodeRow(f, row));
 }
 
 StatusOr<Tuple*> BufferPool::FetchMutable(uint64_t first_page,
                                           uint32_t num_pages, size_t row,
                                           PageWriter* writer) {
-  KWSDBG_ASSIGN_OR_RETURN(Frame * f,
-                          FetchFrame(first_page, num_pages, row, writer));
-  // Write-back re-encodes the whole extent from the slots.
-  for (size_t i = 0; i < f->rows.size(); ++i) {
-    KWSDBG_RETURN_NOT_OK(DecodeRow(f, i));
-  }
+  KWSDBG_ASSIGN_OR_RETURN(
+      Frame * f, FetchFrame(first_page, num_pages, row, true, writer));
   f->dirty = true;
-  return &f->rows[row];
+  f->writer = writer;
+  open_mutable_ = static_cast<uint32_t>(f - frames_.data());
+  return DecodeRow(f, row);
 }
 
 void BufferPool::Pin(uint64_t first_page) {
@@ -342,22 +498,21 @@ void BufferPool::Unpin(uint64_t first_page) {
 }
 
 Status BufferPool::FlushAll() {
-  for (uint32_t idx = lru_head_; idx != kNoFrame;
-       idx = frames_[idx].lru_next) {
-    Frame& f = frames_[idx];
-    if (!f.dirty) continue;
-    KWSDBG_RETURN_NOT_OK(f.writer->WriteBack(f.first_page, f.rows));
-    f.dirty = false;
-    ++stats_.write_backs;
+  SettleMutable();
+  for (uint32_t idx = lru_head_; idx != kNoFrame;) {
+    const uint32_t next = frames_[idx].lru_next;
+    if (frames_[idx].dirty) {
+      KWSDBG_RETURN_NOT_OK(WriteBack(frames_[idx]));
+      Drop(idx);
+    }
+    idx = next;
   }
   return Status::OK();
 }
 
 void BufferPool::DropAll() {
-  while (lru_head_ != kNoFrame) {
-    free_frames_.push_back(lru_head_);
-    Unmap(lru_head_);
-  }
+  open_mutable_ = kNoFrame;
+  while (lru_head_ != kNoFrame) Drop(lru_head_);
 }
 
 }  // namespace kwsdbg

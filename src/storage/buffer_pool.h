@@ -1,31 +1,38 @@
-// Fixed-capacity buffer pool over a DiskManager page file.
+// Byte-budgeted buffer pool over a DiskManager page file.
 //
-// A frame holds the raw image of one extent plus an offset directory that a
-// single validating walk over the image builds on a miss. Rows are decoded
-// lazily: the first Fetch of a row decodes it into that row's slot, and
-// later fetches return the slot. A frame therefore costs its page image, the
-// directory (one offset per row), and only the rows actually touched during
-// the residency, instead of every row of the extent boxed into tuples. This
-// keeps the resident `Table` API (`at()` returning `const Value&`) working
-// when a table spills: a fetch returns a reference to a decoded row, and that
-// reference stays valid until the frame is evicted — decoding other rows of
-// the same frame never moves a slot.
+// A frame holds the raw image of one extent, one uint32 per row, and slots
+// for the rows decoded during this residency. A miss reads the image and
+// makes one check-only walk over it that records where each row starts;
+// the first Fetch of a row decodes it into a slot and later fetches return
+// the slot. Slots live in fixed chunks that never move, so a reference to a
+// decoded row stays put while other rows of the frame decode. An evicted
+// frame frees its image, its row directory and its slots: nothing decoded
+// in one residency is kept for the next extent.
 //
-// Frames are recycled, not reallocated: a miss that evicts reuses the
-// victim's byte buffer, directory and row slots (a reused slot keeps its
-// capacity, so re-decoding an integer row allocates nothing). LRU links are
-// frame indices and the page -> frame lookup is an array, since DiskManager
-// page ids are dense.
+// Frames are charged by the bytes they hold, under Table::EstimateBytes'
+// rule (allocated capacity, heap string payloads, no allocator overhead):
+// the frame struct, the image, four bytes per row, each slot chunk, and
+// each decoded row's cells. A DBLife relationship page of 8 KiB holds 282
+// rows, so a frame costs 9.4 KB before it decodes a row; each decoded row
+// of three int64 cells adds 120 bytes, and every 16th a 384-byte slot
+// chunk. The pool holds as many frames as its byte budget pays for: a
+// miss evicts least recently used unpinned frames until the incoming frame
+// fits, but never below kMinFrames resident frames counting the incoming
+// one. A hit or a first-touch decode never evicts, so decodes may take the
+// pool past its budget until the next miss. Dirty frames are written back
+// before they leave.
 //
-// Eviction is strict LRU over unpinned frames. This gives callers a simple
-// reference-stability contract: a reference obtained from the most recent
-// Fetch stays valid across at least `capacity() - 1` subsequent fetches of
-// *other* extents (each fetch displaces at most one frame, and the newest
-// frame is last in LRU order). The executor's probe loops touch at most two
-// tables between taking a reference and using it, so the enforced minimum
-// capacity of 16 frames keeps those references stable; the few call sites
-// that interleave a reference with an unbounded index build copy the value
-// instead (see Executor::RunJoin).
+// Reference-stability contract: a reference obtained from a Fetch stays
+// valid across at least 15 = kMinFrames - 1 subsequent fetches of *other*
+// extents, however many frames each of them evicts. Its frame is the most
+// recently used after the fetch, and a miss evicts it only when every
+// older frame is gone or pinned and at least kMinFrames frames, itself
+// included, are resident. So each frame pinned while the reference is
+// held shortens that window by one fetch, and FlushAll and DropAll end
+// every reference into a frame they drop. The executor's probe loops touch
+// at most two tables between taking a reference and using it; the few call
+// sites that interleave a reference with an unbounded index build copy the
+// value instead (see Executor::RunJoin).
 //
 // Dirty frames are written back through the PageWriter that fetched them,
 // which lets the owner re-encode rows and grow the extent if an updated
@@ -36,6 +43,7 @@
 #define KWSDBG_STORAGE_BUFFER_POOL_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -52,7 +60,7 @@ namespace kwsdbg {
 size_t EncodedRowsSize(const std::vector<Tuple>& rows);
 size_t EncodedRowSize(const Tuple& row);
 void EncodeRows(const std::vector<Tuple>& rows, std::string* out);
-/// Decodes a whole block: the buffer pool's validating walk, then a decode
+/// Decodes a whole block: the buffer pool's check-only walk, then a decode
 /// of every row. kParseError on a truncated or corrupt block; counts read
 /// from the input are bounded by the bytes left before they size anything.
 Status DecodeRows(const char* data, size_t size, std::vector<Tuple>* out);
@@ -74,29 +82,45 @@ struct BufferPoolStats {
 
 class BufferPool {
  public:
-  /// Callers relying on the reference-stability contract above need a floor;
-  /// capacities below this are clamped up.
-  static constexpr size_t kMinCapacity = 16;
+  /// Floor on resident frames that the reference-stability contract above
+  /// rests on: a miss never evicts below it, whatever the budget.
+  static constexpr size_t kMinFrames = 16;
 
-  BufferPool(DiskManager* disk, size_t capacity);
+  /// A pool whose frames may hold `budget_bytes` between them (see the
+  /// charge above); a budget smaller than kMinFrames frames keeps the pool
+  /// at its floor.
+  BufferPool(DiskManager* disk, size_t budget_bytes);
   ~BufferPool();
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 
-  size_t capacity() const { return capacity_; }
-  size_t num_frames() const { return frames_.size() - free_frames_.size(); }
+  /// The most frames the budget holds: one-page frames with no row decoded,
+  /// never fewer than kMinFrames.
+  size_t capacity() const;
+  size_t budget_bytes() const { return budget_bytes_; }
+  /// Bytes the resident frames hold, charged as above.
+  size_t charged_bytes() const;
+  /// Resident frames.
+  size_t num_frames() const { return resident_; }
   const BufferPoolStats& stats() const { return stats_; }
+
+  /// charged_bytes() computed afresh from every resident frame, for tests
+  /// of the running charge.
+  size_t RecountBytes() const;
 
   /// Returns row `row` of the extent starting at `first_page` (`num_pages`
   /// long), reading the extent if it is not resident and decoding the row
   /// on its first touch. The pointer is valid until the frame is evicted
-  /// (see contract above). kParseError if the extent is corrupt, kOutOfRange
-  /// if it holds no row `row`.
+  /// or dropped (see contract above). kParseError if the extent is corrupt,
+  /// kOutOfRange if it holds no row `row`, kResourceExhausted if it does
+  /// not fit and every resident frame is pinned.
   StatusOr<const Tuple*> Fetch(uint64_t first_page, uint32_t num_pages,
                                size_t row, PageWriter* writer);
 
   /// Like Fetch but decodes every row of the frame and marks it dirty; it
-  /// will be written back through `writer` when evicted or flushed.
+  /// will be written back through `writer` when evicted or flushed. The row
+  /// may be written until the next call into the pool, which charges its
+  /// new size.
   StatusOr<Tuple*> FetchMutable(uint64_t first_page, uint32_t num_pages,
                                 size_t row, PageWriter* writer);
 
@@ -105,7 +129,9 @@ class BufferPool {
   void Pin(uint64_t first_page);
   void Unpin(uint64_t first_page);
 
-  /// Writes back all dirty frames (frames stay resident).
+  /// Writes back every dirty frame and drops it: a write-back may move the
+  /// extent to other pages, so its frame is not kept under the old first
+  /// page. Clean frames stay resident.
   Status FlushAll();
 
   /// Drops every frame without write-back. Used when the backing extents
@@ -114,46 +140,80 @@ class BufferPool {
 
  private:
   static constexpr uint32_t kNoFrame = 0xFFFFFFFFu;
+  /// Set in Frame::row_at for a decoded row; the low bits are its slot.
+  static constexpr uint32_t kDecoded = 0x80000000u;
+  static constexpr size_t kSlotChunk = 16;  ///< Slots per chunk.
 
   struct Frame {
     uint64_t first_page = 0;
     bool dirty = false;
     int pins = 0;
     PageWriter* writer = nullptr;
-    std::string bytes;            ///< The extent's page image.
-    std::vector<size_t> offsets;  ///< Row i starts at bytes[offsets[i]].
-    std::vector<Tuple> rows;      ///< Row i's slot, valid once decoded[i].
-    std::vector<uint8_t> decoded;
+    std::unique_ptr<char[]> image;  ///< The extent's page image.
+    size_t image_size = 0;
+    /// Per row: its byte offset in `image` while undecoded, then
+    /// kDecoded | its slot.
+    std::vector<uint32_t> row_at;
+    /// Slot s is slot_chunks[s / kSlotChunk][s % kSlotChunk]; chunks are
+    /// only appended, so a slot never moves while the frame is resident.
+    std::vector<std::unique_ptr<Tuple[]>> slot_chunks;
+    uint32_t num_slots = 0;
+    size_t decoded_bytes = 0;  ///< Heap bytes of the decoded rows.
+    size_t charge = 0;         ///< What the frame adds to charged_.
     uint32_t lru_prev = kNoFrame;  ///< Towards the least recently used.
     uint32_t lru_next = kNoFrame;  ///< Towards the most recently used.
   };
 
-  /// The frame of the extent at `first_page`, read and walked on a miss;
+  /// The frame of the extent at `first_page` with row `row` decoded (every
+  /// row if `all_rows`), read and walked on a miss. The decode happens
+  /// before the miss makes room, so the pool fits its budget after it.
   /// kOutOfRange if the extent has no row `row`.
   StatusOr<Frame*> FetchFrame(uint64_t first_page, uint32_t num_pages,
-                              size_t row, PageWriter* writer);
+                              size_t row, bool all_rows, PageWriter* writer);
   /// The resident frame of `first_page`, or kNoFrame.
   uint32_t FrameOf(uint64_t first_page) const {
     return first_page < page_frame_.size() ? page_frame_[first_page]
                                            : kNoFrame;
   }
-  /// A frame to read a missed extent into: a never-used or dropped frame
-  /// while the pool is below capacity, else the evicted LRU victim.
-  StatusOr<uint32_t> TakeFrame();
-  /// Decodes row `row` of `f` into its slot unless already decoded.
-  Status DecodeRow(Frame* f, size_t row);
+  /// Evicts LRU unpinned frames until the charge, which includes a missed
+  /// frame not linked yet, fits the budget or only kMinFrames - 1 frames
+  /// are resident.
+  Status MakeRoom();
+  /// Row `row`'s slot, decoded into it on the first call.
+  Tuple* DecodeRow(Frame* f, size_t row);
+  static Tuple& Slot(const Frame& f, uint32_t slot) {
+    return f.slot_chunks[slot / kSlotChunk][slot % kSlotChunk];
+  }
+  /// What `f` holds besides its decoded rows' cells: the struct, the image,
+  /// the row directory and the slot chunks.
+  static size_t ContainerBytes(const Frame& f);
+  /// The decoded rows' cells, recounted.
+  static size_t DecodedBytes(const Frame& f);
+  /// Sets `f`'s charge to ContainerBytes + its running decoded_bytes.
+  void Recharge(Frame* f);
+  /// Recounts the frame whose row the last FetchMutable handed out, which
+  /// the caller may have written since.
+  void SettleMutable();
+  Status WriteBack(const Frame& f);
   void LinkMru(uint32_t idx);
   void Unlink(uint32_t idx);
-  /// Takes a resident frame out of the LRU list and the page map.
-  void Unmap(uint32_t idx);
+  /// Takes a resident frame out of the LRU list and the page map, then
+  /// releases it.
+  void Drop(uint32_t idx);
+  /// Frees what a frame holds, takes its charge off charged_ and returns
+  /// it to the free list.
+  void Release(uint32_t idx);
 
   DiskManager* disk_;
-  size_t capacity_;
-  std::vector<Frame> frames_;           ///< Grows to at most capacity_.
+  size_t budget_bytes_;
+  std::vector<Frame> frames_;           ///< Resident and free frames.
   std::vector<uint32_t> free_frames_;   ///< Allocated frames not resident.
   std::vector<uint32_t> page_frame_;    ///< Page id -> resident frame.
+  size_t resident_ = 0;
+  size_t charged_ = 0;                  ///< Sum of the resident charges.
   uint32_t lru_head_ = kNoFrame;        ///< Least recently used.
   uint32_t lru_tail_ = kNoFrame;        ///< Most recently used.
+  uint32_t open_mutable_ = kNoFrame;    ///< See SettleMutable.
   BufferPoolStats stats_;
 };
 

@@ -105,15 +105,11 @@ Status Database::ApplyMemoryBudget(size_t budget_bytes, SpillOptions options) {
                      return a.bytes > b.bytes;
                    });
 
-  // Half the budget for resident tables, half for buffer-pool frames, each
-  // charged at 4 pages and clamped to the pool's 16-frame floor. A frame
-  // costs its page image, an offset and a slot per row (32 bytes), and the
-  // rows decoded into those slots, which keep their capacity across
-  // residencies (about 130 bytes per row of three int64s). On an 8 KiB
-  // page of 282 such rows that is about 2 pages while few rows are
-  // touched, and more than 4 once most of the page has been decoded. The
-  // charge stays at 4 pages: a smaller one would raise the frame count,
-  // which also cuts page reads, and that needs its own measurement.
+  // Half the budget for resident tables, half for the buffer pool, which
+  // charges each frame by the bytes it holds (see buffer_pool.h). A frame
+  // of an 8 KiB page of 282 DBLife relationship rows holds its image, 1.1 KB
+  // of row directory and the rows its residency decoded; on perfbench's
+  // `spilled` the 0.94 MB half settles at 88 frames of 10.6 KB each.
   const size_t resident_target = budget_bytes / 2;
   std::vector<Table*> to_spill;
   for (const Candidate& c : candidates) {
@@ -126,9 +122,8 @@ Status Database::ApplyMemoryBudget(size_t budget_bytes, SpillOptions options) {
   if (disk_ == nullptr) {
     KWSDBG_ASSIGN_OR_RETURN(disk_,
                             DiskManager::CreateTemp(spill_dir, page_size));
-    size_t frames = options.pool_frames;
-    if (frames == 0) frames = (budget_bytes / 2) / (4 * page_size);
-    pool_ = std::make_unique<BufferPool>(disk_.get(), frames);
+    pool_ = std::make_unique<BufferPool>(disk_.get(),
+                                         budget_bytes - resident_target);
   }
   for (Table* t : to_spill) {
     KWSDBG_RETURN_NOT_OK(t->Spill(pool_.get(), disk_.get()));
@@ -156,6 +151,9 @@ StorageStats Database::storage_stats() const {
     s.page_hits = ps.page_hits;
     s.page_evictions = ps.page_evictions;
     s.page_write_backs = ps.write_backs;
+    s.pool_frames = pool_->num_frames();
+    s.pool_charged_bytes = pool_->charged_bytes();
+    s.pool_budget_bytes = pool_->budget_bytes();
   }
   if (disk_ != nullptr) s.page_reads = disk_->stats().page_reads;
   s.spilled_tables = spilled_count_;

@@ -14,12 +14,10 @@
 
 namespace kwsdbg {
 
-/// Options for ApplyMemoryBudget. Zeros mean "use the default / derive from
-/// the budget"; the env knobs KWSDBG_PAGE_SIZE and KWSDBG_SPILL_DIR override
-/// the corresponding fields when set.
+/// Options for ApplyMemoryBudget. Empty fields mean "use the default"; the
+/// env knobs KWSDBG_PAGE_SIZE and KWSDBG_SPILL_DIR fill them when set.
 struct SpillOptions {
   size_t page_size = 0;    ///< 0: KWSDBG_PAGE_SIZE or DiskManager default.
-  size_t pool_frames = 0;  ///< 0: derived from the budget (min 16).
   std::string spill_dir;   ///< "": KWSDBG_SPILL_DIR or the system temp dir.
 };
 
@@ -32,6 +30,9 @@ struct StorageStats {
   size_t page_write_backs = 0;
   size_t spilled_tables = 0;
   size_t spilled_bytes = 0;  ///< On-disk footprint of the spilled extents.
+  size_t pool_frames = 0;         ///< Resident buffer-pool frames.
+  size_t pool_charged_bytes = 0;  ///< Bytes those frames hold.
+  size_t pool_budget_bytes = 0;   ///< The pool's byte budget.
 };
 
 /// Owns tables and provides name lookup. Table names are case-sensitive.
@@ -69,9 +70,10 @@ class Database {
 
   /// Spills tables (largest first) to a private page file until the
   /// estimated resident footprint fits in roughly half of `budget_bytes`,
-  /// reserving the other half for buffer-pool frames. Row contents are
-  /// unchanged, so the epoch is NOT bumped. Idempotent in effect but may
-  /// only be called once per database (spilled tables cannot re-spill).
+  /// giving the other half to the buffer pool as its byte budget. Row
+  /// contents are unchanged, so the epoch is NOT bumped. Idempotent in
+  /// effect but may only be called once per database (spilled tables cannot
+  /// re-spill).
   Status ApplyMemoryBudget(size_t budget_bytes, SpillOptions options = {});
 
   /// Reads KWSDBG_MEMORY_BUDGET (e.g. "64M", "1G", or plain bytes) and

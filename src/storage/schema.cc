@@ -42,4 +42,15 @@ std::string Schema::ToString() const {
   return out;
 }
 
+size_t EstimateTupleBytes(const Tuple& row) {
+  static const size_t kSsoCapacity = std::string().capacity();
+  size_t bytes = row.capacity() * sizeof(Value);
+  for (const Value& v : row) {
+    if (v.is_string() && v.AsString().capacity() > kSsoCapacity) {
+      bytes += v.AsString().capacity() + 1;  // +1: the NUL terminator
+    }
+  }
+  return bytes;
+}
+
 }  // namespace kwsdbg

@@ -54,6 +54,12 @@ class Schema {
 /// A row: one Value per schema column.
 using Tuple = std::vector<Value>;
 
+/// Heap bytes a row holds past its own vector header: its capacity in
+/// Values and each heap string payload (strings short enough for the
+/// small-string optimization live inside sizeof(Value) and add nothing).
+/// The rule Table::EstimateBytes and the buffer pool's frame charge share.
+size_t EstimateTupleBytes(const Tuple& row);
+
 }  // namespace kwsdbg
 
 #endif  // KWSDBG_STORAGE_SCHEMA_H_

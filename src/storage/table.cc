@@ -151,24 +151,11 @@ StatusOr<std::vector<uint32_t>> Table::Compact() {
 
 size_t Table::EstimateBytes() const {
   // Count what the allocator actually holds: the row vector's full capacity
-  // (not just its size), each tuple's capacity in Values, and only *heap*
-  // string payloads — strings short enough for the small-string optimization
-  // live inside sizeof(Value) and must not be double-counted.
-  static const size_t kSsoCapacity = std::string().capacity();
+  // (not just its size), then each tuple under EstimateTupleBytes.
   size_t bytes = sizeof(Table) + rows_.capacity() * sizeof(Tuple) +
                  tail_rows_.capacity() * sizeof(Tuple);
-  auto count_rows = [&](const std::vector<Tuple>& rows) {
-    for (const auto& r : rows) {
-      bytes += r.capacity() * sizeof(Value);
-      for (const auto& v : r) {
-        if (v.is_string() && v.AsString().capacity() > kSsoCapacity) {
-          bytes += v.AsString().capacity() + 1;  // +1: the NUL terminator
-        }
-      }
-    }
-  };
-  count_rows(rows_);
-  count_rows(tail_rows_);
+  for (const Tuple& r : rows_) bytes += EstimateTupleBytes(r);
+  for (const Tuple& r : tail_rows_) bytes += EstimateTupleBytes(r);
   if (spilled_) {
     bytes += extents_.capacity() * sizeof(PageExtent) +
              page_to_extent_.size() * (sizeof(uint64_t) + sizeof(size_t));

@@ -74,6 +74,16 @@ export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
 # an undecoded row). DebugServiceTest's SpilledEngine* cases are the tsan
 # side: a service with two workers or a write path over a spilled engine
 # fails every request kFailedPrecondition before a worker touches the pool.
+# Frames are charged by the bytes they hold against a byte budget and free
+# their slots on eviction, so BufferPoolTest's
+# PropertyByteBudgetChargeAndReferenceWindow runs a seeded mix of fetches,
+# writes, pins, flushes and drops over extents of mixed sizes holding heap
+# strings (asan sees a reference in the contract's window whose frame a
+# multi-frame eviction freed) and AllPinnedUnderAByteBudgetIsResourceExhausted
+# pins every frame of a byte-budgeted pool; SpillTest's
+# FlushAllLeavesNoFrameOnAPageItsWriteBackFreed reads a table spilled onto
+# a page a flushed write-back freed, and
+# StorageStatsShowThePoolsFramesChargeAndBudget recounts the charge.
 # NodePlanParityTest runs every Table 2 node of a resident and a spilled
 # DBLife through both executor front ends (resolved node plans and compiled
 # query strings): asan watches the candidate spans the join takes straight

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <deque>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -11,6 +15,10 @@
 
 namespace kwsdbg {
 namespace {
+
+// A byte budget no frame fits in: the pool sits at its 16-frame floor, so
+// these cases see the fixed 16-frame LRU the floor guarantees.
+constexpr size_t kFloorBudget = 1;
 
 std::unique_ptr<DiskManager> TempDisk(size_t page_size = 512) {
   auto disk = DiskManager::CreateTemp("", page_size);
@@ -154,6 +162,55 @@ void Forge(std::string* bytes, size_t at, T value) {
   }
 }
 
+// The codec's grammar read afresh, without the codec: a u32 row count, then
+// per row a u16 arity and per cell a tag byte with its payload (nothing for
+// NULL, 8 bytes for an int64 or double, a u32 length and that many bytes
+// for a string). Bytes after the last row are page padding. True iff the
+// whole grammar fits in `bytes`.
+bool IndependentlyValid(const std::string& bytes) {
+  const auto* data = reinterpret_cast<const unsigned char*>(bytes.data());
+  const size_t end = bytes.size();
+  size_t at = 0;
+  // Skips n bytes; with `value`, reads them (n <= 8) as a little-endian
+  // count first.
+  auto take = [&](size_t n, uint64_t* value) {
+    if (end - at < n) return false;
+    if (value != nullptr) {
+      *value = 0;
+      for (size_t i = 0; i < n; ++i) {
+        *value |= uint64_t{data[at + i]} << (8 * i);
+      }
+    }
+    at += n;
+    return true;
+  };
+  uint64_t rows = 0;
+  if (!take(4, &rows)) return false;
+  for (uint64_t r = 0; r < rows; ++r) {
+    uint64_t arity = 0;
+    if (!take(2, &arity)) return false;
+    for (uint64_t c = 0; c < arity; ++c) {
+      uint64_t tag = 0;
+      if (!take(1, &tag)) return false;
+      uint64_t len = 0;
+      switch (tag) {
+        case 0:
+          break;
+        case 1:
+        case 2:
+          if (!take(8, nullptr)) return false;
+          break;
+        case 3:
+          if (!take(4, &len) || !take(len, nullptr)) return false;
+          break;
+        default:
+          return false;
+      }
+    }
+  }
+  return true;
+}
+
 // Bitwise row equality: a flipped double may be NaN, which Value's == would
 // call unequal to itself.
 bool SameRow(const Tuple& a, const Tuple& b) {
@@ -164,16 +221,18 @@ bool SameRow(const Tuple& a, const Tuple& b) {
 }
 
 // Seeded byte mutations of encoded pages (bit flips, truncations, forged
-// row counts, arities and string lengths). Every mutated page either fails
-// kParseError both through DecodeRows and through a pool fetch, or gives
-// the same rows through DecodeRows and through a fetch of each row — the
-// pool's validating walk and lazy per-row decode parse exactly what
-// DecodeRows parses. Counts never size more than the page holds.
+// row counts, arities and string lengths). An independent validator of the
+// grammar decides each page valid or invalid, and DecodeRows and a pool
+// fetch must agree with it: an invalid page fails kParseError both ways
+// with the same message, a valid one gives the same rows through
+// DecodeRows and through a fetch of each row — the pool's check-only walk
+// and lazy per-row decode parse exactly what DecodeRows parses. Counts
+// never size more than the page holds.
 TEST(PageCodecTest, SeededMutationsAgreeAcrossDecodeAndPoolFetch) {
   constexpr size_t kMutations = 10000;
   auto disk = TempDisk();
   const size_t page_size = disk->page_size();
-  BufferPool pool(disk.get(), 16);
+  BufferPool pool(disk.get(), kFloorBudget);
   Rng rng(0xC0DEC);
   size_t failed = 0, parsed = 0;
   for (size_t iter = 0; iter < kMutations; ++iter) {
@@ -222,12 +281,14 @@ TEST(PageCodecTest, SeededMutationsAgreeAcrossDecodeAndPoolFetch) {
 
     std::vector<Tuple> decoded;
     const Status whole = DecodeRows(page.data(), page.size(), &decoded);
+    ASSERT_EQ(whole.ok(), IndependentlyValid(page))
+        << "iteration " << iter << ": " << whole.ToString();
     if (!whole.ok()) {
       ++failed;
       ASSERT_EQ(whole.code(), StatusCode::kParseError) << whole.ToString();
       auto fetched = pool.Fetch(*p, 1, 0, nullptr);
       ASSERT_FALSE(fetched.ok()) << "iteration " << iter;
-      ASSERT_EQ(fetched.status().code(), StatusCode::kParseError)
+      ASSERT_EQ(fetched.status().ToString(), whole.ToString())
           << "iteration " << iter;
       continue;
     }
@@ -257,7 +318,7 @@ TEST(PageCodecTest, SeededMutationsAgreeAcrossDecodeAndPoolFetch) {
 TEST(BufferPoolTest, FetchDecodesAndCaches) {
   auto disk = TempDisk();
   uint64_t p = WriteExtent(disk.get(), OneRow(11));
-  BufferPool pool(disk.get(), 16);
+  BufferPool pool(disk.get(), kFloorBudget);
 
   auto row = pool.Fetch(p, 1, 0, nullptr);
   ASSERT_TRUE(row.ok());
@@ -278,7 +339,7 @@ TEST(BufferPoolTest, FetchDecodesAndCaches) {
 
 TEST(BufferPoolTest, LruEvictsOldestUnpinned) {
   auto disk = TempDisk();
-  BufferPool pool(disk.get(), 16);  // kMinCapacity clamp keeps this at 16
+  BufferPool pool(disk.get(), kFloorBudget);
   std::vector<uint64_t> pages;
   for (int i = 0; i < 17; ++i) {
     pages.push_back(WriteExtent(disk.get(), OneRow(i)));
@@ -297,7 +358,7 @@ TEST(BufferPoolTest, LruEvictsOldestUnpinned) {
 
 TEST(BufferPoolTest, ReferenceStaysValidAcrossCapacityMinusOneFetches) {
   auto disk = TempDisk();
-  BufferPool pool(disk.get(), 16);
+  BufferPool pool(disk.get(), kFloorBudget);
   // Many rows in one frame, with heap strings, so a row store that moved
   // while later rows of the frame decode would show under asan.
   std::vector<Tuple> many;
@@ -318,14 +379,14 @@ TEST(BufferPoolTest, ReferenceStaysValidAcrossCapacityMinusOneFetches) {
     uint64_t p = WriteExtent(disk.get(), OneRow(i));
     ASSERT_TRUE(pool.Fetch(p, 1, 0, nullptr).ok());
   }
-  // 15 = capacity - 1 distinct fetches later, the reference still reads 99.
+  // 15 = kMinFrames - 1 distinct fetches later, the reference still reads 99.
   EXPECT_EQ((*held)[0].AsInt(), 99);
   EXPECT_EQ((*held)[1].AsString(), std::string(24, 'a'));
 }
 
 TEST(BufferPoolTest, PinnedFramesSurviveEvictionPressure) {
   auto disk = TempDisk();
-  BufferPool pool(disk.get(), 16);
+  BufferPool pool(disk.get(), kFloorBudget);
   uint64_t keep = WriteExtent(disk.get(), OneRow(1234));
   ASSERT_TRUE(pool.Fetch(keep, 1, 0, nullptr).ok());
   pool.Pin(keep);
@@ -343,7 +404,7 @@ TEST(BufferPoolTest, PinnedFramesSurviveEvictionPressure) {
 
 TEST(BufferPoolTest, AllPinnedIsResourceExhausted) {
   auto disk = TempDisk();
-  BufferPool pool(disk.get(), 16);
+  BufferPool pool(disk.get(), kFloorBudget);
   for (int i = 0; i < 16; ++i) {
     uint64_t p = WriteExtent(disk.get(), OneRow(i));
     ASSERT_TRUE(pool.Fetch(p, 1, 0, nullptr).ok());
@@ -373,7 +434,7 @@ struct RecordingWriter : public PageWriter {
 TEST(BufferPoolTest, DirtyFrameWritesBackOnEviction) {
   auto disk = TempDisk();
   RecordingWriter writer(disk.get());
-  BufferPool pool(disk.get(), 16);
+  BufferPool pool(disk.get(), kFloorBudget);
   uint64_t p = WriteExtent(disk.get(), OneRow(5));
   auto row = pool.FetchMutable(p, 1, 0, &writer);
   ASSERT_TRUE(row.ok());
@@ -396,7 +457,7 @@ TEST(BufferPoolTest, DirtyFrameWritesBackOnEviction) {
 TEST(BufferPoolTest, FlushAllWritesDirtyFramesOnce) {
   auto disk = TempDisk();
   RecordingWriter writer(disk.get());
-  BufferPool pool(disk.get(), 16);
+  BufferPool pool(disk.get(), kFloorBudget);
   uint64_t p = WriteExtent(disk.get(), OneRow(8));
   auto row = pool.FetchMutable(p, 1, 0, &writer);
   ASSERT_TRUE(row.ok());
@@ -411,6 +472,228 @@ TEST(BufferPoolTest, FlushAllWritesDirtyFramesOnce) {
   auto again = pool.Fetch(p, 1, 0, nullptr);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ((**again)[0].AsInt(), 80);
+}
+
+// Extents of one to three pages holding heap strings, written to `disk`,
+// and a PageWriter that re-encodes them in place (writes in the property
+// test below never grow an encoding).
+struct ExtentSet : public PageWriter {
+  DiskManager* disk;
+  std::vector<uint64_t> first_page;
+  std::vector<uint32_t> num_pages;
+  std::vector<std::vector<Tuple>> rows;  ///< What each extent holds now.
+
+  ExtentSet(DiskManager* d, Rng* rng, size_t count) : disk(d) {
+    for (size_t e = 0; e < count; ++e) {
+      const uint32_t pages = 1 + static_cast<uint32_t>(rng->Uniform(3));
+      std::vector<Tuple> block;
+      for (;;) {
+        Tuple row = {Value(static_cast<int64_t>(rng->Next() >> 1)),
+                     Value(std::string(16 + rng->Uniform(48), 'a' + e % 26)),
+                     rng->Bernoulli(0.3) ? Value::Null()
+                                         : Value(rng->NextDouble())};
+        block.push_back(std::move(row));
+        if (EncodedRowsSize(block) > pages * disk->page_size()) {
+          block.pop_back();
+          break;
+        }
+      }
+      auto page = disk->AllocatePages(pages);
+      EXPECT_TRUE(page.ok());
+      first_page.push_back(*page);
+      num_pages.push_back(pages);
+      rows.push_back(std::move(block));
+      EXPECT_TRUE(Write(e, rows.back()).ok());
+    }
+  }
+
+  Status Write(size_t e, const std::vector<Tuple>& block) {
+    std::string buf;
+    EncodeRows(block, &buf);
+    const size_t bytes = num_pages[e] * disk->page_size();
+    if (buf.size() > bytes) return Status::Internal("extent grew");
+    buf.resize(bytes, '\0');
+    return disk->WritePages(first_page[e], num_pages[e], buf.data());
+  }
+
+  Status WriteBack(uint64_t page, const std::vector<Tuple>& block) override {
+    const auto it = std::find(first_page.begin(), first_page.end(), page);
+    if (it == first_page.end()) return Status::Internal("unknown extent");
+    return Write(static_cast<size_t>(it - first_page.begin()), block);
+  }
+};
+
+// A seeded mix of Fetch, FetchMutable (with a write through the row),
+// Pin/Unpin, FlushAll and DropAll over extents of mixed sizes. After every
+// step the running charge equals a recount of what the frames hold; after
+// every miss the pool fits its budget unless it is at its floor; and every
+// row reference still inside the contract's window (fewer than 16 other
+// extents fetched since, counting one more per pinned frame) reads the row
+// the extent holds, although a miss may evict several frames at once.
+TEST(BufferPoolTest, PropertyByteBudgetChargeAndReferenceWindow) {
+  constexpr size_t kSteps = 4000;
+  for (size_t budget : {kFloorBudget, size_t{28} << 10, size_t{40} << 10}) {
+    SCOPED_TRACE("budget " + std::to_string(budget));
+    auto disk = TempDisk();
+    Rng rng(0xB0FF + budget);
+    ExtentSet extents(disk.get(), &rng, 48);
+    BufferPool pool(disk.get(), budget);
+
+    struct Held {
+      const Tuple* row;
+      size_t extent, r;
+      std::set<size_t> others;  ///< Other extents fetched since.
+      size_t max_pins;          ///< Most frames pinned at once since.
+    };
+    std::vector<Held> held;
+    std::map<size_t, int> pins;  // extent -> pin count
+    std::set<size_t> dirty;      // extents written since the last flush
+    std::deque<size_t> recent;
+    size_t multi_evictions = 0, max_frames = 0, last_fetched = 0;
+    bool fetched_any = false;
+
+    auto unpin_all = [&]() {
+      for (const auto& [e, n] : pins) {
+        for (int i = 0; i < n; ++i) pool.Unpin(extents.first_page[e]);
+      }
+      pins.clear();
+    };
+    for (size_t step = 0; step < kSteps; ++step) {
+      const double op = rng.NextDouble();
+      if (op < 0.72) {
+        // Half the fetches revisit a recent extent, so hits mix with misses.
+        const size_t e = !recent.empty() && rng.Bernoulli(0.5)
+                             ? recent[rng.Uniform(recent.size())]
+                             : rng.Uniform(extents.rows.size());
+        const size_t r = rng.Uniform(extents.rows[e].size());
+        const BufferPoolStats before = pool.stats();
+        const Tuple* row = nullptr;
+        if (op < 0.62) {
+          auto got = pool.Fetch(extents.first_page[e], extents.num_pages[e],
+                                r, &extents);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          row = *got;
+        } else {
+          auto got = pool.FetchMutable(extents.first_page[e],
+                                       extents.num_pages[e], r, &extents);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          // Writes that never grow the encoding: a new int, a shorter
+          // string (sometimes short enough to fit inline), a NULL.
+          Tuple& model = extents.rows[e][r];
+          switch (rng.Uniform(3)) {
+            case 0:
+              model[0] = Value(static_cast<int64_t>(rng.Next() >> 1));
+              break;
+            case 1:
+              model[1] = Value(std::string(
+                  rng.Uniform(model[1].AsString().size() + 1), 'w'));
+              break;
+            default:
+              model[2] = Value::Null();
+          }
+          **got = model;
+          dirty.insert(e);
+          row = *got;
+        }
+        ASSERT_EQ(*row, extents.rows[e][r]) << "step " << step;
+        if (pool.stats().page_misses > before.page_misses) {
+          EXPECT_TRUE(pool.charged_bytes() <= budget ||
+                      pool.num_frames() <= BufferPool::kMinFrames)
+              << "step " << step << ": " << pool.charged_bytes() << " > "
+              << budget << " with " << pool.num_frames() << " frames";
+          if (pool.stats().page_evictions >= before.page_evictions + 2) {
+            ++multi_evictions;
+          }
+        }
+        for (Held& h : held) {
+          if (h.extent != e) h.others.insert(e);
+        }
+        held.push_back({row, e, r, {}, 0});
+        recent.push_back(e);
+        if (recent.size() > 8) recent.pop_front();
+        last_fetched = e;
+        fetched_any = true;
+      } else if (op < 0.82) {
+        // Pin the extent fetched last: it is resident for sure.
+        if (fetched_any) {
+          pool.Pin(extents.first_page[last_fetched]);
+          ++pins[last_fetched];
+        }
+      } else if (op < 0.94) {
+        if (!pins.empty()) {
+          auto it = pins.begin();
+          std::advance(it, rng.Uniform(pins.size()));
+          pool.Unpin(extents.first_page[it->first]);
+          if (--it->second == 0) pins.erase(it);
+        }
+      } else if (op < 0.985) {
+        // FlushAll drops each frame it writes back: references into the
+        // extents written since the last flush end here.
+        unpin_all();
+        ASSERT_TRUE(pool.FlushAll().ok());
+        std::erase_if(held, [&](const Held& h) {
+          return dirty.count(h.extent) > 0;
+        });
+        dirty.clear();
+      } else {
+        unpin_all();
+        ASSERT_TRUE(pool.FlushAll().ok());
+        pool.DropAll();
+        EXPECT_EQ(pool.num_frames(), 0u);
+        held.clear();
+        dirty.clear();
+      }
+
+      ASSERT_EQ(pool.charged_bytes(), pool.RecountBytes()) << "step " << step;
+      max_frames = std::max(max_frames, pool.num_frames());
+      for (Held& h : held) h.max_pins = std::max(h.max_pins, pins.size());
+      std::erase_if(held, [](const Held& h) {
+        return h.others.size() + h.max_pins >= BufferPool::kMinFrames;
+      });
+      for (const Held& h : held) {
+        ASSERT_EQ(*h.row, extents.rows[h.extent][h.r])
+            << "step " << step << ": extent " << h.extent << " row " << h.r
+            << " after " << h.others.size() << " other extents";
+      }
+    }
+    EXPECT_GT(pool.stats().write_backs, 0u);
+    if (budget == kFloorBudget) {
+      EXPECT_EQ(max_frames, BufferPool::kMinFrames);
+    } else {
+      // The budget, not the floor, sized the pool, and some misses had to
+      // evict more than one frame to fit.
+      EXPECT_GT(max_frames, BufferPool::kMinFrames);
+      EXPECT_GT(multi_evictions, 0u);
+    }
+  }
+}
+
+// Under a byte budget too, a miss that must evict finds no victim when
+// every resident frame is pinned; unpinning one lets it through.
+TEST(BufferPoolTest, AllPinnedUnderAByteBudgetIsResourceExhausted) {
+  auto disk = TempDisk();
+  BufferPool pool(disk.get(), size_t{24} << 10);
+  std::vector<uint64_t> pinned;
+  Status last;
+  for (int i = 0; i < 200 && last.ok(); ++i) {
+    const uint64_t p = WriteExtent(disk.get(), OneRow(i));
+    auto row = pool.Fetch(p, 1, 0, nullptr);
+    last = row.status();
+    if (row.ok()) {
+      pool.Pin(p);
+      pinned.push_back(p);
+    }
+  }
+  ASSERT_EQ(last.code(), StatusCode::kResourceExhausted) << last.ToString();
+  EXPECT_GT(pool.num_frames(), BufferPool::kMinFrames);
+  EXPECT_EQ(pool.num_frames(), pinned.size());
+  EXPECT_EQ(pool.charged_bytes(), pool.RecountBytes());
+
+  pool.Unpin(pinned.front());
+  const uint64_t extra = WriteExtent(disk.get(), OneRow(-1));
+  auto row = pool.Fetch(extra, 1, 0, nullptr);
+  ASSERT_TRUE(row.ok()) << row.status().ToString();
+  EXPECT_EQ((**row)[0].AsInt(), -1);
 }
 
 TEST(DiskManagerTest, SinglePagesRecycleThroughFreeList) {

@@ -18,6 +18,9 @@ Schema TestSchema() {
                  {"cost", DataType::kDouble}});
 }
 
+// A byte budget no frame fits in: the pool sits at its 16-frame floor.
+constexpr size_t kFloorBudget = 1;
+
 void Fill(Table* t, size_t rows, const std::string& tag) {
   for (size_t i = 0; i < rows; ++i) {
     t->AppendRowUnchecked({Value(static_cast<int64_t>(i)),
@@ -29,7 +32,7 @@ void Fill(Table* t, size_t rows, const std::string& tag) {
 TEST(SpillTest, SpilledReadsMatchResidentCopy) {
   auto disk = DiskManager::CreateTemp("", 512);
   ASSERT_TRUE(disk.ok());
-  BufferPool pool(disk->get(), 16);
+  BufferPool pool(disk->get(), kFloorBudget);
 
   Table resident("t", TestSchema());
   Fill(&resident, 300, "row");
@@ -54,7 +57,7 @@ TEST(SpillTest, SpilledReadsMatchResidentCopy) {
 TEST(SpillTest, AppendToSpilledTableLandsInResidentTail) {
   auto disk = DiskManager::CreateTemp("", 512);
   ASSERT_TRUE(disk.ok());
-  BufferPool pool(disk->get(), 16);
+  BufferPool pool(disk->get(), kFloorBudget);
   Table t("t", TestSchema());
   Fill(&t, 10, "r");
   ASSERT_TRUE(t.Spill(&pool, disk->get()).ok());
@@ -68,7 +71,7 @@ TEST(SpillTest, AppendToSpilledTableLandsInResidentTail) {
 TEST(SpillTest, SetValueOnSpilledTableWritesBack) {
   auto disk = DiskManager::CreateTemp("", 512);
   ASSERT_TRUE(disk.ok());
-  BufferPool pool(disk->get(), 16);
+  BufferPool pool(disk->get(), kFloorBudget);
   Table resident("t", TestSchema());
   Fill(&resident, 600, "r");
   Table t("t", TestSchema());
@@ -88,7 +91,7 @@ TEST(SpillTest, SetValueOnSpilledTableWritesBack) {
   // A frame whose first touch is a write: none of its other rows was read,
   // so the write-back must still re-encode every one of them. An update and
   // a delete dirty it; LRU eviction (not a flush) writes it back.
-  ASSERT_GT(t.extents().size(), BufferPool::kMinCapacity + 1);
+  ASSERT_GT(t.extents().size(), BufferPool::kMinFrames + 1);
   const PageExtent target = t.extents()[t.extents().size() / 2];
   ASSERT_GE(target.num_rows, 3u);
   ASSERT_TRUE(t.SetValue(target.first_row + 1, 2, Value(-1.5)).ok());
@@ -113,7 +116,7 @@ TEST(SpillTest, SetValueOnSpilledTableWritesBack) {
 TEST(SpillTest, WriteBackGrowsExtentWhenRowNoLongerFits) {
   auto disk = DiskManager::CreateTemp("", 512);
   ASSERT_TRUE(disk.ok());
-  BufferPool pool(disk->get(), 16);
+  BufferPool pool(disk->get(), kFloorBudget);
   Table t("t", TestSchema());
   Fill(&t, 120, "r");
   ASSERT_TRUE(t.Spill(&pool, disk->get()).ok());
@@ -128,6 +131,34 @@ TEST(SpillTest, WriteBackGrowsExtentWhenRowNoLongerFits) {
   EXPECT_EQ(t.at(2, 1).AsString(), "r_2");
   EXPECT_EQ(t.at(4, 1).AsString(), "r_4");
   EXPECT_GT(disk->get()->stats().pages_freed, 0u);
+}
+
+// A flushed write-back that moves an extent frees its old first page, so
+// FlushAll must not leave the frame mapped there: a table spilled later
+// onto the recycled page would read the other table's row from it.
+TEST(SpillTest, FlushAllLeavesNoFrameOnAPageItsWriteBackFreed) {
+  auto disk = DiskManager::CreateTemp("", 512);
+  ASSERT_TRUE(disk.ok());
+  BufferPool pool(disk->get(), kFloorBudget);
+  Table a("a", TestSchema());
+  Fill(&a, 4, "a");
+  ASSERT_TRUE(a.Spill(&pool, disk->get()).ok());
+  ASSERT_EQ(a.extents().size(), 1u);
+  ASSERT_EQ(a.extents()[0].first_page, 0u);
+
+  const std::string grown(2000, 'H');
+  ASSERT_TRUE(a.SetValue(0, 1, Value(grown)).ok());
+  ASSERT_TRUE(pool.FlushAll().ok());  // no DropAll after it
+  ASSERT_NE(a.extents()[0].first_page, 0u);  // moved; page 0 was freed
+
+  Table b("b", TestSchema());
+  b.AppendRowUnchecked({Value(int64_t{100}), Value("b_0"), Value(0.0)});
+  ASSERT_TRUE(b.Spill(&pool, disk->get()).ok());
+  ASSERT_EQ(b.extents()[0].first_page, 0u);
+  EXPECT_EQ(b.at(0, 0).AsInt(), 100);
+  EXPECT_EQ(b.at(0, 1).AsString(), "b_0");
+  EXPECT_EQ(a.at(0, 1).AsString(), grown);
+  EXPECT_EQ(a.at(3, 1).AsString(), "a_3");
 }
 
 TEST(SpillTest, EstimateBytesCountsHeapStringsAndSlack) {
@@ -191,6 +222,40 @@ TEST(SpillTest, ApplyMemoryBudgetSpillsLargestFirst) {
   EXPECT_EQ((*big)->at(1999, 1).AsString(), "big_1999");
   stats = db.storage_stats();
   EXPECT_GT(stats.page_reads, 0u);
+}
+
+// StorageStats reports what the budget bought: the pool's resident frames,
+// the bytes they are charged and the frame half of the budget.
+TEST(SpillTest, StorageStatsShowThePoolsFramesChargeAndBudget) {
+  Database db;
+  auto t = db.CreateTable("t", TestSchema());
+  ASSERT_TRUE(t.ok());
+  Fill(*t, 3000, "s");
+  const size_t budget = db.EstimateBytes() / 4;
+  SpillOptions opts;
+  opts.page_size = 512;
+  ASSERT_TRUE(db.ApplyMemoryBudget(budget, opts).ok());
+  ASSERT_TRUE((*t)->spilled());
+  const BufferPool* pool = db.buffer_pool();
+  ASSERT_NE(pool, nullptr);
+  EXPECT_EQ(pool->budget_bytes(), budget - budget / 2);
+
+  StorageStats stats = db.storage_stats();
+  EXPECT_EQ(stats.pool_frames, 0u);
+  EXPECT_EQ(stats.pool_charged_bytes, 0u);
+  EXPECT_EQ(stats.pool_budget_bytes, pool->budget_bytes());
+
+  for (size_t r = 0; r < 3000; r += 97) {
+    EXPECT_EQ((*t)->at(r, 1).AsString(), "s_" + std::to_string(r));
+  }
+  stats = db.storage_stats();
+  EXPECT_GT(stats.pool_frames, 0u);
+  EXPECT_EQ(stats.pool_frames, pool->num_frames());
+  EXPECT_EQ(stats.pool_charged_bytes, pool->charged_bytes());
+  EXPECT_EQ(stats.pool_charged_bytes, pool->RecountBytes());
+  EXPECT_EQ(stats.pool_budget_bytes, pool->budget_bytes());
+  EXPECT_TRUE(stats.pool_charged_bytes <= stats.pool_budget_bytes ||
+              stats.pool_frames <= BufferPool::kMinFrames);
 }
 
 TEST(SpillTest, EnvMemoryBudgetKnobs) {
