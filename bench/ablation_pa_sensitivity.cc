@@ -14,7 +14,7 @@
 #include <string>
 
 #include "traversal/pa_model.h"
-#include "traversal/strategies.h"
+#include "traversal/strategy.h"
 #include "traversal_common.h"
 
 namespace kwsdbg {
@@ -60,7 +60,7 @@ int Run(const std::string& out_path) {
   size_t warm_sql = 0;
   {
     SbhOptions options;
-    auto sbh = MakeScoreBased(options);
+    auto sbh = MakeStrategy(TraversalKind::kScoreBased, options);
     for (const WorkloadQuery& q : PaperWorkload()) {
       warm_sql +=
           RunWithModel(env, level, q.text, sbh.get(), &model).sql_queries;
@@ -83,7 +83,7 @@ int Run(const std::string& out_path) {
     for (size_t i = 0; i < std::size(pas); ++i) {
       SbhOptions options;
       options.alive_probability = pas[i];
-      auto sbh = MakeScoreBased(options);
+      auto sbh = MakeStrategy(TraversalKind::kScoreBased, options);
       StrategyRun run = RunStrategyOnQuery(env, level, q.text, sbh.get());
       row.push_back(std::to_string(run.sql_queries));
       totals[i] += run.sql_queries;
@@ -92,7 +92,7 @@ int Run(const std::string& out_path) {
     // The observation-fed model: no per-run probes at all.
     SbhOptions adaptive;
     adaptive.pa_model = &model;
-    auto sbh_model = MakeScoreBased(adaptive);
+    auto sbh_model = MakeStrategy(TraversalKind::kScoreBased, adaptive);
     StrategyRun model_run =
         RunWithModel(env, level, q.text, sbh_model.get(), &model);
     row.push_back(std::to_string(model_run.sql_queries));

@@ -1,8 +1,6 @@
 // RE baseline (paper Sec. 3.8): skip the lattice's inference rules entirely —
 // issue one SQL query per retained node. Complete (same MPANs as the lattice
 // approach, which tests exploit by using RE as the oracle) but redundant.
-#include <algorithm>
-
 #include "baselines/return_everything.h"
 #include "common/timer.h"
 
@@ -19,11 +17,10 @@ class ReturnEverythingStrategy : public TraversalStrategy {
     Timer total;
     const size_t sql_before = evaluator->sql_executed();
     const double ms_before = evaluator->sql_millis();
-    NodeStatusMap status(pl.lattice().num_nodes());
-    std::vector<NodeId> nodes = pl.retained();
-    std::sort(nodes.begin(), nodes.end());
-    for (NodeId n : nodes) {
-      KWSDBG_ASSIGN_OR_RETURN(bool alive, evaluator->IsAlive(n));
+    NodeStatusMap status(pl.num_retained());
+    for (LocalId n = 0; n < pl.num_retained(); ++n) {
+      KWSDBG_ASSIGN_OR_RETURN(bool alive,
+                              evaluator->IsAlive(pl.retained()[n]));
       status.Set(n, alive ? NodeStatus::kAlive : NodeStatus::kDead);
     }
     KWSDBG_ASSIGN_OR_RETURN(TraversalResult result,

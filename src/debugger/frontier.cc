@@ -1,7 +1,6 @@
 #include "debugger/frontier.h"
 
-#include <algorithm>
-#include <unordered_set>
+#include <vector>
 
 namespace kwsdbg {
 
@@ -12,35 +11,41 @@ StatusOr<std::string> FrontierToDot(const PrunedLattice& pl,
         "the MTN is an answer query; there is no non-answer frontier");
   }
   const Lattice& lattice = pl.lattice();
-  const NodeId m = outcome.mtn;
-  std::vector<NodeId> sub = pl.RetainedDescendants(m);
-  sub.push_back(m);
-  std::unordered_set<NodeId> in_sub(sub.begin(), sub.end());
+  const LocalId m = pl.LocalOf(outcome.mtn);
+  if (m == kNotRetained) {
+    return Status::InvalidArgument("the MTN is not in this search space");
+  }
+  std::vector<uint64_t> sub(pl.DescendantRow(m).begin(),
+                            pl.DescendantRow(m).end());
+  RowAdd(sub, m);
 
   // Reconstruct the classification: alive = descendants-of-MPANs (closed
   // downward by R1), dead = ancestors-of-culprits within the sub-lattice
   // (closed upward by R2). For a fully classified dead MTN these two sets
   // partition the sub-lattice.
-  std::unordered_set<NodeId> alive, dead;
-  for (NodeId n : outcome.mpans) {
-    alive.insert(n);
-    for (NodeId d : pl.RetainedDescendants(n)) alive.insert(d);
+  const size_t words = pl.row_words();
+  std::vector<uint64_t> alive(words, 0), dead(words, 0), mpans(words, 0),
+      culprits(words, 0);
+  for (NodeId id : outcome.mpans) {
+    const LocalId n = pl.LocalOf(id);
+    if (n == kNotRetained) continue;
+    RowAdd(mpans, n);
+    RowAdd(alive, n);
+    for (size_t w = 0; w < words; ++w) alive[w] |= pl.DescendantRow(n)[w];
   }
-  for (NodeId n : outcome.culprits) {
-    dead.insert(n);
-    for (NodeId a : pl.RetainedAncestors(n)) {
-      if (in_sub.count(a)) dead.insert(a);
+  for (NodeId id : outcome.culprits) {
+    const LocalId n = pl.LocalOf(id);
+    if (n == kNotRetained) continue;
+    RowAdd(culprits, n);
+    RowAdd(dead, n);
+    for (size_t w = 0; w < words; ++w) {
+      dead[w] |= pl.AncestorRow(n)[w] & sub[w];
     }
   }
 
-  std::unordered_set<NodeId> mpans(outcome.mpans.begin(),
-                                   outcome.mpans.end());
-  std::unordered_set<NodeId> culprits(outcome.culprits.begin(),
-                                      outcome.culprits.end());
-
   std::string out = "digraph frontier {\n  rankdir=BT;\n";
-  std::sort(sub.begin(), sub.end());
-  for (NodeId n : sub) {
+  ForEachInRow(sub, [&](LocalId l) {
+    const NodeId n = pl.retained()[l];
     std::string label = lattice.node(n).tree.ToString(lattice.schema());
     std::string escaped;
     for (char c : label) {
@@ -48,24 +53,26 @@ StatusOr<std::string> FrontierToDot(const PrunedLattice& pl,
       else escaped += c;
     }
     out += "  n" + std::to_string(n) + " [label=\"" + escaped + "\"";
-    if (alive.count(n)) {
+    if (RowHas(alive, l)) {
       out += ", color=green";
-    } else if (dead.count(n)) {
+    } else if (RowHas(dead, l)) {
       out += ", color=red";
     }
-    if (mpans.count(n)) out += ", shape=doublecircle";
-    if (culprits.count(n)) out += ", shape=doubleoctagon";
-    if (n == m) out += ", penwidth=3";
+    if (RowHas(mpans, l)) out += ", shape=doublecircle";
+    if (RowHas(culprits, l)) out += ", shape=doubleoctagon";
+    if (l == m) out += ", penwidth=3";
     out += "];\n";
-  }
-  for (NodeId n : sub) {
+  });
+  ForEachInRow(sub, [&](LocalId l) {
+    const NodeId n = pl.retained()[l];
     for (NodeId p : lattice.node(n).parents) {
-      if (in_sub.count(p)) {
+      const LocalId lp = pl.LocalOf(p);
+      if (lp != kNotRetained && RowHas(sub, lp)) {
         out += "  n" + std::to_string(n) + " -> n" + std::to_string(p) +
                ";\n";
       }
     }
-  }
+  });
   out += "}\n";
   return out;
 }

@@ -1,149 +1,102 @@
 #include "debugger/interactive_session.h"
 
-#include <unordered_set>
+#include <bit>
+
+#include "traversal/strategy.h"
 
 namespace kwsdbg {
 
 InteractiveSession::InteractiveSession(const PrunedLattice* pl,
-                                       QueryEvaluator* evaluator,
-                                       double alive_probability)
+                                       QueryEvaluator* evaluator)
     : pl_(pl),
       evaluator_(evaluator),
-      pa_(alive_probability),
-      status_(pl->lattice().num_nodes()) {}
+      state_(*pl, std::vector<double>(pl->MaxRetainedLevel() + 1,
+                                      SbhOptions{}.alive_probability)) {}
 
-double InteractiveSession::Gain(NodeId id) const {
-  // W(n) = #MTN search spaces the node belongs to; approximated here by
-  // counting over unknown ancestors/descendants directly (sessions are
-  // interactive — a few dozen suggestions — so the O(closure) recompute per
-  // candidate is fine and keeps this independent of the batch SBH state).
-  auto weight = [&](NodeId n) -> double {
-    if (status_.IsKnown(n)) return 0.0;
-    size_t w = pl_->IsMtn(n) ? 1 : 0;
-    for (NodeId a : pl_->RetainedAncestors(n)) {
-      if (pl_->IsMtn(a)) ++w;
-    }
-    return static_cast<double>(w);
-  };
-  double gain = weight(id);
-  for (NodeId a : pl_->RetainedAncestors(id)) gain += (1.0 - pa_) * weight(a);
-  for (NodeId d : pl_->RetainedDescendants(id)) gain += pa_ * weight(d);
-  return gain;
+StatusOr<LocalId> InteractiveSession::InSearchSpace(NodeId id) const {
+  const LocalId l = pl_->LocalOf(id);
+  if (l == kNotRetained) {
+    return Status::InvalidArgument("node " + std::to_string(id) +
+                                   " is not in this query's search space");
+  }
+  return l;
 }
 
 ProbeSuggestion InteractiveSession::SuggestProbe() const {
   ProbeSuggestion best;
-  best.expected_gain = -1;
-  for (NodeId n : pl_->retained()) {
-    if (status_.IsKnown(n)) continue;
-    double gain = Gain(n);
-    if (gain > best.expected_gain) {
-      best.expected_gain = gain;
-      best.node = n;
-    }
-  }
-  if (best.node != kInvalidNode) {
-    best.network =
-        pl_->lattice().node(best.node).tree.ToString(pl_->lattice().schema());
-  }
+  const LocalId l = state_.Pick();
+  if (l == kNotRetained) return best;
+  best.node = pl_->retained()[l];
+  best.expected_gain = state_.Gain(l);
+  best.network =
+      pl_->lattice().node(best.node).tree.ToString(pl_->lattice().schema());
   return best;
 }
 
-void InteractiveSession::Propagate(NodeId id, bool alive) {
-  if (alive) {
-    status_.MarkAliveWithDescendants(id, *pl_);
-  } else {
-    status_.MarkDeadWithAncestors(id, *pl_);
-  }
-}
-
 StatusOr<bool> InteractiveSession::Probe(NodeId id) {
-  if (!pl_->IsRetained(id)) {
-    return Status::InvalidArgument("node " + std::to_string(id) +
-                                   " is not in this query's search space");
-  }
-  if (status_.IsKnown(id)) return status_.IsAlive(id);
+  KWSDBG_ASSIGN_OR_RETURN(LocalId l, InSearchSpace(id));
+  if (state_.status().IsKnown(l)) return state_.status().IsAlive(l);
   KWSDBG_ASSIGN_OR_RETURN(bool alive, evaluator_->IsAlive(id));
-  Propagate(id, alive);
+  state_.Classify(l, alive);
   return alive;
 }
 
 Status InteractiveSession::AssertAlive(NodeId id) {
-  if (!pl_->IsRetained(id)) {
-    return Status::InvalidArgument("node not in the search space");
-  }
-  if (status_.IsDead(id)) {
+  KWSDBG_ASSIGN_OR_RETURN(LocalId l, InSearchSpace(id));
+  if (state_.status().IsDead(l)) {
     return Status::FailedPrecondition(
         "node already classified dead; the assertion contradicts it");
   }
-  Propagate(id, true);
+  state_.Classify(l, true);
   return Status::OK();
 }
 
 Status InteractiveSession::AssertDead(NodeId id) {
-  if (!pl_->IsRetained(id)) {
-    return Status::InvalidArgument("node not in the search space");
-  }
-  if (status_.IsAlive(id)) {
+  KWSDBG_ASSIGN_OR_RETURN(LocalId l, InSearchSpace(id));
+  if (state_.status().IsAlive(l)) {
     return Status::FailedPrecondition(
         "node already classified alive; the assertion contradicts it");
   }
-  Propagate(id, false);
+  state_.Classify(l, false);
   return Status::OK();
+}
+
+NodeStatus InteractiveSession::StatusOf(NodeId id) const {
+  const LocalId l = pl_->LocalOf(id);
+  return l == kNotRetained ? NodeStatus::kPossiblyAlive
+                           : state_.status().Get(l);
 }
 
 size_t InteractiveSession::UnknownCount() const {
   size_t n = 0;
-  for (NodeId id : pl_->retained()) {
-    if (!status_.IsKnown(id)) ++n;
-  }
+  for (uint64_t word : state_.status().unknown()) n += std::popcount(word);
   return n;
 }
 
 bool InteractiveSession::MtnResolved(NodeId mtn) const {
-  if (!status_.IsKnown(mtn)) return false;
-  if (status_.IsAlive(mtn)) return true;  // an answer query; no MPANs needed
-  for (NodeId d : pl_->RetainedDescendants(mtn)) {
-    if (!status_.IsKnown(d)) return false;
-  }
-  return true;
+  const LocalId l = pl_->LocalOf(mtn);
+  if (l == kNotRetained || !state_.status().IsKnown(l)) return false;
+  // An answer query needs no MPANs; a non-answer needs its sub-lattice.
+  return state_.status().IsAlive(l) ||
+         state_.status().AllKnown(pl_->DescendantRow(l));
 }
 
 std::vector<NodeId> InteractiveSession::KnownMpans(NodeId mtn) const {
-  std::vector<NodeId> out;
-  const std::vector<NodeId>& desc = pl_->RetainedDescendants(mtn);
-  std::unordered_set<NodeId> in_sub(desc.begin(), desc.end());
-  in_sub.insert(mtn);
-  for (NodeId n : desc) {
-    if (!status_.IsAlive(n)) continue;
-    bool maximal = true;
-    for (NodeId p : pl_->lattice().node(n).parents) {
-      if (in_sub.count(p) && !status_.IsDead(p)) {
-        maximal = false;  // an in-sub parent is alive or still unknown
-        break;
-      }
-    }
-    if (maximal) out.push_back(n);
+  std::vector<NodeId> mpans, culprits;
+  const LocalId l = pl_->LocalOf(mtn);
+  if (l != kNotRetained) {
+    ExtractFrontier(*pl_, state_.status(), l, &mpans, &culprits);
   }
-  return out;
+  return mpans;
 }
 
 std::vector<NodeId> InteractiveSession::KnownCulprits(NodeId mtn) const {
-  std::vector<NodeId> out;
-  std::vector<NodeId> sub = pl_->RetainedDescendants(mtn);
-  sub.push_back(mtn);
-  for (NodeId n : sub) {
-    if (!status_.IsDead(n)) continue;
-    bool minimal = true;
-    for (NodeId c : pl_->RetainedChildren(n)) {
-      if (!status_.IsAlive(c)) {
-        minimal = false;
-        break;
-      }
-    }
-    if (minimal) out.push_back(n);
+  std::vector<NodeId> mpans, culprits;
+  const LocalId l = pl_->LocalOf(mtn);
+  if (l != kNotRetained) {
+    ExtractFrontier(*pl_, state_.status(), l, &mpans, &culprits);
   }
-  return out;
+  return culprits;
 }
 
 StatusOr<size_t> InteractiveSession::FinishAutomatically() {

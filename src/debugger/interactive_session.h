@@ -26,12 +26,12 @@ struct ProbeSuggestion {
   std::string network;  ///< Human rendering of the node's join network.
 };
 
-/// One interpretation's interactive exploration. The PrunedLattice and
-/// evaluator must outlive the session.
+/// One interpretation's interactive exploration, in node ids. Suggestions
+/// score with batch SBH's state at its static p_a (SbhOptions). The
+/// PrunedLattice and evaluator must outlive the session.
 class InteractiveSession {
  public:
-  InteractiveSession(const PrunedLattice* pl, QueryEvaluator* evaluator,
-                     double alive_probability = 0.5);
+  InteractiveSession(const PrunedLattice* pl, QueryEvaluator* evaluator);
 
   /// The most informative unclassified node under the SBH score (Eq. 1), or
   /// node == kInvalidNode when everything is classified.
@@ -46,8 +46,9 @@ class InteractiveSession {
   Status AssertAlive(NodeId id);
   Status AssertDead(NodeId id);
 
-  /// Current classification of a node.
-  NodeStatus StatusOf(NodeId id) const { return status_.Get(id); }
+  /// Current classification of a node (kPossiblyAlive outside the search
+  /// space).
+  NodeStatus StatusOf(NodeId id) const;
 
   /// Unclassified retained nodes remaining.
   size_t UnknownCount() const;
@@ -57,13 +58,13 @@ class InteractiveSession {
   bool MtnResolved(NodeId mtn) const;
 
   /// The MPANs already determinable: alive nodes in Desc(mtn) all of whose
-  /// parents inside the MTN's sub-lattice are known dead. When
+  /// parents inside the MTN's sub-lattice are known dead, ascending. When
   /// MtnResolved(mtn) holds this is the complete MPAN set.
   std::vector<NodeId> KnownMpans(NodeId mtn) const;
 
   /// The culprits (minimal dead sub-networks) already determinable: dead
-  /// nodes in Desc+(mtn) all of whose children are known alive. Complete
-  /// once MtnResolved(mtn) holds.
+  /// nodes in Desc+(mtn) all of whose children are known alive, ascending.
+  /// Complete once MtnResolved(mtn) holds.
   std::vector<NodeId> KnownCulprits(NodeId mtn) const;
 
   /// Finishes the remaining space automatically (SBH loop) and returns the
@@ -73,13 +74,12 @@ class InteractiveSession {
   const PrunedLattice& pruned_lattice() const { return *pl_; }
 
  private:
-  double Gain(NodeId id) const;
-  void Propagate(NodeId id, bool alive);
+  /// Local id of a node the session may classify, or InvalidArgument.
+  StatusOr<LocalId> InSearchSpace(NodeId id) const;
 
   const PrunedLattice* pl_;
   QueryEvaluator* evaluator_;
-  double pa_;
-  NodeStatusMap status_;
+  SbhState state_;
 };
 
 }  // namespace kwsdbg

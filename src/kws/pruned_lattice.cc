@@ -1,6 +1,7 @@
 #include "kws/pruned_lattice.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/logging.h"
 #include "common/timer.h"
@@ -102,39 +103,115 @@ PrunedLattice PrunedLattice::Build(const Lattice& lattice,
   pl.stats_.num_mtns = pl.mtns_.size();
 
   // Retained = MTNs + descendants (all descendants of survivors survive).
-  std::vector<NodeId> stack;
-  for (NodeId m : pl.mtns_) {
-    pl.retained_set_.Insert(m);
-    pl.retained_.push_back(m);
-    stack.push_back(m);
-  }
-  while (!stack.empty()) {
-    NodeId n = stack.back();
-    stack.pop_back();
-    for (NodeId c : lattice.node(n).children) {
-      if (pl.retained_set_.Contains(c)) continue;
-      if (filter && !filter(lattice.node(c).tree)) continue;
-      pl.retained_set_.Insert(c);
-      pl.retained_.push_back(c);
-      stack.push_back(c);
+  // A child sits one level below its parent, so one pass from the top level
+  // down gathers each level from the level above, without a set over node
+  // ids; the filter sees each distinct candidate once.
+  const size_t top =
+      pl.mtns_.empty() ? 0 : lattice.node(pl.mtns_.back()).level;
+  auto mtn = pl.mtns_.rbegin();
+  std::vector<NodeId> candidates;  // Children of the level above.
+  for (size_t level = top; level >= 1; --level) {
+    std::sort(candidates.begin(), candidates.end());
+    candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                     candidates.end());
+    const size_t first = pl.retained_.size();
+    for (NodeId c : candidates) {
+      if (!filter || filter(lattice.node(c).tree)) pl.retained_.push_back(c);
+    }
+    for (; mtn != pl.mtns_.rend() && lattice.node(*mtn).level == level;
+         ++mtn) {
+      pl.retained_.push_back(*mtn);
+    }
+    candidates.clear();
+    for (size_t i = first; i < pl.retained_.size(); ++i) {
+      const std::vector<NodeId>& children =
+          lattice.node(pl.retained_[i]).children;
+      candidates.insert(candidates.end(), children.begin(), children.end());
     }
   }
+  // No MTN is a child of a retained node (that parent would be total and
+  // not minimal), so the levels hold no duplicates.
   std::sort(pl.retained_.begin(), pl.retained_.end());
-  // Descendant overlap statistics (Fig. 13): N counts multiplicity.
-  for (NodeId m : pl.mtns_) {
-    pl.stats_.mtn_desc_total += pl.RetainedDescendants(m).size();
-  }
-  pl.stats_.mtn_desc_unique = pl.retained_.size() - pl.mtns_.size();
-  pl.stats_.retained_nodes = pl.retained_.size();
+  const size_t r = pl.retained_.size();
 
-  pl.retained_by_level_.resize(lattice.num_levels() + 1);
-  for (NodeId id : pl.retained_) {
-    const size_t level = lattice.node(id).level;
-    pl.retained_by_level_[level].push_back(id);
-    pl.max_retained_level_ = std::max(pl.max_retained_level_, level);
+  // Local ids follow retained(): ascending id, hence level order.
+  pl.level_begin_.assign(
+      (r == 0 ? 0 : lattice.node(pl.retained_.back()).level) + 2, 0);
+  for (LocalId l = 0; l < r; ++l) {
+    const size_t level = lattice.node(pl.retained_[l]).level;
+    KWSDBG_DCHECK(l == 0 || lattice.node(pl.retained_[l - 1]).level <= level)
+        << "lattice ids must ascend with level";
+    ++pl.level_begin_[level + 1];
   }
+  std::partial_sum(pl.level_begin_.begin(), pl.level_begin_.end(),
+                   pl.level_begin_.begin());
+  for (NodeId m : pl.mtns_) pl.mtn_locals_.push_back(pl.LocalOf(m));
+  // CSR children, each looked up in the level below. No parent links are
+  // kept: a node's lattice parents far outnumber its retained ones, and the
+  // ancestor rows below need only the children.
+  pl.child_begin_.reserve(r + 1);
+  for (NodeId id : pl.retained_) {
+    const LatticeNode& node = lattice.node(id);
+    const auto [begin, end] = pl.LevelRange(node.level - 1);
+    const auto first = pl.retained_.begin() + begin;
+    const auto last = pl.retained_.begin() + end;
+    for (NodeId c : node.children) {
+      const auto it = std::lower_bound(first, last, c);
+      if (it != last && *it == c) {
+        pl.children_.push_back(
+            static_cast<LocalId>(it - pl.retained_.begin()));
+      }
+    }
+    pl.child_begin_.push_back(static_cast<uint32_t>(pl.children_.size()));
+  }
+
+  // Closure rows. Children precede their parents in local order, so an
+  // ascending pass ORs each finished child row into its parent's descendant
+  // row, and a descending pass ORs each finished ancestor row into its
+  // children's.
+  const size_t words = (r + 63) / 64;
+  pl.row_words_ = words;
+  pl.desc_rows_.assign(r * words, 0);
+  pl.anc_rows_.assign(r * words, 0);
+  auto absorb = [words](std::vector<uint64_t>& rows, LocalId into,
+                        LocalId from) {
+    const std::span<uint64_t> row(rows.data() + into * words, words);
+    for (size_t w = 0; w < words; ++w) row[w] |= rows[from * words + w];
+    RowAdd(row, from);
+  };
+  for (LocalId l = 0; l < r; ++l) {
+    for (LocalId c : pl.Children(l)) absorb(pl.desc_rows_, l, c);
+  }
+  for (LocalId l = static_cast<LocalId>(r); l-- > 0;) {
+    for (LocalId c : pl.Children(l)) absorb(pl.anc_rows_, c, l);
+  }
+
+  // Descendant overlap statistics (Fig. 13): N counts multiplicity.
+  for (LocalId m : pl.mtn_locals_) {
+    for (uint64_t word : pl.DescendantRow(m)) {
+      pl.stats_.mtn_desc_total += std::popcount(word);
+    }
+  }
+  pl.stats_.mtn_desc_unique = r - pl.mtns_.size();
+  pl.stats_.retained_nodes = r;
   pl.stats_.mtn_millis = timer.ElapsedMillis();
   return pl;
+}
+
+LocalId PrunedLattice::LocalOf(NodeId id) const {
+  auto it = std::lower_bound(retained_.begin(), retained_.end(), id);
+  if (it == retained_.end() || *it != id) return kNotRetained;
+  return static_cast<LocalId>(it - retained_.begin());
+}
+
+size_t PrunedLattice::LevelOf(LocalId l) const {
+  return std::upper_bound(level_begin_.begin(), level_begin_.end(), l) -
+         level_begin_.begin() - 1;
+}
+
+std::pair<LocalId, LocalId> PrunedLattice::LevelRange(size_t level) const {
+  if (level + 1 >= level_begin_.size()) return {0, 0};
+  return {level_begin_[level], level_begin_[level + 1]};
 }
 
 bool PrunedLattice::IsTotal(NodeId id) const {
@@ -147,102 +224,6 @@ bool PrunedLattice::IsTotal(NodeId id) const {
 
 bool PrunedLattice::IsMtn(NodeId id) const {
   return std::binary_search(mtns_.begin(), mtns_.end(), id);
-}
-
-size_t PrunedLattice::NodeIdSet::Slot(NodeId id) const {
-  // Fibonacci hashing spreads the clustered ids of one interpretation.
-  return static_cast<size_t>((uint64_t{id} * 0x9E3779B97F4A7C15ull) >> 32) &
-         (slots_.size() - 1);
-}
-
-bool PrunedLattice::NodeIdSet::Contains(NodeId id) const {
-  if (slots_.empty()) return false;
-  for (size_t s = Slot(id);; s = (s + 1) & (slots_.size() - 1)) {
-    if (slots_[s] == id) return true;
-    if (slots_[s] == kInvalidNode) return false;
-  }
-}
-
-bool PrunedLattice::NodeIdSet::Insert(NodeId id) {
-  if ((size_ + 1) * 2 > slots_.size()) {
-    std::vector<NodeId> old = std::move(slots_);
-    slots_.assign(std::max<size_t>(16, old.size() * 2), kInvalidNode);
-    size_ = 0;
-    for (NodeId o : old) {
-      if (o != kInvalidNode) Insert(o);
-    }
-  }
-  size_t s = Slot(id);
-  for (; slots_[s] != kInvalidNode; s = (s + 1) & (slots_.size() - 1)) {
-    if (slots_[s] == id) return false;
-  }
-  slots_[s] = id;
-  ++size_;
-  return true;
-}
-
-std::vector<NodeId> PrunedLattice::RetainedChildren(NodeId id) const {
-  std::vector<NodeId> out;
-  for (NodeId c : lattice_->node(id).children) {
-    if (IsRetained(c)) out.push_back(c);
-  }
-  return out;
-}
-
-std::vector<NodeId> PrunedLattice::RetainedParents(NodeId id) const {
-  std::vector<NodeId> out;
-  for (NodeId p : lattice_->node(id).parents) {
-    if (IsRetained(p)) out.push_back(p);
-  }
-  return out;
-}
-
-const std::vector<NodeId>& PrunedLattice::RetainedDescendants(
-    NodeId id) const {
-  auto it = desc_cache_.find(id);
-  if (it != desc_cache_.end()) return it->second;
-  std::vector<NodeId> out;
-  NodeIdSet seen;
-  std::vector<NodeId> stack;
-  for (NodeId c : lattice_->node(id).children) {
-    if (IsRetained(c) && seen.Insert(c)) stack.push_back(c);
-  }
-  while (!stack.empty()) {
-    NodeId n = stack.back();
-    stack.pop_back();
-    out.push_back(n);
-    for (NodeId c : lattice_->node(n).children) {
-      if (IsRetained(c) && seen.Insert(c)) stack.push_back(c);
-    }
-  }
-  return desc_cache_.emplace(id, std::move(out)).first->second;
-}
-
-const std::vector<NodeId>& PrunedLattice::RetainedAncestors(NodeId id) const {
-  auto it = asc_cache_.find(id);
-  if (it != asc_cache_.end()) return it->second;
-  std::vector<NodeId> out;
-  NodeIdSet seen;
-  std::vector<NodeId> stack;
-  for (NodeId p : lattice_->node(id).parents) {
-    if (IsRetained(p) && seen.Insert(p)) stack.push_back(p);
-  }
-  while (!stack.empty()) {
-    NodeId n = stack.back();
-    stack.pop_back();
-    out.push_back(n);
-    for (NodeId p : lattice_->node(n).parents) {
-      if (IsRetained(p) && seen.Insert(p)) stack.push_back(p);
-    }
-  }
-  return asc_cache_.emplace(id, std::move(out)).first->second;
-}
-
-const std::vector<NodeId>& PrunedLattice::RetainedAtLevel(
-    size_t level) const {
-  static const std::vector<NodeId> kEmpty;
-  if (level == 0 || level >= retained_by_level_.size()) return kEmpty;
-  return retained_by_level_[level];
 }
 
 }  // namespace kwsdbg

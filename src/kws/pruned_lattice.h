@@ -6,8 +6,11 @@
 #ifndef KWSDBG_KWS_PRUNED_LATTICE_H_
 #define KWSDBG_KWS_PRUNED_LATTICE_H_
 
+#include <bit>
+#include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "kws/keyword_binding.h"
@@ -53,7 +56,35 @@ struct PruneStats {
   size_t mtn_desc_unique = 0;   ///< |Union of Desc(m)| (Nu in Fig 13).
 };
 
-/// The per-interpretation runtime view of the lattice.
+/// Index of a retained node in PrunedLattice::retained(): 0..R-1 in
+/// ascending node id, which is level order (lattice ids ascend with level).
+/// Phase 3 state is sized R and indexed by it.
+using LocalId = uint32_t;
+inline constexpr LocalId kNotRetained = static_cast<LocalId>(-1);
+
+/// Bit `l` of a closure row: R bits in uint64_t words, bit l of word l / 64.
+inline bool RowHas(std::span<const uint64_t> row, LocalId l) {
+  return ((row[l >> 6] >> (l & 63)) & 1) != 0;
+}
+
+/// Sets bit `l` of a closure row.
+inline void RowAdd(std::span<uint64_t> row, LocalId l) {
+  row[l >> 6] |= uint64_t{1} << (l & 63);
+}
+
+/// Calls `f(l)` for each bit set in `row`, ascending.
+template <typename F>
+void ForEachInRow(std::span<const uint64_t> row, F&& f) {
+  for (size_t w = 0; w < row.size(); ++w) {
+    for (uint64_t word = row[w]; word != 0; word &= word - 1) {
+      f(static_cast<LocalId>(w * 64 + std::countr_zero(word)));
+    }
+  }
+}
+
+/// The per-interpretation runtime view of the lattice: the Phase 3 search
+/// space as local ids with level ranges, CSR child links, and one
+/// descendant and one ancestor closure row per node.
 class PrunedLattice {
  public:
   /// Runs Phase 1 + Phase 2 for one interpretation. A non-null `filter`
@@ -64,8 +95,8 @@ class PrunedLattice {
   /// also total iff that set is B. Phase 1 sums the copy-set buckets of the
   /// subsets of B; the MTN candidates are B's bucket, and a candidate is
   /// minimal iff none of its children keeps all |B| keyword copies (a
-  /// child's copy set is a subset of its parent's). MTNs, retained() and
-  /// RetainedAtLevel are in ascending id order.
+  /// child's copy set is a subset of its parent's). MTNs and retained() are
+  /// in ascending id order.
   static PrunedLattice Build(const Lattice& lattice,
                              const KeywordBinding& binding,
                              const NodeFilter& filter = nullptr);
@@ -77,57 +108,63 @@ class PrunedLattice {
   /// Phase 2 MTNs — the candidate networks.
   const std::vector<NodeId>& mtns() const { return mtns_; }
 
-  /// MTNs plus all their descendants, the Phase 3 search space.
-  const std::vector<NodeId>& retained() const { return retained_; }
+  /// The MTNs as local ids, ascending.
+  const std::vector<LocalId>& mtn_locals() const { return mtn_locals_; }
 
-  bool IsRetained(NodeId id) const { return retained_set_.Contains(id); }
+  /// MTNs plus all their descendants, the Phase 3 search space. Entry `l`
+  /// is the node of local id `l`.
+  const std::vector<NodeId>& retained() const { return retained_; }
+  size_t num_retained() const { return retained_.size(); }
+
+  /// Local id of node `id`, or kNotRetained. O(log R).
+  LocalId LocalOf(NodeId id) const;
+  bool IsRetained(NodeId id) const { return LocalOf(id) != kNotRetained; }
   bool IsMtn(NodeId id) const;
 
   /// True iff the node's query covers every keyword (Sec. 2.4, Total node).
   bool IsTotal(NodeId id) const;
 
-  /// Children / parents restricted to the retained set.
-  std::vector<NodeId> RetainedChildren(NodeId id) const;
-  std::vector<NodeId> RetainedParents(NodeId id) const;
+  /// Lattice level of local id `l`, from the level ranges.
+  size_t LevelOf(LocalId l) const;
 
-  /// Proper descendants of `id` within the retained set (memoized).
-  const std::vector<NodeId>& RetainedDescendants(NodeId id) const;
-
-  /// Proper ancestors of `id` within the retained set (memoized).
-  const std::vector<NodeId>& RetainedAncestors(NodeId id) const;
-
-  /// Retained node ids at `level`.
-  const std::vector<NodeId>& RetainedAtLevel(size_t level) const;
+  /// Local ids at `level`: [first, second), empty when none.
+  std::pair<LocalId, LocalId> LevelRange(size_t level) const;
 
   /// Highest level with a retained node (0 when nothing is retained).
-  size_t MaxRetainedLevel() const { return max_retained_level_; }
+  size_t MaxRetainedLevel() const { return level_begin_.size() - 2; }
+
+  /// Retained children of `l`, in lattice link order.
+  std::span<const LocalId> Children(LocalId l) const {
+    return {children_.data() + child_begin_[l],
+            children_.data() + child_begin_[l + 1]};
+  }
+
+  /// Words per closure row: ceil(R / 64).
+  size_t row_words() const { return row_words_; }
+
+  /// Proper descendants / ancestors of `l` within the retained set, reached
+  /// through retained children / parents, as a closure row.
+  std::span<const uint64_t> DescendantRow(LocalId l) const {
+    return {desc_rows_.data() + l * row_words_, row_words_};
+  }
+  std::span<const uint64_t> AncestorRow(LocalId l) const {
+    return {anc_rows_.data() + l * row_words_, row_words_};
+  }
 
  private:
-  /// Open-addressing set of node ids sized to its contents (load <= 0.5),
-  /// so a per-interpretation set costs O(|set|), not O(|lattice|).
-  class NodeIdSet {
-   public:
-    bool Contains(NodeId id) const;
-    /// Adds `id`; false when it was already present.
-    bool Insert(NodeId id);
-
-   private:
-    size_t Slot(NodeId id) const;
-
-    size_t size_ = 0;
-    std::vector<NodeId> slots_;  ///< Power-of-two size; kInvalidNode = free.
-  };
-
   const Lattice* lattice_ = nullptr;
   KeywordBinding binding_{std::vector<KeywordAssignment>{}};
   PruneStats stats_;
   std::vector<NodeId> mtns_;
+  std::vector<LocalId> mtn_locals_;
   std::vector<NodeId> retained_;
-  NodeIdSet retained_set_;
-  std::vector<std::vector<NodeId>> retained_by_level_;
-  size_t max_retained_level_ = 0;
-  mutable std::unordered_map<NodeId, std::vector<NodeId>> desc_cache_;
-  mutable std::unordered_map<NodeId, std::vector<NodeId>> asc_cache_;
+  std::vector<LocalId> level_begin_{0, 0};  ///< Level k = [level_begin_[k],
+                                            ///< level_begin_[k + 1]).
+  std::vector<uint32_t> child_begin_{0};    ///< CSR offsets into children_.
+  std::vector<LocalId> children_;
+  size_t row_words_ = 0;
+  std::vector<uint64_t> desc_rows_;  ///< R rows of row_words_ words.
+  std::vector<uint64_t> anc_rows_;
 };
 
 }  // namespace kwsdbg

@@ -103,7 +103,11 @@ class CopySetIndex {
   std::vector<NodeId> node_ids_;
 };
 
-/// Immutable-after-build lattice.
+/// Immutable-after-build lattice. Node ids ascend with level: every node of
+/// level k has a smaller id than every node of level k + 1, so a sorted set
+/// of ids is in level order (kws/pruned_lattice.h numbers its local ids by
+/// it). The generator assigns ids level by level and LoadLattice rejects a
+/// file whose node lines break the order.
 class Lattice {
  public:
   size_t num_nodes() const { return nodes_.size(); }

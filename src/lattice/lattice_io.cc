@@ -264,6 +264,10 @@ StatusOr<std::unique_ptr<Lattice>> LatticeIoAccess::Load(
     if (level >= lat.levels_.size()) {
       return Status::ParseError("node level exceeds config: " + line);
     }
+    if (!lat.nodes_.empty() && level < lat.nodes_.back().level) {
+      return Status::ParseError("node below the previous node's level: " +
+                                line);
+    }
     NodeId id = static_cast<NodeId>(lat.nodes_.size());
     std::string canonical = CanonicalLabel(tree);
     if (!lat.by_canonical_.emplace(canonical, id).second) {

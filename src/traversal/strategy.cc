@@ -1,28 +1,40 @@
 #include "traversal/strategy.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "common/logging.h"
-#include "traversal/strategies.h"
 
 namespace kwsdbg {
 
 std::unique_ptr<TraversalStrategy> MakeStrategy(TraversalKind kind,
                                                 SbhOptions sbh) {
-  switch (kind) {
-    case TraversalKind::kBottomUp:
-      return MakeBottomUp();
-    case TraversalKind::kTopDown:
-      return MakeTopDown();
-    case TraversalKind::kBottomUpWithReuse:
-      return MakeBottomUpWithReuse();
-    case TraversalKind::kTopDownWithReuse:
-      return MakeTopDownWithReuse();
-    case TraversalKind::kScoreBased:
-      return MakeScoreBased(sbh);
-  }
-  return nullptr;
+  if (kind == TraversalKind::kScoreBased) return internal::MakeScoreBased(sbh);
+  return internal::MakeLevelSweep(kind);
+}
+
+void ExtractFrontier(const PrunedLattice& pl, const NodeStatusMap& status,
+                     LocalId m, std::vector<NodeId>* mpans,
+                     std::vector<NodeId>* culprits) {
+  std::vector<uint64_t> sub(pl.DescendantRow(m).begin(),
+                            pl.DescendantRow(m).end());
+  RowAdd(sub, m);
+  // Children of a node of Desc+(m) not known dead: each has a parent inside
+  // Desc+(m) that is not dead, so none of them is maximal.
+  std::vector<uint64_t> covered(sub.size(), 0);
+  ForEachInRow(sub, [&](LocalId p) {
+    if (status.IsDead(p)) return;
+    for (LocalId c : pl.Children(p)) RowAdd(covered, c);
+  });
+  ForEachInRow(sub, [&](LocalId n) {
+    if (n != m && status.IsAlive(n)) {
+      if (!RowHas(covered, n)) mpans->push_back(pl.retained()[n]);
+    } else if (status.IsDead(n)) {
+      if (std::ranges::all_of(pl.Children(n),
+                              [&](LocalId c) { return status.IsAlive(c); })) {
+        culprits->push_back(pl.retained()[n]);
+      }
+    }
+  });
 }
 
 std::string_view TraversalKindName(TraversalKind kind) {
@@ -85,71 +97,19 @@ TraversalResult RunCounters::Finish(TraversalResult result) const {
   return result;
 }
 
-std::vector<NodeId> ExtractMpans(const PrunedLattice& pl,
-                                 const NodeStatusMap& status, NodeId m) {
-  KWSDBG_DCHECK(status.IsDead(m));
-  const std::vector<NodeId>& desc = pl.RetainedDescendants(m);
-  std::unordered_set<NodeId> in_sub(desc.begin(), desc.end());
-  in_sub.insert(m);
-  std::vector<NodeId> mpans;
-  for (NodeId n : desc) {
-    if (!status.IsAlive(n)) continue;
-    bool maximal = true;
-    for (NodeId p : pl.lattice().node(n).parents) {
-      if (in_sub.count(p) && status.IsAlive(p)) {
-        maximal = false;
-        break;
-      }
-    }
-    if (maximal) mpans.push_back(n);
-  }
-  std::sort(mpans.begin(), mpans.end());
-  return mpans;
-}
-
-std::vector<NodeId> ExtractMinimalDead(const PrunedLattice& pl,
-                                       const NodeStatusMap& status,
-                                       NodeId m) {
-  KWSDBG_DCHECK(status.IsDead(m));
-  std::vector<NodeId> out;
-  std::vector<NodeId> sub = pl.RetainedDescendants(m);
-  sub.push_back(m);
-  for (NodeId n : sub) {
-    if (!status.IsDead(n)) continue;
-    bool minimal = true;
-    for (NodeId c : pl.RetainedChildren(n)) {
-      if (!status.IsAlive(c)) {
-        minimal = false;
-        break;
-      }
-    }
-    if (minimal) out.push_back(n);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 bool IsDeadlineExceeded(const Status& status) {
   return status.code() == StatusCode::kDeadlineExceeded;
 }
 
 void AppendOutcomeIfKnown(const PrunedLattice& pl, const NodeStatusMap& status,
-                          NodeId m, TraversalResult* result) {
+                          LocalId m, TraversalResult* result) {
   if (!status.IsKnown(m)) return;
   MtnOutcome outcome;
-  outcome.mtn = m;
+  outcome.mtn = pl.retained()[m];
   outcome.alive = status.IsAlive(m);
   if (!outcome.alive) {
-    bool complete = true;
-    for (NodeId d : pl.RetainedDescendants(m)) {
-      if (!status.IsKnown(d)) {
-        complete = false;
-        break;
-      }
-    }
-    if (complete) {
-      outcome.mpans = ExtractMpans(pl, status, m);
-      outcome.culprits = ExtractMinimalDead(pl, status, m);
+    if (status.AllKnown(pl.DescendantRow(m))) {
+      ExtractFrontier(pl, status, m, &outcome.mpans, &outcome.culprits);
     } else {
       outcome.frontier_complete = false;
     }
@@ -161,16 +121,18 @@ TraversalResult BuildTruncatedOutcomes(const PrunedLattice& pl,
                                        const NodeStatusMap& status) {
   TraversalResult result;
   result.truncated = true;
-  for (NodeId m : pl.mtns()) AppendOutcomeIfKnown(pl, status, m, &result);
+  for (LocalId m : pl.mtn_locals()) {
+    AppendOutcomeIfKnown(pl, status, m, &result);
+  }
   return result;
 }
 
 StatusOr<TraversalResult> BuildOutcomes(const PrunedLattice& pl,
                                         const NodeStatusMap& status) {
   TraversalResult result;
-  for (NodeId m : pl.mtns()) {
+  for (LocalId m : pl.mtn_locals()) {
     if (!status.IsKnown(m)) {
-      return Status::Internal("MTN " + std::to_string(m) +
+      return Status::Internal("MTN " + std::to_string(pl.retained()[m]) +
                               " left unclassified by traversal");
     }
     AppendOutcomeIfKnown(pl, status, m, &result);

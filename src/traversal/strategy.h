@@ -95,6 +95,16 @@ struct SbhOptions {
 std::unique_ptr<TraversalStrategy> MakeStrategy(TraversalKind kind,
                                                 SbhOptions sbh = {});
 
+/// Fills `mpans` and `culprits` with the frontier of dead MTN `m` that
+/// `status` already determines, as ascending node ids: the MPANs are the
+/// alive nodes in Desc(m) whose every parent inside Desc+(m) is dead, and
+/// the culprits — the smallest joins that already return nothing — the dead
+/// nodes in Desc+(m) whose every retained child is alive. Once the
+/// sub-lattice is classified this is the whole frontier.
+void ExtractFrontier(const PrunedLattice& pl, const NodeStatusMap& status,
+                     LocalId m, std::vector<NodeId>* mpans,
+                     std::vector<NodeId>* culprits);
+
 namespace internal {
 
 /// Per-run accounting shared by every strategy: snapshots the evaluator's
@@ -122,17 +132,11 @@ class RunCounters {
   ExecutorStats exec_before_;
 };
 
-/// Extracts the MPANs of dead MTN `m` from a fully classified status map:
-/// alive nodes in Desc(m) none of whose parents inside Desc+(m) is alive
-/// (the parent `m` itself is dead here, so immediate parents suffice).
-std::vector<NodeId> ExtractMpans(const PrunedLattice& pl,
-                                 const NodeStatusMap& status, NodeId m);
+/// BU, TD, BUWR and TDWR: one level sweep (traversal/level_sweep.cc).
+std::unique_ptr<TraversalStrategy> MakeLevelSweep(TraversalKind kind);
 
-/// Extracts the minimal dead sub-networks ("culprits") of dead MTN `m`:
-/// dead nodes in Desc+(m) all of whose retained children are alive. The
-/// topmost join of a culprit is exactly where the results vanish.
-std::vector<NodeId> ExtractMinimalDead(const PrunedLattice& pl,
-                                       const NodeStatusMap& status, NodeId m);
+/// SBH (traversal/score_based.cc).
+std::unique_ptr<TraversalStrategy> MakeScoreBased(SbhOptions options);
 
 /// Builds per-MTN outcomes from a fully classified global status map (via
 /// AppendOutcomeIfKnown); an MTN left unclassified is an Internal error.
@@ -144,13 +148,13 @@ StatusOr<TraversalResult> BuildOutcomes(const PrunedLattice& pl,
 /// error.
 bool IsDeadlineExceeded(const Status& status);
 
-/// Appends the outcome for MTN `m` to `result` if `status` classifies it
-/// (no-op otherwise). For a dead MTN, MPANs/culprits are extracted only
-/// when the MTN's whole retained sub-lattice is classified — a partial
-/// frontier could be wrong, so it is omitted and `frontier_complete`
-/// cleared instead.
+/// Appends the outcome for MTN `m` (a local id) to `result` if `status`
+/// classifies it (no-op otherwise). For a dead MTN, MPANs/culprits are
+/// extracted only when the MTN's whole retained sub-lattice is classified —
+/// a partial frontier could be wrong, so it is omitted and
+/// `frontier_complete` cleared instead.
 void AppendOutcomeIfKnown(const PrunedLattice& pl, const NodeStatusMap& status,
-                          NodeId m, TraversalResult* result);
+                          LocalId m, TraversalResult* result);
 
 /// Builds a truncated result from a partially classified global status map:
 /// outcomes for every classified MTN (via AppendOutcomeIfKnown), with

@@ -3,7 +3,7 @@
 #include "baselines/return_everything.h"
 #include "baselines/return_nothing.h"
 #include "test_util.h"
-#include "traversal/strategies.h"
+#include "traversal/strategy.h"
 
 namespace kwsdbg {
 namespace {

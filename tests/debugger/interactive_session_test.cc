@@ -194,6 +194,8 @@ TEST(InteractiveSessionDblifeTest, AgreesWithBatchSbhOnWorkload) {
       InteractiveSession session(&pl, &eval);
       auto sql = session.FinishAutomatically();
       ASSERT_TRUE(sql.ok());
+      // Both score with one SBH state, so they issue the same queries.
+      EXPECT_EQ(*sql, batch->stats.sql_queries) << q;
       for (const MtnOutcome& outcome : batch->outcomes) {
         EXPECT_TRUE(session.MtnResolved(outcome.mtn));
         EXPECT_EQ(session.StatusOf(outcome.mtn) == NodeStatus::kAlive,

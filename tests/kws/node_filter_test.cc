@@ -5,7 +5,7 @@
 
 #include "baselines/return_everything.h"
 #include "test_util.h"
-#include "traversal/strategies.h"
+#include "traversal/strategy.h"
 
 namespace kwsdbg {
 namespace {

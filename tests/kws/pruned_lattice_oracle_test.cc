@@ -3,12 +3,18 @@
 // replaced: every node tested for unbound copies, every survivor for
 // totality, every total survivor for a total child, then the walk down from
 // the MTNs. Both must agree on the MTNs in order, the retained set and its
-// per-level lists, membership, and every PruneStats count — on the paper
-// workload over DBLife, on the toy and e-commerce schemas, under random
-// NodeFilters, and on hand-built bindings the binder never produces.
+// level ranges, membership, and every PruneStats count; and the local-id
+// view Phase 3 reads must agree with the lattice's own links: local ids
+// round-trip, CSR children are the lattice links restricted to the
+// retained set, and each closure row is the walk over retained children or
+// parents — on the paper workload over DBLife, on the toy and e-commerce
+// schemas, under random NodeFilters, and on hand-built bindings the binder
+// never produces.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -105,6 +111,71 @@ OracleResult OracleBuild(const Lattice& lattice, const KeywordBinding& binding,
   return out;
 }
 
+/// Nodes reachable from `id` through retained children (`down`) or retained
+/// parents, ascending: what a closure row must hold.
+std::vector<NodeId> RetainedWalk(const Lattice& lattice,
+                                 const std::vector<bool>& retained, NodeId id,
+                                 bool down) {
+  std::set<NodeId> seen;
+  std::vector<NodeId> stack = {id};
+  while (!stack.empty()) {
+    const LatticeNode& node = lattice.node(stack.back());
+    stack.pop_back();
+    for (NodeId next : down ? node.children : node.parents) {
+      if (retained[next] && seen.insert(next).second) stack.push_back(next);
+    }
+  }
+  return {seen.begin(), seen.end()};
+}
+
+/// The retained members of `ids`, ascending.
+std::vector<NodeId> RetainedOnly(std::vector<NodeId> ids,
+                                 const std::vector<bool>& retained) {
+  std::erase_if(ids, [&](NodeId id) { return !retained[id]; });
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+std::vector<NodeId> RowNodes(const PrunedLattice& pl,
+                             std::span<const uint64_t> row) {
+  std::vector<NodeId> out;
+  ForEachInRow(row, [&](LocalId l) { out.push_back(pl.retained()[l]); });
+  return out;
+}
+
+/// The local-id view against the lattice's links (see the file comment).
+void ExpectLocalViewMatches(const Lattice& lattice, const PrunedLattice& pl,
+                            const OracleResult& want, bool filtered) {
+  ASSERT_EQ(pl.num_retained(), want.retained.size());
+  EXPECT_EQ(pl.row_words(), (want.retained.size() + 63) / 64);
+  ASSERT_EQ(pl.mtn_locals().size(), want.mtns.size());
+  for (size_t i = 0; i < want.mtns.size(); ++i) {
+    EXPECT_EQ(pl.retained()[pl.mtn_locals()[i]], want.mtns[i]);
+  }
+  for (LocalId l = 0; l < pl.num_retained(); ++l) {
+    const NodeId id = pl.retained()[l];
+    ASSERT_EQ(pl.LocalOf(id), l) << "node " << id;
+    std::vector<LocalId> children;
+    for (NodeId c : lattice.node(id).children) {
+      if (want.retained_mask[c]) children.push_back(pl.LocalOf(c));
+    }
+    EXPECT_TRUE(std::ranges::equal(pl.Children(l), children)) << "node " << id;
+    const std::vector<NodeId> desc =
+        RetainedWalk(lattice, want.retained_mask, id, /*down=*/true);
+    const std::vector<NodeId> anc =
+        RetainedWalk(lattice, want.retained_mask, id, /*down=*/false);
+    EXPECT_EQ(RowNodes(pl, pl.DescendantRow(l)), desc) << "node " << id;
+    EXPECT_EQ(RowNodes(pl, pl.AncestorRow(l)), anc) << "node " << id;
+    if (!filtered) {
+      EXPECT_EQ(desc,
+                RetainedOnly(lattice.Descendants(id), want.retained_mask))
+          << "node " << id;
+      EXPECT_EQ(anc, RetainedOnly(lattice.Ancestors(id), want.retained_mask))
+          << "node " << id;
+    }
+  }
+}
+
 void ExpectMatchesOracle(const Lattice& lattice, const KeywordBinding& binding,
                          const NodeFilter& filter, const std::string& what) {
   SCOPED_TRACE(what);
@@ -119,11 +190,19 @@ void ExpectMatchesOracle(const Lattice& lattice, const KeywordBinding& binding,
       if (lattice.node(id).level == level) at_level.push_back(id);
     }
     if (!at_level.empty()) max_level = level;
-    EXPECT_EQ(pl.RetainedAtLevel(level), at_level) << "level " << level;
+    const auto [begin, end] = pl.LevelRange(level);
+    EXPECT_EQ(std::vector<NodeId>(pl.retained().begin() + begin,
+                                  pl.retained().begin() + end),
+              at_level)
+        << "level " << level;
   }
   EXPECT_EQ(pl.MaxRetainedLevel(), max_level);
   for (NodeId id = 0; id < lattice.num_nodes(); ++id) {
     ASSERT_EQ(pl.IsRetained(id), want.retained_mask[id]) << "node " << id;
+    const LocalId l = pl.LocalOf(id);
+    if (l != kNotRetained) {
+      ASSERT_EQ(pl.retained()[l], id) << "node " << id;
+    }
     ASSERT_EQ(pl.IsMtn(id), std::binary_search(want.mtns.begin(),
                                                want.mtns.end(), id))
         << "node " << id;
@@ -135,6 +214,7 @@ void ExpectMatchesOracle(const Lattice& lattice, const KeywordBinding& binding,
   EXPECT_EQ(s.retained_nodes, want.retained.size());
   EXPECT_EQ(s.mtn_desc_total, want.desc_total);
   EXPECT_EQ(s.mtn_desc_unique, want.retained.size() - want.mtns.size());
+  ExpectLocalViewMatches(lattice, pl, want, filter != nullptr);
 }
 
 /// A deterministic pseudo-random filter: keeps about two thirds of the

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <set>
 
 #include "datasets/toy_product_db.h"
@@ -90,38 +91,52 @@ TEST_F(PrunedLatticeTest, TotalityChecks) {
   }
 }
 
+size_t RowSize(std::span<const uint64_t> row) {
+  size_t n = 0;
+  for (uint64_t word : row) n += std::popcount(word);
+  return n;
+}
+
+size_t RangeSize(std::pair<LocalId, LocalId> range) {
+  return range.second - range.first;
+}
+
 TEST_F(PrunedLatticeTest, RetainedIsMtnPlusDescendants) {
   PrunedLattice pl = PrunedLattice::Build(*lattice_, RedCandle());
   NodeId mtn = pl.mtns()[0];
   // Desc(P1-I0-C1) = {P1-I0, I0-C1, P1, I0, C1}.
-  EXPECT_EQ(pl.RetainedDescendants(mtn).size(), 5u);
+  EXPECT_EQ(RowSize(pl.DescendantRow(pl.LocalOf(mtn))), 5u);
   EXPECT_EQ(pl.retained().size(), 6u);
   EXPECT_TRUE(pl.IsRetained(mtn));
   EXPECT_TRUE(pl.IsMtn(mtn));
-  for (NodeId d : pl.RetainedDescendants(mtn)) {
-    EXPECT_TRUE(pl.IsRetained(d));
-    EXPECT_FALSE(pl.IsMtn(d));
-  }
+  ForEachInRow(pl.DescendantRow(pl.LocalOf(mtn)), [&](LocalId d) {
+    EXPECT_TRUE(pl.IsRetained(pl.retained()[d]));
+    EXPECT_FALSE(pl.IsMtn(pl.retained()[d]));
+  });
 }
 
 TEST_F(PrunedLatticeTest, RetainedChildrenParentsRestricted) {
   PrunedLattice pl = PrunedLattice::Build(*lattice_, RedCandle());
-  NodeId mtn = pl.mtns()[0];
-  EXPECT_EQ(pl.RetainedChildren(mtn).size(), 2u);  // P1-I0 and I0-C1
+  LocalId mtn = pl.mtn_locals()[0];
+  EXPECT_EQ(pl.Children(mtn).size(), 2u);  // P1-I0 and I0-C1
   // I0 sits under both level-2 nodes.
   NodeId i0 = lattice_->FindTree(JoinTree::Single({item_, 0}));
   ASSERT_NE(i0, kInvalidNode);
-  EXPECT_EQ(pl.RetainedParents(i0).size(), 2u);
-  EXPECT_EQ(pl.RetainedAncestors(i0).size(), 3u);  // both level-2 + MTN
+  size_t parents = 0;
+  for (LocalId l = 0; l < pl.num_retained(); ++l) {
+    parents += std::ranges::count(pl.Children(l), pl.LocalOf(i0));
+  }
+  EXPECT_EQ(parents, 2u);
+  EXPECT_EQ(RowSize(pl.AncestorRow(pl.LocalOf(i0))), 3u);  // level 2 + MTN
 }
 
 TEST_F(PrunedLatticeTest, RetainedAtLevelAndMaxLevel) {
   PrunedLattice pl = PrunedLattice::Build(*lattice_, RedCandle());
   EXPECT_EQ(pl.MaxRetainedLevel(), 3u);
-  EXPECT_EQ(pl.RetainedAtLevel(1).size(), 3u);  // P1, I0, C1
-  EXPECT_EQ(pl.RetainedAtLevel(2).size(), 2u);
-  EXPECT_EQ(pl.RetainedAtLevel(3).size(), 1u);
-  EXPECT_TRUE(pl.RetainedAtLevel(9).empty());
+  EXPECT_EQ(RangeSize(pl.LevelRange(1)), 3u);  // P1, I0, C1
+  EXPECT_EQ(RangeSize(pl.LevelRange(2)), 2u);
+  EXPECT_EQ(RangeSize(pl.LevelRange(3)), 1u);
+  EXPECT_EQ(RangeSize(pl.LevelRange(9)), 0u);
 }
 
 TEST_F(PrunedLatticeTest, StatsAreConsistent) {

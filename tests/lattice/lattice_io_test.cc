@@ -6,6 +6,7 @@
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "datasets/dblife.h"
 #include "datasets/toy_product_db.h"
@@ -182,6 +183,34 @@ TEST(LatticeIoTest, RejectsForgedCounts) {
   }
 }
 
+TEST(LatticeIoTest, RejectsNodesOutOfLevelOrder) {
+  // Ids are line order and must ascend with level (lattice/lattice.h):
+  // swap the first level-1 node line with the first level-2 one.
+  auto ds = BuildToyProductDatabase();
+  ASSERT_TRUE(ds.ok());
+  auto lattice = MakeToyLattice(ds->schema);
+  std::ostringstream out;
+  ASSERT_TRUE(SaveLattice(*lattice, &out).ok());
+  std::vector<std::string> lines;
+  std::istringstream text(out.str());
+  for (std::string line; std::getline(text, line);) lines.push_back(line);
+  size_t level1 = lines.size(), level2 = lines.size();
+  for (size_t i = 0; i < lines.size(); ++i) {
+    if (lines[i].rfind("n ", 0) != 0) continue;
+    const bool single = lines[i].back() == '|';  // No edges after '|'.
+    if (single && level1 == lines.size()) level1 = i;
+    if (!single && level2 == lines.size()) level2 = i;
+  }
+  ASSERT_LT(level1, level2);
+  ASSERT_LT(level2, lines.size());
+  std::swap(lines[level1], lines[level2]);
+  std::string swapped;
+  for (const std::string& line : lines) swapped += line + "\n";
+  std::istringstream in(swapped);
+  EXPECT_EQ(LoadLattice(ds->schema, &in).status().code(),
+            StatusCode::kParseError);
+}
+
 TEST(LatticeIoTest, LoadedLatticeIsUsableEndToEnd) {
   auto ds = BuildToyProductDatabase();
   ASSERT_TRUE(ds.ok());
@@ -242,7 +271,7 @@ TEST(LatticeIoTest, LoadedLatticeBuildsSamePrunedLattice) {
       EXPECT_EQ(got.mtns(), want.mtns()) << q.id;
       EXPECT_EQ(got.retained(), want.retained()) << q.id;
       for (size_t level = 1; level <= lconfig.max_joins + 1; ++level) {
-        EXPECT_EQ(got.RetainedAtLevel(level), want.RetainedAtLevel(level));
+        EXPECT_EQ(got.LevelRange(level), want.LevelRange(level));
       }
       EXPECT_EQ(got.stats().surviving_nodes, want.stats().surviving_nodes);
       EXPECT_EQ(got.stats().mtn_desc_total, want.stats().mtn_desc_total);

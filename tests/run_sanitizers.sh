@@ -58,8 +58,14 @@ export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
 # nested-loop join) and covers the one executor stage that reads candidate
 # rows: the backtracking join, child-probe prefetch window included.
 # PrunedLatticeOracleTest compares Phases 1-2 on the copy-set index with
-# the per-node lattice scan they replaced: asan watches the CSR spans and
-# the retained set's open-addressing table, ubsan its hash arithmetic.
+# the per-node lattice scan they replaced, and the local-id view Phase 3
+# reads against the lattice's own links: asan watches the closure rows and
+# CSR child spans indexed by local id. StrategiesTest,
+# StrategyAgreementTest, NodeStatusTest, InteractiveSessionTest (with its
+# DBLife case, whose rows span several words) and FrontierTest drive the
+# readers of that view: the level sweep, SBH's W/A/D state, R1/R2 as word
+# ORs, frontier extraction and the DOT renderer, so asan sees any read past
+# a row's R bits.
 # CounterFlowTest debugs a spilled toy database: asan watches the evictable
 # frames its page reads go through. Buffer-pool frames keep the page image
 # and decode a row on first touch, so three cases aim at that:
@@ -94,7 +100,7 @@ export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
 # set. The service's shared index tier, where resolved index pointers are
 # held for one query, stays covered under tsan by SharedCacheEpochTest,
 # LiveMutationTest and the chaos layer of DifferentialFuzzTest.
-CONCURRENCY_TESTS='DifferentialFuzzTest|SharedCacheEpochTest|DebugServiceTest|ServiceParityTest|SubmitTest|ComputeServiceStatsTest|ServiceStatsIntegrationTest|ShardIndexForHashTest|ParallelAgreementTest|LruCacheTest|VerdictCacheTest|FailureInjectionTest|ChaosTest|ChaosFuzzTest|ChaosPropagationTest|FaultInjectorTest|FlatRowIndexTest|BufferPoolTest|PageCodecTest|DiskManagerTest|SpillTest|SpillEpochTest|PostingStoreTest|ExecutorSpillTest|MutationTest|IncrementalIndexTest|LiveMutationTest|WalTest|CheckpointTest|RelationFencesTest|DurableServiceTest|CrashRecoveryTest|resilience_smoke|bench_smoke|service_scale_smoke|storage_tier_smoke|mutation_smoke|durability_smoke|PaModelTest|AdaptiveColdStartTest|AdaptiveParityTest|AdaptiveDriftTest|PaObservationCountTest|adaptive_smoke|LatticeIoTest|ExecutorPropertyTest|PrunedLatticeOracleTest|CounterFlowTest|NodePlanParityTest|EvaluatorTest'
+CONCURRENCY_TESTS='DifferentialFuzzTest|SharedCacheEpochTest|DebugServiceTest|ServiceParityTest|SubmitTest|ComputeServiceStatsTest|ServiceStatsIntegrationTest|ShardIndexForHashTest|ParallelAgreementTest|LruCacheTest|VerdictCacheTest|FailureInjectionTest|ChaosTest|ChaosFuzzTest|ChaosPropagationTest|FaultInjectorTest|FlatRowIndexTest|BufferPoolTest|PageCodecTest|DiskManagerTest|SpillTest|SpillEpochTest|PostingStoreTest|ExecutorSpillTest|MutationTest|IncrementalIndexTest|LiveMutationTest|WalTest|CheckpointTest|RelationFencesTest|DurableServiceTest|CrashRecoveryTest|resilience_smoke|bench_smoke|service_scale_smoke|storage_tier_smoke|mutation_smoke|durability_smoke|PaModelTest|AdaptiveColdStartTest|AdaptiveParityTest|AdaptiveDriftTest|PaObservationCountTest|adaptive_smoke|LatticeIoTest|ExecutorPropertyTest|PrunedLatticeOracleTest|CounterFlowTest|NodePlanParityTest|EvaluatorTest|StrategiesTest|StrategyAgreementTest|NodeStatusTest|InteractiveSessionTest|InteractiveSessionDblifeTest|FrontierTest'
 
 : "${KWSDBG_FUZZ_ITERS:=200}"
 export KWSDBG_FUZZ_ITERS

@@ -11,7 +11,7 @@
 #include "debugger/non_answer_debugger.h"
 #include "test_util.h"
 #include "traversal/pa_model.h"
-#include "traversal/strategies.h"
+#include "traversal/strategy.h"
 
 namespace kwsdbg {
 namespace {
@@ -114,10 +114,10 @@ TEST(AdaptiveColdStartTest, ColdModelSbhMatchesFixedSbhExactly) {
   ToyFixture fx;
   PaModel cold;
   SbhOptions fixed;
-  auto sbh = MakeScoreBased(fixed);
+  auto sbh = MakeStrategy(TraversalKind::kScoreBased, fixed);
   SbhOptions fed;
   fed.pa_model = &cold;
-  auto sbh_fed = MakeScoreBased(fed);
+  auto sbh_fed = MakeStrategy(TraversalKind::kScoreBased, fed);
   const KeywordBinding bindings[] = {
       KeywordBinding({{"saffron", {fx.color, 1}},
                       {"scented", {fx.item, 1}},

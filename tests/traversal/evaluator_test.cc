@@ -21,7 +21,12 @@ class EvaluatorTest : public testing::Test {
         executor_(fx_.db.get()) {}
 
   NodeId NodeAtLevel(size_t level, size_t index = 0) const {
-    return pl_.RetainedAtLevel(level)[index];
+    return pl_.retained()[pl_.LevelRange(level).first + index];
+  }
+
+  std::vector<NodeId> NodesAtLevel(size_t level) const {
+    const auto [begin, end] = pl_.LevelRange(level);
+    return {pl_.retained().begin() + begin, pl_.retained().begin() + end};
   }
 
   ToyFixture fx_;
@@ -31,7 +36,7 @@ class EvaluatorTest : public testing::Test {
 
 TEST_F(EvaluatorTest, BaseBoundNodesResolveViaIndexWithoutSql) {
   QueryEvaluator evaluator(fx_.db.get(), &executor_, &pl_, fx_.index.get());
-  for (NodeId n : pl_.RetainedAtLevel(1)) {
+  for (NodeId n : NodesAtLevel(1)) {
     auto alive = evaluator.IsAlive(n);
     ASSERT_TRUE(alive.ok());
     EXPECT_TRUE(*alive);  // all three keywords occur; tables are non-empty
@@ -46,14 +51,14 @@ TEST_F(EvaluatorTest, IndexShortcutAgreesWithSql) {
   QueryEvaluator with(fx_.db.get(), &executor_, &pl_, fx_.index.get());
   QueryEvaluator without(fx_.db.get(), &executor_, &pl_, fx_.index.get(),
                          no_shortcut);
-  for (NodeId n : pl_.RetainedAtLevel(1)) {
+  for (NodeId n : NodesAtLevel(1)) {
     auto a = with.IsAlive(n);
     auto b = without.IsAlive(n);
     ASSERT_TRUE(a.ok() && b.ok());
     EXPECT_EQ(*a, *b);
   }
   EXPECT_EQ(with.sql_executed(), 0u);
-  EXPECT_EQ(without.sql_executed(), pl_.RetainedAtLevel(1).size());
+  EXPECT_EQ(without.sql_executed(), NodesAtLevel(1).size());
 }
 
 TEST_F(EvaluatorTest, HigherNodesAlwaysUseSql) {

@@ -12,7 +12,7 @@
 #include "baselines/return_everything.h"
 #include "common/fault_injector.h"
 #include "test_util.h"
-#include "traversal/strategies.h"
+#include "traversal/strategy.h"
 
 namespace kwsdbg {
 namespace {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "test_util.h"
 
 namespace kwsdbg {
@@ -21,43 +23,50 @@ class NodeStatusTest : public testing::Test {
   PrunedLattice pl_;  // retained: P1-I0-C1 with 5 descendants
 };
 
+size_t CountUnknown(const NodeStatusMap& status) {
+  size_t n = 0;
+  for (uint64_t word : status.unknown()) n += std::popcount(word);
+  return n;
+}
+
 TEST_F(NodeStatusTest, InitiallyPossiblyAlive) {
-  NodeStatusMap status(fx_.lattice->num_nodes());
-  for (NodeId n : pl_.retained()) {
+  NodeStatusMap status(pl_.num_retained());
+  for (LocalId n = 0; n < pl_.num_retained(); ++n) {
     EXPECT_EQ(status.Get(n), NodeStatus::kPossiblyAlive);
     EXPECT_FALSE(status.IsKnown(n));
     EXPECT_FALSE(status.IsAlive(n));
     EXPECT_FALSE(status.IsDead(n));
   }
-  EXPECT_EQ(status.num_unknown(), fx_.lattice->num_nodes());
+  EXPECT_EQ(CountUnknown(status), pl_.num_retained());
 }
 
 TEST_F(NodeStatusTest, Rule1MarksAllDescendantsAlive) {
-  NodeStatusMap status(fx_.lattice->num_nodes());
-  NodeId mtn = pl_.mtns()[0];
+  NodeStatusMap status(pl_.num_retained());
+  LocalId mtn = pl_.mtn_locals()[0];
   size_t newly = status.MarkAliveWithDescendants(mtn, pl_);
   EXPECT_EQ(newly, 5u);
   EXPECT_TRUE(status.IsAlive(mtn));
-  for (NodeId d : pl_.RetainedDescendants(mtn)) {
-    EXPECT_TRUE(status.IsAlive(d));
-  }
+  ForEachInRow(pl_.DescendantRow(mtn),
+               [&](LocalId d) { EXPECT_TRUE(status.IsAlive(d)); });
 }
 
 TEST_F(NodeStatusTest, Rule2MarksAllAncestorsDead) {
-  NodeStatusMap status(fx_.lattice->num_nodes());
+  NodeStatusMap status(pl_.num_retained());
   // Kill a base node: both level-2 parents and the MTN die.
-  NodeId i0 = fx_.lattice->FindTree(JoinTree::Single({fx_.item, 0}));
-  ASSERT_NE(i0, kInvalidNode);
+  LocalId i0 =
+      pl_.LocalOf(fx_.lattice->FindTree(JoinTree::Single({fx_.item, 0})));
+  ASSERT_NE(i0, kNotRetained);
   size_t newly = status.MarkDeadWithAncestors(i0, pl_);
   EXPECT_EQ(newly, 3u);
   EXPECT_TRUE(status.IsDead(i0));
-  EXPECT_TRUE(status.IsDead(pl_.mtns()[0]));
+  EXPECT_TRUE(status.IsDead(pl_.mtn_locals()[0]));
 }
 
 TEST_F(NodeStatusTest, PropagationDoesNotOverwriteKnown) {
-  NodeStatusMap status(fx_.lattice->num_nodes());
-  NodeId mtn = pl_.mtns()[0];
-  NodeId i0 = fx_.lattice->FindTree(JoinTree::Single({fx_.item, 0}));
+  NodeStatusMap status(pl_.num_retained());
+  LocalId mtn = pl_.mtn_locals()[0];
+  LocalId i0 =
+      pl_.LocalOf(fx_.lattice->FindTree(JoinTree::Single({fx_.item, 0})));
   status.Set(i0, NodeStatus::kAlive);
   // R1 from the MTN: i0 already known, so not counted as newly classified.
   size_t newly = status.MarkAliveWithDescendants(mtn, pl_);
@@ -66,10 +75,10 @@ TEST_F(NodeStatusTest, PropagationDoesNotOverwriteKnown) {
 }
 
 TEST_F(NodeStatusTest, NumUnknownTracksClassification) {
-  NodeStatusMap status(fx_.lattice->num_nodes());
-  const size_t total = status.num_unknown();
-  status.Set(pl_.mtns()[0], NodeStatus::kDead);
-  EXPECT_EQ(status.num_unknown(), total - 1);
+  NodeStatusMap status(pl_.num_retained());
+  const size_t total = CountUnknown(status);
+  status.Set(pl_.mtn_locals()[0], NodeStatus::kDead);
+  EXPECT_EQ(CountUnknown(status), total - 1);
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 
 #include "baselines/return_everything.h"
 #include "test_util.h"
-#include "traversal/strategies.h"
+#include "traversal/strategy.h"
 
 namespace kwsdbg {
 namespace {
@@ -90,8 +90,8 @@ TEST_F(StrategiesTest, AliveMtnHasNoMpans) {
 TEST_F(StrategiesTest, TopDownCheaperWhenMtnAlive) {
   KeywordBinding binding(
       {{"red", {fx_.color, 1}}, {"candle", {fx_.ptype, 1}}});
-  auto td = MakeTopDown();
-  auto bu = MakeBottomUp();
+  auto td = MakeStrategy(TraversalKind::kTopDown);
+  auto bu = MakeStrategy(TraversalKind::kBottomUp);
   TraversalResult td_r = fx_.Run(td.get(), binding);
   TraversalResult bu_r = fx_.Run(bu.get(), binding);
   // TD evaluates the alive MTN once and infers everything below (R1); BU
@@ -105,10 +105,10 @@ TEST_F(StrategiesTest, ReuseVariantsNeverExecuteMore) {
        {Q1Binding(), Q2Binding(),
         KeywordBinding({{"red", {fx_.color, 1}}, {"candle", {fx_.ptype, 1}}}),
         KeywordBinding({{"red", {fx_.item, 1}}, {"candle", {fx_.item, 2}}})}) {
-    auto bu = MakeBottomUp();
-    auto buwr = MakeBottomUpWithReuse();
-    auto td = MakeTopDown();
-    auto tdwr = MakeTopDownWithReuse();
+    auto bu = MakeStrategy(TraversalKind::kBottomUp);
+    auto buwr = MakeStrategy(TraversalKind::kBottomUpWithReuse);
+    auto td = MakeStrategy(TraversalKind::kTopDown);
+    auto tdwr = MakeStrategy(TraversalKind::kTopDownWithReuse);
     EXPECT_LE(fx_.Run(buwr.get(), binding).stats.sql_queries,
               fx_.Run(bu.get(), binding).stats.sql_queries);
     EXPECT_LE(fx_.Run(tdwr.get(), binding).stats.sql_queries,
@@ -120,7 +120,7 @@ TEST_F(StrategiesTest, SbhNeverExecutesMoreThanReturnEverything) {
   auto re = MakeReturnEverything();
   for (const KeywordBinding& binding : {Q1Binding(), Q2Binding()}) {
     for (double pa : {0.1, 0.5, 0.9}) {
-      auto sbh = MakeScoreBased(SbhOptions{pa});
+      auto sbh = MakeStrategy(TraversalKind::kScoreBased, SbhOptions{pa});
       EXPECT_LE(fx_.Run(sbh.get(), binding).stats.sql_queries,
                 fx_.Run(re.get(), binding).stats.sql_queries)
           << "pa=" << pa;

@@ -13,7 +13,7 @@
 #include "sql/executor.h"
 #include "test_util.h"
 #include "text/inverted_index.h"
-#include "traversal/strategies.h"
+#include "traversal/strategy.h"
 
 namespace kwsdbg {
 namespace {

@@ -10,7 +10,7 @@
 
 #include "debugger/non_answer_debugger.h"
 #include "test_util.h"
-#include "traversal/strategies.h"
+#include "traversal/strategy.h"
 
 namespace kwsdbg {
 namespace {
