@@ -705,8 +705,9 @@ int Run(bool smoke, const std::string& out_path) {
 }  // namespace kwsdbg
 
 int main(int argc, char** argv) {
-  // The spilled pool is single-session; durability pairs with the resident
-  // tier (and forked children must not share spill files with the parent).
+  // Spilled tables and indexes are read-only, so the logged writes need the
+  // resident tier (and forked children must not share spill files with the
+  // parent).
   ::unsetenv("KWSDBG_MEMORY_BUDGET");
   bool smoke = false;
   std::string out_path = "BENCH_durability.json";

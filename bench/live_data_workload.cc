@@ -512,8 +512,8 @@ int Run(bool smoke, const std::string& out_path) {
 }  // namespace kwsdbg
 
 int main(int argc, char** argv) {
-  // A global memory budget would spill the catalogs at load; live writes
-  // pair with the resident tier (the spilled pool is single-session).
+  // A global memory budget would spill the catalogs at load, and spilled
+  // tables and indexes are read-only: live writes need the resident tier.
   ::unsetenv("KWSDBG_MEMORY_BUDGET");
   bool smoke = false;
   std::string out_path = "BENCH_live_data.json";

@@ -1,7 +1,6 @@
 #include "kws/query_builder.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/string_util.h"
 
@@ -120,40 +119,6 @@ Status NodePlanBuilder::Build(const JoinTree& tree, JoinPlan* plan) const {
   plan->selections.clear();
   plan->like_selections.clear();
   return Status::OK();
-}
-
-std::vector<uint16_t> SelectivityProbeOrder(const JoinNetworkQuery& query,
-                                            const Database& db,
-                                            const InvertedIndex& index) {
-  struct Ranked {
-    uint16_t vertex;
-    bool keyword;  // keyword vertices sort before free ones
-    size_t cost;   // estimated candidate rows, fewer first
-  };
-  std::vector<Ranked> ranked;
-  ranked.reserve(query.vertices.size());
-  for (size_t i = 0; i < query.vertices.size(); ++i) {
-    const QueryVertex& v = query.vertices[i];
-    Ranked r{static_cast<uint16_t>(i), !v.keyword.empty(), 0};
-    if (r.keyword) {
-      r.cost = index.EstimatedInfixRows(v.keyword, v.table);
-    } else {
-      const Table* t = db.FindTable(v.table);
-      // Unknown tables (un-Validated queries) rank as unbounded scans.
-      r.cost = t != nullptr ? t->num_rows()
-                            : std::numeric_limits<size_t>::max();
-    }
-    ranked.push_back(r);
-  }
-  std::stable_sort(ranked.begin(), ranked.end(),
-                   [](const Ranked& a, const Ranked& b) {
-                     if (a.keyword != b.keyword) return a.keyword;
-                     return a.cost < b.cost;
-                   });
-  std::vector<uint16_t> order;
-  order.reserve(ranked.size());
-  for (const Ranked& r : ranked) order.push_back(r.vertex);
-  return order;
 }
 
 }  // namespace kwsdbg

@@ -57,16 +57,6 @@ class NodePlanBuilder {
   std::vector<BoundCopy> keywords_;             ///< The binding's copies.
 };
 
-/// Returns the query's vertex indices ordered most-selective-first: keyword
-/// vertices ascending by the index's estimated matching-row count (a spill-safe
-/// upper bound from the term profile — no posting lists are materialized),
-/// then free vertices ascending by table cardinality. Out-of-core probing
-/// wants this order so the cheapest candidate sets page in first; ties and
-/// unknown tables keep their original relative order.
-std::vector<uint16_t> SelectivityProbeOrder(const JoinNetworkQuery& query,
-                                            const Database& db,
-                                            const InvertedIndex& index);
-
 }  // namespace kwsdbg
 
 #endif  // KWSDBG_KWS_QUERY_BUILDER_H_

@@ -174,11 +174,16 @@ DebugService::DebugService(const Database* db, const Lattice* lattice,
   }
   // Durability comes up after the mutation engine (replay goes through it)
   // and before any worker thread starts, so recovery never races a query.
+  // A refused spilled engine is read-only: recovery would replay the log
+  // into tables that refuse writes and reopen (possibly chop) the log, so
+  // the durability dir is left untouched and the refusal reported instead.
   if (!options_.durability.dir.empty()) {
     if (mutable_db == nullptr) {
       durability_status_ = Status::FailedPrecondition(
           "durability requires the mutable DebugService constructor; a "
           "const database has no write path to log");
+    } else if (!storage_status_.ok()) {
+      durability_status_ = storage_status_;
     } else {
       SetupDurability(mutable_db);
     }

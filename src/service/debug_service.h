@@ -251,7 +251,9 @@ class DebugService {
   /// Health of the durability subsystem. OK when durability is disabled or
   /// recovery succeeded; kDataLoss when the checkpoint/WAL failed checksum
   /// or the index fingerprint did not match (the service still serves
-  /// reads, but ApplyMutation is rejected so divergence cannot compound).
+  /// reads, but ApplyMutation is rejected so divergence cannot compound);
+  /// storage_status() when that refuses the engine, in which case recovery
+  /// never ran and the durability dir is untouched.
   Status durability_status() const { return durability_status_; }
 
   /// kFailedPrecondition when the database has a spilled table or the text

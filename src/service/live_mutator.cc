@@ -136,6 +136,12 @@ Status LiveMutator::ApplyInternal(const Mutation& m, bool logging) {
   KWSDBG_FAULT_POINT("storage.mutation.apply");
   Table* t = db_->FindTable(m.table);
   if (t == nullptr) return Status::NotFound("no table " + m.table);
+  // A spilled table refuses every write itself; refusing up front too keeps
+  // a delete from patching the index before the table turns it down.
+  if (t->spilled()) {
+    return Status::FailedPrecondition("write to spilled table '" + m.table +
+                                      "': spilled tables are read-only");
+  }
 
   // Exclusive fence on the mutated relation + the index gate: in-flight
   // queries over other relations keep running; queries binding this one

@@ -234,11 +234,6 @@ Status DecodeRows(const char* data, size_t size, std::vector<Tuple>* out) {
 BufferPool::BufferPool(DiskManager* disk, size_t budget_bytes)
     : disk_(disk), budget_bytes_(budget_bytes) {}
 
-BufferPool::~BufferPool() {
-  // Dirty frames are intentionally not written back here: the pool dies with
-  // its database, whose spill file is removed anyway.
-}
-
 size_t BufferPool::capacity() const {
   return std::max(kMinFrames,
                   budget_bytes_ / (sizeof(Frame) + disk_->page_size()));
@@ -259,12 +254,6 @@ size_t BufferPool::DecodedBytes(const Frame& f) {
   return bytes;
 }
 
-size_t BufferPool::charged_bytes() const {
-  if (open_mutable_ == kNoFrame) return charged_;
-  const Frame& f = frames_[open_mutable_];
-  return charged_ - f.charge + ContainerBytes(f) + DecodedBytes(f);
-}
-
 size_t BufferPool::RecountBytes() const {
   size_t bytes = 0;
   for (uint32_t idx = lru_head_; idx != kNoFrame;
@@ -278,14 +267,6 @@ void BufferPool::Recharge(Frame* f) {
   charged_ -= f->charge;
   f->charge = ContainerBytes(*f) + f->decoded_bytes;
   charged_ += f->charge;
-}
-
-void BufferPool::SettleMutable() {
-  if (open_mutable_ == kNoFrame) return;
-  Frame& f = frames_[open_mutable_];
-  f.decoded_bytes = DecodedBytes(f);
-  Recharge(&f);
-  open_mutable_ = kNoFrame;
 }
 
 void BufferPool::LinkMru(uint32_t idx) {
@@ -316,9 +297,7 @@ void BufferPool::Unlink(uint32_t idx) {
 
 void BufferPool::Release(uint32_t idx) {
   Frame& f = frames_[idx];
-  f.dirty = false;
   f.pins = 0;
-  f.writer = nullptr;
   f.image.reset();
   f.image_size = 0;
   std::vector<uint32_t>().swap(f.row_at);
@@ -338,20 +317,6 @@ void BufferPool::Drop(uint32_t idx) {
   Release(idx);
 }
 
-Status BufferPool::WriteBack(const Frame& f) {
-  // Slots are in decode order; the writer takes the rows in row order.
-  // FetchMutable decoded every row of a dirty frame.
-  std::vector<Tuple> rows;
-  rows.reserve(f.row_at.size());
-  for (uint32_t at : f.row_at) {
-    KWSDBG_DCHECK(at & kDecoded);
-    rows.push_back(Slot(f, at & ~kDecoded));
-  }
-  KWSDBG_RETURN_NOT_OK(f.writer->WriteBack(f.first_page, rows));
-  ++stats_.write_backs;
-  return Status::OK();
-}
-
 Status BufferPool::MakeRoom() {
   uint32_t idx = lru_head_;
   while (charged_ > budget_bytes_ && resident_ >= kMinFrames) {
@@ -365,16 +330,13 @@ Status BufferPool::MakeRoom() {
     }
     const uint32_t victim = idx;
     idx = frames_[idx].lru_next;
-    if (frames_[victim].dirty) {
-      KWSDBG_RETURN_NOT_OK(WriteBack(frames_[victim]));
-    }
     Drop(victim);
     ++stats_.page_evictions;
   }
   return Status::OK();
 }
 
-Tuple* BufferPool::DecodeRow(Frame* f, size_t row) {
+const Tuple* BufferPool::DecodeRow(Frame* f, size_t row) {
   uint32_t& at = f->row_at[row];
   if (at & kDecoded) return &Slot(*f, at & ~kDecoded);
   const uint32_t slot = f->num_slots++;
@@ -392,12 +354,8 @@ Tuple* BufferPool::DecodeRow(Frame* f, size_t row) {
   return &out;
 }
 
-StatusOr<BufferPool::Frame*> BufferPool::FetchFrame(uint64_t first_page,
-                                                    uint32_t num_pages,
-                                                    size_t row,
-                                                    bool all_rows,
-                                                    PageWriter* writer) {
-  SettleMutable();
+StatusOr<const Tuple*> BufferPool::Fetch(uint64_t first_page,
+                                         uint32_t num_pages, size_t row) {
   uint32_t idx = FrameOf(first_page);
   const bool miss = idx == kNoFrame;
   if (!miss) {
@@ -433,16 +391,10 @@ StatusOr<BufferPool::Frame*> BufferPool::FetchFrame(uint64_t first_page,
       return read;
     }
     f.first_page = first_page;
-    f.writer = writer;
     Recharge(&f);
   }
   Frame& f = frames_[idx];
-  const bool in_range = row < f.row_at.size();
-  if (in_range && all_rows) {
-    for (size_t r = 0; r < f.row_at.size(); ++r) DecodeRow(&f, r);
-  } else if (in_range) {
-    DecodeRow(&f, row);
-  }
+  const Tuple* out = row < f.row_at.size() ? DecodeRow(&f, row) : nullptr;
   if (miss) {
     // After the decode, so the pool fits its budget once the miss is done.
     // The frame is charged but not linked, so it cannot be its own victim.
@@ -459,32 +411,13 @@ StatusOr<BufferPool::Frame*> BufferPool::FetchFrame(uint64_t first_page,
     ++resident_;
     LinkMru(idx);
   }
-  if (!in_range) {
+  if (out == nullptr) {
     return Status::OutOfRange("row " + std::to_string(row) + " past the " +
                               std::to_string(f.row_at.size()) +
                               " rows of the extent at page " +
                               std::to_string(first_page));
   }
-  return &f;
-}
-
-StatusOr<const Tuple*> BufferPool::Fetch(uint64_t first_page,
-                                         uint32_t num_pages, size_t row,
-                                         PageWriter* writer) {
-  KWSDBG_ASSIGN_OR_RETURN(
-      Frame * f, FetchFrame(first_page, num_pages, row, false, writer));
-  return const_cast<const Tuple*>(DecodeRow(f, row));
-}
-
-StatusOr<Tuple*> BufferPool::FetchMutable(uint64_t first_page,
-                                          uint32_t num_pages, size_t row,
-                                          PageWriter* writer) {
-  KWSDBG_ASSIGN_OR_RETURN(
-      Frame * f, FetchFrame(first_page, num_pages, row, true, writer));
-  f->dirty = true;
-  f->writer = writer;
-  open_mutable_ = static_cast<uint32_t>(f - frames_.data());
-  return DecodeRow(f, row);
+  return out;
 }
 
 void BufferPool::Pin(uint64_t first_page) {
@@ -497,21 +430,7 @@ void BufferPool::Unpin(uint64_t first_page) {
   if (idx != kNoFrame && frames_[idx].pins > 0) --frames_[idx].pins;
 }
 
-Status BufferPool::FlushAll() {
-  SettleMutable();
-  for (uint32_t idx = lru_head_; idx != kNoFrame;) {
-    const uint32_t next = frames_[idx].lru_next;
-    if (frames_[idx].dirty) {
-      KWSDBG_RETURN_NOT_OK(WriteBack(frames_[idx]));
-      Drop(idx);
-    }
-    idx = next;
-  }
-  return Status::OK();
-}
-
 void BufferPool::DropAll() {
-  open_mutable_ = kNoFrame;
   while (lru_head_ != kNoFrame) Drop(lru_head_);
 }
 

@@ -1,4 +1,4 @@
-// Byte-budgeted buffer pool over a DiskManager page file.
+// Byte-budgeted, read-only buffer pool over a DiskManager page file.
 //
 // A frame holds the raw image of one extent, one uint32 per row, and slots
 // for the rows decoded during this residency. A miss reads the image and
@@ -7,7 +7,9 @@
 // the slot. Slots live in fixed chunks that never move, so a reference to a
 // decoded row stays put while other rows of the frame decode. An evicted
 // frame frees its image, its row directory and its slots: nothing decoded
-// in one residency is kept for the next extent.
+// in one residency is kept for the next extent. Spilled extents never
+// change (spilled tables refuse writes, see table.h), so a frame is never
+// dirty and eviction only frees it.
 //
 // Frames are charged by the bytes they hold, under Table::EstimateBytes'
 // rule (allocated capacity, heap string payloads, no allocator overhead):
@@ -19,8 +21,7 @@
 // miss evicts least recently used unpinned frames until the incoming frame
 // fits, but never below kMinFrames resident frames counting the incoming
 // one. A hit or a first-touch decode never evicts, so decodes may take the
-// pool past its budget until the next miss. Dirty frames are written back
-// before they leave.
+// pool past its budget until the next miss.
 //
 // Reference-stability contract: a reference obtained from a Fetch stays
 // valid across at least 15 = kMinFrames - 1 subsequent fetches of *other*
@@ -28,17 +29,11 @@
 // recently used after the fetch, and a miss evicts it only when every
 // older frame is gone or pinned and at least kMinFrames frames, itself
 // included, are resident. So each frame pinned while the reference is
-// held shortens that window by one fetch, and FlushAll and DropAll end
-// every reference into a frame they drop. The executor's probe loops touch
-// at most two tables between taking a reference and using it; the few call
-// sites that interleave a reference with an unbounded index build copy the
-// value instead (see Executor::RunJoin).
-//
-// Dirty frames are written back through the PageWriter that fetched them,
-// which lets the owner re-encode rows and grow the extent if an updated
-// string no longer fits (see Table::WriteBack). FetchMutable decodes every
-// row of the frame before marking it dirty, so a write-back re-encodes the
-// whole extent from decoded rows.
+// held shortens that window by one fetch, and DropAll ends every
+// reference. The executor's probe loops touch at most two tables between
+// taking a reference and using it; the few call sites that interleave a
+// reference with an unbounded index build copy the value instead (see
+// Executor::RunJoin).
 #ifndef KWSDBG_STORAGE_BUFFER_POOL_H_
 #define KWSDBG_STORAGE_BUFFER_POOL_H_
 
@@ -65,19 +60,10 @@ void EncodeRows(const std::vector<Tuple>& rows, std::string* out);
 /// from the input are bounded by the bytes left before they size anything.
 Status DecodeRows(const char* data, size_t size, std::vector<Tuple>* out);
 
-/// Write-back sink for dirty frames; implemented by the page owner (Table).
-class PageWriter {
- public:
-  virtual ~PageWriter() = default;
-  virtual Status WriteBack(uint64_t first_page,
-                           const std::vector<Tuple>& rows) = 0;
-};
-
 struct BufferPoolStats {
   size_t page_hits = 0;        ///< Fetches served from a resident frame.
   size_t page_misses = 0;      ///< Fetches that had to read from disk.
   size_t page_evictions = 0;   ///< Frames displaced to make room.
-  size_t write_backs = 0;      ///< Dirty frames flushed on eviction/flush.
 };
 
 class BufferPool {
@@ -90,7 +76,6 @@ class BufferPool {
   /// charge above); a budget smaller than kMinFrames frames keeps the pool
   /// at its floor.
   BufferPool(DiskManager* disk, size_t budget_bytes);
-  ~BufferPool();
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 
@@ -99,7 +84,7 @@ class BufferPool {
   size_t capacity() const;
   size_t budget_bytes() const { return budget_bytes_; }
   /// Bytes the resident frames hold, charged as above.
-  size_t charged_bytes() const;
+  size_t charged_bytes() const { return charged_; }
   /// Resident frames.
   size_t num_frames() const { return resident_; }
   const BufferPoolStats& stats() const { return stats_; }
@@ -115,27 +100,14 @@ class BufferPool {
   /// kOutOfRange if it holds no row `row`, kResourceExhausted if it does
   /// not fit and every resident frame is pinned.
   StatusOr<const Tuple*> Fetch(uint64_t first_page, uint32_t num_pages,
-                               size_t row, PageWriter* writer);
-
-  /// Like Fetch but decodes every row of the frame and marks it dirty; it
-  /// will be written back through `writer` when evicted or flushed. The row
-  /// may be written until the next call into the pool, which charges its
-  /// new size.
-  StatusOr<Tuple*> FetchMutable(uint64_t first_page, uint32_t num_pages,
-                                size_t row, PageWriter* writer);
+                               size_t row);
 
   /// Pins / unpins a resident frame. Pinned frames are never evicted; a pin
   /// on a non-resident extent is a no-op. Pins nest.
   void Pin(uint64_t first_page);
   void Unpin(uint64_t first_page);
 
-  /// Writes back every dirty frame and drops it: a write-back may move the
-  /// extent to other pages, so its frame is not kept under the old first
-  /// page. Clean frames stay resident.
-  Status FlushAll();
-
-  /// Drops every frame without write-back. Used when the backing extents
-  /// were rewritten by the owner, or on shutdown after FlushAll.
+  /// Drops every frame; references into them end.
   void DropAll();
 
  private:
@@ -146,9 +118,6 @@ class BufferPool {
 
   struct Frame {
     uint64_t first_page = 0;
-    bool dirty = false;
-    int pins = 0;
-    PageWriter* writer = nullptr;
     std::unique_ptr<char[]> image;  ///< The extent's page image.
     size_t image_size = 0;
     /// Per row: its byte offset in `image` while undecoded, then
@@ -158,18 +127,13 @@ class BufferPool {
     /// only appended, so a slot never moves while the frame is resident.
     std::vector<std::unique_ptr<Tuple[]>> slot_chunks;
     uint32_t num_slots = 0;
+    int pins = 0;
     size_t decoded_bytes = 0;  ///< Heap bytes of the decoded rows.
     size_t charge = 0;         ///< What the frame adds to charged_.
     uint32_t lru_prev = kNoFrame;  ///< Towards the least recently used.
     uint32_t lru_next = kNoFrame;  ///< Towards the most recently used.
   };
 
-  /// The frame of the extent at `first_page` with row `row` decoded (every
-  /// row if `all_rows`), read and walked on a miss. The decode happens
-  /// before the miss makes room, so the pool fits its budget after it.
-  /// kOutOfRange if the extent has no row `row`.
-  StatusOr<Frame*> FetchFrame(uint64_t first_page, uint32_t num_pages,
-                              size_t row, bool all_rows, PageWriter* writer);
   /// The resident frame of `first_page`, or kNoFrame.
   uint32_t FrameOf(uint64_t first_page) const {
     return first_page < page_frame_.size() ? page_frame_[first_page]
@@ -180,7 +144,7 @@ class BufferPool {
   /// are resident.
   Status MakeRoom();
   /// Row `row`'s slot, decoded into it on the first call.
-  Tuple* DecodeRow(Frame* f, size_t row);
+  const Tuple* DecodeRow(Frame* f, size_t row);
   static Tuple& Slot(const Frame& f, uint32_t slot) {
     return f.slot_chunks[slot / kSlotChunk][slot % kSlotChunk];
   }
@@ -191,10 +155,6 @@ class BufferPool {
   static size_t DecodedBytes(const Frame& f);
   /// Sets `f`'s charge to ContainerBytes + its running decoded_bytes.
   void Recharge(Frame* f);
-  /// Recounts the frame whose row the last FetchMutable handed out, which
-  /// the caller may have written since.
-  void SettleMutable();
-  Status WriteBack(const Frame& f);
   void LinkMru(uint32_t idx);
   void Unlink(uint32_t idx);
   /// Takes a resident frame out of the LRU list and the page map, then
@@ -213,7 +173,6 @@ class BufferPool {
   size_t charged_ = 0;                  ///< Sum of the resident charges.
   uint32_t lru_head_ = kNoFrame;        ///< Least recently used.
   uint32_t lru_tail_ = kNoFrame;        ///< Most recently used.
-  uint32_t open_mutable_ = kNoFrame;    ///< See SettleMutable.
   BufferPoolStats stats_;
 };
 

@@ -150,7 +150,6 @@ StorageStats Database::storage_stats() const {
     const BufferPoolStats& ps = pool_->stats();
     s.page_hits = ps.page_hits;
     s.page_evictions = ps.page_evictions;
-    s.page_write_backs = ps.write_backs;
     s.pool_frames = pool_->num_frames();
     s.pool_charged_bytes = pool_->charged_bytes();
     s.pool_budget_bytes = pool_->budget_bytes();
@@ -171,15 +170,6 @@ void Database::BumpEpoch() {
   // all go cold. Targeted writes should use Table::BumpDataEpoch via
   // LiveMutator instead, which leaves unrelated tables' caches warm.
   for (const auto& [name, table] : tables_) table->BumpDataEpoch();
-  if (pool_ != nullptr) {
-    // A mutation happened (or the catalog changed): push dirty frames to
-    // disk, then drop everything so post-bump reads decode fresh pages. The
-    // flush must succeed — losing a dirty frame would silently revert a
-    // write that callers already observed.
-    Status st = pool_->FlushAll();
-    KWSDBG_CHECK(st.ok()) << "flush on epoch bump failed: " << st.ToString();
-    pool_->DropAll();
-  }
 }
 
 }  // namespace kwsdbg

@@ -27,7 +27,6 @@ struct StorageStats {
   size_t page_hits = 0;
   size_t page_reads = 0;  ///< Pages read from disk (pool misses read extents).
   size_t page_evictions = 0;
-  size_t page_write_backs = 0;
   size_t spilled_tables = 0;
   size_t spilled_bytes = 0;  ///< On-disk footprint of the spilled extents.
   size_t pool_frames = 0;         ///< Resident buffer-pool frames.
@@ -71,9 +70,9 @@ class Database {
   /// Spills tables (largest first) to a private page file until the
   /// estimated resident footprint fits in roughly half of `budget_bytes`,
   /// giving the other half to the buffer pool as its byte budget. Row
-  /// contents are unchanged, so the epoch is NOT bumped. Idempotent in
-  /// effect but may only be called once per database (spilled tables cannot
-  /// re-spill).
+  /// contents are unchanged, so the epoch is NOT bumped; spilled tables are
+  /// read-only from then on (see table.h). Idempotent in effect but may
+  /// only be called once per database (spilled tables cannot re-spill).
   Status ApplyMemoryBudget(size_t budget_bytes, SpillOptions options = {});
 
   /// Reads KWSDBG_MEMORY_BUDGET (e.g. "64M", "1G", or plain bytes) and
@@ -97,9 +96,9 @@ class Database {
   /// callers that mutate table contents in place (bulk loads, what-if edits
   /// via Table::SetValue/AppendRow) must call BumpEpoch() afterwards so
   /// epoch-keyed caches (e.g. the traversal verdict cache) stop serving
-  /// verdicts computed against the old contents. For spilled tables the
-  /// bump also drops clean buffer-pool frames after flushing dirty ones, so
-  /// no layer can observe pre-write page images.
+  /// verdicts computed against the old contents. Spilled tables are
+  /// read-only, so their pages never change and the bump leaves the buffer
+  /// pool's frames resident.
   uint64_t epoch() const { return epoch_; }
   void BumpEpoch();
 

@@ -2,7 +2,6 @@
 
 #include <fcntl.h>
 #include <signal.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -36,7 +35,7 @@ StatusOr<std::unique_ptr<DiskManager>> DiskManager::Create(std::string path,
       int fd, OpenFd(path, O_RDWR | O_CREAT | O_TRUNC, 0644,
                      "DiskManager::Create"));
   return std::unique_ptr<DiskManager>(
-      new DiskManager(std::move(path), fd, page_size, /*persistent=*/false));
+      new DiskManager(std::move(path), fd, page_size));
 }
 
 StatusOr<std::unique_ptr<DiskManager>> DiskManager::CreateTemp(
@@ -56,49 +55,18 @@ StatusOr<std::unique_ptr<DiskManager>> DiskManager::CreateTemp(
   return Create((base / name).string(), page_size);
 }
 
-StatusOr<std::unique_ptr<DiskManager>> DiskManager::Open(std::string path,
-                                                         size_t page_size) {
-  KWSDBG_RETURN_NOT_OK(CheckPageSize(page_size));
-  KWSDBG_ASSIGN_OR_RETURN(
-      int fd, OpenFd(path, O_RDWR | O_CREAT, 0644, "DiskManager::Open"));
-  struct stat st;
-  if (::fstat(fd, &st) != 0) {
-    int doomed = fd;
-    CloseFd(&doomed, "DiskManager::Open");
-    return Status::Internal("DiskManager::Open: fstat " + path + " failed");
-  }
-  auto manager = std::unique_ptr<DiskManager>(
-      new DiskManager(std::move(path), fd, page_size, /*persistent=*/true));
-  manager->num_pages_ =
-      (static_cast<uint64_t>(st.st_size) + page_size - 1) / page_size;
-  return manager;
-}
-
 DiskManager::~DiskManager() {
   CloseFd(&fd_, "DiskManager::~DiskManager");  // best effort in a dtor
-  if (!persistent_) {
-    std::error_code ec;
-    std::filesystem::remove(path_, ec);  // best effort: it is our temp file
-  }
+  std::error_code ec;
+  std::filesystem::remove(path_, ec);  // best effort: it is our temp file
 }
 
 StatusOr<uint64_t> DiskManager::AllocatePages(size_t count) {
   if (count == 0) return Status::InvalidArgument("allocating 0 pages");
-  if (count == 1 && !free_pages_.empty()) {
-    uint64_t page = free_pages_.back();
-    free_pages_.pop_back();
-    ++stats_.pages_allocated;
-    return page;
-  }
   uint64_t first = num_pages_;
   num_pages_ += count;
   stats_.pages_allocated += count;
   return first;
-}
-
-void DiskManager::FreePages(uint64_t first, size_t count) {
-  for (size_t i = 0; i < count; ++i) free_pages_.push_back(first + i);
-  stats_.pages_freed += count;
 }
 
 Status DiskManager::ReadPages(uint64_t first, size_t count, char* buf) {
@@ -140,18 +108,6 @@ Status DiskManager::WritePages(uint64_t first, size_t count,
                                    static_cast<off_t>(first * page_size_),
                                    "DiskManager::WritePages"));
   stats_.page_writes += count;
-  return Status::OK();
-}
-
-Status DiskManager::Sync() {
-  if (fd_ < 0) {
-    return Status::FailedPrecondition("page file " + path_ + " is closed");
-  }
-  if (FaultPointFires("storage.disk.sync")) {
-    return Status::Unavailable("injected fault: storage.disk.sync");
-  }
-  KWSDBG_RETURN_NOT_OK(SyncFd(fd_, "DiskManager::Sync"));
-  ++stats_.syncs;
   return Status::OK();
 }
 

@@ -1,26 +1,20 @@
 // Page-file disk manager for the out-of-core storage tier.
 //
-// A DiskManager owns one page file on disk: a flat sequence of fixed-size
-// pages addressed by page id. Pages are handed out either singly (recycled
-// through a free list) or as contiguous extents for payloads larger than one
-// page. Two lifetimes exist:
+// A DiskManager owns one private spill file: a flat sequence of fixed-size
+// pages addressed by page id, unlinked when the manager is destroyed, with
+// no cross-process format to maintain. Spilled tables are written once and
+// then only read, so allocation only appends contiguous runs of pages at
+// the end of the file and nothing is ever freed.
 //
-//   * Create / CreateTemp — a private spill file, unlinked when the manager
-//     is destroyed; no cross-process format to maintain.
-//   * Open — a persistent page file (checkpoint/restore, durable spill):
-//     the file survives the manager, page count is adopted from the file
-//     size, and Sync() makes writes crash-durable.
-//
-// All I/O is fd-based with EINTR and short-transfer retries; fsync and
-// close failures surface as typed statuses instead of vanishing (an EIO at
-// close is the kernel reporting that an earlier buffered write was lost).
+// All I/O is fd-based with EINTR and short-transfer retries; close failures
+// surface as typed statuses instead of vanishing (an EIO at close is the
+// kernel reporting that an earlier buffered write was lost).
 #ifndef KWSDBG_STORAGE_DISK_MANAGER_H_
 #define KWSDBG_STORAGE_DISK_MANAGER_H_
 
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 
@@ -32,8 +26,6 @@ struct DiskStats {
   size_t page_reads = 0;
   size_t page_writes = 0;
   size_t pages_allocated = 0;
-  size_t pages_freed = 0;
-  size_t syncs = 0;
 };
 
 class DiskManager {
@@ -54,14 +46,6 @@ class DiskManager {
   static StatusOr<std::unique_ptr<DiskManager>> CreateTemp(
       const std::string& dir, size_t page_size);
 
-  /// Persistent mode: opens (creating if absent) a page file that is NOT
-  /// unlinked on destruction. The page count is adopted from the file size
-  /// (rounded up, so a torn tail page stays addressable); the free list
-  /// starts empty — freed pages from a prior incarnation are leaked, which
-  /// is conservative but never corrupting.
-  static StatusOr<std::unique_ptr<DiskManager>> Open(std::string path,
-                                                     size_t page_size);
-
   ~DiskManager();
   DiskManager(const DiskManager&) = delete;
   DiskManager& operator=(const DiskManager&) = delete;
@@ -69,18 +53,11 @@ class DiskManager {
   size_t page_size() const { return page_size_; }
   const std::string& path() const { return path_; }
   uint64_t num_pages() const { return num_pages_; }
-  bool persistent() const { return persistent_; }
   const DiskStats& stats() const { return stats_; }
 
-  /// Allocates `count` contiguous pages and returns the first page id.
-  /// Single pages are recycled through the free list; larger extents are
-  /// always appended at the end of the file (the free list holds single
-  /// pages only, so contiguity is guaranteed).
+  /// Appends `count` contiguous pages at the end of the file and returns
+  /// the first page id.
   StatusOr<uint64_t> AllocatePages(size_t count);
-
-  /// Returns pages [first, first + count) to the free list. The file is not
-  /// shrunk; freed pages are reused by later single-page allocations.
-  void FreePages(uint64_t first, size_t count);
 
   /// Reads `count` pages starting at `first` into `buf` (must hold
   /// count * page_size() bytes). Pages allocated but never written read
@@ -90,27 +67,18 @@ class DiskManager {
   /// Writes `count` pages starting at `first` from `buf`.
   Status WritePages(uint64_t first, size_t count, const char* buf);
 
-  /// fdatasync: everything written so far survives a crash after this
-  /// returns OK. Fault point: storage.disk.sync.
-  Status Sync();
-
   /// Explicitly closes the file, surfacing deferred write-back errors that
   /// the destructor could only swallow. Further I/O fails typed.
   Status Close();
 
  private:
-  DiskManager(std::string path, int fd, size_t page_size, bool persistent)
-      : path_(std::move(path)),
-        fd_(fd),
-        page_size_(page_size),
-        persistent_(persistent) {}
+  DiskManager(std::string path, int fd, size_t page_size)
+      : path_(std::move(path)), fd_(fd), page_size_(page_size) {}
 
   std::string path_;
   int fd_ = -1;
   size_t page_size_;
-  bool persistent_ = false;
   uint64_t num_pages_ = 0;
-  std::vector<uint64_t> free_pages_;
   DiskStats stats_;
 };
 

@@ -19,7 +19,14 @@ bool TypeMatches(const Value& v, DataType t) {
 }
 }  // namespace
 
+Status Table::RefuseIfSpilled(const char* call) const {
+  if (!spilled_) return Status::OK();
+  return Status::FailedPrecondition(std::string(call) + " on spilled table '" +
+                                    name_ + "': spilled tables are read-only");
+}
+
 Status Table::AppendRow(Tuple row) {
+  KWSDBG_RETURN_NOT_OK(RefuseIfSpilled("AppendRow"));
   if (row.size() != schema_.num_columns()) {
     return Status::InvalidArgument(
         "row arity " + std::to_string(row.size()) + " != schema arity " +
@@ -37,6 +44,7 @@ Status Table::AppendRow(Tuple row) {
 }
 
 Status Table::DeleteRow(size_t row) {
+  KWSDBG_RETURN_NOT_OK(RefuseIfSpilled("DeleteRow"));
   if (row >= num_rows()) {
     return Status::OutOfRange("row " + std::to_string(row) +
                               " out of range for table " + name_);
@@ -47,18 +55,7 @@ Status Table::DeleteRow(size_t row) {
                                       " is already deleted");
   }
   const size_t cols = schema_.num_columns();
-  if (!spilled_) {
-    for (size_t c = 0; c < cols; ++c) rows_[row][c] = Value::Null();
-  } else if (row >= spilled_rows_) {
-    Tuple& t = tail_rows_[row - spilled_rows_];
-    for (size_t c = 0; c < cols; ++c) t[c] = Value::Null();
-  } else {
-    const PageExtent& ext = ExtentForRow(row);
-    KWSDBG_ASSIGN_OR_RETURN(Tuple * t,
-                            pool_->FetchMutable(ext.first_page, ext.num_pages,
-                                                row - ext.first_row, this));
-    for (size_t c = 0; c < cols; ++c) (*t)[c] = Value::Null();
-  }
+  for (size_t c = 0; c < cols; ++c) rows_[row][c] = Value::Null();
   if (deleted_.size() < num_rows()) deleted_.resize(num_rows(), false);
   deleted_[row] = true;
   ++deleted_count_;
@@ -75,6 +72,7 @@ StatusOr<Value> Table::ValueByName(size_t row, const std::string& col) const {
 }
 
 Status Table::SetValue(size_t row, size_t col, Value value) {
+  KWSDBG_RETURN_NOT_OK(RefuseIfSpilled("SetValue"));
   if (row >= num_rows() || col >= schema_.num_columns()) {
     return Status::OutOfRange("cell (" + std::to_string(row) + ", " +
                               std::to_string(col) + ") out of range");
@@ -88,61 +86,22 @@ Status Table::SetValue(size_t row, size_t col, Value value) {
     return Status::InvalidArgument("type mismatch in column '" +
                                    schema_.column(col).name + "'");
   }
-  if (!spilled_) {
-    rows_[row][col] = std::move(value);
-    return Status::OK();
-  }
-  if (row >= spilled_rows_) {
-    tail_rows_[row - spilled_rows_][col] = std::move(value);
-    return Status::OK();
-  }
-  const PageExtent& ext = ExtentForRow(row);
-  KWSDBG_ASSIGN_OR_RETURN(Tuple * t,
-                          pool_->FetchMutable(ext.first_page, ext.num_pages,
-                                              row - ext.first_row, this));
-  (*t)[col] = std::move(value);
+  rows_[row][col] = std::move(value);
   return Status::OK();
 }
 
 StatusOr<std::vector<uint32_t>> Table::Compact() {
+  KWSDBG_RETURN_NOT_OK(RefuseIfSpilled("Compact"));
   const size_t n = num_rows();
   std::vector<uint32_t> remap(n, kDeletedRow);
-  if (!spilled_) {
-    size_t out = 0;
-    for (size_t i = 0; i < n; ++i) {
-      if (deleted(i)) continue;
-      remap[i] = static_cast<uint32_t>(out);
-      if (out != i) rows_[out] = std::move(rows_[i]);
-      ++out;
-    }
-    rows_.resize(out);
-  } else {
-    // Deep-copy the survivors out of the frames (each row() fetch may evict
-    // the previous frame, so every tuple is copied before the next fetch),
-    // then flush dirty frames while their pages still exist, drop the whole
-    // pool (other tables' frames go cold but re-read correctly), free every
-    // extent, and re-pack.
-    std::vector<Tuple> live;
-    live.reserve(live_rows());
-    size_t out = 0;
-    for (size_t i = 0; i < n; ++i) {
-      if (deleted(i)) continue;
-      remap[i] = static_cast<uint32_t>(out++);
-      live.push_back(row(i));
-    }
-    KWSDBG_RETURN_NOT_OK(pool_->FlushAll());
-    pool_->DropAll();
-    for (const PageExtent& e : extents_) {
-      disk_->FreePages(e.first_page, e.num_pages);
-    }
-    extents_.clear();
-    page_to_extent_.clear();
-    on_disk_bytes_ = 0;
-    tail_rows_.clear();
-    tail_rows_.shrink_to_fit();
-    spilled_rows_ = live.size();
-    KWSDBG_RETURN_NOT_OK(PackRows(&live));
+  size_t out = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (deleted(i)) continue;
+    remap[i] = static_cast<uint32_t>(out);
+    if (out != i) rows_[out] = std::move(rows_[i]);
+    ++out;
   }
+  rows_.resize(out);
   deleted_.clear();
   deleted_count_ = 0;
   BumpDataEpoch();
@@ -153,18 +112,19 @@ size_t Table::EstimateBytes() const {
   // Count what the allocator actually holds: the row vector's full capacity
   // (not just its size), then each tuple under EstimateTupleBytes.
   size_t bytes = sizeof(Table) + rows_.capacity() * sizeof(Tuple) +
-                 tail_rows_.capacity() * sizeof(Tuple);
+                 extents_.capacity() * sizeof(PageExtent);
   for (const Tuple& r : rows_) bytes += EstimateTupleBytes(r);
-  for (const Tuple& r : tail_rows_) bytes += EstimateTupleBytes(r);
-  if (spilled_) {
-    bytes += extents_.capacity() * sizeof(PageExtent) +
-             page_to_extent_.size() * (sizeof(uint64_t) + sizeof(size_t));
-  }
   return bytes;
 }
 
-Status Table::PackRows(std::vector<Tuple>* rows) {
-  const size_t page_size = disk_->page_size();
+Status Table::Spill(BufferPool* pool, DiskManager* disk) {
+  if (spilled_) {
+    return Status::FailedPrecondition("table '" + name_ +
+                                      "' is already spilled");
+  }
+  pool_ = pool;
+  // Encode the rows into page-sized extents, moving each into its chunk.
+  const size_t page_size = disk->page_size();
   std::string buf;
   std::vector<Tuple> chunk;
   size_t first_row = 0;
@@ -174,17 +134,16 @@ Status Table::PackRows(std::vector<Tuple>* rows) {
     if (chunk.empty()) return Status::OK();
     size_t num_pages = (chunk_bytes + page_size - 1) / page_size;
     KWSDBG_ASSIGN_OR_RETURN(uint64_t first_page,
-                            disk_->AllocatePages(num_pages));
+                            disk->AllocatePages(num_pages));
     buf.clear();
     EncodeRows(chunk, &buf);
     buf.resize(num_pages * page_size, '\0');
-    KWSDBG_RETURN_NOT_OK(disk_->WritePages(first_page, num_pages, buf.data()));
+    KWSDBG_RETURN_NOT_OK(disk->WritePages(first_page, num_pages, buf.data()));
     PageExtent ext;
     ext.first_page = first_page;
     ext.num_pages = static_cast<uint32_t>(num_pages);
     ext.first_row = static_cast<uint32_t>(first_row);
     ext.num_rows = static_cast<uint32_t>(chunk.size());
-    page_to_extent_[first_page] = extents_.size();
     extents_.push_back(ext);
     on_disk_bytes_ += num_pages * page_size;
     first_row += chunk.size();
@@ -193,7 +152,7 @@ Status Table::PackRows(std::vector<Tuple>* rows) {
     return Status::OK();
   };
 
-  for (Tuple& r : *rows) {
+  for (Tuple& r : rows_) {
     size_t row_bytes = EncodedRowSize(r);
     if (!chunk.empty() && chunk_bytes + row_bytes > page_size) {
       KWSDBG_RETURN_NOT_OK(flush_chunk());
@@ -201,17 +160,7 @@ Status Table::PackRows(std::vector<Tuple>* rows) {
     chunk_bytes += row_bytes;
     chunk.push_back(std::move(r));
   }
-  return flush_chunk();
-}
-
-Status Table::Spill(BufferPool* pool, DiskManager* disk) {
-  if (spilled_) {
-    return Status::FailedPrecondition("table '" + name_ +
-                                      "' is already spilled");
-  }
-  pool_ = pool;
-  disk_ = disk;
-  KWSDBG_RETURN_NOT_OK(PackRows(&rows_));
+  KWSDBG_RETURN_NOT_OK(flush_chunk());
   spilled_rows_ = rows_.size();
   rows_.clear();
   rows_.shrink_to_fit();
@@ -234,45 +183,13 @@ const PageExtent& Table::ExtentForRow(size_t row) const {
 }
 
 const Tuple& Table::SpilledRow(size_t i) const {
-  if (i >= spilled_rows_) return tail_rows_[i - spilled_rows_];
   const PageExtent& ext = ExtentForRow(i);
-  auto row_or = pool_->Fetch(ext.first_page, ext.num_pages,
-                             i - ext.first_row, const_cast<Table*>(this));
+  auto row_or = pool_->Fetch(ext.first_page, ext.num_pages, i - ext.first_row);
   // at()/row() have no error channel; a failed or corrupt page read is a
   // broken invariant of our own spill file, not a recoverable condition.
   KWSDBG_CHECK(row_or.ok()) << "page read failed for table '" << name_
                             << "': " << row_or.status().ToString();
   return **row_or;
-}
-
-Status Table::WriteBack(uint64_t first_page, const std::vector<Tuple>& rows) {
-  auto it = page_to_extent_.find(first_page);
-  KWSDBG_CHECK(it != page_to_extent_.end())
-      << "write-back for unknown extent page " << first_page << " in table '"
-      << name_ << "'";
-  PageExtent& ext = extents_[it->second];
-  const size_t page_size = disk_->page_size();
-  std::string buf;
-  EncodeRows(rows, &buf);
-  size_t need_pages = (buf.size() + page_size - 1) / page_size;
-  if (need_pages <= ext.num_pages) {
-    buf.resize(ext.num_pages * page_size, '\0');
-    return disk_->WritePages(ext.first_page, ext.num_pages, buf.data());
-  }
-  // The mutated rows no longer fit (e.g. a longer string): move the extent
-  // to a fresh run of pages and recycle the old ones.
-  KWSDBG_ASSIGN_OR_RETURN(uint64_t new_first,
-                          disk_->AllocatePages(need_pages));
-  buf.resize(need_pages * page_size, '\0');
-  KWSDBG_RETURN_NOT_OK(disk_->WritePages(new_first, need_pages, buf.data()));
-  disk_->FreePages(ext.first_page, ext.num_pages);
-  size_t idx = it->second;
-  page_to_extent_.erase(it);
-  on_disk_bytes_ += (need_pages - ext.num_pages) * page_size;
-  ext.first_page = new_first;
-  ext.num_pages = static_cast<uint32_t>(need_pages);
-  page_to_extent_[new_first] = idx;
-  return Status::OK();
 }
 
 }  // namespace kwsdbg

@@ -5,7 +5,6 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/logging.h"
@@ -30,9 +29,7 @@ inline constexpr uint32_t kDeletedRow = 0xFFFFFFFFu;
 /// A named relation: a schema plus row-major tuple storage. Row ids are the
 /// positions in insertion order and are stable until Compact().
 ///
-/// Live mutations: AppendRow grows the table (resident tables append to
-/// `rows_`; spilled tables append to a resident `tail_rows_` delta that
-/// follows the on-disk extents in row-id space). DeleteRow tombstones a row
+/// Live mutations: AppendRow grows the table. DeleteRow tombstones a row
 /// and blanks every cell to NULL, so scans and filters that skip NULLs stop
 /// seeing it without shifting row ids; Compact() reclaims tombstoned rows
 /// and returns the old->new row-id remap. Each content mutation must be
@@ -43,9 +40,11 @@ inline constexpr uint32_t kDeletedRow = 0xFFFFFFFFu;
 /// into page extents on a DiskManager, after which `row()`/`at()` go through
 /// a BufferPool and return references into the extent's resident frame —
 /// valid under the pool's LRU reference-stability contract (see
-/// buffer_pool.h). Spilled tables reject `rows()`; a failed page read aborts
-/// via KWSDBG_CHECK because `at()` has no error channel.
-class Table : public PageWriter {
+/// buffer_pool.h). A spilled table is read-only: AppendRow, DeleteRow,
+/// SetValue and Compact return kFailedPrecondition and change nothing.
+/// Spilled tables reject `rows()`; a failed page read aborts via
+/// KWSDBG_CHECK because `at()` has no error channel.
+class Table {
  public:
   Table(std::string name, Schema schema)
       : name_(std::move(name)), schema_(std::move(schema)) {}
@@ -63,12 +62,9 @@ class Table : public PageWriter {
         catalog_index_(other.catalog_index_),
         spilled_(other.spilled_),
         pool_(other.pool_),
-        disk_(other.disk_),
         spilled_rows_(other.spilled_rows_),
         on_disk_bytes_(other.on_disk_bytes_),
-        extents_(std::move(other.extents_)),
-        tail_rows_(std::move(other.tail_rows_)),
-        page_to_extent_(std::move(other.page_to_extent_)) {}
+        extents_(std::move(other.extents_)) {}
   Table& operator=(Table&& other) noexcept {
     if (this == &other) return *this;
     name_ = std::move(other.name_);
@@ -81,20 +77,15 @@ class Table : public PageWriter {
     catalog_index_ = other.catalog_index_;
     spilled_ = other.spilled_;
     pool_ = other.pool_;
-    disk_ = other.disk_;
     spilled_rows_ = other.spilled_rows_;
     on_disk_bytes_ = other.on_disk_bytes_;
     extents_ = std::move(other.extents_);
-    tail_rows_ = std::move(other.tail_rows_);
-    page_to_extent_ = std::move(other.page_to_extent_);
     return *this;
   }
 
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }
-  size_t num_rows() const {
-    return spilled_ ? spilled_rows_ + tail_rows_.size() : rows_.size();
-  }
+  size_t num_rows() const { return spilled_ ? spilled_rows_ : rows_.size(); }
 
   /// Rows minus tombstones — the count aliveness shortcuts must use.
   size_t live_rows() const { return num_rows() - deleted_count_; }
@@ -108,23 +99,20 @@ class Table : public PageWriter {
   }
 
   /// Appends a row. Errors if arity or any value type mismatches the schema
-  /// (NULL is allowed in any column). Works on spilled tables too: the row
-  /// lands in the resident tail delta after the spilled extents.
+  /// (NULL is allowed in any column), or if the table is spilled.
   Status AppendRow(Tuple row);
 
-  /// Appends without validation — for bulk loads from trusted generators.
+  /// Appends without validation — for bulk loads from trusted generators
+  /// into a resident table.
   void AppendRowUnchecked(Tuple row) {
-    if (spilled_) {
-      tail_rows_.push_back(std::move(row));
-    } else {
-      rows_.push_back(std::move(row));
-    }
+    KWSDBG_CHECK(!spilled_) << "append to spilled table '" << name_ << "'";
+    rows_.push_back(std::move(row));
   }
 
   /// Tombstones `row`: marks it deleted and blanks every cell to NULL, so
   /// NULL-skipping scans, filters, and index builds stop seeing it while row
-  /// ids stay stable. Errors if out of range or already deleted. Callers
-  /// maintaining indexes must read the row *before* deleting it.
+  /// ids stay stable. Errors if spilled, out of range or already deleted.
+  /// Callers maintaining indexes must read the row *before* deleting it.
   Status DeleteRow(size_t row);
 
   const Tuple& row(size_t i) const {
@@ -149,15 +137,12 @@ class Table : public PageWriter {
 
   /// Overwrites one cell (type-checked like AppendRow). Any indexes built
   /// over this table must be patched or rebuilt by the caller afterwards.
-  /// Works in both modes; on a spilled table the dirty frame is written back
-  /// on eviction. Errors on tombstoned rows.
+  /// Errors on spilled tables and tombstoned rows.
   Status SetValue(size_t row, size_t col, Value value);
 
   /// Rewrites the table without its tombstoned rows, renumbering the
   /// survivors densely. Returns the old->new row-id remap (kDeletedRow for
-  /// removed rows). Spilled tables are re-packed into fresh extents (the
-  /// shared buffer pool is flushed and dropped first, so other tables'
-  /// frames go cold but stay correct). Bumps the data epoch.
+  /// removed rows). Errors on a spilled table. Bumps the data epoch.
   StatusOr<std::vector<uint32_t>> Compact();
 
   /// Estimated in-memory footprint in bytes (for reporting and for sizing
@@ -166,7 +151,8 @@ class Table : public PageWriter {
   size_t EstimateBytes() const;
 
   /// Moves all rows into page extents on `disk`, serving reads through
-  /// `pool` from now on. No-op error if already spilled.
+  /// `pool` from now on; the table is read-only after it. No-op error if
+  /// already spilled.
   Status Spill(BufferPool* pool, DiskManager* disk);
 
   bool spilled() const { return spilled_; }
@@ -197,18 +183,11 @@ class Table : public PageWriter {
   size_t catalog_index() const { return catalog_index_; }
   void set_catalog_index(size_t idx) { catalog_index_ = idx; }
 
-  /// PageWriter: re-encodes a mutated extent. Rewrites in place when the
-  /// rows still fit; otherwise allocates a fresh (larger) extent and frees
-  /// the old pages.
-  Status WriteBack(uint64_t first_page,
-                   const std::vector<Tuple>& rows) override;
-
  private:
+  /// kFailedPrecondition naming `call` if the table is spilled.
+  Status RefuseIfSpilled(const char* call) const;
   const Tuple& SpilledRow(size_t i) const;
   const PageExtent& ExtentForRow(size_t row) const;
-  /// Encodes `rows` into fresh page extents (consumes the tuples). Used by
-  /// Spill() for the initial pack and by Compact() for the re-pack.
-  Status PackRows(std::vector<Tuple>* rows);
 
   std::string name_;
   Schema schema_;
@@ -222,18 +201,12 @@ class Table : public PageWriter {
   std::atomic<uint64_t> data_epoch_{0};
   size_t catalog_index_ = 0;
 
-  // Spill state. `extents_` is sorted by first_row for binary search;
-  // `page_to_extent_` maps an extent's first page back to its index for
-  // write-back. `tail_rows_` holds rows appended after the spill; row id
-  // spilled_rows_ + i maps to tail_rows_[i].
+  // Spill state. `extents_` is sorted by first_row for binary search.
   bool spilled_ = false;
   BufferPool* pool_ = nullptr;
-  DiskManager* disk_ = nullptr;
   size_t spilled_rows_ = 0;
   size_t on_disk_bytes_ = 0;
   std::vector<PageExtent> extents_;
-  std::vector<Tuple> tail_rows_;
-  std::unordered_map<uint64_t, size_t> page_to_extent_;
 };
 
 }  // namespace kwsdbg

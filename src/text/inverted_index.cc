@@ -153,22 +153,7 @@ const std::vector<Posting>& InvertedIndex::PostingsForTermId(
   KWSDBG_CHECK(term_id < dict_terms_.size())
       << "term id " << term_id << " out of range";
   if (store_ == nullptr) return *dict_postings_[term_id];
-  const std::vector<Posting>& base = store_->Fetch(term_id);
-  auto it = delta_.find(term_id);
-  if (it == delta_.end()) return base;
-  // Merge the live overlay into the scratch buffer: (base - removed) +
-  // added, all sorted. Same lifetime contract as a raw fetch: the reference
-  // is valid until the next posting fetch.
-  const Delta& d = it->second;
-  std::vector<Posting> diff;
-  diff.reserve(base.size());
-  std::set_difference(base.begin(), base.end(), d.removed.begin(),
-                      d.removed.end(), std::back_inserter(diff), PostingLess);
-  merged_scratch_.clear();
-  merged_scratch_.reserve(diff.size() + d.added.size());
-  std::merge(diff.begin(), diff.end(), d.added.begin(), d.added.end(),
-             std::back_inserter(merged_scratch_), PostingLess);
-  return merged_scratch_;
+  return store_->Fetch(term_id);
 }
 
 const std::string& InvertedIndex::TermOfId(uint32_t term_id) const {
@@ -221,11 +206,9 @@ uint32_t InvertedIndex::TableIdOf(const std::string& table) const {
 }
 
 bool InvertedIndex::Contains(const std::string& term) const {
-  uint32_t id = DictIdOf(term);
-  // The profile check matters on a spilled index, where a term emptied by
-  // deletes keeps its dictionary slot (the on-disk directory cannot shrink)
-  // but must behave as absent — exactly what a fresh rebuild would report.
-  return id < dict_terms_.size() && !profile_[id].empty();
+  // A term whose last posting goes leaves the dictionary (see
+  // RemoveOccurrence), so every dictionary term occurs somewhere.
+  return DictIdOf(term) < dict_terms_.size();
 }
 
 bool InvertedIndex::TableContains(const std::string& term,
@@ -264,80 +247,33 @@ void InvertedIndex::BumpProfile(uint32_t id, uint32_t tid, int delta) {
   }
 }
 
-size_t InvertedIndex::RowOccurrences(uint32_t id, uint32_t tid,
-                                     uint32_t row) const {
-  auto count_range = [&](const std::vector<Posting>& v) {
-    auto lo = std::lower_bound(v.begin(), v.end(), Posting{tid, row, 0},
-                               PostingLess);
-    size_t n = 0;
-    while (lo != v.end() && lo->table_id == tid && lo->row == row) {
-      ++n;
-      ++lo;
-    }
-    return n;
-  };
-  if (store_ == nullptr) return count_range(*dict_postings_[id]);
-  size_t n = count_range(store_->Fetch(id));
-  auto it = delta_.find(id);
-  if (it != delta_.end()) {
-    n += count_range(it->second.added);
-    n -= count_range(it->second.removed);
-  }
-  return n;
-}
-
 Status InvertedIndex::AddOccurrence(const std::string& term, uint32_t tid,
                                     uint32_t row, uint32_t col,
                                     bool* needs_finalize) {
   const Posting p{tid, row, col};
-  if (store_ == nullptr) {
-    auto [it, created] = entries_.try_emplace(term);
-    auto& posts = it->second.postings;
-    const uint32_t id = DictIdOf(term);
-    const bool new_term = id >= dict_terms_.size();
-    bool first_in_row = false;
-    if (!new_term) {
-      auto lo = std::lower_bound(posts.begin(), posts.end(),
-                                 Posting{tid, row, 0}, PostingLess);
-      first_in_row = lo == posts.end() || lo->table_id != tid ||
-                     lo->row != row;
-    }
-    auto pos = std::lower_bound(posts.begin(), posts.end(), p, PostingLess);
-    if (pos != posts.end() && *pos == p) {
-      return Status::FailedPrecondition("duplicate posting insert");
-    }
-    posts.insert(pos, p);
-    ++num_postings_;
-    if (new_term) {
-      // Vocabulary grew: the sorted dictionary, masks, and profile must be
-      // rebuilt (term ids shift). The caller batches this per mutation.
-      *needs_finalize = true;
-      return Status::OK();
-    }
-    if (first_in_row) BumpProfile(id, tid, +1);
+  auto [it, created] = entries_.try_emplace(term);
+  auto& posts = it->second.postings;
+  const uint32_t id = DictIdOf(term);
+  const bool new_term = id >= dict_terms_.size();
+  bool first_in_row = false;
+  if (!new_term) {
+    auto lo = std::lower_bound(posts.begin(), posts.end(),
+                               Posting{tid, row, 0}, PostingLess);
+    first_in_row = lo == posts.end() || lo->table_id != tid ||
+                   lo->row != row;
+  }
+  auto pos = std::lower_bound(posts.begin(), posts.end(), p, PostingLess);
+  if (pos != posts.end() && *pos == p) {
+    return Status::FailedPrecondition("duplicate posting insert");
+  }
+  posts.insert(pos, p);
+  ++num_postings_;
+  if (new_term) {
+    // Vocabulary grew: the sorted dictionary, masks, and profile must be
+    // rebuilt (term ids shift). The caller batches this per mutation.
+    *needs_finalize = true;
     return Status::OK();
   }
-  const uint32_t id = DictIdOf(term);
-  if (id >= dict_terms_.size()) {
-    return Status::FailedPrecondition(
-        "insert of vocabulary-new term '" + term +
-        "' on a spilled index (the on-disk directory cannot grow)");
-  }
-  const bool first_in_row = RowOccurrences(id, tid, row) == 0;
-  Delta& d = delta_[id];
-  auto rit = std::lower_bound(d.removed.begin(), d.removed.end(), p,
-                              PostingLess);
-  if (rit != d.removed.end() && *rit == p) {
-    d.removed.erase(rit);
-  } else {
-    auto ait = std::lower_bound(d.added.begin(), d.added.end(), p,
-                                PostingLess);
-    if (ait != d.added.end() && *ait == p) {
-      return Status::FailedPrecondition("duplicate posting insert");
-    }
-    d.added.insert(ait, p);
-  }
-  ++num_postings_;
   if (first_in_row) BumpProfile(id, tid, +1);
   return Status::OK();
 }
@@ -346,77 +282,46 @@ void InvertedIndex::RemoveOccurrence(const std::string& term, uint32_t tid,
                                      uint32_t row, uint32_t col,
                                      bool* needs_finalize) {
   const Posting p{tid, row, col};
-  if (store_ == nullptr) {
-    auto it = entries_.find(term);
-    KWSDBG_CHECK(it != entries_.end())
-        << "remove of unindexed term '" << term << "'";
-    auto& posts = it->second.postings;
-    auto pos = std::lower_bound(posts.begin(), posts.end(), p, PostingLess);
-    KWSDBG_CHECK(pos != posts.end() && *pos == p)
-        << "remove of absent posting for term '" << term << "'";
-    posts.erase(pos);
-    --num_postings_;
-    if (posts.empty()) {
-      // The term left the vocabulary; a fresh rebuild would not have it, so
-      // drop the entry and re-finalize the dictionary.
-      entries_.erase(it);
-      *needs_finalize = true;
-      return;
-    }
-    auto lo = std::lower_bound(posts.begin(), posts.end(),
-                               Posting{tid, row, 0}, PostingLess);
-    const bool last_in_row = lo == posts.end() || lo->table_id != tid ||
-                             lo->row != row;
-    const uint32_t id = DictIdOf(term);
-    if (last_in_row && id < dict_terms_.size()) BumpProfile(id, tid, -1);
+  auto it = entries_.find(term);
+  KWSDBG_CHECK(it != entries_.end())
+      << "remove of unindexed term '" << term << "'";
+  auto& posts = it->second.postings;
+  auto pos = std::lower_bound(posts.begin(), posts.end(), p, PostingLess);
+  KWSDBG_CHECK(pos != posts.end() && *pos == p)
+      << "remove of absent posting for term '" << term << "'";
+  posts.erase(pos);
+  --num_postings_;
+  if (posts.empty()) {
+    // The term left the vocabulary; a fresh rebuild would not have it, so
+    // drop the entry and re-finalize the dictionary.
+    entries_.erase(it);
+    *needs_finalize = true;
     return;
   }
+  auto lo = std::lower_bound(posts.begin(), posts.end(),
+                             Posting{tid, row, 0}, PostingLess);
+  const bool last_in_row = lo == posts.end() || lo->table_id != tid ||
+                           lo->row != row;
   const uint32_t id = DictIdOf(term);
-  KWSDBG_CHECK(id < dict_terms_.size())
-      << "remove of unindexed term '" << term << "'";
-  Delta& d = delta_[id];
-  auto ait = std::lower_bound(d.added.begin(), d.added.end(), p, PostingLess);
-  if (ait != d.added.end() && *ait == p) {
-    d.added.erase(ait);
-  } else {
-    auto rit = std::lower_bound(d.removed.begin(), d.removed.end(), p,
-                                PostingLess);
-    KWSDBG_CHECK(!(rit != d.removed.end() && *rit == p))
-        << "double remove of posting for term '" << term << "'";
-    const std::vector<Posting>& base = store_->Fetch(id);
-    auto bit = std::lower_bound(base.begin(), base.end(), p, PostingLess);
-    KWSDBG_CHECK(bit != base.end() && *bit == p)
-        << "remove of absent posting for term '" << term << "'";
-    d.removed.insert(rit, p);
-  }
-  --num_postings_;
-  if (RowOccurrences(id, tid, row) == 0) BumpProfile(id, tid, -1);
+  if (last_in_row && id < dict_terms_.size()) BumpProfile(id, tid, -1);
+}
+
+Status InvertedIndex::RefuseIfSpilled(const char* call) const {
+  if (store_ == nullptr) return Status::OK();
+  return Status::FailedPrecondition(std::string(call) +
+                                    " on a spilled index: it is read-only");
 }
 
 StatusOr<size_t> InvertedIndex::ApplyRowInsert(const Table& table,
                                                uint32_t row) {
+  KWSDBG_RETURN_NOT_OK(RefuseIfSpilled("ApplyRowInsert"));
   const uint32_t tid = TableIdOf(table.name());
   if (tid == kNoTable) {
     return Status::NotFound("table '" + table.name() + "' is not indexed");
   }
-  const std::vector<size_t> text_cols = table.schema().TextColumnIndices();
-  if (store_ != nullptr) {
-    // Pre-validate so a rejected term leaves the index untouched.
-    for (size_t col : text_cols) {
-      const Value v = table.at(row, col);
-      if (v.is_null()) continue;
-      for (const std::string& term : TokenizeUnique(v.AsString())) {
-        if (DictIdOf(term) >= dict_terms_.size()) {
-          return Status::FailedPrecondition(
-              "insert of vocabulary-new term '" + term +
-              "' on a spilled index (the on-disk directory cannot grow)");
-        }
-      }
-    }
-  }
   size_t patches = 0;
   bool needs_finalize = false;
-  for (size_t col : text_cols) {
+  for (size_t col : table.schema().TextColumnIndices()) {
     // Copy: on a spilled table the reference points into an evictable frame.
     const Value v = table.at(row, col);
     if (v.is_null()) continue;
@@ -432,6 +337,7 @@ StatusOr<size_t> InvertedIndex::ApplyRowInsert(const Table& table,
 
 StatusOr<size_t> InvertedIndex::ApplyRowDelete(const Table& table,
                                                uint32_t row) {
+  KWSDBG_RETURN_NOT_OK(RefuseIfSpilled("ApplyRowDelete"));
   const uint32_t tid = TableIdOf(table.name());
   if (tid == kNoTable) {
     return Status::NotFound("table '" + table.name() + "' is not indexed");
@@ -454,6 +360,7 @@ StatusOr<size_t> InvertedIndex::ApplyRowDelete(const Table& table,
 StatusOr<size_t> InvertedIndex::ApplyCellUpdate(const Table& table,
                                                 uint32_t row, size_t col,
                                                 const Value& old_value) {
+  KWSDBG_RETURN_NOT_OK(RefuseIfSpilled("ApplyCellUpdate"));
   const uint32_t tid = TableIdOf(table.name());
   if (tid == kNoTable) {
     return Status::NotFound("table '" + table.name() + "' is not indexed");
@@ -471,15 +378,6 @@ StatusOr<size_t> InvertedIndex::ApplyCellUpdate(const Table& table,
   std::vector<std::string> added;
   std::set_difference(new_terms.begin(), new_terms.end(), old_terms.begin(),
                       old_terms.end(), std::back_inserter(added));
-  if (store_ != nullptr) {
-    for (const std::string& term : added) {
-      if (DictIdOf(term) >= dict_terms_.size()) {
-        return Status::FailedPrecondition(
-            "update introducing vocabulary-new term '" + term +
-            "' on a spilled index (the on-disk directory cannot grow)");
-      }
-    }
-  }
   size_t patches = 0;
   bool needs_finalize = false;
   for (const std::string& term : removed) {
@@ -498,10 +396,7 @@ StatusOr<size_t> InvertedIndex::ApplyCellUpdate(const Table& table,
 
 Status InvertedIndex::RemapRows(const std::string& table,
                                 const std::vector<uint32_t>& remap) {
-  if (store_ != nullptr) {
-    return Status::FailedPrecondition(
-        "RemapRows on a spilled index (compact before spilling)");
-  }
+  KWSDBG_RETURN_NOT_OK(RefuseIfSpilled("RemapRows"));
   const uint32_t tid = TableIdOf(table);
   if (tid == kNoTable) {
     return Status::NotFound("table '" + table + "' is not indexed");

@@ -32,11 +32,10 @@ namespace kwsdbg {
 /// from-scratch rebuild (the incremental-vs-rebuild parity oracle in
 /// tests/text/incremental_index_test.cc). A full rebuild remains valid too.
 ///
-/// A spilled index is NOT thread-safe (posting fetches mutate an LRU cache
-/// through const methods); it is a single-session artifact. Concurrent
-/// services keep their index resident. Incremental patches on a spilled
-/// index land in a resident delta overlay merged into every fetch; only
-/// vocabulary-new terms are rejected (the on-disk directory cannot grow).
+/// A spilled index is read-only: the four maintenance calls return
+/// kFailedPrecondition and change nothing. It is also NOT thread-safe
+/// (posting fetches mutate an LRU cache through const methods); it is a
+/// single-session artifact. Concurrent services keep their index resident.
 class InvertedIndex {
  public:
   /// Sentinel returned by TableIdOf for tables absent from the index.
@@ -90,7 +89,8 @@ class InvertedIndex {
 
   /// Moves the posting payload to an on-disk PostingStore under `dir` (or
   /// the system temp dir when empty), keeping dictionary + profile
-  /// resident. `cache_lists` bounds the decoded-list LRU cache.
+  /// resident; the index is read-only after it. `cache_lists` bounds the
+  /// decoded-list LRU cache.
   Status SpillToDisk(const std::string& dir = "", size_t cache_lists = 64);
 
   bool spilled() const { return store_ != nullptr; }
@@ -126,10 +126,10 @@ class InvertedIndex {
   // ---- Incremental maintenance (live writes) ----
 
   /// Patches the index after `table` gained row `row` (the row must already
-  /// be readable). Returns the number of posting patches applied. On a
-  /// resident index a vocabulary-new term triggers a dictionary re-finalize
-  /// (term ids shift, version() bumps — no re-tokenization); on a spilled
-  /// index new terms are rejected with FailedPrecondition.
+  /// be readable). Returns the number of posting patches applied. A
+  /// vocabulary-new term triggers a dictionary re-finalize (term ids shift,
+  /// version() bumps — no re-tokenization). This and the three calls below
+  /// return kFailedPrecondition on a spilled index.
   StatusOr<size_t> ApplyRowInsert(const Table& table, uint32_t row);
 
   /// Patches the index for a pending delete of `row`. Must be called while
@@ -145,7 +145,7 @@ class InvertedIndex {
   /// Rewrites this table's posting row ids after Table::Compact, using the
   /// remap it returned (old -> new; kDeletedRow entries must have no
   /// postings left, which holds because deletes blank the row first).
-  /// Survivor order is preserved, so lists stay sorted. Resident only.
+  /// Survivor order is preserved, so lists stay sorted.
   Status RemapRows(const std::string& table,
                    const std::vector<uint32_t>& remap);
 
@@ -159,31 +159,22 @@ class InvertedIndex {
     std::vector<Posting> postings;
   };
 
-  /// Resident overlay for one spilled term: postings added/removed since the
-  /// spill, both sorted. Fetches merge (base - removed) + added.
-  struct Delta {
-    std::vector<Posting> added;
-    std::vector<Posting> removed;
-  };
+  /// kFailedPrecondition naming `call` if the index is spilled.
+  Status RefuseIfSpilled(const char* call) const;
 
   /// Builds the sorted dictionary, blob, masks, and selectivity profile
   /// from entries_. Called at the end of Build and after any vocabulary
   /// change; bumps version_.
   void Finalize();
 
-  /// Adds/removes one occurrence, maintaining postings, profile, masks, and
-  /// num_postings_. `needs_finalize` is set when the vocabulary changed
-  /// (resident only). Remove on an absent posting is a checked invariant
-  /// violation.
+  /// Adds/removes one occurrence of a resident index, maintaining
+  /// postings, profile, masks, and num_postings_. `needs_finalize` is set
+  /// when the vocabulary changed. Remove on an absent posting is a checked
+  /// invariant violation.
   Status AddOccurrence(const std::string& term, uint32_t tid, uint32_t row,
                        uint32_t col, bool* needs_finalize);
   void RemoveOccurrence(const std::string& term, uint32_t tid, uint32_t row,
                         uint32_t col, bool* needs_finalize);
-
-  /// Number of effective postings of term `id` at (tid, row), counting the
-  /// spill overlay. Drives the "first/last occurrence in this row" profile
-  /// updates.
-  size_t RowOccurrences(uint32_t id, uint32_t tid, uint32_t row) const;
 
   /// Profile count adjustment for (term id, tid): +1 / -1 distinct row.
   void BumpProfile(uint32_t id, uint32_t tid, int delta);
@@ -213,8 +204,6 @@ class InvertedIndex {
   uint64_t version_ = 0;
 
   std::unique_ptr<PostingStore> store_;  ///< Non-null once spilled.
-  std::unordered_map<uint32_t, Delta> delta_;  ///< Spilled-mode overlay.
-  mutable std::vector<Posting> merged_scratch_;  ///< Overlay merge buffer.
 };
 
 }  // namespace kwsdbg

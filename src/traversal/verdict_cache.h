@@ -80,13 +80,6 @@ class VerdictCache {
               uint64_t epoch, uint64_t relset, bool alive,
               uint64_t rel_mask);
 
-  /// Legacy signature (no relation tracking): relset 0, rel_mask 0.
-  void Insert(const std::string& canonical, const std::string& binding_sig,
-              uint64_t epoch, bool alive) {
-    Insert(canonical, binding_sig, epoch, /*relset=*/0, alive,
-           /*rel_mask=*/0);
-  }
-
   /// Partial invalidation: drops every verdict whose relation mask
   /// intersects `rel_mask` (entries inserted with mask 0 always match).
   /// Returns the number evicted.

@@ -85,45 +85,6 @@ TEST_F(QueryBuilderTest, BuiltQueryExecutes) {
   EXPECT_EQ(rs->rows.size(), 3u);
 }
 
-TEST_F(QueryBuilderTest, SelectivityProbeOrderRanksRareKeywordsFirst) {
-  InvertedIndex index = InvertedIndex::Build(*db_);
-  JoinNetworkQuery q;
-  // "saffron" (few rows) must rank before "scented" (most Item rows);
-  // keyword vertices before the free one regardless of table size.
-  q.vertices = {{"Item", "I1", "scented"},
-                {"Color", "C", "saffron"},
-                {"Item", "I2", ""}};
-  std::vector<uint16_t> order = SelectivityProbeOrder(q, *db_, index);
-  ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(order[0], 1);  // saffron: 1 Color row
-  EXPECT_EQ(order[1], 0);  // scented: 3+ Item rows
-  EXPECT_EQ(order[2], 2);  // free vertex last
-
-  // A keyword absent from the index is maximally selective (0 rows).
-  q.vertices[0].keyword = "zzznothing";
-  order = SelectivityProbeOrder(q, *db_, index);
-  EXPECT_EQ(order[0], 0);
-
-  // Free vertices rank among themselves by table cardinality.
-  JoinNetworkQuery free_q;
-  free_q.vertices = {{"Item", "I", ""}, {"ProductType", "P", ""}};
-  order = SelectivityProbeOrder(free_q, *db_, index);
-  EXPECT_EQ(order[0], 1);  // ProductType: 3 rows < Item: 4 rows
-  EXPECT_EQ(order[1], 0);
-}
-
-TEST_F(QueryBuilderTest, SelectivityProbeOrderWorksSpilled) {
-  InvertedIndex index = InvertedIndex::Build(*db_);
-  ASSERT_TRUE(index.SpillToDisk("", 2).ok());
-  JoinNetworkQuery q;
-  q.vertices = {{"Item", "I", "scented"}, {"Color", "C", "saffron"}};
-  std::vector<uint16_t> order = SelectivityProbeOrder(q, *db_, index);
-  ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0], 1);
-  // Ordering is profile-driven: no posting lists were read.
-  EXPECT_EQ(index.io_stats().posting_reads, 0u);
-}
-
 TEST_F(QueryBuilderTest, LatticeOverloadEquivalent) {
   LatticeConfig config;
   config.max_joins = 1;

@@ -32,6 +32,16 @@ export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
 # SpillTest, SpillEpochTest, PostingStoreTest, ExecutorSpillTest,
 # storage_tier_smoke) runs here for asan's sake: the out-of-core tier hands
 # out references into evictable frames, exactly the lifetime bugs asan sees.
+# The tier is read-only, and five cases are named on their own so a rename
+# cannot drop them: SpilledTableRefusesEveryWrite and
+# SpilledIndexRefusesEveryWrite call every writer of a spilled table and
+# index and demand kFailedPrecondition with rows, postings, counters and
+# the pool's charge unchanged (asan sees a refusal that touched a frame
+# first), LiveMutatorInsertOverSpilledIndexTombstonesRow drives the
+# mutator's rollback over a spilled index,
+# LiveMutatorRefusesWritesToASpilledTable its up-front refusal, and
+# SpilledEngineLeavesDurabilityDirAlone checks that a refused service
+# never replays its log into spilled tables.
 # The live-write set (MutationTest, IncrementalIndexTest, LiveMutationTest —
 # whose ConcurrentWritesWhileQuerying is the tsan target for the
 # write-while-querying interleaving — plus mutation_smoke and the chaos
@@ -74,21 +84,17 @@ export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
 # validating walk and per-row decode (asan and ubsan watch the forged
 # counts and lengths); BufferPoolTest's
 # ReferenceStaysValidAcrossCapacityMinusOneFetches holds a row reference
-# while every other row of its frame decodes, and SpillTest's
-# SetValueOnSpilledTableWritesBack evicts a written frame whose other rows
-# were never read (asan sees a slot that moves or a write-back that drops
-# an undecoded row). DebugServiceTest's SpilledEngine* cases are the tsan
+# while every other row of its frame decodes (asan sees a slot that
+# moves). DebugServiceTest's SpilledEngine* cases are the tsan
 # side: a service with two workers or a write path over a spilled engine
 # fails every request kFailedPrecondition before a worker touches the pool.
 # Frames are charged by the bytes they hold against a byte budget and free
 # their slots on eviction, so BufferPoolTest's
 # PropertyByteBudgetChargeAndReferenceWindow runs a seeded mix of fetches,
-# writes, pins, flushes and drops over extents of mixed sizes holding heap
-# strings (asan sees a reference in the contract's window whose frame a
-# multi-frame eviction freed) and AllPinnedUnderAByteBudgetIsResourceExhausted
-# pins every frame of a byte-budgeted pool; SpillTest's
-# FlushAllLeavesNoFrameOnAPageItsWriteBackFreed reads a table spilled onto
-# a page a flushed write-back freed, and
+# pins and drops over extents of mixed sizes holding heap strings (asan
+# sees a reference in the contract's window whose frame a multi-frame
+# eviction freed) and AllPinnedUnderAByteBudgetIsResourceExhausted pins
+# every frame of a byte-budgeted pool; SpillTest's
 # StorageStatsShowThePoolsFramesChargeAndBudget recounts the charge.
 # NodePlanParityTest runs every Table 2 node of a resident and a spilled
 # DBLife through both executor front ends (resolved node plans and compiled
@@ -100,7 +106,7 @@ export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
 # set. The service's shared index tier, where resolved index pointers are
 # held for one query, stays covered under tsan by SharedCacheEpochTest,
 # LiveMutationTest and the chaos layer of DifferentialFuzzTest.
-CONCURRENCY_TESTS='DifferentialFuzzTest|SharedCacheEpochTest|DebugServiceTest|ServiceParityTest|SubmitTest|ComputeServiceStatsTest|ServiceStatsIntegrationTest|ShardIndexForHashTest|ParallelAgreementTest|LruCacheTest|VerdictCacheTest|FailureInjectionTest|ChaosTest|ChaosFuzzTest|ChaosPropagationTest|FaultInjectorTest|FlatRowIndexTest|BufferPoolTest|PageCodecTest|DiskManagerTest|SpillTest|SpillEpochTest|PostingStoreTest|ExecutorSpillTest|MutationTest|IncrementalIndexTest|LiveMutationTest|WalTest|CheckpointTest|RelationFencesTest|DurableServiceTest|CrashRecoveryTest|resilience_smoke|bench_smoke|service_scale_smoke|storage_tier_smoke|mutation_smoke|durability_smoke|PaModelTest|AdaptiveColdStartTest|AdaptiveParityTest|AdaptiveDriftTest|PaObservationCountTest|adaptive_smoke|LatticeIoTest|ExecutorPropertyTest|PrunedLatticeOracleTest|CounterFlowTest|NodePlanParityTest|EvaluatorTest|StrategiesTest|StrategyAgreementTest|NodeStatusTest|InteractiveSessionTest|InteractiveSessionDblifeTest|FrontierTest'
+CONCURRENCY_TESTS='DifferentialFuzzTest|SharedCacheEpochTest|DebugServiceTest|ServiceParityTest|SubmitTest|ComputeServiceStatsTest|ServiceStatsIntegrationTest|ShardIndexForHashTest|ParallelAgreementTest|LruCacheTest|VerdictCacheTest|FailureInjectionTest|ChaosTest|ChaosFuzzTest|ChaosPropagationTest|FaultInjectorTest|FlatRowIndexTest|BufferPoolTest|PageCodecTest|DiskManagerTest|SpillTest|SpillEpochTest|PostingStoreTest|ExecutorSpillTest|SpilledTableRefusesEveryWrite|SpilledIndexRefusesEveryWrite|LiveMutatorInsertOverSpilledIndexTombstonesRow|LiveMutatorRefusesWritesToASpilledTable|SpilledEngineLeavesDurabilityDirAlone|MutationTest|IncrementalIndexTest|LiveMutationTest|WalTest|CheckpointTest|RelationFencesTest|DurableServiceTest|CrashRecoveryTest|resilience_smoke|bench_smoke|service_scale_smoke|storage_tier_smoke|mutation_smoke|durability_smoke|PaModelTest|AdaptiveColdStartTest|AdaptiveParityTest|AdaptiveDriftTest|PaObservationCountTest|adaptive_smoke|LatticeIoTest|ExecutorPropertyTest|PrunedLatticeOracleTest|CounterFlowTest|NodePlanParityTest|EvaluatorTest|StrategiesTest|StrategyAgreementTest|NodeStatusTest|InteractiveSessionTest|InteractiveSessionDblifeTest|FrontierTest'
 
 : "${KWSDBG_FUZZ_ITERS:=200}"
 export KWSDBG_FUZZ_ITERS

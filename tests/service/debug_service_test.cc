@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,6 +21,7 @@
 #include "lattice/lattice_generator.h"
 #include "service/debug_service.h"
 #include "service/service_json.h"
+#include "storage/wal.h"
 #include "test_util.h"
 
 namespace kwsdbg {
@@ -502,6 +506,87 @@ TEST(DebugServiceTest, SpilledEngineRejectsWritePath) {
                 .code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(batch.stats.mutations_applied, 0u);
+}
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+// Every row of every table, read through the pool.
+std::vector<Tuple> RowsOf(const Database& db) {
+  std::vector<Tuple> rows;
+  for (const std::string& name : db.TableNames()) {
+    const Table* t = db.FindTable(name);
+    for (size_t r = 0; r < t->num_rows(); ++r) rows.push_back(t->row(r));
+  }
+  return rows;
+}
+
+// Every posting list, in Terms() order, read through the posting store.
+std::vector<std::vector<Posting>> PostingsOf(const InvertedIndex& index) {
+  std::vector<std::vector<Posting>> postings;
+  for (const std::string& term : index.Terms()) {
+    postings.push_back(index.PostingsFor(term));
+  }
+  return postings;
+}
+
+// A service that refuses a spilled engine never runs recovery: the logged
+// write is not replayed into the read-only tables, the log is not reopened
+// or chopped, and the write path and both durability calls fail typed.
+TEST(DebugServiceTest, SpilledEngineLeavesDurabilityDirAlone) {
+  const std::string dir = testing::TempDir() + "/kwsdbg_spilled_durability";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string wal_path = dir + "/wal.log";
+  {
+    auto wal = WalWriter::Open(wal_path);
+    ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+    ASSERT_TRUE((*wal)
+                    ->AppendMutation(Mutation::Update(
+                        "Attribute", 2, 2, Value(std::string("striped"))))
+                    .ok());
+    ASSERT_TRUE((*wal)->Sync().ok());
+  }
+  const std::string log = FileBytes(wal_path);
+  ASSERT_FALSE(log.empty());
+
+  testutil::ToyFixture fx;
+  SpillToy(&fx);
+  const std::vector<Tuple> rows = RowsOf(*fx.db);
+  const std::vector<std::vector<Posting>> postings = PostingsOf(*fx.index);
+  {
+    ServiceOptions options;
+    options.num_workers = 1;
+    options.durability.dir = dir;
+    DebugService service(fx.db.get(), fx.lattice.get(), fx.index.get(),
+                         options);
+    EXPECT_EQ(service.storage_status().code(),
+              StatusCode::kFailedPrecondition);
+    EXPECT_EQ(service.durability_status().code(),
+              StatusCode::kFailedPrecondition);
+    EXPECT_EQ(service.wal(), nullptr);
+    EXPECT_EQ(service
+                  .ApplyMutation(Mutation::Update(
+                      "Attribute", 2, 2, Value(std::string("dotted"))))
+                  .code(),
+              StatusCode::kFailedPrecondition);
+    EXPECT_EQ(service.Checkpoint().code(), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(service.Drain().code(), StatusCode::kFailedPrecondition);
+  }
+  EXPECT_EQ(FileBytes(wal_path), log);
+  size_t files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    EXPECT_EQ(entry.path().filename(), "wal.log");
+    ++files;
+  }
+  EXPECT_EQ(files, 1u);
+  EXPECT_EQ(RowsOf(*fx.db), rows);
+  EXPECT_EQ(PostingsOf(*fx.index), postings);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(DebugServiceTest, SpilledEngineServesOneConstWorker) {

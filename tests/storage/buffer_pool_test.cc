@@ -286,7 +286,7 @@ TEST(PageCodecTest, SeededMutationsAgreeAcrossDecodeAndPoolFetch) {
     if (!whole.ok()) {
       ++failed;
       ASSERT_EQ(whole.code(), StatusCode::kParseError) << whole.ToString();
-      auto fetched = pool.Fetch(*p, 1, 0, nullptr);
+      auto fetched = pool.Fetch(*p, 1, 0);
       ASSERT_FALSE(fetched.ok()) << "iteration " << iter;
       ASSERT_EQ(fetched.status().ToString(), whole.ToString())
           << "iteration " << iter;
@@ -301,13 +301,13 @@ TEST(PageCodecTest, SeededMutationsAgreeAcrossDecodeAndPoolFetch) {
     for (size_t r = 0; r < order.size(); ++r) order[r] = r;
     rng.Shuffle(&order);
     for (size_t r : order) {
-      auto row = pool.Fetch(*p, 1, r, nullptr);
+      auto row = pool.Fetch(*p, 1, r);
       ASSERT_TRUE(row.ok()) << "iteration " << iter << ": "
                             << row.status().ToString();
       ASSERT_TRUE(SameRow(**row, decoded[r]))
           << "iteration " << iter << ", row " << r;
     }
-    EXPECT_EQ(pool.Fetch(*p, 1, decoded.size(), nullptr).status().code(),
+    EXPECT_EQ(pool.Fetch(*p, 1, decoded.size()).status().code(),
               StatusCode::kOutOfRange);
   }
   // Both outcomes are exercised, so neither half of the property is vacuous.
@@ -320,7 +320,7 @@ TEST(BufferPoolTest, FetchDecodesAndCaches) {
   uint64_t p = WriteExtent(disk.get(), OneRow(11));
   BufferPool pool(disk.get(), kFloorBudget);
 
-  auto row = pool.Fetch(p, 1, 0, nullptr);
+  auto row = pool.Fetch(p, 1, 0);
   ASSERT_TRUE(row.ok());
   ASSERT_EQ((*row)->size(), 1u);
   EXPECT_EQ((**row)[0].AsInt(), 11);
@@ -328,12 +328,12 @@ TEST(BufferPoolTest, FetchDecodesAndCaches) {
 
   // Second fetch is a hit: no new disk read.
   size_t reads_before = disk->stats().page_reads;
-  ASSERT_TRUE(pool.Fetch(p, 1, 0, nullptr).ok());
+  ASSERT_TRUE(pool.Fetch(p, 1, 0).ok());
   EXPECT_EQ(pool.stats().page_hits, 1u);
   EXPECT_EQ(disk->stats().page_reads, reads_before);
 
   // The extent holds one row: row 1 is out of range, not a decode.
-  EXPECT_EQ(pool.Fetch(p, 1, 1, nullptr).status().code(),
+  EXPECT_EQ(pool.Fetch(p, 1, 1).status().code(),
             StatusCode::kOutOfRange);
 }
 
@@ -344,15 +344,15 @@ TEST(BufferPoolTest, LruEvictsOldestUnpinned) {
   for (int i = 0; i < 17; ++i) {
     pages.push_back(WriteExtent(disk.get(), OneRow(i)));
   }
-  for (uint64_t p : pages) ASSERT_TRUE(pool.Fetch(p, 1, 0, nullptr).ok());
+  for (uint64_t p : pages) ASSERT_TRUE(pool.Fetch(p, 1, 0).ok());
   // 17 extents through 16 frames: exactly one eviction, of the first page.
   EXPECT_EQ(pool.stats().page_evictions, 1u);
   EXPECT_EQ(pool.num_frames(), 16u);
 
   size_t misses = pool.stats().page_misses;
-  ASSERT_TRUE(pool.Fetch(pages[0], 1, 0, nullptr).ok());
+  ASSERT_TRUE(pool.Fetch(pages[0], 1, 0).ok());
   EXPECT_EQ(pool.stats().page_misses, misses + 1);  // was evicted
-  ASSERT_TRUE(pool.Fetch(pages[16], 1, 0, nullptr).ok());
+  ASSERT_TRUE(pool.Fetch(pages[16], 1, 0).ok());
   EXPECT_EQ(pool.stats().page_misses, misses + 1);  // still resident
 }
 
@@ -366,18 +366,18 @@ TEST(BufferPoolTest, ReferenceStaysValidAcrossCapacityMinusOneFetches) {
     many.push_back({Value(99 + i), Value(std::string(24, 'a' + i))});
   }
   uint64_t first = WriteExtent(disk.get(), many);
-  auto row = pool.Fetch(first, 1, 0, nullptr);
+  auto row = pool.Fetch(first, 1, 0);
   ASSERT_TRUE(row.ok());
   const Tuple* held = *row;
   for (size_t r = 1; r < many.size(); ++r) {
-    auto other = pool.Fetch(first, 1, r, nullptr);
+    auto other = pool.Fetch(first, 1, r);
     ASSERT_TRUE(other.ok());
     EXPECT_EQ(**other, many[r]);
   }
   EXPECT_EQ(*held, many[0]);
   for (int i = 0; i < 15; ++i) {
     uint64_t p = WriteExtent(disk.get(), OneRow(i));
-    ASSERT_TRUE(pool.Fetch(p, 1, 0, nullptr).ok());
+    ASSERT_TRUE(pool.Fetch(p, 1, 0).ok());
   }
   // 15 = kMinFrames - 1 distinct fetches later, the reference still reads 99.
   EXPECT_EQ((*held)[0].AsInt(), 99);
@@ -388,14 +388,14 @@ TEST(BufferPoolTest, PinnedFramesSurviveEvictionPressure) {
   auto disk = TempDisk();
   BufferPool pool(disk.get(), kFloorBudget);
   uint64_t keep = WriteExtent(disk.get(), OneRow(1234));
-  ASSERT_TRUE(pool.Fetch(keep, 1, 0, nullptr).ok());
+  ASSERT_TRUE(pool.Fetch(keep, 1, 0).ok());
   pool.Pin(keep);
   for (int i = 0; i < 40; ++i) {
     ASSERT_TRUE(
-        pool.Fetch(WriteExtent(disk.get(), OneRow(i)), 1, 0, nullptr).ok());
+        pool.Fetch(WriteExtent(disk.get(), OneRow(i)), 1, 0).ok());
   }
   size_t misses = pool.stats().page_misses;
-  auto row = pool.Fetch(keep, 1, 0, nullptr);
+  auto row = pool.Fetch(keep, 1, 0);
   ASSERT_TRUE(row.ok());
   EXPECT_EQ(pool.stats().page_misses, misses);  // never left the pool
   EXPECT_EQ((**row)[0].AsInt(), 1234);
@@ -407,83 +407,22 @@ TEST(BufferPoolTest, AllPinnedIsResourceExhausted) {
   BufferPool pool(disk.get(), kFloorBudget);
   for (int i = 0; i < 16; ++i) {
     uint64_t p = WriteExtent(disk.get(), OneRow(i));
-    ASSERT_TRUE(pool.Fetch(p, 1, 0, nullptr).ok());
+    ASSERT_TRUE(pool.Fetch(p, 1, 0).ok());
     pool.Pin(p);
   }
   uint64_t extra = WriteExtent(disk.get(), OneRow(-1));
-  auto row = pool.Fetch(extra, 1, 0, nullptr);
+  auto row = pool.Fetch(extra, 1, 0);
   ASSERT_FALSE(row.ok());
   EXPECT_EQ(row.status().code(), StatusCode::kResourceExhausted);
 }
 
-// PageWriter that records write-backs, re-encoding in place.
-struct RecordingWriter : public PageWriter {
-  DiskManager* disk;
-  size_t calls = 0;
-  explicit RecordingWriter(DiskManager* d) : disk(d) {}
-  Status WriteBack(uint64_t first_page,
-                   const std::vector<Tuple>& rows) override {
-    ++calls;
-    std::string buf;
-    EncodeRows(rows, &buf);
-    buf.resize(disk->page_size(), '\0');
-    return disk->WritePages(first_page, 1, buf.data());
-  }
-};
-
-TEST(BufferPoolTest, DirtyFrameWritesBackOnEviction) {
-  auto disk = TempDisk();
-  RecordingWriter writer(disk.get());
-  BufferPool pool(disk.get(), kFloorBudget);
-  uint64_t p = WriteExtent(disk.get(), OneRow(5));
-  auto row = pool.FetchMutable(p, 1, 0, &writer);
-  ASSERT_TRUE(row.ok());
-  (**row)[0] = Value(int64_t{500});
-
-  // Push it out of the pool.
-  for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(
-        pool.Fetch(WriteExtent(disk.get(), OneRow(i)), 1, 0, nullptr).ok());
-  }
-  EXPECT_GE(writer.calls, 1u);
-  EXPECT_GE(pool.stats().write_backs, 1u);
-
-  // Re-reading decodes the written-back value.
-  auto again = pool.Fetch(p, 1, 0, nullptr);
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ((**again)[0].AsInt(), 500);
-}
-
-TEST(BufferPoolTest, FlushAllWritesDirtyFramesOnce) {
-  auto disk = TempDisk();
-  RecordingWriter writer(disk.get());
-  BufferPool pool(disk.get(), kFloorBudget);
-  uint64_t p = WriteExtent(disk.get(), OneRow(8));
-  auto row = pool.FetchMutable(p, 1, 0, &writer);
-  ASSERT_TRUE(row.ok());
-  (**row)[0] = Value(int64_t{80});
-  ASSERT_TRUE(pool.FlushAll().ok());
-  EXPECT_EQ(writer.calls, 1u);
-  ASSERT_TRUE(pool.FlushAll().ok());  // now clean: no second write
-  EXPECT_EQ(writer.calls, 1u);
-
-  pool.DropAll();
-  EXPECT_EQ(pool.num_frames(), 0u);
-  auto again = pool.Fetch(p, 1, 0, nullptr);
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ((**again)[0].AsInt(), 80);
-}
-
-// Extents of one to three pages holding heap strings, written to `disk`,
-// and a PageWriter that re-encodes them in place (writes in the property
-// test below never grow an encoding).
-struct ExtentSet : public PageWriter {
-  DiskManager* disk;
+// Extents of one to three pages holding heap strings, written to `disk`.
+struct ExtentSet {
   std::vector<uint64_t> first_page;
   std::vector<uint32_t> num_pages;
-  std::vector<std::vector<Tuple>> rows;  ///< What each extent holds now.
+  std::vector<std::vector<Tuple>> rows;  ///< What each extent holds.
 
-  ExtentSet(DiskManager* d, Rng* rng, size_t count) : disk(d) {
+  ExtentSet(DiskManager* disk, Rng* rng, size_t count) {
     for (size_t e = 0; e < count; ++e) {
       const uint32_t pages = 1 + static_cast<uint32_t>(rng->Uniform(3));
       std::vector<Tuple> block;
@@ -500,36 +439,24 @@ struct ExtentSet : public PageWriter {
       }
       auto page = disk->AllocatePages(pages);
       EXPECT_TRUE(page.ok());
+      std::string buf;
+      EncodeRows(block, &buf);
+      buf.resize(pages * disk->page_size(), '\0');
+      EXPECT_TRUE(disk->WritePages(*page, pages, buf.data()).ok());
       first_page.push_back(*page);
       num_pages.push_back(pages);
       rows.push_back(std::move(block));
-      EXPECT_TRUE(Write(e, rows.back()).ok());
     }
-  }
-
-  Status Write(size_t e, const std::vector<Tuple>& block) {
-    std::string buf;
-    EncodeRows(block, &buf);
-    const size_t bytes = num_pages[e] * disk->page_size();
-    if (buf.size() > bytes) return Status::Internal("extent grew");
-    buf.resize(bytes, '\0');
-    return disk->WritePages(first_page[e], num_pages[e], buf.data());
-  }
-
-  Status WriteBack(uint64_t page, const std::vector<Tuple>& block) override {
-    const auto it = std::find(first_page.begin(), first_page.end(), page);
-    if (it == first_page.end()) return Status::Internal("unknown extent");
-    return Write(static_cast<size_t>(it - first_page.begin()), block);
   }
 };
 
-// A seeded mix of Fetch, FetchMutable (with a write through the row),
-// Pin/Unpin, FlushAll and DropAll over extents of mixed sizes. After every
-// step the running charge equals a recount of what the frames hold; after
-// every miss the pool fits its budget unless it is at its floor; and every
-// row reference still inside the contract's window (fewer than 16 other
-// extents fetched since, counting one more per pinned frame) reads the row
-// the extent holds, although a miss may evict several frames at once.
+// A seeded mix of Fetch, Pin/Unpin and DropAll over extents of mixed
+// sizes. After every step the running charge equals a recount of what the
+// frames hold; after every miss the pool fits its budget unless it is at
+// its floor; and every row reference still inside the contract's window
+// (fewer than 16 other extents fetched since, counting one more per pinned
+// frame) reads the row the extent holds, although a miss may evict several
+// frames at once.
 TEST(BufferPoolTest, PropertyByteBudgetChargeAndReferenceWindow) {
   constexpr size_t kSteps = 4000;
   for (size_t budget : {kFloorBudget, size_t{28} << 10, size_t{40} << 10}) {
@@ -547,7 +474,6 @@ TEST(BufferPoolTest, PropertyByteBudgetChargeAndReferenceWindow) {
     };
     std::vector<Held> held;
     std::map<size_t, int> pins;  // extent -> pin count
-    std::set<size_t> dirty;      // extents written since the last flush
     std::deque<size_t> recent;
     size_t multi_evictions = 0, max_frames = 0, last_fetched = 0;
     bool fetched_any = false;
@@ -560,41 +486,16 @@ TEST(BufferPoolTest, PropertyByteBudgetChargeAndReferenceWindow) {
     };
     for (size_t step = 0; step < kSteps; ++step) {
       const double op = rng.NextDouble();
-      if (op < 0.72) {
+      if (op < 0.765) {
         // Half the fetches revisit a recent extent, so hits mix with misses.
         const size_t e = !recent.empty() && rng.Bernoulli(0.5)
                              ? recent[rng.Uniform(recent.size())]
                              : rng.Uniform(extents.rows.size());
         const size_t r = rng.Uniform(extents.rows[e].size());
         const BufferPoolStats before = pool.stats();
-        const Tuple* row = nullptr;
-        if (op < 0.62) {
-          auto got = pool.Fetch(extents.first_page[e], extents.num_pages[e],
-                                r, &extents);
-          ASSERT_TRUE(got.ok()) << got.status().ToString();
-          row = *got;
-        } else {
-          auto got = pool.FetchMutable(extents.first_page[e],
-                                       extents.num_pages[e], r, &extents);
-          ASSERT_TRUE(got.ok()) << got.status().ToString();
-          // Writes that never grow the encoding: a new int, a shorter
-          // string (sometimes short enough to fit inline), a NULL.
-          Tuple& model = extents.rows[e][r];
-          switch (rng.Uniform(3)) {
-            case 0:
-              model[0] = Value(static_cast<int64_t>(rng.Next() >> 1));
-              break;
-            case 1:
-              model[1] = Value(std::string(
-                  rng.Uniform(model[1].AsString().size() + 1), 'w'));
-              break;
-            default:
-              model[2] = Value::Null();
-          }
-          **got = model;
-          dirty.insert(e);
-          row = *got;
-        }
+        auto got = pool.Fetch(extents.first_page[e], extents.num_pages[e], r);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        const Tuple* row = *got;
         ASSERT_EQ(*row, extents.rows[e][r]) << "step " << step;
         if (pool.stats().page_misses > before.page_misses) {
           EXPECT_TRUE(pool.charged_bytes() <= budget ||
@@ -613,35 +514,24 @@ TEST(BufferPoolTest, PropertyByteBudgetChargeAndReferenceWindow) {
         if (recent.size() > 8) recent.pop_front();
         last_fetched = e;
         fetched_any = true;
-      } else if (op < 0.82) {
+      } else if (op < 0.865) {
         // Pin the extent fetched last: it is resident for sure.
         if (fetched_any) {
           pool.Pin(extents.first_page[last_fetched]);
           ++pins[last_fetched];
         }
-      } else if (op < 0.94) {
+      } else if (op < 0.985) {
         if (!pins.empty()) {
           auto it = pins.begin();
           std::advance(it, rng.Uniform(pins.size()));
           pool.Unpin(extents.first_page[it->first]);
           if (--it->second == 0) pins.erase(it);
         }
-      } else if (op < 0.985) {
-        // FlushAll drops each frame it writes back: references into the
-        // extents written since the last flush end here.
-        unpin_all();
-        ASSERT_TRUE(pool.FlushAll().ok());
-        std::erase_if(held, [&](const Held& h) {
-          return dirty.count(h.extent) > 0;
-        });
-        dirty.clear();
       } else {
         unpin_all();
-        ASSERT_TRUE(pool.FlushAll().ok());
         pool.DropAll();
         EXPECT_EQ(pool.num_frames(), 0u);
         held.clear();
-        dirty.clear();
       }
 
       ASSERT_EQ(pool.charged_bytes(), pool.RecountBytes()) << "step " << step;
@@ -656,7 +546,6 @@ TEST(BufferPoolTest, PropertyByteBudgetChargeAndReferenceWindow) {
             << " after " << h.others.size() << " other extents";
       }
     }
-    EXPECT_GT(pool.stats().write_backs, 0u);
     if (budget == kFloorBudget) {
       EXPECT_EQ(max_frames, BufferPool::kMinFrames);
     } else {
@@ -677,7 +566,7 @@ TEST(BufferPoolTest, AllPinnedUnderAByteBudgetIsResourceExhausted) {
   Status last;
   for (int i = 0; i < 200 && last.ok(); ++i) {
     const uint64_t p = WriteExtent(disk.get(), OneRow(i));
-    auto row = pool.Fetch(p, 1, 0, nullptr);
+    auto row = pool.Fetch(p, 1, 0);
     last = row.status();
     if (row.ok()) {
       pool.Pin(p);
@@ -691,59 +580,9 @@ TEST(BufferPoolTest, AllPinnedUnderAByteBudgetIsResourceExhausted) {
 
   pool.Unpin(pinned.front());
   const uint64_t extra = WriteExtent(disk.get(), OneRow(-1));
-  auto row = pool.Fetch(extra, 1, 0, nullptr);
+  auto row = pool.Fetch(extra, 1, 0);
   ASSERT_TRUE(row.ok()) << row.status().ToString();
   EXPECT_EQ((**row)[0].AsInt(), -1);
-}
-
-TEST(DiskManagerTest, SinglePagesRecycleThroughFreeList) {
-  auto disk = TempDisk();
-  auto a = disk->AllocatePages(1);
-  auto b = disk->AllocatePages(1);
-  ASSERT_TRUE(a.ok() && b.ok());
-  disk->FreePages(*a, 1);
-  auto c = disk->AllocatePages(1);
-  ASSERT_TRUE(c.ok());
-  EXPECT_EQ(*c, *a);  // recycled, file did not grow
-  EXPECT_EQ(disk->stats().pages_freed, 1u);
-}
-
-TEST(DiskManagerTest, MultiPageExtentsAreContiguousAtEof) {
-  auto disk = TempDisk();
-  auto a = disk->AllocatePages(1);
-  ASSERT_TRUE(a.ok());
-  disk->FreePages(*a, 1);  // a free single page must not split an extent
-  uint64_t eof = disk->num_pages();
-  auto ext = disk->AllocatePages(3);
-  ASSERT_TRUE(ext.ok());
-  EXPECT_EQ(*ext, eof);
-
-  std::string out(3 * disk->page_size(), 'q');
-  ASSERT_TRUE(disk->WritePages(*ext, 3, out.data()).ok());
-  std::string in(3 * disk->page_size(), '\0');
-  ASSERT_TRUE(disk->ReadPages(*ext, 3, in.data()).ok());
-  EXPECT_EQ(in, out);
-}
-
-TEST(DiskManagerTest, ShortReadsZeroFill) {
-  auto disk = TempDisk();
-  auto p = disk->AllocatePages(1);
-  ASSERT_TRUE(p.ok());
-  // Nothing written yet: the file is sparse/short at this offset.
-  std::string buf(disk->page_size(), 'z');
-  ASSERT_TRUE(disk->ReadPages(*p, 1, buf.data()).ok());
-  EXPECT_EQ(buf, std::string(disk->page_size(), '\0'));
-}
-
-TEST(DiskManagerTest, SpillFileRemovedOnDestruction) {
-  std::string path;
-  {
-    auto disk = TempDisk();
-    path = disk->path();
-  }
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  EXPECT_EQ(f, nullptr);
-  if (f != nullptr) std::fclose(f);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// DiskManager contract: free-list recycling, multi-page extents, zero-fill
-// of never-written pages, persistent Open() across incarnations, typed
+// DiskManager contract: append-only allocation of contiguous extents,
+// zero-fill of never-written pages, unlinking on destruction, typed
 // close/closed-file errors, fault-point propagation, and the stale-spill
 // sweep that reclaims page files orphaned by crashed processes.
 #include "storage/disk_manager.h"
@@ -36,34 +36,18 @@ TEST(DiskManagerTest, RejectsTinyPageSize) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(DiskManagerTest, SinglePageFreeListRecycling) {
-  auto dm = DiskManager::Create(TestPath("freelist"), kPage);
+TEST(DiskManagerTest, MultiPageExtentsAreContiguousAtEof) {
+  auto dm = DiskManager::Create(TestPath("extent"), kPage);
   ASSERT_TRUE(dm.ok()) << dm.status().ToString();
   DiskManager& disk = **dm;
 
-  const uint64_t a = *disk.AllocatePages(1);
-  const uint64_t b = *disk.AllocatePages(1);
-  EXPECT_NE(a, b);
-  disk.FreePages(a, 1);
-  // A freed single page is recycled before the file grows.
-  EXPECT_EQ(*disk.AllocatePages(1), a);
-  EXPECT_EQ(disk.stats().pages_freed, 1u);
-  EXPECT_EQ(disk.stats().pages_allocated, 3u);
-  EXPECT_EQ(disk.num_pages(), 2u);
-}
-
-TEST(DiskManagerTest, MultiPageExtentsAreContiguousAndSkipFreeList) {
-  auto dm = DiskManager::Create(TestPath("extent"), kPage);
-  ASSERT_TRUE(dm.ok());
-  DiskManager& disk = **dm;
-
-  const uint64_t single = *disk.AllocatePages(1);
-  disk.FreePages(single, 1);
-  // An extent must be contiguous, so it appends past the end instead of
-  // consuming the (single-page) free list.
+  // Single pages and extents alike go at the end of the file.
+  EXPECT_EQ(*disk.AllocatePages(1), 0u);
   const uint64_t extent = *disk.AllocatePages(3);
   EXPECT_EQ(extent, 1u);
-  EXPECT_EQ(disk.num_pages(), 4u);
+  EXPECT_EQ(*disk.AllocatePages(1), 4u);
+  EXPECT_EQ(disk.num_pages(), 5u);
+  EXPECT_EQ(disk.stats().pages_allocated, 5u);
 
   const std::string payload = PageOf('a') + PageOf('b') + PageOf('c');
   ASSERT_TRUE(disk.WritePages(extent, 3, payload.data()).ok());
@@ -95,41 +79,21 @@ TEST(DiskManagerTest, BoundsAreChecked) {
             StatusCode::kInvalidArgument);
 }
 
+// Create and CreateTemp files alike are unlinked when the manager goes.
 TEST(DiskManagerTest, TempFileIsRemovedOnDestruction) {
-  std::string path;
+  std::vector<std::string> paths;
   {
-    auto dm = DiskManager::Create(TestPath("unlink"), kPage);
-    ASSERT_TRUE(dm.ok());
-    path = (*dm)->path();
-    EXPECT_FALSE((*dm)->persistent());
-    ASSERT_TRUE(std::filesystem::exists(path));
+    auto created = DiskManager::Create(TestPath("unlink"), kPage);
+    auto temp = DiskManager::CreateTemp(testing::TempDir(), kPage);
+    ASSERT_TRUE(created.ok() && temp.ok());
+    paths = {(*created)->path(), (*temp)->path()};
+    for (const std::string& path : paths) {
+      ASSERT_TRUE(std::filesystem::exists(path)) << path;
+    }
   }
-  EXPECT_FALSE(std::filesystem::exists(path));
-}
-
-TEST(DiskManagerTest, OpenPersistsPagesAcrossIncarnations) {
-  const std::string path = TestPath("persist");
-  {
-    auto dm = DiskManager::Open(path, kPage);
-    ASSERT_TRUE(dm.ok()) << dm.status().ToString();
-    EXPECT_TRUE((*dm)->persistent());
-    EXPECT_EQ((*dm)->num_pages(), 0u);
-    const uint64_t extent = *(*dm)->AllocatePages(2);
-    const std::string payload = PageOf('p') + PageOf('q');
-    ASSERT_TRUE((*dm)->WritePages(extent, 2, payload.data()).ok());
-    ASSERT_TRUE((*dm)->Sync().ok());
-    EXPECT_EQ((*dm)->stats().syncs, 1u);
+  for (const std::string& path : paths) {
+    EXPECT_FALSE(std::filesystem::exists(path)) << path;
   }
-  ASSERT_TRUE(std::filesystem::exists(path));  // Survived the destructor.
-
-  auto dm = DiskManager::Open(path, kPage);
-  ASSERT_TRUE(dm.ok());
-  // Page count adopted from the file size.
-  EXPECT_EQ((*dm)->num_pages(), 2u);
-  std::string readback(2 * kPage, '\0');
-  ASSERT_TRUE((*dm)->ReadPages(0, 2, readback.data()).ok());
-  EXPECT_EQ(readback, PageOf('p') + PageOf('q'));
-  std::filesystem::remove(path);
 }
 
 TEST(DiskManagerTest, CloseSurfacesAndFurtherIoFailsTyped) {
@@ -143,7 +107,6 @@ TEST(DiskManagerTest, CloseSurfacesAndFurtherIoFailsTyped) {
             StatusCode::kFailedPrecondition);
   EXPECT_EQ((*dm)->WritePages(page, 1, buf.data()).code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ((*dm)->Sync().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(DiskManagerTest, FaultPointsPropagateTyped) {
@@ -160,10 +123,6 @@ TEST(DiskManagerTest, FaultPointsPropagateTyped) {
     ScopedFaultInjection faults("storage.disk.read=unavailable,times=1");
     EXPECT_EQ((*dm)->ReadPages(page, 1, buf.data()).code(),
               StatusCode::kUnavailable);
-  }
-  {
-    ScopedFaultInjection faults("storage.disk.sync=unavailable,times=1");
-    EXPECT_EQ((*dm)->Sync().code(), StatusCode::kUnavailable);
   }
   // Injected faults do not corrupt the manager: plain I/O still works.
   EXPECT_TRUE((*dm)->WritePages(page, 1, buf.data()).ok());

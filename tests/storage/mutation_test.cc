@@ -1,7 +1,7 @@
-// Live-write semantics at the storage layer: tombstone deletes, tail
-// appends on spilled tables, compaction remaps, FlatRowIndex in-place
-// patches (Lookup-parity with a from-scratch rebuild), and the LiveMutator
-// end-to-end path including rollback and auto-compaction.
+// Live-write semantics at the storage layer: tombstone deletes, compaction
+// remaps, FlatRowIndex in-place patches (Lookup-parity with a from-scratch
+// rebuild), and the LiveMutator end-to-end path including rollback and
+// auto-compaction.
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -11,9 +11,7 @@
 #include "common/fault_injector.h"
 #include "service/live_mutator.h"
 #include "sql/flat_row_index.h"
-#include "storage/buffer_pool.h"
 #include "storage/database.h"
-#include "storage/disk_manager.h"
 #include "storage/table.h"
 #include "text/inverted_index.h"
 #include "traversal/verdict_cache.h"
@@ -35,7 +33,7 @@ void Fill(Table* t, size_t n, const std::string& prefix) {
   }
 }
 
-// ---- Table tombstones, tail appends, compaction ----
+// ---- Table tombstones, compaction ----
 
 TEST(MutationTest, DeleteRowTombstonesAndBlanksCells) {
   Table t("t", TestSchema());
@@ -95,41 +93,6 @@ TEST(MutationTest, CompactRenumbersSurvivorsAndReturnsRemap) {
   EXPECT_EQ(t.at(1, 1).AsString(), "r_2");  // survivors dense, in order
   EXPECT_EQ(t.at(3, 1).AsString(), "r_5");
   EXPECT_GT(t.data_epoch(), epoch_before);  // compaction bumps the epoch
-}
-
-TEST(MutationTest, SpilledTableTailAppendDeleteAndCompact) {
-  auto disk = DiskManager::CreateTemp("", 512);
-  ASSERT_TRUE(disk.ok());
-  // A byte budget no frame fits in: the pool sits at its 16-frame floor.
-  BufferPool pool(disk->get(), /*budget_bytes=*/1);
-  Table t("t", TestSchema());
-  Fill(&t, 50, "r");
-  ASSERT_TRUE(t.Spill(&pool, disk->get()).ok());
-
-  // Appends land in the resident tail after the extents.
-  ASSERT_TRUE(
-      t.AppendRow({Value(int64_t{50}), Value("tail_50"), Value(0.0)}).ok());
-  ASSERT_TRUE(
-      t.AppendRow({Value(int64_t{51}), Value("tail_51"), Value(0.0)}).ok());
-  EXPECT_EQ(t.num_rows(), 52u);
-  EXPECT_EQ(t.at(51, 1).AsString(), "tail_51");
-
-  // Deletes work in the extents and in the tail.
-  ASSERT_TRUE(t.DeleteRow(7).ok());
-  ASSERT_TRUE(t.DeleteRow(50).ok());
-  EXPECT_TRUE(t.at(7, 1).is_null());
-  EXPECT_TRUE(t.at(50, 1).is_null());
-  EXPECT_EQ(t.live_rows(), 50u);
-
-  // Compact re-packs the survivors into fresh extents.
-  auto remap = t.Compact();
-  ASSERT_TRUE(remap.ok());
-  EXPECT_EQ(t.num_rows(), 50u);
-  EXPECT_EQ((*remap)[7], kDeletedRow);
-  EXPECT_EQ((*remap)[8], 7u);
-  EXPECT_EQ((*remap)[51], 49u);
-  EXPECT_EQ(t.at(7, 1).AsString(), "r_8");
-  EXPECT_EQ(t.at(49, 1).AsString(), "tail_51");
 }
 
 // ---- FlatRowIndex patch parity ----
@@ -335,6 +298,59 @@ TEST(MutationTest, LiveMutatorRejectsBadMutationsUnchanged) {
 
   EXPECT_EQ(fx.products->num_rows(), 8u);
   EXPECT_EQ(fx.products->data_epoch(), epoch);  // nothing changed
+  EXPECT_EQ(fx.mutator.stats().mutations_applied.load(), 0u);
+}
+
+// Over a spilled index the inserted row lands in the resident table, the
+// index refuses the patch although every term of the row is in its
+// dictionary, and the mutator's rollback tombstones the row: the failure
+// is typed and the index is as it was.
+TEST(MutationTest, LiveMutatorInsertOverSpilledIndexTombstonesRow) {
+  MutatorFixture fx;
+  ASSERT_TRUE(fx.index.SpillToDisk("", /*cache_lists=*/4).ok());
+  const std::vector<std::string> terms = fx.index.Terms();
+  const size_t postings = fx.index.num_postings();
+  const std::vector<Posting> widget = fx.index.PostingsFor("widget");
+  const std::vector<Posting> alpha3 = fx.index.PostingsFor("alpha3");
+
+  const Status s = fx.mutator.Apply(Mutation::Insert(
+      "products", {Value(int64_t{99}), Value(std::string("widget alpha3"))}));
+  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << s.ToString();
+
+  EXPECT_EQ(fx.products->num_rows(), 9u);
+  EXPECT_TRUE(fx.products->deleted(8));
+  EXPECT_TRUE(fx.products->at(8, 1).is_null());
+  EXPECT_EQ(fx.index.Terms(), terms);
+  EXPECT_EQ(fx.index.num_postings(), postings);
+  EXPECT_EQ(fx.index.PostingsFor("widget"), widget);
+  EXPECT_EQ(fx.index.PostingsFor("alpha3"), alpha3);
+  EXPECT_EQ(fx.mutator.stats().mutations_applied.load(), 0u);
+}
+
+// A write to a spilled table is refused before anything changes: a delete
+// must not patch the (resident) index and then find the table read-only.
+TEST(MutationTest, LiveMutatorRefusesWritesToASpilledTable) {
+  MutatorFixture fx;
+  SpillOptions opts;
+  opts.page_size = 512;
+  ASSERT_TRUE(fx.db.ApplyMemoryBudget(1, opts).ok());
+  ASSERT_TRUE(fx.products->spilled());
+  const size_t postings = fx.index.num_postings();
+  const uint64_t epoch = fx.products->data_epoch();
+
+  for (const Mutation& m :
+       {Mutation::Delete("products", 2),
+        Mutation::Update("products", 2, 1, Value(std::string("widget nu"))),
+        Mutation::Insert("products", {Value(int64_t{99}),
+                                      Value(std::string("widget xi"))})}) {
+    EXPECT_EQ(fx.mutator.Apply(m).code(), StatusCode::kFailedPrecondition);
+  }
+  EXPECT_EQ(fx.products->num_rows(), 8u);
+  EXPECT_FALSE(fx.products->deleted(2));
+  EXPECT_EQ(fx.products->at(2, 1).AsString(), "widget alpha2");
+  EXPECT_EQ(fx.products->data_epoch(), epoch);
+  EXPECT_EQ(fx.index.num_postings(), postings);
+  EXPECT_TRUE(fx.index.TableContains("alpha2", "products"));
   EXPECT_EQ(fx.mutator.stats().mutations_applied.load(), 0u);
 }
 

@@ -1,13 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "storage/buffer_pool.h"
 #include "storage/database.h"
 #include "storage/disk_manager.h"
 #include "storage/table.h"
+#include "text/inverted_index.h"
 
 namespace kwsdbg {
 namespace {
@@ -52,113 +55,6 @@ TEST(SpillTest, SpilledReadsMatchResidentCopy) {
     }
   }
   EXPECT_GT(pool.stats().page_misses, 0u);
-}
-
-TEST(SpillTest, AppendToSpilledTableLandsInResidentTail) {
-  auto disk = DiskManager::CreateTemp("", 512);
-  ASSERT_TRUE(disk.ok());
-  BufferPool pool(disk->get(), kFloorBudget);
-  Table t("t", TestSchema());
-  Fill(&t, 10, "r");
-  ASSERT_TRUE(t.Spill(&pool, disk->get()).ok());
-  ASSERT_TRUE(t.AppendRow({Value(int64_t{1}), Value("x"), Value(1.0)}).ok());
-  EXPECT_EQ(t.num_rows(), 11u);
-  EXPECT_EQ(t.at(10, 1).AsString(), "x");
-  // Spilled rows are still served from the extents.
-  EXPECT_EQ(t.at(3, 1).AsString(), "r_3");
-}
-
-TEST(SpillTest, SetValueOnSpilledTableWritesBack) {
-  auto disk = DiskManager::CreateTemp("", 512);
-  ASSERT_TRUE(disk.ok());
-  BufferPool pool(disk->get(), kFloorBudget);
-  Table resident("t", TestSchema());
-  Fill(&resident, 600, "r");
-  Table t("t", TestSchema());
-  Fill(&t, 600, "r");
-  ASSERT_TRUE(t.Spill(&pool, disk->get()).ok());
-
-  ASSERT_TRUE(t.SetValue(7, 1, Value(std::string("edited"))).ok());
-  ASSERT_TRUE(resident.SetValue(7, 1, Value(std::string("edited"))).ok());
-  EXPECT_EQ(t.at(7, 1).AsString(), "edited");
-
-  // Force the dirty frame out and read the row back from disk.
-  ASSERT_TRUE(pool.FlushAll().ok());
-  pool.DropAll();
-  EXPECT_EQ(t.at(7, 1).AsString(), "edited");
-  EXPECT_EQ(t.at(7, 0).AsInt(), 7);  // neighbors in the extent intact
-
-  // A frame whose first touch is a write: none of its other rows was read,
-  // so the write-back must still re-encode every one of them. An update and
-  // a delete dirty it; LRU eviction (not a flush) writes it back.
-  ASSERT_GT(t.extents().size(), BufferPool::kMinFrames + 1);
-  const PageExtent target = t.extents()[t.extents().size() / 2];
-  ASSERT_GE(target.num_rows, 3u);
-  ASSERT_TRUE(t.SetValue(target.first_row + 1, 2, Value(-1.5)).ok());
-  ASSERT_TRUE(resident.SetValue(target.first_row + 1, 2, Value(-1.5)).ok());
-  ASSERT_TRUE(t.DeleteRow(target.first_row + 2).ok());
-  ASSERT_TRUE(resident.DeleteRow(target.first_row + 2).ok());
-  const size_t write_backs = pool.stats().write_backs;
-  for (const PageExtent& e : t.extents()) {
-    if (e.first_page != target.first_page) (void)t.at(e.first_row, 0);
-  }
-  EXPECT_EQ(pool.stats().write_backs, write_backs + 1);
-
-  // Re-read every row from disk: each equals the resident copy.
-  for (size_t r = 0; r < resident.num_rows(); ++r) {
-    for (size_t c = 0; c < 3; ++c) {
-      EXPECT_TRUE(t.at(r, c) == resident.at(r, c))
-          << "mismatch at (" << r << ", " << c << ")";
-    }
-  }
-}
-
-TEST(SpillTest, WriteBackGrowsExtentWhenRowNoLongerFits) {
-  auto disk = DiskManager::CreateTemp("", 512);
-  ASSERT_TRUE(disk.ok());
-  BufferPool pool(disk->get(), kFloorBudget);
-  Table t("t", TestSchema());
-  Fill(&t, 120, "r");
-  ASSERT_TRUE(t.Spill(&pool, disk->get()).ok());
-
-  // A value far bigger than a 512-byte page cannot be rewritten in place.
-  std::string huge(4000, 'H');
-  ASSERT_TRUE(t.SetValue(3, 1, Value(huge)).ok());
-  ASSERT_TRUE(pool.FlushAll().ok());
-  pool.DropAll();
-  EXPECT_EQ(t.at(3, 1).AsString(), huge);
-  // Every other row survived the extent relocation.
-  EXPECT_EQ(t.at(2, 1).AsString(), "r_2");
-  EXPECT_EQ(t.at(4, 1).AsString(), "r_4");
-  EXPECT_GT(disk->get()->stats().pages_freed, 0u);
-}
-
-// A flushed write-back that moves an extent frees its old first page, so
-// FlushAll must not leave the frame mapped there: a table spilled later
-// onto the recycled page would read the other table's row from it.
-TEST(SpillTest, FlushAllLeavesNoFrameOnAPageItsWriteBackFreed) {
-  auto disk = DiskManager::CreateTemp("", 512);
-  ASSERT_TRUE(disk.ok());
-  BufferPool pool(disk->get(), kFloorBudget);
-  Table a("a", TestSchema());
-  Fill(&a, 4, "a");
-  ASSERT_TRUE(a.Spill(&pool, disk->get()).ok());
-  ASSERT_EQ(a.extents().size(), 1u);
-  ASSERT_EQ(a.extents()[0].first_page, 0u);
-
-  const std::string grown(2000, 'H');
-  ASSERT_TRUE(a.SetValue(0, 1, Value(grown)).ok());
-  ASSERT_TRUE(pool.FlushAll().ok());  // no DropAll after it
-  ASSERT_NE(a.extents()[0].first_page, 0u);  // moved; page 0 was freed
-
-  Table b("b", TestSchema());
-  b.AppendRowUnchecked({Value(int64_t{100}), Value("b_0"), Value(0.0)});
-  ASSERT_TRUE(b.Spill(&pool, disk->get()).ok());
-  ASSERT_EQ(b.extents()[0].first_page, 0u);
-  EXPECT_EQ(b.at(0, 0).AsInt(), 100);
-  EXPECT_EQ(b.at(0, 1).AsString(), "b_0");
-  EXPECT_EQ(a.at(0, 1).AsString(), grown);
-  EXPECT_EQ(a.at(3, 1).AsString(), "a_3");
 }
 
 TEST(SpillTest, EstimateBytesCountsHeapStringsAndSlack) {
@@ -286,7 +182,10 @@ TEST(SpillTest, EnvMemoryBudgetUnsetIsNoop) {
   EXPECT_FALSE(db.AnySpilled());
 }
 
-TEST(SpillEpochTest, BumpEpochDropsFramesAndServesFreshPages) {
+// Spilled pages never change, so an epoch bump moves the epochs and leaves
+// the pool alone: the warmed frames stay resident and keep serving the same
+// rows as hits.
+TEST(SpillEpochTest, BumpEpochKeepsFramesAndServesTheSameRows) {
   Database db;
   auto t = db.CreateTable("t", TestSchema());
   ASSERT_TRUE(t.ok());
@@ -295,26 +194,155 @@ TEST(SpillEpochTest, BumpEpochDropsFramesAndServesFreshPages) {
   opts.page_size = 512;
   ASSERT_TRUE(db.ApplyMemoryBudget(1, opts).ok());  // spill everything
   ASSERT_TRUE((*t)->spilled());
+  const BufferPool* pool = db.buffer_pool();
+  ASSERT_NE(pool, nullptr);
 
-  // Warm the pool, then mutate through the paged path.
-  EXPECT_EQ((*t)->at(42, 1).AsString(), "v1_42");
-  ASSERT_TRUE((*t)->SetValue(42, 1, Value(std::string("v2_42"))).ok());
+  EXPECT_EQ((*t)->at(42, 1).AsString(), "v1_42");  // warm one frame
+  const BufferPoolStats warm = pool->stats();
+  const size_t frames = pool->num_frames();
+  const size_t charged = pool->charged_bytes();
+  const uint64_t epoch = db.epoch();
+  const uint64_t data_epoch = (*t)->data_epoch();
 
-  uint64_t before = db.epoch();
   db.BumpEpoch();
-  EXPECT_EQ(db.epoch(), before + 1);
+  EXPECT_EQ(db.epoch(), epoch + 1);
+  EXPECT_GT((*t)->data_epoch(), data_epoch);
+  EXPECT_EQ(pool->num_frames(), frames);
+  EXPECT_EQ(pool->charged_bytes(), charged);
+  EXPECT_EQ(pool->stats().page_hits, warm.page_hits);
+  EXPECT_EQ(pool->stats().page_misses, warm.page_misses);
+  EXPECT_EQ(pool->stats().page_evictions, warm.page_evictions);
 
-  // The bump flushed the dirty frame and dropped every frame: nothing stale
-  // can be served, and the next read faults the fresh page image in.
-  ASSERT_NE(db.buffer_pool(), nullptr);
-  EXPECT_EQ(db.buffer_pool()->num_frames(), 0u);
-  size_t misses = db.buffer_pool()->stats().page_misses;
-  EXPECT_EQ((*t)->at(42, 1).AsString(), "v2_42");
-  EXPECT_GT(db.buffer_pool()->stats().page_misses, misses);
-
-  // Untouched rows are unchanged by the flush/drop cycle.
+  // The same row, and its neighbours in the frame, come back as hits.
+  EXPECT_EQ((*t)->at(42, 1).AsString(), "v1_42");
   EXPECT_EQ((*t)->at(41, 1).AsString(), "v1_41");
   EXPECT_EQ((*t)->at(43, 1).AsString(), "v1_43");
+  EXPECT_EQ(pool->stats().page_misses, warm.page_misses);
+  EXPECT_EQ(pool->stats().page_hits, warm.page_hits + 3);
+}
+
+// What a refused write must leave as it was, read without touching the
+// pool: the storage counters, the pool's charge and the row count.
+struct Untouched {
+  StorageStats stats;
+  size_t num_rows = 0;
+};
+
+Untouched Observe(const Database& db, const Table& t) {
+  return {db.storage_stats(), t.num_rows()};
+}
+
+void ExpectUntouched(const Untouched& before, const Database& db,
+                     const Table& t) {
+  const StorageStats now = db.storage_stats();
+  EXPECT_EQ(now.page_hits, before.stats.page_hits);
+  EXPECT_EQ(now.page_reads, before.stats.page_reads);
+  EXPECT_EQ(now.page_evictions, before.stats.page_evictions);
+  EXPECT_EQ(now.spilled_tables, before.stats.spilled_tables);
+  EXPECT_EQ(now.spilled_bytes, before.stats.spilled_bytes);
+  EXPECT_EQ(now.pool_frames, before.stats.pool_frames);
+  EXPECT_EQ(now.pool_charged_bytes, before.stats.pool_charged_bytes);
+  EXPECT_EQ(now.pool_budget_bytes, before.stats.pool_budget_bytes);
+  EXPECT_EQ(db.buffer_pool()->charged_bytes(), before.stats.pool_charged_bytes);
+  EXPECT_EQ(t.num_rows(), before.num_rows);
+}
+
+// Every row of `t` equals `want`, and every posting list of `index` equals
+// its copy in `want_postings` (in Terms() order).
+void ExpectContents(const Table& t, const std::vector<Tuple>& want,
+                    const InvertedIndex& index,
+                    const std::vector<std::vector<Posting>>& want_postings) {
+  ASSERT_EQ(t.num_rows(), want.size());
+  for (size_t r = 0; r < want.size(); ++r) {
+    EXPECT_EQ(t.row(r), want[r]) << "row " << r;
+  }
+  const std::vector<std::string> terms = index.Terms();
+  ASSERT_EQ(terms.size(), want_postings.size());
+  for (size_t i = 0; i < terms.size(); ++i) {
+    EXPECT_EQ(index.PostingsFor(terms[i]), want_postings[i]) << terms[i];
+  }
+}
+
+// A spilled database with one tombstone (so Compact would have work) and
+// its text index spilled too, plus copies of every row and posting list.
+struct SpilledFixture {
+  Database db;
+  Table* t = nullptr;
+  InvertedIndex index;
+  std::vector<Tuple> rows;
+  std::vector<std::vector<Posting>> postings;
+
+  SpilledFixture() {
+    t = *db.CreateTable("t", TestSchema());
+    Fill(t, 300, "r");
+    EXPECT_TRUE(t->DeleteRow(3).ok());
+    index = InvertedIndex::Build(db);
+    for (const std::string& term : index.Terms()) {
+      postings.push_back(index.PostingsFor(term));
+    }
+    rows = t->rows();
+    SpillOptions opts;
+    opts.page_size = 512;
+    EXPECT_TRUE(db.ApplyMemoryBudget(1, opts).ok());
+    EXPECT_TRUE(t->spilled());
+    EXPECT_TRUE(index.SpillToDisk("", /*cache_lists=*/4).ok());
+    (void)t->at(7, 1);  // a resident frame whose charge must not move
+  }
+};
+
+// A spilled table is read-only: each writer returns kFailedPrecondition
+// before it reads a page or changes a row, a posting or a counter.
+TEST(SpillTest, SpilledTableRefusesEveryWrite) {
+  SpilledFixture fx;
+  Table& t = *fx.t;
+  const std::vector<std::pair<const char*, std::function<Status()>>> calls = {
+      {"AppendRow",
+       [&] {
+         return t.AppendRow({Value(int64_t{300}), Value("x"), Value(0.0)});
+       }},
+      {"DeleteRow", [&] { return t.DeleteRow(7); }},
+      {"SetValue", [&] { return t.SetValue(7, 1, Value("edited")); }},
+      {"Compact", [&] { return t.Compact().status(); }},
+  };
+  for (const auto& [name, call] : calls) {
+    SCOPED_TRACE(name);
+    const Untouched before = Observe(fx.db, t);
+    EXPECT_EQ(call().code(), StatusCode::kFailedPrecondition);
+    ExpectUntouched(before, fx.db, t);
+    EXPECT_EQ(t.num_deleted(), 1u);
+    ExpectContents(t, fx.rows, fx.index, fx.postings);
+  }
+}
+
+// A spilled index is read-only: each maintenance call returns
+// kFailedPrecondition before it reads a row or changes a posting, the
+// profile or a counter.
+TEST(SpillTest, SpilledIndexRefusesEveryWrite) {
+  SpilledFixture fx;
+  InvertedIndex& index = fx.index;
+  const Table& t = *fx.t;
+  const size_t num_postings = index.num_postings();
+  const uint64_t version = index.version();
+  const std::vector<std::pair<const char*, std::function<Status()>>> calls = {
+      {"ApplyRowInsert", [&] { return index.ApplyRowInsert(t, 7).status(); }},
+      {"ApplyRowDelete", [&] { return index.ApplyRowDelete(t, 7).status(); }},
+      {"ApplyCellUpdate",
+       [&] { return index.ApplyCellUpdate(t, 7, 1, Value("old")).status(); }},
+      {"RemapRows",
+       [&] { return index.RemapRows("t", std::vector<uint32_t>(300, 0)); }},
+  };
+  for (const auto& [name, call] : calls) {
+    SCOPED_TRACE(name);
+    const Untouched before = Observe(fx.db, t);
+    const size_t posting_reads = index.io_stats().posting_reads;
+    EXPECT_EQ(call().code(), StatusCode::kFailedPrecondition);
+    ExpectUntouched(before, fx.db, t);
+    EXPECT_EQ(index.io_stats().posting_reads, posting_reads);
+    EXPECT_EQ(index.num_postings(), num_postings);
+    EXPECT_EQ(index.version(), version);
+    EXPECT_EQ(index.RowFrequency("r", "t"), 299u);
+    ExpectContents(t, fx.rows, index, fx.postings);
+  }
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Rebuild-vs-incremental parity oracle for the inverted index: after any
 // sequence of ApplyRowInsert / ApplyRowDelete / ApplyCellUpdate (and
 // RemapRows after compaction), the incrementally maintained index must
-// answer exactly like InvertedIndex::Build over the current database —
-// structurally on a resident index, behaviorally on a spilled one.
+// answer exactly like InvertedIndex::Build over the current database. A
+// spilled index refuses these calls (tests/storage/spill_test.cc).
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -45,8 +45,7 @@ void BuildDb(Database* out) {
 }
 
 // Structural parity: every observable of the live index equals a
-// from-scratch rebuild. Resident indexes only (spilled references
-// invalidate across fetches; see ExpectBehavioralParity).
+// from-scratch rebuild.
 void ExpectStructuralParity(const InvertedIndex& live, const Database& db) {
   const InvertedIndex fresh = InvertedIndex::Build(db);
   ASSERT_EQ(live.Terms(), fresh.Terms());
@@ -64,34 +63,6 @@ void ExpectStructuralParity(const InvertedIndex& live, const Database& db) {
       EXPECT_EQ(live.TableContains(term, table),
                 fresh.TableContains(term, table))
           << "term '" << term << "' in " << table;
-    }
-  }
-}
-
-// Behavioral parity for a spilled live index: same answers, even though the
-// dictionary may keep emptied terms that a rebuild would drop. Posting
-// references on a spilled index die at the next fetch, so the live list is
-// copied before the fresh index is consulted.
-void ExpectBehavioralParity(const InvertedIndex& live, const Database& db) {
-  const InvertedIndex fresh = InvertedIndex::Build(db);
-  EXPECT_EQ(live.num_postings(), fresh.num_postings());
-  for (const std::string& term : fresh.Terms()) {
-    const std::vector<Posting> got = live.PostingsFor(term);  // copy first
-    const std::vector<Posting>& want = fresh.PostingsFor(term);
-    ASSERT_EQ(got.size(), want.size()) << "term '" << term << "'";
-    for (size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i], want[i]) << "term '" << term << "' posting " << i;
-    }
-    for (const std::string& table : db.TableNames()) {
-      EXPECT_EQ(live.RowFrequency(term, table), fresh.RowFrequency(term, table))
-          << "term '" << term << "' in " << table;
-    }
-  }
-  // Terms the rebuild no longer knows must behave absent in the live index.
-  for (const std::string& term : live.Terms()) {
-    if (!fresh.Contains(term)) {
-      EXPECT_FALSE(live.Contains(term)) << "emptied term '" << term << "'";
-      EXPECT_TRUE(live.PostingsFor(term).empty());
     }
   }
 }
@@ -189,75 +160,6 @@ TEST(IncrementalIndexTest, RemapRowsAfterCompactKeepsParity) {
   ASSERT_TRUE(index.RemapRows("articles", *remap).ok());
 
   ExpectStructuralParity(index, db);
-}
-
-TEST(IncrementalIndexTest, SpilledDeltaOverlayKeepsBehavioralParity) {
-  Database db;
-  BuildDb(&db);
-  InvertedIndex index = InvertedIndex::Build(db);
-  ASSERT_TRUE(index.SpillToDisk("", /*cache_lists=*/4).ok());
-  Table* a = db.FindTable("articles");
-  Table* c = db.FindTable("comments");
-
-  // Insert (existing vocabulary), delete, and update through the overlay.
-  ASSERT_TRUE(a->AppendRow({Value(int64_t{4}), Value("keyword pruning"),
-                            Value("lattice search")})
-                  .ok());
-  ASSERT_TRUE(index.ApplyRowInsert(*a, 4).ok());
-  ASSERT_TRUE(index.ApplyRowDelete(*c, 1).ok());
-  ASSERT_TRUE(c->DeleteRow(1).ok());
-  const Value old_value = c->at(0, 1);
-  ASSERT_TRUE(c->SetValue(0, 1, Value(std::string("great paper"))).ok());
-  ASSERT_TRUE(index.ApplyCellUpdate(*c, 0, 1, old_value).ok());
-
-  EXPECT_TRUE(index.spilled());
-  ExpectBehavioralParity(index, db);
-}
-
-TEST(IncrementalIndexTest, SpilledEmptiedTermBehavesAbsent) {
-  Database db;
-  BuildDb(&db);
-  InvertedIndex index = InvertedIndex::Build(db);
-  ASSERT_TRUE(index.SpillToDisk("", /*cache_lists=*/4).ok());
-  Table* a = db.FindTable("articles");
-
-  // "systems" occurs only in articles row 0. After the delete the term is
-  // still in the on-disk dictionary but must answer like a rebuild: absent.
-  ASSERT_TRUE(index.ApplyRowDelete(*a, 0).ok());
-  ASSERT_TRUE(a->DeleteRow(0).ok());
-
-  EXPECT_FALSE(index.Contains("systems"));
-  EXPECT_FALSE(index.TableContains("systems", "articles"));
-  EXPECT_TRUE(index.PostingsFor("systems").empty());
-  EXPECT_EQ(index.RowFrequency("systems", "articles"), 0u);
-  ExpectBehavioralParity(index, db);
-}
-
-TEST(IncrementalIndexTest, SpilledRejectsVocabularyNewTermAtomically) {
-  Database db;
-  BuildDb(&db);
-  InvertedIndex index = InvertedIndex::Build(db);
-  ASSERT_TRUE(index.SpillToDisk("", /*cache_lists=*/4).ok());
-  const size_t postings_before = index.num_postings();
-  Table* a = db.FindTable("articles");
-
-  // The row mixes known terms with a vocabulary-new one: the patch must be
-  // rejected whole, not applied up to the offending term.
-  ASSERT_TRUE(a->AppendRow({Value(int64_t{4}), Value("keyword xylophone"),
-                            Value("search")})
-                  .ok());
-  auto patches = index.ApplyRowInsert(*a, 4);
-  ASSERT_FALSE(patches.ok());
-  EXPECT_EQ(patches.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(index.num_postings(), postings_before);
-  EXPECT_TRUE(index.PostingsFor("keyword").size() > 0);
-  for (const Posting& p : index.PostingsFor("keyword")) {
-    EXPECT_NE(p.row, 4u);  // nothing from the rejected row leaked in
-  }
-
-  // RemapRows is likewise refused while spilled.
-  EXPECT_EQ(index.RemapRows("articles", {0, 1, 2, 3, 4}).code(),
-            StatusCode::kFailedPrecondition);
 }
 
 }  // namespace

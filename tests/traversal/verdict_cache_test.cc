@@ -21,13 +21,13 @@ using testutil::ToyFixture;
 TEST(VerdictCacheTest, LookupKeysOnAllThreeComponents) {
   VerdictCache cache(/*capacity=*/16);
   EXPECT_EQ(cache.Lookup("T0(T1)", "sig", 0), std::nullopt);
-  cache.Insert("T0(T1)", "sig", 0, true);
+  cache.Insert("T0(T1)", "sig", 0, /*relset=*/0, true, /*rel_mask=*/0);
   EXPECT_EQ(cache.Lookup("T0(T1)", "sig", 0), true);
   // Any differing component is a distinct verdict.
   EXPECT_EQ(cache.Lookup("T0(T2)", "sig", 0), std::nullopt);
   EXPECT_EQ(cache.Lookup("T0(T1)", "other", 0), std::nullopt);
   EXPECT_EQ(cache.Lookup("T0(T1)", "sig", 1), std::nullopt);
-  cache.Insert("T0(T1)", "sig", 1, false);
+  cache.Insert("T0(T1)", "sig", 1, /*relset=*/0, false, /*rel_mask=*/0);
   EXPECT_EQ(cache.Lookup("T0(T1)", "sig", 1), false);
   VerdictCacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits, 2u);
