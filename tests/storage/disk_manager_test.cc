@@ -43,19 +43,38 @@ TEST(DiskManagerTest, MultiPageExtentsAreContiguousAtEof) {
 
   // Single pages and extents alike go at the end of the file.
   EXPECT_EQ(*disk.AllocatePages(1), 0u);
-  const uint64_t extent = *disk.AllocatePages(3);
-  EXPECT_EQ(extent, 1u);
+  EXPECT_EQ(*disk.AllocatePages(3), 1u);
   EXPECT_EQ(*disk.AllocatePages(1), 4u);
   EXPECT_EQ(disk.num_pages(), 5u);
   EXPECT_EQ(disk.stats().pages_allocated, 5u);
+}
+
+// Nothing is ever freed, so there is no free list for an extent to draw on:
+// it lands past every page already handed out, and its pages sit next to
+// each other in the file.
+TEST(DiskManagerTest, MultiPageExtentsAreContiguousAndSkipFreeList) {
+  auto dm = DiskManager::Create(TestPath("contiguous"), kPage);
+  ASSERT_TRUE(dm.ok()) << dm.status().ToString();
+  DiskManager& disk = **dm;
+
+  const uint64_t single = *disk.AllocatePages(1);
+  const uint64_t extent = *disk.AllocatePages(3);
+  EXPECT_EQ(extent, single + 1);
+  EXPECT_EQ(disk.num_pages(), 4u);
 
   const std::string payload = PageOf('a') + PageOf('b') + PageOf('c');
   ASSERT_TRUE(disk.WritePages(extent, 3, payload.data()).ok());
   std::string readback(3 * kPage, '\0');
   ASSERT_TRUE(disk.ReadPages(extent, 3, readback.data()).ok());
   EXPECT_EQ(readback, payload);
+  // Page i of the extent is page extent + i of the file.
+  for (size_t i = 0; i < 3; ++i) {
+    std::string page(kPage, '\0');
+    ASSERT_TRUE(disk.ReadPages(extent + i, 1, page.data()).ok());
+    EXPECT_EQ(page, PageOf(static_cast<char>('a' + i))) << "page " << i;
+  }
   EXPECT_EQ(disk.stats().page_writes, 3u);
-  EXPECT_EQ(disk.stats().page_reads, 3u);
+  EXPECT_EQ(disk.stats().page_reads, 6u);
 }
 
 TEST(DiskManagerTest, NeverWrittenPagesReadAsZeroes) {
@@ -65,6 +84,20 @@ TEST(DiskManagerTest, NeverWrittenPagesReadAsZeroes) {
   std::string buf(kPage, 'x');
   ASSERT_TRUE((*dm)->ReadPages(page, 1, buf.data()).ok());
   EXPECT_EQ(buf, std::string(kPage, '\0'));
+}
+
+// A read that runs past the written end of the file comes back short: the
+// written head is intact and the missing tail is zero-filled.
+TEST(DiskManagerTest, ShortReadsZeroFill) {
+  auto dm = DiskManager::Create(TestPath("short"), kPage);
+  ASSERT_TRUE(dm.ok());
+  DiskManager& disk = **dm;
+  const uint64_t extent = *disk.AllocatePages(2);
+  ASSERT_TRUE(disk.WritePages(extent, 1, PageOf('h').data()).ok());
+  std::string buf(2 * kPage, 'x');
+  ASSERT_TRUE(disk.ReadPages(extent, 2, buf.data()).ok());
+  EXPECT_EQ(buf, PageOf('h') + std::string(kPage, '\0'));
+  EXPECT_EQ(disk.stats().page_reads, 2u);
 }
 
 TEST(DiskManagerTest, BoundsAreChecked) {
@@ -94,6 +127,22 @@ TEST(DiskManagerTest, TempFileIsRemovedOnDestruction) {
   for (const std::string& path : paths) {
     EXPECT_FALSE(std::filesystem::exists(path)) << path;
   }
+}
+
+// A spill file that was written to and then closed is still unlinked when
+// its manager goes.
+TEST(DiskManagerTest, SpillFileRemovedOnDestruction) {
+  std::string path;
+  {
+    auto dm = DiskManager::CreateTemp(testing::TempDir(), kPage);
+    ASSERT_TRUE(dm.ok()) << dm.status().ToString();
+    path = (*dm)->path();
+    const uint64_t page = *(*dm)->AllocatePages(1);
+    ASSERT_TRUE((*dm)->WritePages(page, 1, PageOf('s').data()).ok());
+    ASSERT_TRUE((*dm)->Close().ok());
+    ASSERT_TRUE(std::filesystem::exists(path));
+  }
+  EXPECT_FALSE(std::filesystem::exists(path));
 }
 
 TEST(DiskManagerTest, CloseSurfacesAndFurtherIoFailsTyped) {
