@@ -47,23 +47,6 @@ NonAnswerDebugger::NonAnswerDebugger(const Database* db,
   }
 }
 
-namespace {
-
-StatusOr<NodeReport> MakeNodeReport(const Lattice& lattice, NodeId id,
-                                    const KeywordBinding& binding,
-                                    const Database& db) {
-  NodeReport report;
-  report.node = id;
-  report.level = lattice.node(id).level;
-  report.network = lattice.node(id).tree.ToString(lattice.schema());
-  KWSDBG_ASSIGN_OR_RETURN(JoinNetworkQuery query,
-                          BuildNodeQuery(lattice, id, binding));
-  KWSDBG_ASSIGN_OR_RETURN(report.sql, query.ToSql(db));
-  return report;
-}
-
-}  // namespace
-
 StatusOr<DebugReport> NonAnswerDebugger::Debug(
     const std::string& keyword_query) {
   Timer debug_timer;
@@ -97,9 +80,19 @@ StatusOr<DebugReport> NonAnswerDebugger::Debug(
     pa_model_->SyncDataVersion(DataVersionOf(*db_));
   }
 
+  const NodeTextRenderer renderer(lattice_->schema(), *db_);
   for (const KeywordBinding& binding : binding_result.interpretations) {
     InterpretationReport interp;
     interp.binding = binding.ToString(lattice_->schema());
+    auto node_report = [&](NodeId id) -> StatusOr<NodeReport> {
+      const LatticeNode& node = lattice_->node(id);
+      NodeReport out;
+      out.node = id;
+      out.level = node.level;
+      KWSDBG_RETURN_NOT_OK(
+          renderer.Render(node.tree, binding, &out.network, &out.sql));
+      return out;
+    };
 
     PrunedLattice pl =
         PrunedLattice::Build(*lattice_, binding, options_.node_filter);
@@ -135,8 +128,7 @@ StatusOr<DebugReport> NonAnswerDebugger::Debug(
     for (const MtnOutcome& outcome : traversal.outcomes) {
       if (outcome.alive) {
         AnswerReport ans;
-        KWSDBG_ASSIGN_OR_RETURN(
-            ans.query, MakeNodeReport(*lattice_, outcome.mtn, binding, *db_));
+        KWSDBG_ASSIGN_OR_RETURN(ans.query, node_report(outcome.mtn));
         // Sampling issues fresh SQL; skip it once the budget fired (the
         // probe would immediately unwind with kDeadlineExceeded anyway).
         if (options_.sample_rows > 0 && !traversal.truncated) {
@@ -153,17 +145,13 @@ StatusOr<DebugReport> NonAnswerDebugger::Debug(
         interp.answers.push_back(std::move(ans));
       } else {
         NonAnswerReport na;
-        KWSDBG_ASSIGN_OR_RETURN(
-            na.query, MakeNodeReport(*lattice_, outcome.mtn, binding, *db_));
+        KWSDBG_ASSIGN_OR_RETURN(na.query, node_report(outcome.mtn));
         for (NodeId mpan : outcome.mpans) {
-          KWSDBG_ASSIGN_OR_RETURN(
-              NodeReport mr, MakeNodeReport(*lattice_, mpan, binding, *db_));
+          KWSDBG_ASSIGN_OR_RETURN(NodeReport mr, node_report(mpan));
           na.mpans.push_back(std::move(mr));
         }
         for (NodeId culprit : outcome.culprits) {
-          KWSDBG_ASSIGN_OR_RETURN(
-              NodeReport cr,
-              MakeNodeReport(*lattice_, culprit, binding, *db_));
+          KWSDBG_ASSIGN_OR_RETURN(NodeReport cr, node_report(culprit));
           na.culprits.push_back(std::move(cr));
         }
         interp.non_answers.push_back(std::move(na));

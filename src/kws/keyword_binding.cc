@@ -43,10 +43,13 @@ const std::string* KeywordBinding::KeywordFor(RelationCopy v) const {
 std::string KeywordBinding::ToString(const SchemaGraph& schema) const {
   std::string out;
   for (size_t i = 0; i < assignments_.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += assignments_[i].keyword + "->" +
-           schema.relation(assignments_[i].vertex.relation).name + "[" +
-           std::to_string(assignments_[i].vertex.copy) + "]";
+    if (i > 0) out.append(", ");
+    out.append(assignments_[i].keyword);
+    out.append("->");
+    out.append(schema.relation(assignments_[i].vertex.relation).name);
+    out.push_back('[');
+    out.append(std::to_string(assignments_[i].vertex.copy));
+    out.push_back(']');
   }
   return out;
 }

@@ -57,6 +57,45 @@ class NodePlanBuilder {
   std::vector<BoundCopy> keywords_;             ///< The binding's copies.
 };
 
+/// Renders a lattice node's report text straight from its tree and a
+/// binding: the network as JoinTree::ToString prints it and the SQL as
+/// BuildNodeQuery(tree, schema, binding)->ToSql(db) prints it, byte for
+/// byte, without building, validating or printing a query. What the text
+/// needs is resolved once: relation id -> the table's lookup status and its
+/// text-column names in schema order, schema edge -> its join columns'
+/// lookup statuses. Nothing is sized by the lattice.
+class NodeTextRenderer {
+ public:
+  /// `schema` and `db` must outlive the renderer, and `db`'s tables must
+  /// keep their schemas: it holds pointers to their column names.
+  NodeTextRenderer(const SchemaGraph& schema, const Database& db);
+
+  /// Appends `tree`'s network to `network` and its SQL under `binding` to
+  /// `sql`, or fails as the query path would, checking in its order: an
+  /// unbound keyword copy is kFailedPrecondition; then a missing table,
+  /// then a missing join column, is kNotFound; then a keyword bound to a
+  /// table without text columns is kFailedPrecondition. On failure both
+  /// strings may hold partial text. `tree` must be valid against the
+  /// schema (JoinTree::Validate), as every lattice node is.
+  Status Render(const JoinTree& tree, const KeywordBinding& binding,
+                std::string* network, std::string* sql) const;
+
+ private:
+  struct Relation {
+    Status table;  ///< Database::GetTable's status.
+    std::vector<const std::string*> text_columns;
+  };
+  /// Schema::ColumnIndex's status for each side of a schema edge.
+  struct EdgeColumns {
+    Status from;
+    Status to;
+  };
+
+  const SchemaGraph* schema_;
+  std::vector<Relation> relations_;  ///< By RelationId.
+  std::vector<EdgeColumns> edges_;   ///< By EdgeId.
+};
+
 }  // namespace kwsdbg
 
 #endif  // KWSDBG_KWS_QUERY_BUILDER_H_

@@ -141,21 +141,37 @@ Status JoinTree::Validate(const SchemaGraph& schema) const {
 }
 
 std::string JoinTree::ToString(const SchemaGraph& schema) const {
-  auto vertex_str = [&](size_t i) {
-    return schema.relation(vertices_[i].relation).name + "[" +
-           std::to_string(vertices_[i].copy) + "]";
-  };
-  if (edges_.empty()) return vertex_str(0);
   std::string out;
-  for (size_t i = 0; i < edges_.size(); ++i) {
-    if (i > 0) out += "; ";
-    const JoinEdge& se = schema.edge(edges_[i].schema_edge);
-    out += vertex_str(edges_[i].a) + " -(" +
-           schema.relation(se.from).name + "." + se.from_column + "=" +
-           schema.relation(se.to).name + "." + se.to_column + ")- " +
-           vertex_str(edges_[i].b);
-  }
+  AppendTo(schema, &out);
   return out;
+}
+
+void JoinTree::AppendTo(const SchemaGraph& schema, std::string* out) const {
+  auto append_vertex = [&](size_t i) {
+    out->append(schema.relation(vertices_[i].relation).name);
+    out->push_back('[');
+    out->append(std::to_string(vertices_[i].copy));
+    out->push_back(']');
+  };
+  if (edges_.empty()) {
+    append_vertex(0);
+    return;
+  }
+  for (size_t i = 0; i < edges_.size(); ++i) {
+    if (i > 0) out->append("; ");
+    const JoinEdge& se = schema.edge(edges_[i].schema_edge);
+    append_vertex(edges_[i].a);
+    out->append(" -(");
+    out->append(schema.relation(se.from).name);
+    out->push_back('.');
+    out->append(se.from_column);
+    out->push_back('=');
+    out->append(schema.relation(se.to).name);
+    out->push_back('.');
+    out->append(se.to_column);
+    out->append(")- ");
+    append_vertex(edges_[i].b);
+  }
 }
 
 }  // namespace kwsdbg

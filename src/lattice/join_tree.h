@@ -85,6 +85,8 @@ class JoinTree {
   /// Human-readable rendering, e.g. "Person[1] -(authored.pid=Person.id)-
   /// authored[0]".  Vertex form: Name[copy].
   std::string ToString(const SchemaGraph& schema) const;
+  /// Appends ToString's rendering to `out`.
+  void AppendTo(const SchemaGraph& schema, std::string* out) const;
 
   bool operator==(const JoinTree&) const = default;
 

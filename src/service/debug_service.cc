@@ -276,12 +276,13 @@ void DebugService::SetupDurability(Database* mutable_db) {
 }
 
 Status DebugService::Checkpoint() {
+  // A failed or refused recovery leaves the log closed; say why.
+  KWSDBG_RETURN_NOT_OK(durability_status_);
   if (mutator_ == nullptr || wal_ == nullptr) {
     return Status::FailedPrecondition(
         "Checkpoint requires durability (ServiceOptions::durability.dir) on "
         "a mutable-constructed service");
   }
-  KWSDBG_RETURN_NOT_OK(durability_status_);
   if (mutator_->wal_poisoned()) {
     return Status::DataLoss(
         "refusing to checkpoint: the mutator is poisoned (a WAL append "
@@ -303,6 +304,7 @@ Status DebugService::Checkpoint() {
 }
 
 Status DebugService::Drain() {
+  KWSDBG_RETURN_NOT_OK(durability_status_);
   if (mutator_ == nullptr || wal_ == nullptr) {
     return Status::FailedPrecondition(
         "Drain requires durability (ServiceOptions::durability.dir) on a "
@@ -317,7 +319,6 @@ Status DebugService::Drain() {
       return queries_in_flight_ == 0 && writes_in_flight_ == 0;
     });
   }
-  KWSDBG_RETURN_NOT_OK(durability_status_);
   if (mutator_->wal_poisoned()) {
     return Status::DataLoss(
         "refusing to drain: the mutator is poisoned (memory and log have "

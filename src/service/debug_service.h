@@ -265,13 +265,15 @@ class DebugService {
   /// Crash-consistent snapshot of the database + index fingerprint into the
   /// durability dir, then truncates the WAL at the covered seq. Excludes
   /// writers for the duration by taking every relation fence shared (reads
-  /// proceed). kFailedPrecondition when durability is off.
+  /// proceed). Returns durability_status() when recovery failed or was
+  /// refused, and kFailedPrecondition when durability is off.
   Status Checkpoint();
 
   /// Graceful shutdown: stop admitting work (Submit/RunBatch/ApplyMutation
   /// return kUnavailable), wait for admitted queries and writes to finish,
   /// fsync the WAL, and checkpoint. After an OK Drain, recovery replays zero
-  /// records.
+  /// records. Fails as Checkpoint does, before it stops admitting work,
+  /// when durability is off or its recovery did not open the log.
   Status Drain();
 
   /// The mutation log, or null when durability is off (the crash harness

@@ -297,7 +297,6 @@ void BufferPool::Unlink(uint32_t idx) {
 
 void BufferPool::Release(uint32_t idx) {
   Frame& f = frames_[idx];
-  f.pins = 0;
   f.image.reset();
   f.image_size = 0;
   std::vector<uint32_t>().swap(f.row_at);
@@ -317,23 +316,11 @@ void BufferPool::Drop(uint32_t idx) {
   Release(idx);
 }
 
-Status BufferPool::MakeRoom() {
-  uint32_t idx = lru_head_;
+void BufferPool::MakeRoom() {
   while (charged_ > budget_bytes_ && resident_ >= kMinFrames) {
-    while (idx != kNoFrame && frames_[idx].pins > 0) {
-      idx = frames_[idx].lru_next;
-    }
-    if (idx == kNoFrame) {
-      return Status::ResourceExhausted(
-          "buffer pool exhausted: all " + std::to_string(resident_) +
-          " resident frames are pinned");
-    }
-    const uint32_t victim = idx;
-    idx = frames_[idx].lru_next;
-    Drop(victim);
+    Drop(lru_head_);
     ++stats_.page_evictions;
   }
-  return Status::OK();
 }
 
 const Tuple* BufferPool::DecodeRow(Frame* f, size_t row) {
@@ -398,11 +385,7 @@ StatusOr<const Tuple*> BufferPool::Fetch(uint64_t first_page,
   if (miss) {
     // After the decode, so the pool fits its budget once the miss is done.
     // The frame is charged but not linked, so it cannot be its own victim.
-    Status room = MakeRoom();
-    if (!room.ok()) {
-      Release(idx);
-      return room;
-    }
+    MakeRoom();
     if (first_page >= page_frame_.size()) {
       page_frame_.resize(
           std::max<uint64_t>(first_page + 1, disk_->num_pages()), kNoFrame);
@@ -418,20 +401,6 @@ StatusOr<const Tuple*> BufferPool::Fetch(uint64_t first_page,
                               std::to_string(first_page));
   }
   return out;
-}
-
-void BufferPool::Pin(uint64_t first_page) {
-  const uint32_t idx = FrameOf(first_page);
-  if (idx != kNoFrame) ++frames_[idx].pins;
-}
-
-void BufferPool::Unpin(uint64_t first_page) {
-  const uint32_t idx = FrameOf(first_page);
-  if (idx != kNoFrame && frames_[idx].pins > 0) --frames_[idx].pins;
-}
-
-void BufferPool::DropAll() {
-  while (lru_head_ != kNoFrame) Drop(lru_head_);
 }
 
 }  // namespace kwsdbg

@@ -18,19 +18,17 @@
 // rows, so a frame costs 9.4 KB before it decodes a row; each decoded row
 // of three int64 cells adds 120 bytes, and every 16th a 384-byte slot
 // chunk. The pool holds as many frames as its byte budget pays for: a
-// miss evicts least recently used unpinned frames until the incoming frame
-// fits, but never below kMinFrames resident frames counting the incoming
-// one. A hit or a first-touch decode never evicts, so decodes may take the
-// pool past its budget until the next miss.
+// miss evicts least recently used frames until the incoming frame fits,
+// but never below kMinFrames resident frames counting the incoming one. A
+// hit or a first-touch decode never evicts, so decodes may take the pool
+// past its budget until the next miss.
 //
 // Reference-stability contract: a reference obtained from a Fetch stays
 // valid across at least 15 = kMinFrames - 1 subsequent fetches of *other*
 // extents, however many frames each of them evicts. Its frame is the most
 // recently used after the fetch, and a miss evicts it only when every
-// older frame is gone or pinned and at least kMinFrames frames, itself
-// included, are resident. So each frame pinned while the reference is
-// held shortens that window by one fetch, and DropAll ends every
-// reference. The executor's probe loops touch at most two tables between
+// older frame is gone and at least kMinFrames frames, itself included, are
+// resident. The executor's probe loops touch at most two tables between
 // taking a reference and using it; the few call sites that interleave a
 // reference with an unbounded index build copy the value instead (see
 // Executor::RunJoin).
@@ -96,19 +94,10 @@ class BufferPool {
   /// Returns row `row` of the extent starting at `first_page` (`num_pages`
   /// long), reading the extent if it is not resident and decoding the row
   /// on its first touch. The pointer is valid until the frame is evicted
-  /// or dropped (see contract above). kParseError if the extent is corrupt,
-  /// kOutOfRange if it holds no row `row`, kResourceExhausted if it does
-  /// not fit and every resident frame is pinned.
+  /// (see contract above). kParseError if the extent is corrupt,
+  /// kOutOfRange if it holds no row `row`.
   StatusOr<const Tuple*> Fetch(uint64_t first_page, uint32_t num_pages,
                                size_t row);
-
-  /// Pins / unpins a resident frame. Pinned frames are never evicted; a pin
-  /// on a non-resident extent is a no-op. Pins nest.
-  void Pin(uint64_t first_page);
-  void Unpin(uint64_t first_page);
-
-  /// Drops every frame; references into them end.
-  void DropAll();
 
  private:
   static constexpr uint32_t kNoFrame = 0xFFFFFFFFu;
@@ -127,7 +116,6 @@ class BufferPool {
     /// only appended, so a slot never moves while the frame is resident.
     std::vector<std::unique_ptr<Tuple[]>> slot_chunks;
     uint32_t num_slots = 0;
-    int pins = 0;
     size_t decoded_bytes = 0;  ///< Heap bytes of the decoded rows.
     size_t charge = 0;         ///< What the frame adds to charged_.
     uint32_t lru_prev = kNoFrame;  ///< Towards the least recently used.
@@ -139,10 +127,10 @@ class BufferPool {
     return first_page < page_frame_.size() ? page_frame_[first_page]
                                            : kNoFrame;
   }
-  /// Evicts LRU unpinned frames until the charge, which includes a missed
-  /// frame not linked yet, fits the budget or only kMinFrames - 1 frames
-  /// are resident.
-  Status MakeRoom();
+  /// Evicts LRU frames until the charge, which includes a missed frame not
+  /// linked yet, fits the budget or only kMinFrames - 1 frames are
+  /// resident.
+  void MakeRoom();
   /// Row `row`'s slot, decoded into it on the first call.
   const Tuple* DecodeRow(Frame* f, size_t row);
   static Tuple& Slot(const Frame& f, uint32_t slot) {

@@ -90,12 +90,11 @@ export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
 # fails every request kFailedPrecondition before a worker touches the pool.
 # Frames are charged by the bytes they hold against a byte budget and free
 # their slots on eviction, so BufferPoolTest's
-# PropertyByteBudgetChargeAndReferenceWindow runs a seeded mix of fetches,
-# pins and drops over extents of mixed sizes holding heap strings (asan
-# sees a reference in the contract's window whose frame a multi-frame
-# eviction freed) and AllPinnedUnderAByteBudgetIsResourceExhausted pins
-# every frame of a byte-budgeted pool; SpillTest's
-# StorageStatsShowThePoolsFramesChargeAndBudget recounts the charge.
+# PropertyByteBudgetChargeAndReferenceWindow runs a seeded run of fetches
+# over extents of mixed sizes holding heap strings (asan sees a reference
+# in the contract's window whose frame a multi-frame eviction freed);
+# SpillTest's StorageStatsShowThePoolsFramesChargeAndBudget recounts the
+# charge.
 # NodePlanParityTest runs every Table 2 node of a resident and a spilled
 # DBLife through both executor front ends (resolved node plans and compiled
 # query strings): asan watches the candidate spans the join takes straight
@@ -106,7 +105,10 @@ export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
 # set. The service's shared index tier, where resolved index pointers are
 # held for one query, stays covered under tsan by SharedCacheEpochTest,
 # LiveMutationTest and the chaos layer of DifferentialFuzzTest.
-CONCURRENCY_TESTS='DifferentialFuzzTest|SharedCacheEpochTest|DebugServiceTest|ServiceParityTest|SubmitTest|ComputeServiceStatsTest|ServiceStatsIntegrationTest|ShardIndexForHashTest|ParallelAgreementTest|LruCacheTest|VerdictCacheTest|FailureInjectionTest|ChaosTest|ChaosFuzzTest|ChaosPropagationTest|FaultInjectorTest|FlatRowIndexTest|BufferPoolTest|PageCodecTest|DiskManagerTest|SpillTest|SpillEpochTest|PostingStoreTest|ExecutorSpillTest|SpilledTableRefusesEveryWrite|SpilledIndexRefusesEveryWrite|LiveMutatorInsertOverSpilledIndexTombstonesRow|LiveMutatorRefusesWritesToASpilledTable|SpilledEngineLeavesDurabilityDirAlone|MutationTest|IncrementalIndexTest|LiveMutationTest|WalTest|CheckpointTest|RelationFencesTest|DurableServiceTest|CrashRecoveryTest|resilience_smoke|bench_smoke|service_scale_smoke|storage_tier_smoke|mutation_smoke|durability_smoke|PaModelTest|AdaptiveColdStartTest|AdaptiveParityTest|AdaptiveDriftTest|PaObservationCountTest|adaptive_smoke|LatticeIoTest|ExecutorPropertyTest|PrunedLatticeOracleTest|CounterFlowTest|NodePlanParityTest|EvaluatorTest|StrategiesTest|StrategyAgreementTest|NodeStatusTest|InteractiveSessionTest|InteractiveSessionDblifeTest|FrontierTest'
+# NodeTextParityTest renders every Table 2 node's report text both ways:
+# the renderer holds pointers into the schema graph and the tables'
+# schemas, and asan sees a dangling name.
+CONCURRENCY_TESTS='DifferentialFuzzTest|SharedCacheEpochTest|DebugServiceTest|ServiceParityTest|SubmitTest|ComputeServiceStatsTest|ServiceStatsIntegrationTest|ShardIndexForHashTest|ParallelAgreementTest|LruCacheTest|VerdictCacheTest|FailureInjectionTest|ChaosTest|ChaosFuzzTest|ChaosPropagationTest|FaultInjectorTest|FlatRowIndexTest|BufferPoolTest|PageCodecTest|DiskManagerTest|SpillTest|SpillEpochTest|PostingStoreTest|ExecutorSpillTest|SpilledTableRefusesEveryWrite|SpilledIndexRefusesEveryWrite|LiveMutatorInsertOverSpilledIndexTombstonesRow|LiveMutatorRefusesWritesToASpilledTable|SpilledEngineLeavesDurabilityDirAlone|MutationTest|IncrementalIndexTest|LiveMutationTest|WalTest|CheckpointTest|RelationFencesTest|DurableServiceTest|CrashRecoveryTest|resilience_smoke|bench_smoke|service_scale_smoke|storage_tier_smoke|mutation_smoke|durability_smoke|PaModelTest|AdaptiveColdStartTest|AdaptiveParityTest|AdaptiveDriftTest|PaObservationCountTest|adaptive_smoke|LatticeIoTest|ExecutorPropertyTest|PrunedLatticeOracleTest|CounterFlowTest|NodePlanParityTest|NodeTextParityTest|EvaluatorTest|StrategiesTest|StrategyAgreementTest|NodeStatusTest|InteractiveSessionTest|InteractiveSessionDblifeTest|FrontierTest'
 
 : "${KWSDBG_FUZZ_ITERS:=200}"
 export KWSDBG_FUZZ_ITERS

@@ -576,6 +576,11 @@ TEST(DebugServiceTest, SpilledEngineLeavesDurabilityDirAlone) {
               StatusCode::kFailedPrecondition);
     EXPECT_EQ(service.Checkpoint().code(), StatusCode::kFailedPrecondition);
     EXPECT_EQ(service.Drain().code(), StatusCode::kFailedPrecondition);
+    // Both name the refusal, not a missing durability dir.
+    EXPECT_EQ(service.Checkpoint().ToString(),
+              service.durability_status().ToString());
+    EXPECT_EQ(service.Drain().ToString(),
+              service.durability_status().ToString());
   }
   EXPECT_EQ(FileBytes(wal_path), log);
   size_t files = 0;

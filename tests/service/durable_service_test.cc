@@ -350,6 +350,11 @@ TEST(DurableServiceTest, IndexFingerprintMismatchIsDataLoss) {
   // Reads still serve (degraded but correct for the in-memory state).
   BatchResult batch = service.RunBatch({"incense"});
   EXPECT_TRUE(batch.status.ok());
+  // The log never opened; both durability calls give the reason.
+  EXPECT_EQ(service.Checkpoint().ToString(),
+            service.durability_status().ToString());
+  EXPECT_EQ(service.Drain().ToString(),
+            service.durability_status().ToString());
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cstring>
 #include <deque>
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -384,38 +383,6 @@ TEST(BufferPoolTest, ReferenceStaysValidAcrossCapacityMinusOneFetches) {
   EXPECT_EQ((*held)[1].AsString(), std::string(24, 'a'));
 }
 
-TEST(BufferPoolTest, PinnedFramesSurviveEvictionPressure) {
-  auto disk = TempDisk();
-  BufferPool pool(disk.get(), kFloorBudget);
-  uint64_t keep = WriteExtent(disk.get(), OneRow(1234));
-  ASSERT_TRUE(pool.Fetch(keep, 1, 0).ok());
-  pool.Pin(keep);
-  for (int i = 0; i < 40; ++i) {
-    ASSERT_TRUE(
-        pool.Fetch(WriteExtent(disk.get(), OneRow(i)), 1, 0).ok());
-  }
-  size_t misses = pool.stats().page_misses;
-  auto row = pool.Fetch(keep, 1, 0);
-  ASSERT_TRUE(row.ok());
-  EXPECT_EQ(pool.stats().page_misses, misses);  // never left the pool
-  EXPECT_EQ((**row)[0].AsInt(), 1234);
-  pool.Unpin(keep);
-}
-
-TEST(BufferPoolTest, AllPinnedIsResourceExhausted) {
-  auto disk = TempDisk();
-  BufferPool pool(disk.get(), kFloorBudget);
-  for (int i = 0; i < 16; ++i) {
-    uint64_t p = WriteExtent(disk.get(), OneRow(i));
-    ASSERT_TRUE(pool.Fetch(p, 1, 0).ok());
-    pool.Pin(p);
-  }
-  uint64_t extra = WriteExtent(disk.get(), OneRow(-1));
-  auto row = pool.Fetch(extra, 1, 0);
-  ASSERT_FALSE(row.ok());
-  EXPECT_EQ(row.status().code(), StatusCode::kResourceExhausted);
-}
-
 // Extents of one to three pages holding heap strings, written to `disk`.
 struct ExtentSet {
   std::vector<uint64_t> first_page;
@@ -450,13 +417,12 @@ struct ExtentSet {
   }
 };
 
-// A seeded mix of Fetch, Pin/Unpin and DropAll over extents of mixed
-// sizes. After every step the running charge equals a recount of what the
-// frames hold; after every miss the pool fits its budget unless it is at
-// its floor; and every row reference still inside the contract's window
-// (fewer than 16 other extents fetched since, counting one more per pinned
-// frame) reads the row the extent holds, although a miss may evict several
-// frames at once.
+// A seeded run of fetches over extents of mixed sizes. After every step the
+// running charge equals a recount of what the frames hold; after every miss
+// the pool fits its budget unless it is at its floor; and every row
+// reference still inside the contract's window (fewer than 16 other
+// extents fetched since) reads the row the extent holds, although a miss
+// may evict several frames at once.
 TEST(BufferPoolTest, PropertyByteBudgetChargeAndReferenceWindow) {
   constexpr size_t kSteps = 4000;
   for (size_t budget : {kFloorBudget, size_t{28} << 10, size_t{40} << 10}) {
@@ -470,75 +436,42 @@ TEST(BufferPoolTest, PropertyByteBudgetChargeAndReferenceWindow) {
       const Tuple* row;
       size_t extent, r;
       std::set<size_t> others;  ///< Other extents fetched since.
-      size_t max_pins;          ///< Most frames pinned at once since.
     };
     std::vector<Held> held;
-    std::map<size_t, int> pins;  // extent -> pin count
     std::deque<size_t> recent;
-    size_t multi_evictions = 0, max_frames = 0, last_fetched = 0;
-    bool fetched_any = false;
+    size_t multi_evictions = 0, max_frames = 0;
 
-    auto unpin_all = [&]() {
-      for (const auto& [e, n] : pins) {
-        for (int i = 0; i < n; ++i) pool.Unpin(extents.first_page[e]);
-      }
-      pins.clear();
-    };
     for (size_t step = 0; step < kSteps; ++step) {
-      const double op = rng.NextDouble();
-      if (op < 0.765) {
-        // Half the fetches revisit a recent extent, so hits mix with misses.
-        const size_t e = !recent.empty() && rng.Bernoulli(0.5)
-                             ? recent[rng.Uniform(recent.size())]
-                             : rng.Uniform(extents.rows.size());
-        const size_t r = rng.Uniform(extents.rows[e].size());
-        const BufferPoolStats before = pool.stats();
-        auto got = pool.Fetch(extents.first_page[e], extents.num_pages[e], r);
-        ASSERT_TRUE(got.ok()) << got.status().ToString();
-        const Tuple* row = *got;
-        ASSERT_EQ(*row, extents.rows[e][r]) << "step " << step;
-        if (pool.stats().page_misses > before.page_misses) {
-          EXPECT_TRUE(pool.charged_bytes() <= budget ||
-                      pool.num_frames() <= BufferPool::kMinFrames)
-              << "step " << step << ": " << pool.charged_bytes() << " > "
-              << budget << " with " << pool.num_frames() << " frames";
-          if (pool.stats().page_evictions >= before.page_evictions + 2) {
-            ++multi_evictions;
-          }
+      // Half the fetches revisit a recent extent, so hits mix with misses.
+      const size_t e = !recent.empty() && rng.Bernoulli(0.5)
+                           ? recent[rng.Uniform(recent.size())]
+                           : rng.Uniform(extents.rows.size());
+      const size_t r = rng.Uniform(extents.rows[e].size());
+      const BufferPoolStats before = pool.stats();
+      auto got = pool.Fetch(extents.first_page[e], extents.num_pages[e], r);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      const Tuple* row = *got;
+      ASSERT_EQ(*row, extents.rows[e][r]) << "step " << step;
+      if (pool.stats().page_misses > before.page_misses) {
+        EXPECT_TRUE(pool.charged_bytes() <= budget ||
+                    pool.num_frames() <= BufferPool::kMinFrames)
+            << "step " << step << ": " << pool.charged_bytes() << " > "
+            << budget << " with " << pool.num_frames() << " frames";
+        if (pool.stats().page_evictions >= before.page_evictions + 2) {
+          ++multi_evictions;
         }
-        for (Held& h : held) {
-          if (h.extent != e) h.others.insert(e);
-        }
-        held.push_back({row, e, r, {}, 0});
-        recent.push_back(e);
-        if (recent.size() > 8) recent.pop_front();
-        last_fetched = e;
-        fetched_any = true;
-      } else if (op < 0.865) {
-        // Pin the extent fetched last: it is resident for sure.
-        if (fetched_any) {
-          pool.Pin(extents.first_page[last_fetched]);
-          ++pins[last_fetched];
-        }
-      } else if (op < 0.985) {
-        if (!pins.empty()) {
-          auto it = pins.begin();
-          std::advance(it, rng.Uniform(pins.size()));
-          pool.Unpin(extents.first_page[it->first]);
-          if (--it->second == 0) pins.erase(it);
-        }
-      } else {
-        unpin_all();
-        pool.DropAll();
-        EXPECT_EQ(pool.num_frames(), 0u);
-        held.clear();
       }
+      for (Held& h : held) {
+        if (h.extent != e) h.others.insert(e);
+      }
+      held.push_back({row, e, r, {}});
+      recent.push_back(e);
+      if (recent.size() > 8) recent.pop_front();
 
       ASSERT_EQ(pool.charged_bytes(), pool.RecountBytes()) << "step " << step;
       max_frames = std::max(max_frames, pool.num_frames());
-      for (Held& h : held) h.max_pins = std::max(h.max_pins, pins.size());
       std::erase_if(held, [](const Held& h) {
-        return h.others.size() + h.max_pins >= BufferPool::kMinFrames;
+        return h.others.size() >= BufferPool::kMinFrames;
       });
       for (const Held& h : held) {
         ASSERT_EQ(*h.row, extents.rows[h.extent][h.r])
@@ -555,34 +488,6 @@ TEST(BufferPoolTest, PropertyByteBudgetChargeAndReferenceWindow) {
       EXPECT_GT(multi_evictions, 0u);
     }
   }
-}
-
-// Under a byte budget too, a miss that must evict finds no victim when
-// every resident frame is pinned; unpinning one lets it through.
-TEST(BufferPoolTest, AllPinnedUnderAByteBudgetIsResourceExhausted) {
-  auto disk = TempDisk();
-  BufferPool pool(disk.get(), size_t{24} << 10);
-  std::vector<uint64_t> pinned;
-  Status last;
-  for (int i = 0; i < 200 && last.ok(); ++i) {
-    const uint64_t p = WriteExtent(disk.get(), OneRow(i));
-    auto row = pool.Fetch(p, 1, 0);
-    last = row.status();
-    if (row.ok()) {
-      pool.Pin(p);
-      pinned.push_back(p);
-    }
-  }
-  ASSERT_EQ(last.code(), StatusCode::kResourceExhausted) << last.ToString();
-  EXPECT_GT(pool.num_frames(), BufferPool::kMinFrames);
-  EXPECT_EQ(pool.num_frames(), pinned.size());
-  EXPECT_EQ(pool.charged_bytes(), pool.RecountBytes());
-
-  pool.Unpin(pinned.front());
-  const uint64_t extra = WriteExtent(disk.get(), OneRow(-1));
-  auto row = pool.Fetch(extra, 1, 0);
-  ASSERT_TRUE(row.ok()) << row.status().ToString();
-  EXPECT_EQ((**row)[0].AsInt(), -1);
 }
 
 }  // namespace
